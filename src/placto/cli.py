@@ -70,6 +70,15 @@ def _emit(reports: list[dict], json_path: str | None) -> int:
     return 0 if summary["pass"] else 1
 
 
+def _size_option(value: int | None, default: int, option: str) -> int:
+    """The value of a size option, or its default when the option is absent."""
+    if value is None:
+        return default
+    if value < 1:
+        raise ValueError(f"--{option} must be at least 1, got {value}")
+    return value
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     what = args.what
     if what == "tables":
@@ -83,8 +92,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for name in names:
             reports.extend(verify_mod.verify_case_analysis(name))
     elif what == "axioms":
-        n = args.n or 3
-        degree = args.degree or 5
+        n = _size_option(args.n, 3, "n")
+        degree = _size_option(args.degree, 5, "degree")
         reports = []
         rel_spec = args.relations
         if rel_spec is None:
@@ -100,7 +109,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             rels = _parse_relations(rel_spec)
             reports.extend(verify_mod.verify_axioms("plactic", n, degree, relations=rels))
     elif what == "section5":
-        reports = verify_mod.verify_section5(args.n or 4, args.degree or 4)
+        reports = verify_mod.verify_section5(
+            _size_option(args.n, 4, "n"), _size_option(args.degree, 4, "degree")
+        )
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(what)
     return _emit(reports, args.json)

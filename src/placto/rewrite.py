@@ -7,13 +7,18 @@ degree-4 shifted Knuth relations are shipped as ready-made relation sets;
 arbitrary homogeneous relation sets can be loaded from JSON.
 
 Equivalence classes are computed by breadth-first closure over one-step
-rewrites (both directions, every window).  Canonical class representatives
-are lexicographically least members, memoized per relation set.
+rewrites (both directions, every window).  Everything computed for one
+relation set lives on its `Congruence`, one per relation set for the whole
+process (see `congruence`): the kernel rule table, the canonical memo that
+maps a byte word to the lexicographically least member of its class, and
+the partitions of all words of a degree into classes.  Closing a class for
+a partition also records its least member in the memo, so a later
+canonical lookup of any word of that degree needs no second closure.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -96,13 +101,16 @@ class RelationSet:
             raise ValueError("custom relation set must be a JSON list")
         relations = []
         for i, entry in enumerate(data):
+            if not isinstance(entry, dict):
+                raise ValueError(f"custom relation entry {i} must be a JSON object")
+            fields = {"name": f"custom.{i + 1}", **entry}
+            for key in ("name", "left", "right", "constraints"):
+                if key not in fields:
+                    raise ValueError(f"custom relation entry {i} is missing key {key!r}")
+                if not isinstance(fields[key], str):
+                    raise ValueError(f"custom relation entry {i}: {key!r} must be a string")
             relations.append(
-                Relation(
-                    entry.get("name", f"custom.{i + 1}"),
-                    entry["left"],
-                    entry["right"],
-                    entry["constraints"],
-                )
+                Relation(fields["name"], fields["left"], fields["right"], fields["constraints"])
             )
         return cls(name, tuple(relations))
 
@@ -138,8 +146,7 @@ def relation_set_by_name(name: str) -> RelationSet:
     raise ValueError(f"unknown relation set {name!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def expanded_rules(rels: RelationSet):
+def _expand(rels: RelationSet):
     """Direction-expanded (match, replace, strict) triples for the kernels."""
     out = []
     seen = set()
@@ -153,28 +160,88 @@ def expanded_rules(rels: RelationSet):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _table(rels: RelationSet):
-    return _kernels.RuleTable(expanded_rules(rels))
+class Congruence:
+    """The congruence one relation set generates, with its per-process state.
+
+    Words are byte strings, one letter per byte.  Obtain instances through
+    `congruence(rels)`, so that every caller shares one memo per relation set.
+    """
+
+    __slots__ = ("rules", "table", "memo", "_partitions")
+
+    def __init__(self, rels: RelationSet, memo: dict[bytes, bytes]) -> None:
+        self.rules = _expand(rels)
+        self.table = _kernels.RuleTable(self.rules)
+        self.memo = memo  # byte word -> least member of its class
+        self._partitions: dict[tuple[int, int], tuple[tuple[bytes, ...], ...]] = {}
+
+    def canonical(self, word: bytes) -> bytes:
+        """Least member of the class of `word`; closes the class on a memo miss."""
+        got = self.memo.get(word)
+        if got is None:
+            members = _kernels.closure(word, self.table)
+            got = min(members)
+            memo = self.memo
+            for m in members:
+                memo[m] = got
+        return got
+
+    def partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
+        """Classes of all degree-d words over {1..n}, each a sorted tuple, in
+        the order of their first member in lexicographic order of all words.
+
+        Seeds the memo with every member.  Words are skipped through this
+        call's own `seen` set, never through the memo: the memo may already
+        hold some words of this degree, and skipping those would drop
+        their classes from the partition.
+        """
+        key = (n, degree)
+        classes = self._partitions.get(key)
+        if classes is not None:
+            return classes
+        found = []
+        seen: set[bytes] = set()
+        memo = self.memo
+        table = self.table
+        for letters in itertools.product(range(1, n + 1), repeat=degree):
+            w = bytes(letters)
+            if w in seen:
+                continue
+            members = sorted(_kernels.closure(w, table))
+            seen.update(members)
+            least = members[0]
+            for m in members:
+                memo[m] = least
+            found.append(tuple(members))
+        classes = self._partitions[key] = tuple(found)
+        return classes
 
 
-# canonical-form memo, per relation set: bytes word -> least class member
+_congruences: dict[RelationSet, Congruence] = {}
+
+# canonical memo of each relation set: the dict its Congruence owns
 _canonical_memo: dict[RelationSet, dict[bytes, bytes]] = {}
 
 
+def congruence(rels: RelationSet) -> Congruence:
+    """The one `Congruence` of `rels` in this process, created on first use."""
+    cong = _congruences.get(rels)
+    if cong is None:
+        cong = _congruences[rels] = Congruence(rels, _canonical_memo.setdefault(rels, {}))
+    return cong
+
+
+def expanded_rules(rels: RelationSet):
+    """Direction-expanded (match, replace, strict) triples for the kernels."""
+    return congruence(rels).rules
+
+
 def closure_bytes(rels: RelationSet, word: bytes) -> frozenset[bytes]:
-    return frozenset(_kernels.closure(word, _table(rels)))
+    return frozenset(_kernels.closure(word, congruence(rels).table))
 
 
 def canonical_bytes(rels: RelationSet, word: bytes) -> bytes:
-    memo = _canonical_memo.setdefault(rels, {})
-    got = memo.get(word)
-    if got is None:
-        members = _kernels.closure(word, _table(rels))
-        got = min(members)
-        for m in members:
-            memo[m] = got
-    return got
+    return congruence(rels).canonical(word)
 
 
 def instantiate(rel: Relation, window: Word) -> Word | None:
@@ -201,7 +268,7 @@ def instantiate(rel: Relation, window: Word) -> Word | None:
 
 def neighbors(word: Word, rels: RelationSet) -> frozenset[Word]:
     """All words one relation application away (either direction, any window)."""
-    out = _kernels.neighbors(word.to_bytes(), _table(rels))
+    out = _kernels.neighbors(word.to_bytes(), congruence(rels).table)
     return frozenset(Word.from_bytes(b, word.n) for b in out)
 
 

@@ -12,7 +12,6 @@ produce identical output.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .algebra import (
@@ -27,11 +26,17 @@ from .rewrite import (
     SHIFTED_KNUTH,
     Relation,
     RelationSet,
-    canonical_bytes,
-    closure_bytes,
+    congruence,
 )
 from .tableaux import longest_hook_subword, mixed_insert_word
-from .words import Word, all_ordered_morphisms, content
+from .words import (
+    Word,
+    all_intervals,
+    all_ordered_morphisms,
+    content,
+    morphism_table,
+    outside_letters,
+)
 
 # ---------------------------------------------------------------------------
 # expected monomial listings for the product checks, keyed by (family, pattern)
@@ -158,18 +163,18 @@ def verify_tables(family: str | None = None, pattern: str | None = None) -> list
 # forced matching between two product expansions
 
 
-def _restrict_bytes(w: bytes, lo: int, hi: int) -> bytes:
-    return bytes(a for a in w if lo <= a <= hi)
+def _intervals(n: int) -> list[tuple[int, int, bytes]]:
+    """(lo, hi, letters outside [lo, hi]) for every interval of {1..n}, in
+    order of lo, then hi; `w.translate(None, outside)` restricts w."""
+    return [(iv.lo, iv.hi, outside_letters(iv, n)) for iv in all_intervals(n)]
 
 
-def _interval_witness(u: bytes, v: bytes, rels: RelationSet, n: int):
-    """First interval whose restrictions land in different `rels` classes."""
-    for lo in range(1, n + 1):
-        for hi in range(lo, n + 1):
-            if canonical_bytes(rels, _restrict_bytes(u, lo, hi)) != canonical_bytes(
-                rels, _restrict_bytes(v, lo, hi)
-            ):
-                return (lo, hi)
+def _interval_witness(u: bytes, v: bytes, canon, intervals):
+    """First interval whose restrictions of u and v have different
+    canonical forms under `canon`, from `_intervals`."""
+    for lo, hi, outside in intervals:
+        if canon(u.translate(None, outside)) != canon(v.translate(None, outside)):
+            return (lo, hi)
     return None
 
 
@@ -187,8 +192,11 @@ def _forced_matching(U: set[bytes], V: set[bytes], compat: RelationSet, n: int):
     right = sorted(V - U)
     if len(left) != len(right):
         return match, False, "unequal monomial counts after cancellation"
+    canon = congruence(compat).canonical
+    intervals = _intervals(n)
     candidates = {
-        u: {v for v in right if _interval_witness(u, v, compat, n) is None} for u in left
+        u: {v for v in right if _interval_witness(u, v, canon, intervals) is None}
+        for u in left
     }
     used: set[bytes] = set()
     unmatched = list(left)
@@ -277,6 +285,8 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     """
     rels_name = relations if isinstance(relations, str) else relations.name
     rels, n, left_prod, right_prod = _case_products(rels_name)
+    knuth_canon = congruence(KNUTH).canonical
+    intervals = _intervals(n)
     matchings: dict[tuple[int, ...], tuple] = {}
     reports = []
     for rel in rels.relations:
@@ -294,7 +304,7 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
             for v in sorted(V):
                 if v == survivor:
                     continue
-                witness = _interval_witness(ub, v, KNUTH, n)
+                witness = _interval_witness(ub, v, knuth_canon, intervals)
                 word_str = str(Word.from_bytes(v, n))
                 if witness is not None:
                     lo, hi = witness
@@ -334,26 +344,9 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
 # axiom systems
 
 
-@functools.lru_cache(maxsize=None)
 def _partition_degree(rels: RelationSet, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
     """Equivalence classes of all degree-d words over {1..n}, as sorted tuples."""
-    classes = []
-    seen: set[bytes] = set()
-    for letters in itertools.product(range(1, n + 1), repeat=degree):
-        w = bytes(letters)
-        if w in seen:
-            continue
-        members = sorted(closure_bytes(rels, w))
-        seen.update(members)
-        classes.append(tuple(members))
-    return tuple(classes)
-
-
-def _content_key(w: bytes, n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for a in w:
-        counts[a - 1] += 1
-    return tuple(counts)
+    return congruence(rels).partition(n, degree)
 
 
 def _axiom_report(axiom: str, n: int, degree_bound: int, checked: int, violations: list) -> dict:
@@ -388,9 +381,12 @@ def verify_axioms(
     else:
         raise ValueError(f"target must be 'plactic' or 'shifted-plactic', got {target!r}")
 
+    cong = congruence(rels)
+    canon = cong.canonical
+    knuth_canon = congruence(KNUTH).canonical
     classes: list[tuple[bytes, ...]] = []
     for d in range(1, degree_bound + 1):
-        classes.extend(_partition_degree(rels, n, d))
+        classes.extend(cong.partition(n, d))
 
     reports = []
 
@@ -400,9 +396,9 @@ def verify_axioms(
     for cls in classes:
         checked += len(cls)
         if system == "Plac":
-            keys = {_content_key(w, n) for w in cls}
+            keys = {bytes(sorted(w)) for w in cls}  # same sorted letters = same content
         else:
-            keys = {canonical_bytes(KNUTH, w) for w in cls}
+            keys = {knuth_canon(w) for w in cls}
         if len(keys) != 1:
             violations.append({"class_of": str(Word.from_bytes(cls[0], n))})
     reports.append(_axiom_report(f"{system}.1", n, degree_bound, checked, violations))
@@ -425,17 +421,21 @@ def verify_axioms(
     # axiom 3: classes are stable under every ordered morphism
     violations = []
     checked = 0
-    morphisms = [m for m in all_ordered_morphisms(n, n) if m.pairs]
+    morphisms = [
+        (m, m.source, morphism_table(m)) for m in all_ordered_morphisms(n, n) if m.pairs
+    ]
+    # the morphisms whose source holds a support, in enumeration order
+    applicable: dict[frozenset[int], list] = {}
     for cls in classes:
-        support = set(cls[0])
-        for m in morphisms:
-            mapping = m.mapping()
-            if not support <= set(mapping):
-                continue
+        support = frozenset(cls[0])
+        usable = applicable.get(support)
+        if usable is None:
+            usable = applicable[support] = [
+                (m, table) for m, source, table in morphisms if support <= source
+            ]
+        for m, table in usable:
             checked += len(cls)
-            images = {
-                canonical_bytes(rels, bytes(mapping[a] for a in w)) for w in cls
-            }
+            images = {canon(w.translate(table)) for w in cls}
             if len(images) != 1:
                 violations.append(
                     {"class_of": str(Word.from_bytes(cls[0], n)), "morphism": m.pairs}
@@ -445,23 +445,21 @@ def verify_axioms(
     # axiom 4: interval restrictions agree in the target congruence
     # (the congruence itself for the plactic system, ordinary Knuth for the
     # shifted system)
-    target_rels = rels if system == "Plac" else KNUTH
+    target_canon = canon if system == "Plac" else knuth_canon
+    intervals = _intervals(n)
     violations = []
     checked = 0
     for cls in classes:
-        for lo in range(1, n + 1):
-            for hi in range(lo, n + 1):
-                checked += len(cls)
-                keys = {
-                    canonical_bytes(target_rels, _restrict_bytes(w, lo, hi)) for w in cls
-                }
-                if len(keys) != 1:
-                    violations.append(
-                        {
-                            "class_of": str(Word.from_bytes(cls[0], n)),
-                            "interval": [lo, hi],
-                        }
-                    )
+        for lo, hi, outside in intervals:
+            checked += len(cls)
+            keys = {target_canon(w.translate(None, outside)) for w in cls}
+            if len(keys) != 1:
+                violations.append(
+                    {
+                        "class_of": str(Word.from_bytes(cls[0], n)),
+                        "interval": [lo, hi],
+                    }
+                )
     reports.append(_axiom_report(f"{system}.4", n, degree_bound, checked, violations))
     return reports
 
@@ -473,35 +471,34 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
     A witness documents why the shifted interval axiom lands in the ordinary
     Knuth quotient rather than the shifted one.
     """
+    shifted = congruence(SHIFTED_KNUTH)
+    canon = shifted.canonical
+    knuth_canon = congruence(KNUTH).canonical
+    intervals = _intervals(n)
     for d in range(2, degree_bound + 1):
-        for cls in _partition_degree(SHIFTED_KNUTH, n, d):
+        for cls in shifted.partition(n, d):
             if len(cls) == 1:
                 continue
             base = cls[0]
             for other in cls[1:]:
-                for lo in range(1, n + 1):
-                    for hi in range(lo, n + 1):
-                        ru = _restrict_bytes(base, lo, hi)
-                        rv = _restrict_bytes(other, lo, hi)
-                        if canonical_bytes(SHIFTED_KNUTH, ru) != canonical_bytes(
-                            SHIFTED_KNUTH, rv
-                        ):
-                            return {
-                                "check": "restriction-surprise",
-                                "witness_found": True,
-                                "w1": str(Word.from_bytes(base, n)),
-                                "w2": str(Word.from_bytes(other, n)),
-                                "interval": [lo, hi],
-                                "restrictions": [
-                                    str(Word.from_bytes(ru, n)),
-                                    str(Word.from_bytes(rv, n)),
-                                ],
-                                "restrictions_knuth_equivalent": canonical_bytes(
-                                    KNUTH, ru
-                                )
-                                == canonical_bytes(KNUTH, rv),
-                                "pass": True,
-                            }
+                for lo, hi, outside in intervals:
+                    ru = base.translate(None, outside)
+                    rv = other.translate(None, outside)
+                    if canon(ru) != canon(rv):
+                        return {
+                            "check": "restriction-surprise",
+                            "witness_found": True,
+                            "w1": str(Word.from_bytes(base, n)),
+                            "w2": str(Word.from_bytes(other, n)),
+                            "interval": [lo, hi],
+                            "restrictions": [
+                                str(Word.from_bytes(ru, n)),
+                                str(Word.from_bytes(rv, n)),
+                            ],
+                            "restrictions_knuth_equivalent": knuth_canon(ru)
+                            == knuth_canon(rv),
+                            "pass": True,
+                        }
     return {"check": "restriction-surprise", "witness_found": False, "pass": True}
 
 

@@ -3,16 +3,22 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
+from placto import rewrite
 from placto.rewrite import (
     KNUTH,
     SHIFTED_KNUTH,
+    Congruence,
     Relation,
     RelationSet,
     canonical_word,
     class_dump,
+    closure_bytes,
+    congruence,
     equiv_class,
     equivalent,
+    expanded_rules,
     instantiate,
     neighbors,
     relation_instances,
@@ -20,6 +26,7 @@ from placto.rewrite import (
 )
 from placto.words import (
     Interval,
+    OrderedMorphism,
     Word,
     all_intervals,
     all_ordered_morphisms,
@@ -27,6 +34,8 @@ from placto.words import (
     apply_morphism,
     concat,
     content,
+    morphism_table,
+    outside_letters,
     restrict,
 )
 
@@ -207,3 +216,82 @@ class TestCustomRelations:
     def test_chain_must_cover_pattern(self):
         with pytest.raises(ValueError):
             Relation("bad", "abc", "cba", "a<b")
+
+
+class TestCongruence:
+    @staticmethod
+    def _words(n, degree):
+        return [bytes(ls) for ls in itertools.product(range(1, n + 1), repeat=degree)]
+
+    @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
+    def test_partition_complete_after_canonical_lookups(self, rels):
+        words = self._words(3, 5)
+        cong = Congruence(rels, {})
+        for w in words[::7]:
+            cong.canonical(w)
+        classes = cong.partition(3, 5)
+        assert sorted(m for cls in classes for m in cls) == words
+        assert classes == Congruence(rels, {}).partition(3, 5)
+        for cls in classes:
+            assert all(cong.memo[m] == cls[0] for m in cls)
+
+    def test_partition_seeds_the_memo(self, monkeypatch):
+        cong = Congruence(SHIFTED_KNUTH, {})
+        cong.partition(3, 5)
+        calls = []
+        real = rewrite._kernels.closure
+
+        def counting(word, table):
+            calls.append(word)
+            return real(word, table)
+
+        monkeypatch.setattr(rewrite._kernels, "closure", counting)
+        for w in self._words(3, 5):
+            cong.canonical(w)
+        assert calls == []
+        cong.canonical(bytes([1, 3, 2, 4]))  # degree 4 was never partitioned
+        assert len(calls) == 1
+
+    def test_partition_equals_breadth_first_classes_custom(self):
+        rels = RelationSet.custom(
+            [Relation("C.1", "bac", "bca", "a<b<c"), Relation("C.2", "aab", "aba", "a<b")]
+        )
+        for degree in range(1, 6):
+            bfs = {closure_bytes(rels, w) for w in self._words(3, degree)}
+            classes = congruence(rels).partition(3, degree)
+            assert {frozenset(cls) for cls in classes} == bfs
+            assert all(list(cls) == sorted(cls) for cls in classes)
+
+    def test_one_congruence_per_relation_set(self):
+        cong = congruence(KNUTH)
+        assert congruence(RelationSet("knuth", KNUTH.relations)) is cong
+        assert rewrite._canonical_memo[KNUTH] is cong.memo
+        assert expanded_rules(KNUTH) is cong.rules
+
+
+@st.composite
+def _word_and_morphism(draw):
+    source_n = draw(st.integers(1, 8))
+    target_n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(source_n, target_n)))
+    src = sorted(draw(st.sets(st.integers(1, source_n), min_size=k, max_size=k)))
+    img = sorted(draw(st.sets(st.integers(1, target_n), min_size=k, max_size=k)))
+    letters = draw(st.lists(st.sampled_from(src), max_size=12))
+    return Word(tuple(letters), source_n), OrderedMorphism(tuple(zip(src, img)), target_n)
+
+
+@given(_word_and_morphism())
+def test_translate_table_applies_morphism(case):
+    w, m = case
+    image = w.to_bytes().translate(morphism_table(m))
+    assert Word.from_bytes(image, m.target_n) == apply_morphism(w, m)
+
+
+@given(st.data())
+def test_translate_deletions_restrict(data):
+    n = data.draw(st.integers(1, 8))
+    w = Word(tuple(data.draw(st.lists(st.integers(1, n), max_size=12))), n)
+    lo = data.draw(st.integers(1, n))
+    iv = Interval(lo, data.draw(st.integers(lo, n)))
+    restricted = w.to_bytes().translate(None, outside_letters(iv, n))
+    assert Word.from_bytes(restricted, n) == restrict(w, iv)
