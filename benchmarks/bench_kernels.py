@@ -1,7 +1,9 @@
 """Benchmark the pure-Python rewrite kernels against the compiled extension.
 
-The workload is the verifier's hot loop: partitioning every word of a given
-degree into equivalence classes by breadth-first closure.
+The workload partitions every word of a given degree into equivalence
+classes by breadth-first closure.  The verifier partitions the two shipped
+relation sets by insertion tableau instead, so this times the route that
+custom relation sets and single-class queries take.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """

@@ -11,6 +11,7 @@ from __future__ import annotations
 backend_name = "pure"
 
 _MAX_PAT = 16
+_MAX_WORD = 255
 
 
 class RuleTable:
@@ -39,6 +40,8 @@ class RuleTable:
 def _rewrites(word: bytes, table: RuleTable):
     """Yield every one-step rewrite of `word` under `table`."""
     length = len(word)
+    if length > _MAX_WORD:
+        raise ValueError("word too long for the compiled kernel")
     for plen, nvars, left, right, strict in table.rules:
         if plen > length:
             continue

@@ -70,12 +70,18 @@ def _emit(reports: list[dict], json_path: str | None) -> int:
     return 0 if summary["pass"] else 1
 
 
-def _size_option(value: int | None, default: int, option: str) -> int:
+# words are byte strings, one letter per byte
+_MAX_LETTER = 255
+
+
+def _size_option(value: int | None, default: int, option: str, most: int | None = None) -> int:
     """The value of a size option, or its default when the option is absent."""
     if value is None:
         return default
     if value < 1:
         raise ValueError(f"--{option} must be at least 1, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"--{option} must be at most {most}, got {value}")
     return value
 
 
@@ -92,7 +98,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for name in names:
             reports.extend(verify_mod.verify_case_analysis(name))
     elif what == "axioms":
-        n = _size_option(args.n, 3, "n")
+        n = _size_option(args.n, 3, "n", _MAX_LETTER)
         degree = _size_option(args.degree, 5, "degree")
         reports = []
         rel_spec = args.relations
@@ -110,7 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             reports.extend(verify_mod.verify_axioms("plactic", n, degree, relations=rels))
     elif what == "section5":
         reports = verify_mod.verify_section5(
-            _size_option(args.n, 4, "n"), _size_option(args.degree, 4, "degree")
+            _size_option(args.n, 4, "n", _MAX_LETTER), _size_option(args.degree, 4, "degree")
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(what)

@@ -6,14 +6,18 @@ variables (e.g. acb ~ cab for a <= b < c).  The Knuth relations and the eight
 degree-4 shifted Knuth relations are shipped as ready-made relation sets;
 arbitrary homogeneous relation sets can be loaded from JSON.
 
-Equivalence classes are computed by breadth-first closure over one-step
-rewrites (both directions, every window).  Everything computed for one
-relation set lives on its `Congruence`, one per relation set for the whole
-process (see `congruence`): the kernel rule table, the canonical memo that
-maps a byte word to the lexicographically least member of its class, and
-the partitions of all words of a degree into classes.  Closing a class for
-a partition also records its least member in the memo, so a later
-canonical lookup of any word of that degree needs no second closure.
+The class of a single word is computed by breadth-first closure over
+one-step rewrites (both directions, every window).  Everything computed for
+one relation set lives on its `Congruence`, one per relation set for the
+whole process (see `congruence`): the kernel rule table, the canonical memo
+that maps a byte word to the lexicographically least member of its class,
+and the partitions of all words of a degree into classes.  For `KNUTH` a
+partition groups the words by Schensted insertion tableau, for
+`SHIFTED_KNUTH` by mixed insertion tableau, since the classes are exactly
+the fibers of these maps; every other relation set closes each class
+breadth-first, which the tests keep as the reference for the keyed route.
+A partition records every member's least word in the memo, so a later
+canonical lookup of any word of that degree needs no closure.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import re
 from dataclasses import dataclass
 
 from . import _kernels
+from .tableaux import mixed_insertion_rows, schensted_rows
 from .words import Word, content
 
 _CHAIN_RE = re.compile(r"^\s*([a-z])\s*((?:(?:<=|<)\s*[a-z]\s*)+)$")
@@ -138,6 +143,12 @@ SHIFTED_KNUTH = RelationSet(
 )
 
 
+# Insertion maps whose fibers are the classes: Knuth classes are the fibers
+# of Schensted insertion (Knuth 1970), shifted Knuth classes those of
+# Haiman's mixed insertion (Serrano 2010).
+_INSERTION_KEYS = {KNUTH: schensted_rows, SHIFTED_KNUTH: mixed_insertion_rows}
+
+
 def relation_set_by_name(name: str) -> RelationSet:
     if name == "knuth":
         return KNUTH
@@ -165,13 +176,16 @@ class Congruence:
 
     Words are byte strings, one letter per byte.  Obtain instances through
     `congruence(rels)`, so that every caller shares one memo per relation set.
+    `key` is the insertion map whose fibers are the classes, for the two
+    shipped relation sets, and None for every other set.
     """
 
-    __slots__ = ("rules", "table", "memo", "_partitions")
+    __slots__ = ("rules", "table", "key", "memo", "_partitions")
 
     def __init__(self, rels: RelationSet, memo: dict[bytes, bytes]) -> None:
         self.rules = _expand(rels)
         self.table = _kernels.RuleTable(self.rules)
+        self.key = _INSERTION_KEYS.get(rels)
         self.memo = memo  # byte word -> least member of its class
         self._partitions: dict[tuple[int, int], tuple[tuple[bytes, ...], ...]] = {}
 
@@ -190,18 +204,38 @@ class Congruence:
         """Classes of all degree-d words over {1..n}, each a sorted tuple, in
         the order of their first member in lexicographic order of all words.
 
-        Seeds the memo with every member.  Words are skipped through this
-        call's own `seen` set, never through the memo: the memo may already
-        hold some words of this degree, and skipping those would drop
-        their classes from the partition.
+        `KNUTH` groups the words by Schensted insertion tableau and
+        `SHIFTED_KNUTH` by mixed insertion tableau (see `key`); every other
+        relation set closes each class breadth-first (`closure_partition`,
+        which the tests keep as the reference for the keyed route).  Both
+        routes give the same tuple.  Seeds the memo with every member.
         """
-        key = (n, degree)
-        classes = self._partitions.get(key)
+        part = (n, degree)
+        classes = self._partitions.get(part)
         if classes is not None:
             return classes
+        if self.key is None:
+            classes = self.closure_partition(n, degree)
+        else:
+            classes = _fiber_partition(self.key, n, degree)
+        memo = self.memo
+        for members in classes:
+            least = members[0]
+            for m in members:
+                memo[m] = least
+        self._partitions[part] = classes
+        return classes
+
+    def closure_partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
+        """`partition` by breadth-first closure of each class, for any relation
+        set; neither cached nor recorded in the memo.
+
+        Words are skipped through this call's own `seen` set, never through
+        the memo: the memo may already hold some words of this degree, and
+        skipping those would drop their classes from the partition.
+        """
         found = []
         seen: set[bytes] = set()
-        memo = self.memo
         table = self.table
         for letters in itertools.product(range(1, n + 1), repeat=degree):
             w = bytes(letters)
@@ -209,12 +243,18 @@ class Congruence:
                 continue
             members = sorted(_kernels.closure(w, table))
             seen.update(members)
-            least = members[0]
-            for m in members:
-                memo[m] = least
             found.append(tuple(members))
-        classes = self._partitions[key] = tuple(found)
-        return classes
+        return tuple(found)
+
+
+def _fiber_partition(key, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
+    """Fibers of `key` on all degree-d words over {1..n}.  Words arrive in
+    lexicographic order, so each fiber comes out sorted and the fibers come
+    in the order of their first member."""
+    fibers: dict[tuple, list[bytes]] = {}
+    for letters in itertools.product(range(1, n + 1), repeat=degree):
+        fibers.setdefault(key(letters), []).append(bytes(letters))
+    return tuple(map(tuple, fibers.values()))
 
 
 _congruences: dict[RelationSet, Congruence] = {}

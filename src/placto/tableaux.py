@@ -144,31 +144,37 @@ class Tableau:
 EMPTY_TABLEAU = Tableau(())
 
 
-def schensted_insert(tableau: Tableau, z: int) -> Tableau:
-    """Row-insert z: bump the leftmost strictly greater entry, recurse below."""
-    rows = [list(r) for r in tableau.rows]
-    i = 0
-    x = z
-    while True:
-        if i == len(rows):
-            rows.append([x])
-            break
-        row = rows[i]
+def _row_insert(rows: list[list[int]], x: int) -> None:
+    """Row-insert x into mutable rows: bump the leftmost strictly greater
+    entry, recurse below."""
+    for row in rows:
         j = bisect_right(row, x)
         if j == len(row):
             row.append(x)
-            break
+            return
         x, row[j] = row[j], x
-        i += 1
+    rows.append([x])
+
+
+def schensted_insert(tableau: Tableau, z: int) -> Tableau:
+    """Row-insert z: bump the leftmost strictly greater entry, recurse below."""
+    rows = [list(r) for r in tableau.rows]
+    _row_insert(rows, z)
     return Tableau(tuple(tuple(r) for r in rows))
+
+
+def schensted_rows(letters) -> tuple[tuple[int, ...], ...]:
+    """Rows of the Schensted insertion tableau of a letter sequence (a tuple
+    or a byte word).  Its fibers are the Knuth classes (Knuth 1970)."""
+    rows: list[list[int]] = []
+    for a in letters:
+        _row_insert(rows, a)
+    return tuple(map(tuple, rows))
 
 
 def p_tableau(w: Word) -> Tableau:
     """Insertion tableau of a word: left fold of Schensted insertion."""
-    t = EMPTY_TABLEAU
-    for a in w.letters:
-        t = schensted_insert(t, a)
-    return t
+    return Tableau(schensted_rows(w.letters))
 
 
 def reading_word(tableau: Tableau, n: int | None = None) -> Word:
@@ -355,12 +361,19 @@ def mixed_insert(tableau: ShiftedTableau, z: int) -> ShiftedTableau:
     return ShiftedTableau(tuple(tuple(r) for r in rows))
 
 
+def mixed_insertion_rows(letters) -> tuple[tuple[int, ...], ...]:
+    """Rows, in the doubled encoding, of the mixed insertion tableau of a
+    sequence of plain letters (a tuple or a byte word).  Its fibers are the
+    shifted Knuth classes (Serrano 2010)."""
+    rows: list[list[int]] = []
+    for a in letters:
+        _mixed_insert_encoded(rows, unprimed(a))
+    return tuple(map(tuple, rows))
+
+
 def mixed_insert_word(w: Word) -> ShiftedTableau:
     """Mixed insertion tableau of a word without primed entries."""
-    rows: list[list[int]] = []
-    for a in w.letters:
-        _mixed_insert_encoded(rows, unprimed(a))
-    return ShiftedTableau(tuple(tuple(r) for r in rows))
+    return ShiftedTableau(mixed_insertion_rows(w.letters))
 
 
 def enumerate_shssyt(shape: tuple[int, ...], n: int) -> list[ShiftedTableau]:

@@ -18,7 +18,7 @@ from placto.algebra import (
     schur_poly,
     shifted_free_schur,
 )
-from placto.rewrite import KNUTH, SHIFTED_KNUTH, verify_factorization
+from placto.rewrite import KNUTH, SHIFTED_KNUTH, congruence, verify_factorization
 from placto.tableaux import (
     ShiftedTableau,
     hook_factorization_check,
@@ -106,20 +106,27 @@ def _fiber_partition(insert, n, degree):
 
 
 def test_criterion_05_plactic_fibers():
-    """Knuth classes coincide with Schensted insertion fibers, n=3, deg 1..6."""
+    """Knuth classes coincide with Schensted insertion fibers, n=3, deg 1..6.
+
+    The classes come from breadth-first closure, not from `partition`, which
+    itself groups words by insertion tableau for the shipped relation sets.
+    """
     t0 = time.perf_counter()
     for degree in range(1, 7):
-        classes = {frozenset(c) for c in _partition_degree(KNUTH, 3, degree)}
+        classes = {frozenset(c) for c in congruence(KNUTH).closure_partition(3, degree)}
         assert classes == _fiber_partition(p_tableau, 3, degree)
     elapsed = time.perf_counter() - t0
     _report(5, "plactic fiber equality", elapsed, 30.0)
 
 
 def test_criterion_06_shifted_fibers():
-    """Shifted classes coincide with mixed insertion fibers, n=3, deg 1..6."""
+    """Shifted classes coincide with mixed insertion fibers, n=3, deg 1..6,
+    with the classes from breadth-first closure as in criterion 05."""
     t0 = time.perf_counter()
     for degree in range(1, 7):
-        classes = {frozenset(c) for c in _partition_degree(SHIFTED_KNUTH, 3, degree)}
+        classes = {
+            frozenset(c) for c in congruence(SHIFTED_KNUTH).closure_partition(3, degree)
+        }
         assert classes == _fiber_partition(mixed_insert_word, 3, degree)
     elapsed = time.perf_counter() - t0
     _report(6, "shifted fiber equality", elapsed, 60.0)

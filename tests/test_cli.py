@@ -140,6 +140,21 @@ class TestUsageErrors:
         assert captured.err.startswith("placto: error:")
         assert option in captured.err
 
+    @pytest.mark.parametrize("what", ["axioms", "section5"])
+    def test_n_above_255_rejected(self, capsys, what):
+        code = main(["verify", what, "--n", "256"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "placto: error: --n must be at most 255, got 256\n"
+
+    def test_class_of_word_over_255_letters_rejected(self, capsys):
+        code = main(["class", "12" * 128])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("placto: error:")
+
     @pytest.mark.parametrize(
         "entries, message",
         [

@@ -61,3 +61,16 @@ def test_bad_rules_rejected_by_both():
 def test_pure_closure_of_empty_word():
     tp = pure.RuleTable(expanded_rules(KNUTH))
     assert pure.closure(b"", tp) == {b""}
+
+
+@pytest.mark.parametrize(
+    "backend", [pure] + ([fast] if fast is not None else []), ids=lambda b: b.backend_name
+)
+def test_words_over_255_letters_rejected(backend):
+    table = backend.RuleTable(expanded_rules(SHIFTED_KNUTH))
+    longest = bytes([1]) * 255
+    assert backend.closure(longest, table) == {longest}
+    assert backend.neighbors(longest, table) == set()
+    for kernel in (backend.closure, backend.neighbors):
+        with pytest.raises(ValueError, match="^word too long for the compiled kernel$"):
+            kernel(longest + bytes([1]), table)

@@ -1,9 +1,10 @@
 """Pattern relations, class closure, and the congruence invariants."""
 
 import itertools
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from placto import rewrite
 from placto.rewrite import (
@@ -23,6 +24,13 @@ from placto.rewrite import (
     neighbors,
     relation_instances,
     verify_factorization,
+)
+from placto.tableaux import (
+    enumerate_shssyt,
+    enumerate_ssyt,
+    is_primed,
+    partitions,
+    strict_partitions,
 )
 from placto.words import (
     Interval,
@@ -262,6 +270,34 @@ class TestCongruence:
             assert {frozenset(cls) for cls in classes} == bfs
             assert all(list(cls) == sorted(cls) for cls in classes)
 
+    # the scales the benchmark runs: axioms n=3 d=9, n=5 d=6, section5 n=7 d=4
+    @pytest.mark.parametrize("n, top", [(3, 9), (5, 6), (7, 4)])
+    @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
+    def test_keyed_partition_equals_closure_partition(self, rels, n, top):
+        cong = Congruence(rels, {})
+        assert cong.key is not None
+        for degree in range(top + 1):
+            assert cong.partition(n, degree) == cong.closure_partition(n, degree)
+
+    def test_route_follows_the_relation_set(self, monkeypatch):
+        calls = []
+        real = rewrite._kernels.closure
+
+        def counting(word, table):
+            calls.append(word)
+            return real(word, table)
+
+        monkeypatch.setattr(rewrite._kernels, "closure", counting)
+        Congruence(KNUTH, {}).partition(3, 4)
+        Congruence(SHIFTED_KNUTH, {}).partition(3, 4)
+        assert calls == []
+        # the Knuth relations under another name are a custom set: closure
+        custom = RelationSet.custom(KNUTH.relations)
+        cong = Congruence(custom, {})
+        assert cong.key is None
+        assert cong.partition(3, 4) == Congruence(KNUTH, {}).partition(3, 4)
+        assert len(calls) == len(cong.partition(3, 4))
+
     def test_one_congruence_per_relation_set(self):
         cong = congruence(KNUTH)
         assert congruence(RelationSet("knuth", KNUTH.relations)) is cong
@@ -295,3 +331,62 @@ def test_translate_deletions_restrict(data):
     iv = Interval(lo, data.draw(st.integers(lo, n)))
     restricted = w.to_bytes().translate(None, outside_letters(iv, n))
     assert Word.from_bytes(restricted, n) == restrict(w, iv)
+
+
+def _standard_count(shape):
+    """Standard Young tableaux of a shape, by the hook length formula."""
+    hooks = 1
+    for i, length in enumerate(shape):
+        for j in range(length):
+            below = sum(1 for later in shape[i + 1 :] if later > j)
+            hooks *= length - j + below
+    return math.factorial(sum(shape)) // hooks
+
+
+def _shifted_standard_count(shape):
+    """Standard shifted tableaux of a strict shape, by the shifted hook
+    formula.  Row i starts in column i; the hook of cell (i, c) is the rest
+    of row i from c, the cells below it in column c, and all of row c + 1."""
+    hooks = 1
+    for i, length in enumerate(shape):
+        for c in range(i, i + length):
+            right = i + length - c
+            below = sum(1 for k in range(i + 1, len(shape)) if k <= c < k + shape[k])
+            hooks *= right + below + (shape[c + 1] if c + 1 < len(shape) else 0)
+    return math.factorial(sum(shape)) // hooks
+
+
+@pytest.mark.parametrize("size", range(7))
+def test_hook_formulas_count_standard_tableaux(size):
+    for shape in partitions(size):
+        standard = [
+            t for t in enumerate_ssyt(shape, size) if len(set(t.reading_letters())) == size
+        ]
+        assert len(standard) == _standard_count(shape)
+    for shape in strict_partitions(size):
+        standard = [
+            t
+            for t in enumerate_shssyt(shape, size)
+            if len({x for row in t.rows for x in row if not is_primed(x)}) == size
+        ]
+        assert len(standard) == _shifted_standard_count(shape)
+
+
+@settings(deadline=None)
+@pytest.mark.parametrize(
+    "rels, count",
+    [(KNUTH, _standard_count), (SHIFTED_KNUTH, _shifted_standard_count)],
+    ids=["knuth", "shifted-knuth"],
+)
+@given(data=st.data())
+def test_closure_is_insertion_fiber(rels, count, data):
+    """Beyond exhaustive scale: every member of the closure has the word's
+    insertion key, and the closure has as many members as the fiber (one per
+    standard recording tableau), so closure and fiber coincide."""
+    n = data.draw(st.integers(1, 6))
+    w = bytes(data.draw(st.lists(st.integers(1, n), max_size=9)))
+    key = congruence(rels).key
+    target = key(w)
+    members = closure_bytes(rels, w)
+    assert all(key(m) == target for m in members)
+    assert len(members) == count(tuple(len(row) for row in target))
