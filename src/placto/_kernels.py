@@ -1,9 +1,10 @@
-"""Pure-Python rewrite kernels.
+"""The rewrite kernel: window matching and breadth-first class closure.
 
-Words are bytes objects, one letter per byte (values 1..255).  Rules arrive
-direction-expanded from placto.rewrite as (left, right, strict) triples of
-variable patterns.  The compiled twin in _speedups.pyx implements the exact
-same interface; the test suite cross-checks the two backends.
+Words are bytes objects, one letter per byte (values 1..255), so a word has
+at most 255 letters.  Rules arrive direction-expanded from placto.rewrite as
+(left, right, strict) triples of variable patterns.  There is one kernel, in
+pure Python; `backend_name` is always "pure" (exported as
+`placto.kernel_backend`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _rewrites(word: bytes, table: RuleTable):
     """Yield every one-step rewrite of `word` under `table`."""
     length = len(word)
     if length > _MAX_WORD:
-        raise ValueError("word too long for the compiled kernel")
+        raise ValueError(f"word longer than {_MAX_WORD} letters")
     for plen, nvars, left, right, strict in table.rules:
         if plen > length:
             continue
@@ -89,29 +90,3 @@ def closure(word: bytes, table: RuleTable) -> set:
                     nxt.append(rewritten)
         frontier = nxt
     return seen
-
-
-def is_equivalent(u: bytes, v: bytes, table: RuleTable) -> bool:
-    """True iff v is reachable from u; searches breadth-first with early exit."""
-    if u == v:
-        return True
-    if len(u) != len(v):
-        return False
-    seen = {u}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for rewritten in _rewrites(w, table):
-                if rewritten not in seen:
-                    if rewritten == v:
-                        return True
-                    seen.add(rewritten)
-                    nxt.append(rewritten)
-        frontier = nxt
-    return False
-
-
-def canonical(word: bytes, table: RuleTable) -> bytes:
-    """Lexicographically least member of the closure."""
-    return min(closure(word, table))

@@ -74,7 +74,9 @@ def _emit(reports: list[dict], json_path: str | None) -> int:
 _MAX_LETTER = 255
 
 
-def _size_option(value: int | None, default: int, option: str, most: int | None = None) -> int:
+def _size_option(
+    value: int | None, default: int | None, option: str, most: int | None = None
+) -> int:
     """The value of a size option, or its default when the option is absent."""
     if value is None:
         return default
@@ -83,6 +85,12 @@ def _size_option(value: int | None, default: int, option: str, most: int | None 
     if most is not None and value > most:
         raise ValueError(f"--{option} must be at most {most}, got {value}")
     return value
+
+
+def _check_cells(cells: int, options: str) -> None:
+    """Shapes become words of one letter per cell, so at most 255 cells."""
+    if cells > _MAX_LETTER:
+        raise ValueError(f"{options} must have at most {_MAX_LETTER} cells, got {cells}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -167,7 +175,8 @@ def _cmd_class(args: argparse.Namespace) -> int:
 
 def _cmd_schur(args: argparse.Namespace) -> int:
     shape = _parse_shape(args.shape)
-    n = args.n
+    n = _size_option(args.n, None, "n", _MAX_LETTER)
+    _check_cells(sum(shape), "--shape")
     degree = args.degree if args.degree is not None else sum(shape)
     poly = (
         shifted_free_schur(shape, n, degree)
@@ -181,11 +190,13 @@ def _cmd_schur(args: argparse.Namespace) -> int:
 def _cmd_lr(args: argparse.Namespace) -> int:
     nu = _parse_shape(args.nu)
     mu = _parse_shape(args.mu)
-    coeffs = lr_expand(nu, mu, args.n)
+    n = _size_option(args.n, None, "n", _MAX_LETTER)
+    _check_cells(sum(nu) + sum(mu), "--nu plus --mu")
+    coeffs = lr_expand(nu, mu, n)
     payload = {
         "nu": list(nu),
         "mu": list(mu),
-        "n": args.n,
+        "n": n,
         "coefficients": {
             ",".join(str(p) for p in shape): coeff
             for shape, coeff in sorted(coeffs.items())

@@ -148,6 +148,34 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == "placto: error: --n must be at most 255, got 256\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["schur", "--shape", "2,1", "--n", "0"], "--n must be at least 1, got 0"),
+            (["lr", "--nu", "2,1", "--mu", "1", "--n", "0"], "--n must be at least 1, got 0"),
+            (["schur", "--shape", "1", "--n", "256"], "--n must be at most 255, got 256"),
+            (["lr", "--nu", "1", "--mu", "1", "--n", "256"], "--n must be at most 255, got 256"),
+            (["schur", "--shape", "1200", "--n", "1"], "--shape must have at most 255 cells, got 1200"),
+            (["schur", "--shape", "200,56", "--n", "2"], "--shape must have at most 255 cells, got 256"),
+            (
+                ["lr", "--nu", "600", "--mu", "1", "--n", "1"],
+                "--nu plus --mu must have at most 255 cells, got 601",
+            ),
+        ],
+        ids=["schur-n-0", "lr-n-0", "schur-n-256", "lr-n-256", "schur-1200", "schur-256", "lr-601"],
+    )
+    def test_schur_and_lr_sizes_rejected(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"placto: error: {message}\n"
+
+    def test_schur_of_255_cells_accepted(self, capsys):
+        code, out = run_cli(capsys, "schur", "--shape", "255", "--n", "1")
+        assert code == 0
+        assert json.loads(out)["terms"] == [{"coeff": 1, "word": "1" * 255}]
+
     def test_class_of_word_over_255_letters_rejected(self, capsys):
         code = main(["class", "12" * 128])
         captured = capsys.readouterr()

@@ -13,6 +13,7 @@ from placto.rewrite import (
     Congruence,
     Relation,
     RelationSet,
+    canonical_bytes,
     canonical_word,
     class_dump,
     closure_bytes,
@@ -382,7 +383,8 @@ def test_hook_formulas_count_standard_tableaux(size):
 def test_closure_is_insertion_fiber(rels, count, data):
     """Beyond exhaustive scale: every member of the closure has the word's
     insertion key, and the closure has as many members as the fiber (one per
-    standard recording tableau), so closure and fiber coincide."""
+    standard recording tableau), so closure and fiber coincide.  The canonical
+    representative is the least member, and canonicalizing it again is a no-op."""
     n = data.draw(st.integers(1, 6))
     w = bytes(data.draw(st.lists(st.integers(1, n), max_size=9)))
     key = congruence(rels).key
@@ -390,3 +392,6 @@ def test_closure_is_insertion_fiber(rels, count, data):
     members = closure_bytes(rels, w)
     assert all(key(m) == target for m in members)
     assert len(members) == count(tuple(len(row) for row in target))
+    least = canonical_bytes(rels, w)
+    assert least == min(members)
+    assert canonical_bytes(rels, least) == least
