@@ -333,9 +333,7 @@ def lr_expand(nu: tuple[int, ...], mu: tuple[int, ...], n: int) -> dict[tuple[in
     product = nc_mul(free_schur(nu, n, size), free_schur(mu, n, size))
     remaining = dict(project_quotient(product, KNUTH).terms)
     out: dict[tuple[int, ...], int] = {}
-    for shape in partitions(size):
-        if len(shape) > n:
-            continue
+    for shape in partitions(size, max_rows=n):
         lead = canonical_word(reading_word(_yamanouchi(shape, n), n), KNUTH)
         coeff = remaining.get(lead, 0)
         if coeff == 0:

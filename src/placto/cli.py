@@ -134,11 +134,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _canonical_hook_word(w: Word) -> Word | None:
     """Unique hook-factorization word in the shifted class of w, if any."""
     members = sorted(equiv_class(w, SHIFTED_KNUTH), key=lambda m: m.letters)
-    hits = [
-        m
-        for m in members
-        if any(hook_factorization_check(m, nu) for nu in strict_partitions(len(m)))
-    ]
+    shapes = list(strict_partitions(len(w)))  # every member has the length of w
+    hits = [m for m in members if any(hook_factorization_check(m, nu) for nu in shapes)]
     return hits[0] if len(hits) == 1 else None
 
 
@@ -253,9 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of `main` and reused by every later call
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

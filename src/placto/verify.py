@@ -532,6 +532,14 @@ def first_row_hook_report(n: int = 3, degree_bound: int = 5) -> dict:
 # replacement propositions
 
 
+def _bytes_by_content(poly: NcPoly) -> dict[tuple[int, ...], set[bytes]]:
+    """The monomials of `poly` as byte words, grouped by content vector."""
+    groups: dict[tuple[int, ...], set[bytes]] = {}
+    for w in poly.terms:
+        groups.setdefault(content(w), set()).add(w.to_bytes())
+    return groups
+
+
 def _forced_pairs_all_contents(
     left_prod: NcPoly, right_prod: NcPoly, compat: RelationSet, n: int
 ):
@@ -544,14 +552,13 @@ def _forced_pairs_all_contents(
         c != 1 for c in right_prod.terms.values()
     ):
         raise ValueError("product expansions must be multiplicity-free")
-    contents = sorted(
-        {content(w) for w in left_prod.terms} | {content(w) for w in right_prod.terms}
-    )
+    left_by_content = _bytes_by_content(left_prod)
+    right_by_content = _bytes_by_content(right_prod)
     pairs = []
     failures = []
-    for vec in contents:
-        U = {w.to_bytes() for w in left_prod.monomials_of_content(vec)}
-        V = {w.to_bytes() for w in right_prod.monomials_of_content(vec)}
+    for vec in sorted(left_by_content.keys() | right_by_content.keys()):
+        U = left_by_content.get(vec, set())
+        V = right_by_content.get(vec, set())
         match, ok, note = _forced_matching(U, V, compat, n)
         if not ok:
             failures.append({"content": list(vec), "note": note})

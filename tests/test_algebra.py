@@ -198,6 +198,10 @@ class TestLrExpand:
     def test_symmetry(self):
         assert lr_expand((2, 1), (2,), 3) == lr_expand((2,), (2, 1), 3)
 
+    def test_one_letter_walks_only_one_row_shapes(self):
+        # 255 cells have p(255) partitions, but one letter allows only (255,)
+        assert lr_expand((200,), (55,), 1) == {(255,): 1}
+
     @pytest.mark.parametrize("nu,mu", [((1,), (1,)), ((2,), (1,)), ((2, 1), (1,)), ((2,), (2,))])
     def test_against_class_counting_oracle(self, nu, mu):
         coeffs = lr_expand(nu, mu, 4)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from placto import cli
 from placto.cli import main
 
 
@@ -126,6 +127,41 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonesuch"])
         assert exc.value.code == 2
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    # the later calls differ in options and fall back on defaults, so state
+    # left in a reused parser would change their output
+    commands = [
+        ["class", "--relations", "shifted-knuth", "--n", "5", "1243"],
+        ["class", "1243"],
+        ["insert", "--mode", "mixed", "1243"],
+        ["insert", "--mode", "plactic", "312"],
+    ]
+    fresh = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run_cli(capsys, *argv))
+    assert len(built) == len(commands)
+
+    built.clear()
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = [run_cli(capsys, *commands[0])]
+    with pytest.raises(SystemExit) as exc:
+        main(["class", "--relations"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    reused.extend(run_cli(capsys, *argv) for argv in commands[1:])
+    assert reused == fresh
+    assert built == [1]
 
 
 class TestUsageErrors:
