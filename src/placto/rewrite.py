@@ -17,7 +17,10 @@ partition groups the words by Schensted insertion tableau, for
 the fibers of these maps; every other relation set closes each class
 breadth-first, which the tests keep as the reference for the keyed route.
 A partition records every member's least word in the memo, so a later
-canonical lookup of any word of that degree needs no closure.
+canonical lookup of any word of that degree needs no closure.  On a memo
+miss, `KNUTH` reads the least word off the Schensted tableau by reverse
+column insertion (`tableaux.least_plactic_word`); every other relation set
+closes the class breadth-first, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ import re
 from dataclasses import dataclass
 
 from . import _kernels
-from .tableaux import mixed_insertion_rows, schensted_rows
+from .tableaux import (
+    least_plactic_word,
+    mixed_insertion_rows,
+    schensted_rows,
+    shifted_standard_count,
+    standard_count,
+)
 from .words import Word, content
 
 _CHAIN_RE = re.compile(r"^\s*([a-z])\s*((?:(?:<=|<)\s*[a-z]\s*)+)$")
@@ -148,6 +157,13 @@ SHIFTED_KNUTH = RelationSet(
 # Haiman's mixed insertion (Serrano 2010).
 _INSERTION_KEYS = {KNUTH: schensted_rows, SHIFTED_KNUTH: mixed_insertion_rows}
 
+# Least class member computed from the word alone, without the class.
+_LEAST_WORDS = {KNUTH: least_plactic_word}
+
+# Class size from the shape of the insertion tableau: one member per
+# standard recording tableau.
+_CLASS_SIZES = {KNUTH: standard_count, SHIFTED_KNUTH: shifted_standard_count}
+
 
 def relation_set_by_name(name: str) -> RelationSet:
     if name == "knuth":
@@ -177,27 +193,35 @@ class Congruence:
     Words are byte strings, one letter per byte.  Obtain instances through
     `congruence(rels)`, so that every caller shares one memo per relation set.
     `key` is the insertion map whose fibers are the classes, for the two
-    shipped relation sets, and None for every other set.
+    shipped relation sets, and None for every other set.  `least` maps a
+    word to the least member of its class without closing it, for `KNUTH`,
+    and is None for every other set.
     """
 
-    __slots__ = ("rules", "table", "key", "memo", "_partitions")
+    __slots__ = ("rules", "table", "key", "least", "memo", "_partitions")
 
     def __init__(self, rels: RelationSet, memo: dict[bytes, bytes]) -> None:
         self.rules = _expand(rels)
         self.table = _kernels.RuleTable(self.rules)
         self.key = _INSERTION_KEYS.get(rels)
+        self.least = _LEAST_WORDS.get(rels)
         self.memo = memo  # byte word -> least member of its class
         self._partitions: dict[tuple[int, int], tuple[tuple[bytes, ...], ...]] = {}
 
     def canonical(self, word: bytes) -> bytes:
-        """Least member of the class of `word`; closes the class on a memo miss."""
+        """Least member of the class of `word`.  On a memo miss `KNUTH`
+        computes it from the word's tableau (`least`) and records only
+        `word`; every other set closes the class and records every member."""
         got = self.memo.get(word)
         if got is None:
-            members = _kernels.closure(word, self.table)
-            got = min(members)
             memo = self.memo
-            for m in members:
-                memo[m] = got
+            if self.least is not None:
+                got = memo[word] = self.least(word)
+            else:
+                members = _kernels.closure(word, self.table)
+                got = min(members)
+                for m in members:
+                    memo[m] = got
         return got
 
     def partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
@@ -278,6 +302,15 @@ def expanded_rules(rels: RelationSet):
 
 def closure_bytes(rels: RelationSet, word: bytes) -> frozenset[bytes]:
     return frozenset(_kernels.closure(word, congruence(rels).table))
+
+
+def class_size(rels: RelationSet, word: bytes) -> int | None:
+    """Size of the class of `word`, from the shape of its insertion tableau,
+    for the two shipped relation sets; None for every other set."""
+    count = _CLASS_SIZES.get(rels)
+    if count is None:
+        return None
+    return count(tuple(map(len, _INSERTION_KEYS[rels](word))))
 
 
 def canonical_bytes(rels: RelationSet, word: bytes) -> bytes:

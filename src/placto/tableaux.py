@@ -7,14 +7,17 @@ order coincides with doubled-alphabet order.
 
 Two insertion algorithms live here: classical Schensted row insertion (whose
 fibers are the Knuth classes) and mixed insertion building a shifted tableau
-(whose fibers are the shifted Knuth classes).  Hook words - strictly
-decreasing prefix followed by weakly increasing suffix - provide canonical
-representatives for the shifted classes.
+(whose fibers are the shifted Knuth classes).  Reverse column insertion
+finds the least word of a Knuth class from its tableau, and the hook length
+formulas count the members of a class from the shape of its tableau.  Hook
+words - strictly decreasing prefix followed by weakly increasing suffix -
+provide canonical representatives for the shifted classes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
@@ -180,6 +183,83 @@ def schensted_rows(letters) -> tuple[tuple[int, ...], ...]:
     for a in letters:
         _row_insert(rows, a)
     return tuple(map(tuple, rows))
+
+
+def _reverse_column_insert(
+    cols: tuple[tuple[int, ...], ...], c: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Reverse column insertion from the corner at the bottom of column c:
+    pop that entry y, then in each column to the left swap y with the
+    lowest entry <= y.  Returns the letter that leaves column 0 and the
+    columns left behind."""
+    out = list(cols)
+    y = cols[c][-1]
+    out[c] = cols[c][:-1]
+    if not out[c]:
+        out.pop()  # a corner of height one ends the last column
+    for k in range(c - 1, -1, -1):
+        col = cols[k]
+        j = bisect_right(col, y) - 1
+        out[k] = col[:j] + (y,) + col[j + 1 :]
+        y = col[j]
+    return y, tuple(out)
+
+
+def least_plactic_word(letters) -> bytes:
+    """Lexicographically least word with the Schensted tableau of a letter
+    sequence (a tuple or a byte word): the least member of its Knuth class,
+    found without listing the class.
+
+    P(x w) is the column insertion of x into P(w) (Schensted 1961), so the
+    first letters of the class are those that reverse column insertion
+    ejects from the corners of P.  The search keeps every tableau whose
+    least word ties so far: at each step it ejects from every corner of
+    each of them, emits the least ejected letter and keeps the tableaux that
+    ejecting it leaves.  Ties must all be kept; following one tied corner
+    gives wrong words.
+    """
+    rows = schensted_rows(letters)
+    width = len(rows[0]) if rows else 0
+    # columns strictly increase downwards, so bisect finds each swap
+    frontier = {tuple(tuple(row[k] for row in rows if len(row) > k) for k in range(width))}
+    out = bytearray()
+    for _ in range(len(letters)):
+        ejected = [
+            _reverse_column_insert(cols, c)
+            for cols in frontier
+            for c in range(len(cols))
+            if c == len(cols) - 1 or len(cols[c + 1]) < len(cols[c])  # corners
+        ]
+        best = min(y for y, _ in ejected)
+        out.append(best)
+        frontier = {rest for y, rest in ejected if y == best}
+    return bytes(out)
+
+
+def standard_count(shape: tuple[int, ...]) -> int:
+    """Standard Young tableaux of a shape, by the hook length formula: the
+    size of each Knuth class whose Schensted tableau has this shape."""
+    hooks = 1
+    for i, length in enumerate(shape):
+        for j in range(length):
+            below = sum(1 for later in shape[i + 1 :] if later > j)
+            hooks *= length - j + below
+    return math.factorial(sum(shape)) // hooks
+
+
+def shifted_standard_count(shape: tuple[int, ...]) -> int:
+    """Standard shifted tableaux of a strict shape, by the shifted hook
+    formula: the size of each shifted Knuth class whose mixed insertion
+    tableau has this shape.  Row i starts in column i; the hook of cell
+    (i, c) is the rest of row i from c, the cells below it in column c, and
+    all of row c + 1."""
+    hooks = 1
+    for i, length in enumerate(shape):
+        for c in range(i, i + length):
+            right = i + length - c
+            below = sum(1 for k in range(i + 1, len(shape)) if k <= c < k + shape[k])
+            hooks *= right + below + (shape[c + 1] if c + 1 < len(shape) else 0)
+    return math.factorial(sum(shape)) // hooks
 
 
 def p_tableau(w: Word) -> Tableau:

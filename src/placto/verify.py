@@ -178,11 +178,13 @@ def _interval_witness(u: bytes, v: bytes, canon, intervals):
     return None
 
 
-def _forced_matching(U: set[bytes], V: set[bytes], compat: RelationSet, n: int):
+def _forced_matching(U: set[bytes], V: set[bytes], compat: RelationSet, intervals):
     """Match each left monomial to a right monomial, forcing unique choices.
 
     Identical words on the two sides cancel first.  A pair is compatible when
-    every interval restriction of the two words is `compat`-equivalent.  The
+    every interval restriction of the two words is `compat`-equivalent, i.e.
+    when the two words have the same restriction key: the canonical forms
+    of their restrictions to each of `intervals` (from `_intervals`).  The
     matching succeeds only when repeatedly fixing vertices with a single
     remaining candidate resolves everything, i.e. when the compatibility graph
     has a unique perfect matching.
@@ -193,11 +195,14 @@ def _forced_matching(U: set[bytes], V: set[bytes], compat: RelationSet, n: int):
     if len(left) != len(right):
         return match, False, "unequal monomial counts after cancellation"
     canon = congruence(compat).canonical
-    intervals = _intervals(n)
-    candidates = {
-        u: {v for v in right if _interval_witness(u, v, canon, intervals) is None}
-        for u in left
-    }
+
+    def key(w: bytes) -> tuple[bytes, ...]:
+        return tuple(canon(w.translate(None, outside)) for _, _, outside in intervals)
+
+    by_key: dict[tuple[bytes, ...], set[bytes]] = {}
+    for v in right:
+        by_key.setdefault(key(v), set()).add(v)
+    candidates = {u: by_key.get(key(u), set()) for u in left}
     used: set[bytes] = set()
     unmatched = list(left)
     while unmatched:
@@ -296,7 +301,7 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
             if vec not in matchings:
                 U = {w.to_bytes() for w in left_prod.monomials_of_content(vec)}
                 V = {w.to_bytes() for w in right_prod.monomials_of_content(vec)}
-                matchings[vec] = (_forced_matching(U, V, KNUTH, n), V)
+                matchings[vec] = (_forced_matching(U, V, KNUTH, intervals), V)
             (match, ok, note), V = matchings[vec]
             ub = left_w.to_bytes()
             survivor = match.get(ub) if ok else None
@@ -554,12 +559,13 @@ def _forced_pairs_all_contents(
         raise ValueError("product expansions must be multiplicity-free")
     left_by_content = _bytes_by_content(left_prod)
     right_by_content = _bytes_by_content(right_prod)
+    intervals = _intervals(n)
     pairs = []
     failures = []
     for vec in sorted(left_by_content.keys() | right_by_content.keys()):
         U = left_by_content.get(vec, set())
         V = right_by_content.get(vec, set())
-        match, ok, note = _forced_matching(U, V, compat, n)
+        match, ok, note = _forced_matching(U, V, compat, intervals)
         if not ok:
             failures.append({"content": list(vec), "note": note})
             continue

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import random
+import re
+import time
 
 import pytest
 
@@ -238,6 +241,66 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == f"placto: error: custom relation {message}\n"
+
+
+_ALTERNATING_255 = "12" * 127 + "1"
+_PERMUTATION_255 = ",".join(map(str, random.Random(0).sample(range(1, 256), 255)))
+
+
+@pytest.mark.parametrize(
+    "argv, relations",
+    [
+        (["class", "--relations", "shifted-knuth", _ALTERNATING_255], "shifted-knuth"),
+        (["class", "--relations", "knuth", _ALTERNATING_255], "knuth"),
+        (["class", "--relations", "knuth", _PERMUTATION_255], "knuth"),
+        (["insert", "--mode", "mixed", _ALTERNATING_255], "shifted-knuth"),
+        (["insert", "--mode", "mixed", _PERMUTATION_255], "shifted-knuth"),
+    ],
+    ids=["class-shifted-1212", "class-knuth-1212", "class-knuth-perm", "mixed-1212", "mixed-perm"],
+)
+def test_class_listing_above_the_limit_rejected(capsys, argv, relations):
+    """Classes too big to close are refused from the tableau shape, fast."""
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    size = re.fullmatch(
+        rf"placto: error: the {relations} class of this word has (\d+) members, "
+        rf"more than the {cli._MAX_CLASS} that are listed\n",
+        captured.err,
+    )
+    assert size and int(size.group(1)) > cli._MAX_CLASS
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [["class", "--relations", "knuth"], ["insert", "--mode", "mixed"]])
+def test_class_listing_at_the_limit_accepted(capsys, monkeypatch, argv):
+    # 2143 has a Knuth class of 2 members and a shifted Knuth class of 2
+    monkeypatch.setattr(cli, "_MAX_CLASS", 2)
+    assert main(argv + ["2143"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_MAX_CLASS", 1)
+    assert main(argv + ["2143"]) == 2
+    assert "has 2 members" in capsys.readouterr().err
+
+
+def test_custom_class_listing_is_not_bounded(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "knuth.json"
+    path.write_text(
+        json.dumps(
+            [
+                {"left": "acb", "right": "cab", "constraints": "a<=b<c"},
+                {"left": "bca", "right": "bac", "constraints": "a<b<=c"},
+            ]
+        ),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(cli, "_MAX_CLASS", 1)
+    code, out = run_cli(capsys, "class", "--relations", f"custom:{path}", "2143")
+    assert code == 0
+    assert json.loads(out)["size"] == 2
 
 
 # sha256 of the stdout of each command, as recorded for the benchmark; a

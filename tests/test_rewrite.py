@@ -1,7 +1,8 @@
 """Pattern relations, class closure, and the congruence invariants."""
 
 import itertools
-import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from placto.rewrite import (
     canonical_bytes,
     canonical_word,
     class_dump,
+    class_size,
     closure_bytes,
     congruence,
     equiv_class,
@@ -30,7 +32,11 @@ from placto.tableaux import (
     enumerate_shssyt,
     enumerate_ssyt,
     is_primed,
+    least_plactic_word,
     partitions,
+    schensted_rows,
+    shifted_standard_count,
+    standard_count,
     strict_partitions,
 )
 from placto.words import (
@@ -334,27 +340,9 @@ def test_translate_deletions_restrict(data):
     assert Word.from_bytes(restricted, n) == restrict(w, iv)
 
 
-def _standard_count(shape):
-    """Standard Young tableaux of a shape, by the hook length formula."""
-    hooks = 1
-    for i, length in enumerate(shape):
-        for j in range(length):
-            below = sum(1 for later in shape[i + 1 :] if later > j)
-            hooks *= length - j + below
-    return math.factorial(sum(shape)) // hooks
-
-
-def _shifted_standard_count(shape):
-    """Standard shifted tableaux of a strict shape, by the shifted hook
-    formula.  Row i starts in column i; the hook of cell (i, c) is the rest
-    of row i from c, the cells below it in column c, and all of row c + 1."""
-    hooks = 1
-    for i, length in enumerate(shape):
-        for c in range(i, i + length):
-            right = i + length - c
-            below = sum(1 for k in range(i + 1, len(shape)) if k <= c < k + shape[k])
-            hooks *= right + below + (shape[c + 1] if c + 1 < len(shape) else 0)
-    return math.factorial(sum(shape)) // hooks
+# the hook length counts under test, by the names the tests below use
+_standard_count = standard_count
+_shifted_standard_count = shifted_standard_count
 
 
 @pytest.mark.parametrize("size", range(7))
@@ -395,3 +383,94 @@ def test_closure_is_insertion_fiber(rels, count, data):
     least = canonical_bytes(rels, w)
     assert least == min(members)
     assert canonical_bytes(rels, least) == least
+
+
+# ---------------------------------------------------------------------------
+# least Knuth class members from the tableau, against breadth-first closure
+
+
+def _closure_least(w):
+    return min(rewrite._kernels.closure(w, congruence(KNUTH).table))
+
+
+def test_knuth_canonical_equals_closure_minimum_exhaustive():
+    """Every word over {1..4} of length at most 6 (which covers n <= 4)."""
+    cong = Congruence(KNUTH, {})  # an empty memo, so every lookup is a miss
+    for degree in range(7):
+        for letters in itertools.product(range(1, 5), repeat=degree):
+            w = bytes(letters)
+            assert cong.canonical(w) == _closure_least(w), w
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_knuth_canonical_equals_closure_minimum(data):
+    n = data.draw(st.integers(1, 8))
+    w = bytes(data.draw(st.lists(st.integers(1, n), max_size=10)))
+    assert Congruence(KNUTH, {}).canonical(w) == _closure_least(w)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 8).flatmap(lambda k: st.permutations(range(1, k + 1))))
+def test_knuth_canonical_of_permutation_equals_closure_minimum(perm):
+    w = bytes(perm)
+    assert Congruence(KNUTH, {}).canonical(w) == _closure_least(w)
+
+
+def test_only_knuth_canonical_skips_the_kernel(monkeypatch):
+    calls = []
+    real = rewrite._kernels.closure
+
+    def counting(word, table):
+        calls.append(word)
+        return real(word, table)
+
+    monkeypatch.setattr(rewrite._kernels, "closure", counting)
+    words = [bytes(ls) for ls in itertools.product(range(1, 4), repeat=4)]
+    cong = Congruence(KNUTH, {})
+    for w in words:
+        cong.canonical(w)
+    assert calls == []
+    assert len(cong.memo) == len(words)  # each miss records only its word
+    for rels in (SHIFTED_KNUTH, RelationSet.custom(KNUTH.relations)):
+        cong = Congruence(rels, {})
+        assert cong.least is None
+        for w in words:
+            cong.canonical(w)
+        assert calls
+        calls.clear()
+
+
+def _permutation(length, seed):
+    return random.Random(seed).sample(range(1, length + 1), length)
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [
+        [1, 2] * 127 + [1],
+        [random.Random(7).randint(1, 5) for _ in range(255)],
+        _permutation(100, 11),
+    ],
+    ids=["1212-255", "five-letters-255", "permutation-100"],
+)
+def test_least_plactic_word_of_long_words(letters):
+    """Too long to close: the result has the tableau of the word, is no
+    greater than the word or its row reading word, and is its own least word."""
+    w = bytes(letters)
+    start = time.perf_counter()
+    least = least_plactic_word(w)
+    assert time.perf_counter() - start < 5.0
+    rows = schensted_rows(w)
+    assert schensted_rows(least) == rows
+    assert least <= w
+    assert least <= bytes(a for row in reversed(rows) for a in row)
+    assert least_plactic_word(least) == least
+
+
+def test_class_size_from_the_insertion_shape():
+    for rels in (KNUTH, SHIFTED_KNUTH):
+        for letters in itertools.product(range(1, 4), repeat=5):
+            w = bytes(letters)
+            assert class_size(rels, w) == len(closure_bytes(rels, w))
+    assert class_size(RelationSet.custom(KNUTH.relations), b"\x01\x02") is None
