@@ -9,10 +9,10 @@ arbitrary homogeneous relation sets can be loaded from JSON.
 The class of a single word is computed by breadth-first closure over
 one-step rewrites (both directions, every window).  Everything computed for
 one relation set lives on its `Congruence`, one per relation set for the
-whole process (see `congruence`): the kernel rule table, the canonical memo
-that maps a byte word to the lexicographically least member of its class,
-and the partitions of all words of a degree into classes.  For `KNUTH` a
-partition groups the words by Schensted insertion tableau, for
+whole process (see `congruence`): the kernel rule table and the canonical
+memo that maps a byte word to the lexicographically least member of its
+class.  `Congruence.partition` splits all words of a degree into classes.
+For `KNUTH` it groups the words by Schensted insertion tableau, for
 `SHIFTED_KNUTH` by mixed insertion tableau, since the classes are exactly
 the fibers of these maps; every other relation set closes each class
 breadth-first, which the tests keep as the reference for the keyed route.
@@ -20,7 +20,7 @@ A partition records every member's least word in the memo, so a later
 canonical lookup of any word of that degree needs no closure.  On a memo
 miss, `KNUTH` reads the least word off the Schensted tableau by reverse
 column insertion (`tableaux.least_plactic_word`); every other relation set
-closes the class breadth-first, which the tests keep as the reference.
+closes the class.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class Congruence:
     and is None for every other set.
     """
 
-    __slots__ = ("rules", "table", "key", "least", "memo", "_partitions")
+    __slots__ = ("rules", "table", "key", "least", "memo")
 
     def __init__(self, rels: RelationSet, memo: dict[bytes, bytes]) -> None:
         self.rules = _expand(rels)
@@ -206,7 +206,6 @@ class Congruence:
         self.key = _INSERTION_KEYS.get(rels)
         self.least = _LEAST_WORDS.get(rels)
         self.memo = memo  # byte word -> least member of its class
-        self._partitions: dict[tuple[int, int], tuple[tuple[bytes, ...], ...]] = {}
 
     def canonical(self, word: bytes) -> bytes:
         """Least member of the class of `word`.  On a memo miss `KNUTH`
@@ -232,12 +231,9 @@ class Congruence:
         `SHIFTED_KNUTH` by mixed insertion tableau (see `key`); every other
         relation set closes each class breadth-first (`closure_partition`,
         which the tests keep as the reference for the keyed route).  Both
-        routes give the same tuple.  Seeds the memo with every member.
+        routes give the same tuple.  Seeds the memo with every member; the
+        partition itself is not kept, so a second call computes it again.
         """
-        part = (n, degree)
-        classes = self._partitions.get(part)
-        if classes is not None:
-            return classes
         if self.key is None:
             classes = self.closure_partition(n, degree)
         else:
@@ -247,12 +243,11 @@ class Congruence:
             least = members[0]
             for m in members:
                 memo[m] = least
-        self._partitions[part] = classes
         return classes
 
     def closure_partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
         """`partition` by breadth-first closure of each class, for any relation
-        set; neither cached nor recorded in the memo.
+        set; not recorded in the memo.
 
         Words are skipped through this call's own `seen` set, never through
         the memo: the memo may already hold some words of this degree, and

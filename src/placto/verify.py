@@ -178,11 +178,11 @@ def _interval_witness(u: bytes, v: bytes, canon, intervals):
     return None
 
 
-def _forced_matching(U: set[bytes], V: set[bytes], compat: RelationSet, intervals):
+def _forced_matching(U: set[bytes], V: set[bytes], intervals):
     """Match each left monomial to a right monomial, forcing unique choices.
 
     Identical words on the two sides cancel first.  A pair is compatible when
-    every interval restriction of the two words is `compat`-equivalent, i.e.
+    every interval restriction of the two words is Knuth-equivalent, i.e.
     when the two words have the same restriction key: the canonical forms
     of their restrictions to each of `intervals` (from `_intervals`).  The
     matching succeeds only when repeatedly fixing vertices with a single
@@ -194,7 +194,7 @@ def _forced_matching(U: set[bytes], V: set[bytes], compat: RelationSet, interval
     right = sorted(V - U)
     if len(left) != len(right):
         return match, False, "unequal monomial counts after cancellation"
-    canon = congruence(compat).canonical
+    canon = congruence(KNUTH).canonical
 
     def key(w: bytes) -> tuple[bytes, ...]:
         return tuple(canon(w.translate(None, outside)) for _, _, outside in intervals)
@@ -236,6 +236,27 @@ def _forced_matching(U: set[bytes], V: set[bytes], compat: RelationSet, interval
     return match, True, ""
 
 
+def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
+    """Forced matchings of single*big against big*single, content by content.
+
+    Returns {content: (right monomials, match, ok, note)} in content order,
+    with the monomials as byte words and (match, ok, note) from
+    `_forced_matching`.
+    """
+    products = (nc_mul(single, big), nc_mul(big, single))
+    if any(c != 1 for prod in products for c in prod.terms.values()):
+        raise ValueError("product expansions must be multiplicity-free")
+    groups: dict[tuple[int, ...], tuple[set[bytes], set[bytes]]] = {}
+    for side, prod in enumerate(products):
+        for w in prod.terms:
+            groups.setdefault(content(w), (set(), set()))[side].add(w.to_bytes())
+    intervals = _intervals(n)
+    return {
+        vec: (V, *_forced_matching(U, V, intervals))
+        for vec, (U, V) in sorted(groups.items())
+    }
+
+
 # ---------------------------------------------------------------------------
 # case analysis
 
@@ -265,16 +286,12 @@ def _degeneracies(rel: Relation):
 
 
 def _case_products(rels_name: str) -> tuple[RelationSet, int, NcPoly, NcPoly]:
+    """(relation set, n, single-letter sum, big sum) for a case analysis."""
     if rels_name == "knuth":
-        n = 3
-        single = free_schur((1,), n, 3)
-        big = free_schur((1, 1), n, 3)
-        return KNUTH, n, nc_mul(single, big), nc_mul(big, single)
+        return KNUTH, 3, free_schur((1,), 3, 3), free_schur((1, 1), 3, 3)
     if rels_name == "shifted-knuth":
-        n = 4
-        single = shifted_free_schur((1,), n, 4)
-        big = shifted_free_schur((2, 1), n, 4)
-        return SHIFTED_KNUTH, n, nc_mul(single, big), nc_mul(big, single)
+        single, big = shifted_free_schur((1,), 4, 4), shifted_free_schur((2, 1), 4, 4)
+        return SHIFTED_KNUTH, 4, single, big
     raise ValueError(f"case analysis needs 'knuth' or 'shifted-knuth', got {rels_name!r}")
 
 
@@ -288,21 +305,15 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     Knuth quotient, or when the forced matching consumes them for a different
     left monomial.  The unique survivor must be the relation's right side.
     """
-    rels_name = relations if isinstance(relations, str) else relations.name
-    rels, n, left_prod, right_prod = _case_products(rels_name)
+    rels, n, single, big = _case_products(relations)
+    matchings = _forced_matchings(single, big, n)
     knuth_canon = congruence(KNUTH).canonical
     intervals = _intervals(n)
-    matchings: dict[tuple[int, ...], tuple] = {}
     reports = []
     for rel in rels.relations:
         for pattern, assign in _degeneracies(rel):
             left_w, expected_w = rel.instantiate_pattern(assign, n)
-            vec = content(left_w)
-            if vec not in matchings:
-                U = {w.to_bytes() for w in left_prod.monomials_of_content(vec)}
-                V = {w.to_bytes() for w in right_prod.monomials_of_content(vec)}
-                matchings[vec] = (_forced_matching(U, V, KNUTH, intervals), V)
-            (match, ok, note), V = matchings[vec]
+            V, match, ok, note = matchings[content(left_w)]
             ub = left_w.to_bytes()
             survivor = match.get(ub) if ok else None
             eliminated = []
@@ -329,7 +340,7 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
             passed = ok and survivor == expected_w.to_bytes()
             report = {
                 "check": "case",
-                "relations": rels_name,
+                "relations": relations,
                 "relation": rel.name,
                 "pattern": pattern,
                 "left": str(left_w),
@@ -385,6 +396,12 @@ def verify_axioms(
         rels = relations if relations is not None else SHIFTED_KNUTH
     else:
         raise ValueError(f"target must be 'plactic' or 'shifted-plactic', got {target!r}")
+    # axiom 2 multiplies sums of degree 1 and 2 (Plac) or 1 and 3 (SPlac)
+    least = 2 if system == "Plac" else 3
+    if degree_bound < least:
+        raise ValueError(
+            f"degree bound must be at least {least} for the {system} axioms, got {degree_bound}"
+        )
 
     cong = congruence(rels)
     canon = cong.canonical
@@ -537,42 +554,6 @@ def first_row_hook_report(n: int = 3, degree_bound: int = 5) -> dict:
 # replacement propositions
 
 
-def _bytes_by_content(poly: NcPoly) -> dict[tuple[int, ...], set[bytes]]:
-    """The monomials of `poly` as byte words, grouped by content vector."""
-    groups: dict[tuple[int, ...], set[bytes]] = {}
-    for w in poly.terms:
-        groups.setdefault(content(w), set()).add(w.to_bytes())
-    return groups
-
-
-def _forced_pairs_all_contents(
-    left_prod: NcPoly, right_prod: NcPoly, compat: RelationSet, n: int
-):
-    """Forced matchings across every content class of two product expansions.
-
-    Returns (pairs, failures): pairs are the nontrivial matched (u, v) byte
-    pairs; failures list contents whose matching was not uniquely forced.
-    """
-    if any(c != 1 for c in left_prod.terms.values()) or any(
-        c != 1 for c in right_prod.terms.values()
-    ):
-        raise ValueError("product expansions must be multiplicity-free")
-    left_by_content = _bytes_by_content(left_prod)
-    right_by_content = _bytes_by_content(right_prod)
-    intervals = _intervals(n)
-    pairs = []
-    failures = []
-    for vec in sorted(left_by_content.keys() | right_by_content.keys()):
-        U = left_by_content.get(vec, set())
-        V = right_by_content.get(vec, set())
-        match, ok, note = _forced_matching(U, V, compat, intervals)
-        if not ok:
-            failures.append({"content": list(vec), "note": note})
-            continue
-        pairs.extend((u, v) for u, v in match.items() if u != v)
-    return pairs, failures
-
-
 def _closure_partition(pairs, n: int, degree: int) -> frozenset[frozenset[bytes]]:
     """Partition of all degree-d words generated by the given identifications."""
     parent: dict[bytes, bytes] = {}
@@ -596,10 +577,6 @@ def _closure_partition(pairs, n: int, degree: int) -> frozenset[frozenset[bytes]
     return frozenset(frozenset(g) for g in groups.values())
 
 
-def _relation_partition(rels: RelationSet, n: int, degree: int) -> frozenset[frozenset[bytes]]:
-    return frozenset(frozenset(cls) for cls in _partition_degree(rels, n, degree))
-
-
 def section5_free_commutation(n: int = 5) -> dict:
     """The single-letter sum commutes with the all-pairs sum before any quotient."""
     p1 = shifted_free_schur((1,), n, 3)
@@ -614,56 +591,59 @@ def section5_free_commutation(n: int = 5) -> dict:
     }
 
 
+def _section5_comparison(part: str, description: str, schur, other, rels, n: int) -> dict:
+    """Shared body of parts b and c.  In degree d = |other| + 1, commuting
+    the single-letter sum `schur((1,))` with the row sum `schur((d-1,))`
+    and with `schur(other)` forces identifications that generate the same
+    partition of the degree-d words, the partition into `rels` classes."""
+    degree = sum(other) + 1
+    single = schur((1,), n, degree)
+    report = {"check": "section5", "part": part, "n": n, "description": description}
+    pair_lists = []
+    failures = []
+    for shape in ((degree - 1,), other):
+        pairs = []
+        matchings = _forced_matchings(single, schur(shape, n, degree), n)
+        for vec, (_, match, ok, note) in matchings.items():
+            if ok:
+                pairs.extend((u, v) for u, v in match.items() if u != v)
+            else:
+                failures.append({"content": list(vec), "note": note})
+        pair_lists.append(pairs)
+    if failures:
+        report["failures"] = failures
+        report["pass"] = False
+        return report
+    row_part, other_part = (_closure_partition(pairs, n, degree) for pairs in pair_lists)
+    rels_part = frozenset(frozenset(cls) for cls in _partition_degree(rels, n, degree))
+    report["pass"] = row_part == other_part == rels_part
+    return report
+
+
 def section5_degree3_comparison(n: int = 4) -> dict:
     """Commuting with the two-cell row sum forces exactly the Knuth classes,
     the same congruence forced by the two-cell column sum."""
-    s1 = free_schur((1,), n, 3)
-    s2 = free_schur((2,), n, 3)
-    s11 = free_schur((1, 1), n, 3)
-    row_pairs, row_fail = _forced_pairs_all_contents(nc_mul(s1, s2), nc_mul(s2, s1), KNUTH, n)
-    col_pairs, col_fail = _forced_pairs_all_contents(nc_mul(s1, s11), nc_mul(s11, s1), KNUTH, n)
-    report = {
-        "check": "section5",
-        "part": "b",
-        "n": n,
-        "description": "degree-3 identifications forced by S(2) match S(1,1) and the Knuth classes",
-    }
-    if row_fail or col_fail:
-        report["failures"] = row_fail + col_fail
-        report["pass"] = False
-        return report
-    row_part = _closure_partition(row_pairs, n, 3)
-    col_part = _closure_partition(col_pairs, n, 3)
-    knuth_part = _relation_partition(KNUTH, n, 3)
-    report["pass"] = row_part == col_part == knuth_part
-    return report
+    return _section5_comparison(
+        "b",
+        "degree-3 identifications forced by S(2) match S(1,1) and the Knuth classes",
+        free_schur,
+        (1, 1),
+        KNUTH,
+        n,
+    )
 
 
 def section5_degree4_comparison(n: int = 4) -> dict:
     """Commuting with the three-cell row sum forces exactly the shifted Knuth
     classes, the same congruence forced by the (2,1) hook sum."""
-    p1 = shifted_free_schur((1,), n, 4)
-    p3 = shifted_free_schur((3,), n, 4)
-    p21 = shifted_free_schur((2, 1), n, 4)
-    row_pairs, row_fail = _forced_pairs_all_contents(nc_mul(p1, p3), nc_mul(p3, p1), KNUTH, n)
-    hook_pairs, hook_fail = _forced_pairs_all_contents(
-        nc_mul(p1, p21), nc_mul(p21, p1), KNUTH, n
+    return _section5_comparison(
+        "c",
+        "degree-4 identifications forced by P(3) match P(2,1) and the shifted Knuth classes",
+        shifted_free_schur,
+        (2, 1),
+        SHIFTED_KNUTH,
+        n,
     )
-    report = {
-        "check": "section5",
-        "part": "c",
-        "n": n,
-        "description": "degree-4 identifications forced by P(3) match P(2,1) and the shifted Knuth classes",
-    }
-    if row_fail or hook_fail:
-        report["failures"] = row_fail + hook_fail
-        report["pass"] = False
-        return report
-    row_part = _closure_partition(row_pairs, n, 4)
-    hook_part = _closure_partition(hook_pairs, n, 4)
-    shifted_part = _relation_partition(SHIFTED_KNUTH, n, 4)
-    report["pass"] = row_part == hook_part == shifted_part
-    return report
 
 
 def verify_section5(n: int = 4, degree_bound: int = 4) -> list[dict]:

@@ -10,6 +10,10 @@ import pytest
 
 from placto import cli
 from placto.cli import main
+from placto.rewrite import SHIFTED_KNUTH
+from placto.tableaux import hook_factorization_check, mixed_insert_word, strict_partitions
+from placto.verify import _partition_degree
+from placto.words import Word
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +47,29 @@ class TestInsert:
     def test_bad_word_is_usage_error(self, capsys):
         code = main(["insert", "--mode", "plactic", "1x2"])
         assert code == 2
+
+    def test_mixed_hook_word_equals_the_all_shapes_scan(self):
+        # the hook word is looked for at the mixed tableau's shape only;
+        # checking every strict partition of the length must give the same
+        for degree in range(1, 7):
+            shapes = list(strict_partitions(degree))
+            for cls in _partition_degree(SHIFTED_KNUTH, 4, degree):
+                members = [Word.from_bytes(m, 4) for m in cls]
+                hits = [
+                    m for m in members if any(hook_factorization_check(m, nu) for nu in shapes)
+                ]
+                expected = hits[0] if len(hits) == 1 else None
+                w = members[0]
+                assert cli._canonical_hook_word(w, mixed_insert_word(w).shape) == expected
+
+    def test_mixed_near_the_class_limit(self, capsys):
+        # a shifted class of 9 856 words, just under cli._MAX_CLASS
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "insert", "--mode", "mixed", "7762845173753216")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out)["canonical_word"] == "7247651378753216"
+        assert elapsed < 2.0
 
 
 class TestClassCommand:
@@ -210,6 +237,26 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"placto: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--degree", "1"], "at least 2 for the Plac axioms, got 1"),
+            (["--degree", "2"], "at least 3 for the SPlac axioms, got 2"),
+            (["--relations", "knuth", "--degree", "1"], "at least 2 for the Plac axioms, got 1"),
+            (
+                ["--relations", "shifted-knuth", "--degree", "2"],
+                "at least 3 for the SPlac axioms, got 2",
+            ),
+        ],
+        ids=["both-1", "both-2", "knuth-1", "shifted-knuth-2"],
+    )
+    def test_degree_below_the_axioms_least_rejected(self, capsys, argv, message):
+        code = main(["verify", "axioms"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"placto: error: degree bound must be {message}\n"
+
     def test_schur_of_255_cells_accepted(self, capsys):
         code, out = run_cli(capsys, "schur", "--shape", "255", "--n", "1")
         assert code == 0
@@ -312,6 +359,8 @@ PINNED_DIGESTS = {
     "verify section5": "56cb1e8e94636adff45f50a9a2bcce9f6df5a8bf4e417e80a333d660ba099920",
     "verify axioms --n 3 --degree 4": "929f70dd6414bdc4aa0950d68ab8c8302dc0bc2fd53ff17ede7a33b1dd63147c",
     "verify axioms --n 2 --degree 6": "e6a03e3b5f0b8824c043846d959a9cf52e99e9a4c4bfc0726419a9d8759a535e",
+    "verify section5 --n 7": "1a8d9a7cda8d1d69923819a4843db1a88afb3719631711fc216ced8f2929d7dc",
+    "lr --nu 3,2 --mu 2,1 --n 4": "1241f3db8407814b23bb5c727ef3c70752a74e7c96eb682c5fb364ecc9bd6187",
 }
 
 
