@@ -103,6 +103,31 @@ def _check_cells(cells: int, options: str) -> None:
 _MAX_CLASS = 10_000
 
 
+# Most words that one `verify axioms` or `verify section5` run enumerates:
+# the words of degree 1 to d for axioms, of degree 3 and 4 for section5.
+# Peak RSS of the whole process grows by about 230-300 bytes per word for
+# axioms (`--n 3 --degree 11`, 265 719 words: 75 MB in 2.0 s; `--n 5
+# --degree 7`: 46 MB; `--n 6 --degree 6`: 34 MB) and by about 1 kB per word
+# for section5 (`--n 16`, 69 632 words: 88 MB; `--n 23`, the largest
+# accepted, 292 008 words: 327 MB in 73 s); Python 3.11, one core of a
+# 2-core x86-64 machine.  `--n 3 --degree 12` (797 160 words) is refused.
+_MAX_SWEEP = 300_000
+
+
+def _check_sweep(command: str, n: int, degrees: range) -> None:
+    """Refuse, before enumerating any, a sweep over the words of `degrees`
+    over {1..n} when there are more than `_MAX_SWEEP` of them."""
+    if n > 1 and len(degrees) > 64:
+        count = f"more than {2**64}"  # not worth counting exactly
+    else:
+        count = len(degrees) if n == 1 else sum(n**k for k in degrees)
+        if count <= _MAX_SWEEP:
+            return
+    raise ValueError(
+        f"{command} would enumerate {count} words, more than the limit of {_MAX_SWEEP}"
+    )
+
+
 def _check_class_size(rels: RelationSet, w: Word) -> None:
     size = class_size(rels, w.to_bytes())
     if size is not None and size > _MAX_CLASS:
@@ -127,6 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif what == "axioms":
         n = _size_option(args.n, 3, "n", _MAX_LETTER)
         degree = _size_option(args.degree, 5, "degree")
+        _check_sweep(f"verify axioms --n {n} --degree {degree}", n, range(1, degree + 1))
         reports = []
         rel_spec = args.relations
         if rel_spec is None:
@@ -142,9 +168,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             rels = _parse_relations(rel_spec)
             reports.extend(verify_mod.verify_axioms("plactic", n, degree, relations=rels))
     elif what == "section5":
-        reports = verify_mod.verify_section5(
-            _size_option(args.n, 4, "n", _MAX_LETTER), _size_option(args.degree, 4, "degree")
-        )
+        n = _size_option(args.n, 4, "n", _MAX_LETTER)
+        _check_sweep(f"verify section5 --n {n}", n, range(3, 5))
+        reports = verify_mod.verify_section5(n, _size_option(args.degree, 4, "degree"))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(what)
     return _emit(reports, args.json)

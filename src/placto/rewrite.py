@@ -11,13 +11,16 @@ one-step rewrites (both directions, every window).  Everything computed for
 one relation set lives on its `Congruence`, one per relation set for the
 whole process (see `congruence`): the kernel rule table and the canonical
 memo that maps a byte word to the lexicographically least member of its
-class.  `Congruence.partition` splits all words of a degree into classes.
-For `KNUTH` it groups the words by Schensted insertion tableau, for
-`SHIFTED_KNUTH` by mixed insertion tableau, since the classes are exactly
-the fibers of these maps; every other relation set closes each class
-breadth-first, which the tests keep as the reference for the keyed route.
-A partition records every member's least word in the memo, so a later
-canonical lookup of any word of that degree needs no closure.  On a memo
+class.  `Congruence.partitions` splits the words of every degree up to a
+bound into classes.  For `KNUTH` the classes are exactly the fibers of
+Schensted insertion, for `SHIFTED_KNUTH` those of mixed insertion, and
+insertion is a right action of letters on tableaux: the tableau of w a is
+the tableau of w with a inserted.  So one walk builds every degree from the
+one below, with one insertion per (tableau, letter) pair, not one per word
+and letter.  Every other relation set closes each class breadth-first,
+degree by degree, which the tests keep as the reference for the walk.  A
+partition records every member's least word in the memo, so a later
+canonical lookup of any word of those degrees needs no closure.  On a memo
 miss, `KNUTH` reads the least word off the Schensted tableau by reverse
 column insertion (`tableaux.least_plactic_word`); every other relation set
 closes the class.
@@ -34,7 +37,9 @@ from . import _kernels
 from .tableaux import (
     least_plactic_word,
     mixed_insertion_rows,
+    mixed_step,
     schensted_rows,
+    schensted_step,
     shifted_standard_count,
     standard_count,
 )
@@ -157,6 +162,9 @@ SHIFTED_KNUTH = RelationSet(
 # Haiman's mixed insertion (Serrano 2010).
 _INSERTION_KEYS = {KNUTH: schensted_rows, SHIFTED_KNUTH: mixed_insertion_rows}
 
+# The same maps one letter at a time: the rows for w a from the rows for w.
+_INSERTION_STEPS = {KNUTH: schensted_step, SHIFTED_KNUTH: mixed_step}
+
 # Least class member computed from the word alone, without the class.
 _LEAST_WORDS = {KNUTH: least_plactic_word}
 
@@ -193,17 +201,19 @@ class Congruence:
     Words are byte strings, one letter per byte.  Obtain instances through
     `congruence(rels)`, so that every caller shares one memo per relation set.
     `key` is the insertion map whose fibers are the classes, for the two
-    shipped relation sets, and None for every other set.  `least` maps a
+    shipped relation sets, and None for every other set; `step` is the same
+    map one letter at a time (rows of w, letter a -> rows of w a).  `least` maps a
     word to the least member of its class without closing it, for `KNUTH`,
     and is None for every other set.
     """
 
-    __slots__ = ("rules", "table", "key", "least", "memo")
+    __slots__ = ("rules", "table", "key", "step", "least", "memo")
 
     def __init__(self, rels: RelationSet, memo: dict[bytes, bytes]) -> None:
         self.rules = _expand(rels)
         self.table = _kernels.RuleTable(self.rules)
         self.key = _INSERTION_KEYS.get(rels)
+        self.step = _INSERTION_STEPS.get(rels)
         self.least = _LEAST_WORDS.get(rels)
         self.memo = memo  # byte word -> least member of its class
 
@@ -223,27 +233,46 @@ class Congruence:
                     memo[m] = got
         return got
 
+    def partitions(self, n: int, degree: int) -> tuple[tuple[tuple[bytes, ...], ...], ...]:
+        """`partition(n, k)` for every k from 0 to `degree`, in one pass.
+
+        `KNUTH` and `SHIFTED_KNUTH` build each degree from the one below
+        (`_insertion_walk`); every other relation set closes the classes of
+        each degree breadth-first (`closure_partition`).  Seeds the memo
+        with every member of positive degree; the empty word is its own
+        class, which `canonical` finds without the memo.  The partitions
+        themselves are not kept, so a second call computes them again.
+        """
+        if self.step is None:
+            levels = tuple(self.closure_partition(n, d) for d in range(degree + 1))
+        else:
+            levels = _insertion_walk(self.step, n, degree)
+        for classes in levels[1:]:
+            self._record(classes)
+        return levels
+
     def partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
         """Classes of all degree-d words over {1..n}, each a sorted tuple, in
         the order of their first member in lexicographic order of all words.
 
-        `KNUTH` groups the words by Schensted insertion tableau and
-        `SHIFTED_KNUTH` by mixed insertion tableau (see `key`); every other
-        relation set closes each class breadth-first (`closure_partition`,
-        which the tests keep as the reference for the keyed route).  Both
-        routes give the same tuple.  Seeds the memo with every member; the
-        partition itself is not kept, so a second call computes it again.
+        The last entry of `partitions(n, degree)`, for `KNUTH` and
+        `SHIFTED_KNUTH`; every other relation set closes the classes of this
+        degree alone.  Both routes give the same tuple.  Seeds the memo with
+        the members of this degree only.
         """
-        if self.key is None:
+        if self.step is None:
             classes = self.closure_partition(n, degree)
         else:
-            classes = _fiber_partition(self.key, n, degree)
+            classes = _insertion_walk(self.step, n, degree)[-1]
+        self._record(classes)
+        return classes
+
+    def _record(self, classes: tuple[tuple[bytes, ...], ...]) -> None:
         memo = self.memo
         for members in classes:
             least = members[0]
             for m in members:
                 memo[m] = least
-        return classes
 
     def closure_partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
         """`partition` by breadth-first closure of each class, for any relation
@@ -266,14 +295,30 @@ class Congruence:
         return tuple(found)
 
 
-def _fiber_partition(key, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
-    """Fibers of `key` on all degree-d words over {1..n}.  Words arrive in
-    lexicographic order, so each fiber comes out sorted and the fibers come
-    in the order of their first member."""
-    fibers: dict[tuple, list[bytes]] = {}
-    for letters in itertools.product(range(1, n + 1), repeat=degree):
-        fibers.setdefault(key(letters), []).append(bytes(letters))
-    return tuple(map(tuple, fibers.values()))
+def _insertion_walk(step, n: int, degree: int) -> tuple[tuple[tuple[bytes, ...], ...], ...]:
+    """Fibers of an insertion map on the words of each degree 0..d over
+    {1..n}, where `step(rows, a)` gives the rows of w a from those of w.
+
+    Each level maps the rows of a tableau to its fiber; the fibers of
+    degree k + 1 take one insertion per (tableau, letter) pair, since every
+    word w a of the fiber of rows r has the tableau step(r, a).  Each fiber
+    is sorted and the fibers come in the order of their first member, the
+    order `closure_partition` gives.
+    """
+    level: dict[tuple, tuple[bytes, ...]] = {(): (b"",)}
+    levels = [((b"",),)]
+    letters = [(a, bytes((a,))) for a in range(1, n + 1)]
+    for _ in range(degree):
+        grown: dict[tuple, list[bytes]] = {}
+        for rows, members in level.items():
+            for a, suffix in letters:
+                words = [m + suffix for m in members]
+                fiber = grown.setdefault(step(rows, a), words)
+                if fiber is not words:
+                    fiber.extend(words)
+        level = {rows: tuple(sorted(fiber)) for rows, fiber in grown.items()}
+        levels.append(tuple(sorted(level.values())))
+    return tuple(levels)
 
 
 _congruences: dict[RelationSet, Congruence] = {}

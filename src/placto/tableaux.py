@@ -169,11 +169,18 @@ def _row_insert(rows: list[list[int]], x: int) -> None:
     rows.append([x])
 
 
+def schensted_step(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of P(w a) from the rows of P(w): insertion is a right action of
+    letters on tableaux, so P(w a) = P(w) <- a.  The rows given are not
+    changed."""
+    out = [list(r) for r in rows]
+    _row_insert(out, a)
+    return tuple(map(tuple, out))
+
+
 def schensted_insert(tableau: Tableau, z: int) -> Tableau:
     """Row-insert z: bump the leftmost strictly greater entry, recurse below."""
-    rows = [list(r) for r in tableau.rows]
-    _row_insert(rows, z)
-    return Tableau(tuple(tuple(r) for r in rows))
+    return Tableau(schensted_step(tableau.rows, z))
 
 
 def schensted_rows(letters) -> tuple[tuple[int, ...], ...]:
@@ -442,13 +449,20 @@ def _mixed_insert_encoded(rows: list[list[int]], entry: int) -> None:
             by_rows, idx, v = False, col + 1, x
 
 
+def mixed_step(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ...], ...]:
+    """Rows, in the doubled encoding, of the mixed insertion tableau of w a
+    from those of w, for a plain letter a: mixed insertion is a right
+    action of letters too.  The rows given are not changed."""
+    out = [list(r) for r in rows]
+    _mixed_insert_encoded(out, unprimed(a))
+    return tuple(map(tuple, out))
+
+
 def mixed_insert(tableau: ShiftedTableau, z: int) -> ShiftedTableau:
     """Mixed-insert the plain (unprimed) letter z into a shifted tableau."""
     if z < 1:
         raise ValueError(f"bad letter {z}")
-    rows = [list(r) for r in tableau.rows]
-    _mixed_insert_encoded(rows, unprimed(z))
-    return ShiftedTableau(tuple(tuple(r) for r in rows))
+    return ShiftedTableau(mixed_step(tableau.rows, z))
 
 
 def mixed_insertion_rows(letters) -> tuple[tuple[int, ...], ...]:

@@ -406,9 +406,7 @@ def verify_axioms(
     cong = congruence(rels)
     canon = cong.canonical
     knuth_canon = congruence(KNUTH).canonical
-    classes: list[tuple[bytes, ...]] = []
-    for d in range(1, degree_bound + 1):
-        classes.extend(cong.partition(n, d))
+    classes = [cls for level in cong.partitions(n, degree_bound)[1:] for cls in level]
 
     reports = []
 
@@ -440,28 +438,34 @@ def verify_axioms(
     )
     reports.append(_axiom_report(f"{system}.2", n, degree_bound, 1, violations))
 
+    # Axioms 3 and 4 are checked once per distinct action on a class's
+    # letters.  Relations keep content, so every member of a class has the
+    # letters of its first member, its support; two morphisms (or intervals)
+    # that act alike on the support give byte-identical images of every
+    # member.  Violations are still listed per morphism and per interval.
+    supports = set(map(_support, classes))
+
     # axiom 3: classes are stable under every ordered morphism
-    violations = []
-    checked = 0
     morphisms = [
-        (m, m.source, morphism_table(m)) for m in all_ordered_morphisms(n, n) if m.pairs
+        (m.pairs, m.source, morphism_table(m)) for m in all_ordered_morphisms(n, n) if m.pairs
     ]
-    # the morphisms whose source holds a support, in enumeration order
-    applicable: dict[frozenset[int], list] = {}
-    for cls in classes:
-        support = frozenset(cls[0])
-        usable = applicable.get(support)
-        if usable is None:
-            usable = applicable[support] = [
-                (m, table) for m, source, table in morphisms if support <= source
-            ]
-        for m, table in usable:
-            checked += len(cls)
-            images = {canon(w.translate(table)) for w in cls}
-            if len(images) != 1:
-                violations.append(
-                    {"class_of": str(Word.from_bytes(cls[0], n)), "morphism": m.pairs}
-                )
+    # the morphisms whose source holds a support, in enumeration order, each
+    # with the index of its action on the support
+    by_support = {
+        support: _group_by_action(
+            (pairs, table, support.translate(table))
+            for pairs, source, table in morphisms
+            if source.issuperset(support)
+        )
+        for support in supports
+    }
+    checked, violations = _stable_under(
+        classes,
+        by_support,
+        lambda cls, table: {canon(w.translate(table)) for w in cls},
+        "morphism",
+        n,
+    )
     reports.append(_axiom_report(f"{system}.3", n, degree_bound, checked, violations))
 
     # axiom 4: interval restrictions agree in the target congruence
@@ -469,21 +473,63 @@ def verify_axioms(
     # shifted system)
     target_canon = canon if system == "Plac" else knuth_canon
     intervals = _intervals(n)
-    violations = []
-    checked = 0
-    for cls in classes:
-        for lo, hi, outside in intervals:
-            checked += len(cls)
-            keys = {target_canon(w.translate(None, outside)) for w in cls}
-            if len(keys) != 1:
-                violations.append(
-                    {
-                        "class_of": str(Word.from_bytes(cls[0], n)),
-                        "interval": [lo, hi],
-                    }
-                )
+    by_support = {
+        support: _group_by_action(
+            ([lo, hi], outside, support.translate(None, outside))
+            for lo, hi, outside in intervals
+        )
+        for support in supports
+    }
+    checked, violations = _stable_under(
+        classes,
+        by_support,
+        lambda cls, outside: {target_canon(w.translate(None, outside)) for w in cls},
+        "interval",
+        n,
+    )
     reports.append(_axiom_report(f"{system}.4", n, degree_bound, checked, violations))
     return reports
+
+
+def _support(cls: tuple[bytes, ...]) -> bytes:
+    """The letters of a class's members, each once, in increasing order."""
+    return bytes(sorted(set(cls[0])))
+
+
+def _group_by_action(maps) -> tuple[list, list]:
+    """(labels, actions) for (label, argument, action) triples in order:
+    `labels` holds (label, index into `actions`) per triple, and `actions`
+    one argument per distinct action, in order of first appearance."""
+    labels = []
+    actions = []
+    index: dict[bytes, int] = {}
+    for label, argument, action in maps:
+        i = index.get(action)
+        if i is None:
+            i = index[action] = len(actions)
+            actions.append(argument)
+        labels.append((label, i))
+    return labels, actions
+
+
+def _stable_under(classes, by_support, images, field: str, n: int) -> tuple[int, list[dict]]:
+    """(instances checked, violations) of a stability axiom: for each class,
+    in order, each map whose action sends the class to more than one
+    canonical word.  `images(cls, argument)` is computed once per distinct
+    action on the class's support (`by_support`, from `_group_by_action`);
+    each map counts one instance per member."""
+    checked = 0
+    violations = []
+    for cls in classes:
+        labels, actions = by_support[_support(cls)]
+        checked += len(cls) * len(labels)
+        bad = [len(images(cls, argument)) != 1 for argument in actions]
+        if any(bad):
+            class_of = str(Word.from_bytes(cls[0], n))
+            violations.extend(
+                {"class_of": class_of, field: label} for label, i in labels if bad[i]
+            )
+    return checked, violations
 
 
 def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
@@ -497,8 +543,8 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
     canon = shifted.canonical
     knuth_canon = congruence(KNUTH).canonical
     intervals = _intervals(n)
-    for d in range(2, degree_bound + 1):
-        for cls in shifted.partition(n, d):
+    for level in shifted.partitions(n, degree_bound)[2:]:
+        for cls in level:
             if len(cls) == 1:
                 continue
             base = cls[0]

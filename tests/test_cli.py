@@ -350,6 +350,59 @@ def test_custom_class_listing_is_not_bounded(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["size"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["verify", "axioms", "--n", "2", "--degree", "40"], "2199023255550"),
+        (["verify", "axioms", "--n", "3", "--degree", "12"], "797160"),
+        (["verify", "axioms", "--n", "1", "--degree", "1000000000"], "1000000000"),
+        (
+            ["verify", "axioms", "--n", "255", "--degree", "1000000000"],
+            "more than 18446744073709551616",
+        ),
+        (["verify", "section5", "--n", "255"], "4244832000"),
+    ],
+    ids=["axioms-n2-d40", "axioms-n3-d12", "axioms-n1-huge", "axioms-n255-huge", "section5-n255"],
+)
+def test_sweep_above_the_limit_rejected(capsys, argv, count):
+    """Sweeps too big to hold are refused from their word count, fast."""
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    command = " ".join(argv[:4] if argv[1] == "section5" else argv)
+    assert captured.err == (
+        f"placto: error: {command} would enumerate {count} words, "
+        f"more than the limit of {cli._MAX_SWEEP}\n"
+    )
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["verify", "axioms", "--n", "2", "--degree", "4"], 2 + 4 + 8 + 16),
+        (["verify", "section5", "--n", "2"], 8 + 16),
+    ],
+    ids=["axioms", "section5"],
+)
+def test_sweep_at_the_limit_accepted(capsys, monkeypatch, argv, words):
+    monkeypatch.setattr(cli, "_MAX_SWEEP", words)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_MAX_SWEEP", words - 1)
+    assert main(argv) == 2
+    assert f"would enumerate {words} words" in capsys.readouterr().err
+
+
+def test_next_tier_sweeps_are_within_the_limit():
+    # verify axioms --n 3 --degree 11, --n 5 --degree 7 and --n 6 --degree 6
+    for n, degree in [(3, 11), (5, 7), (6, 6)]:
+        assert sum(n**k for k in range(1, degree + 1)) <= cli._MAX_SWEEP
+
+
 # sha256 of the stdout of each command, as recorded for the benchmark; a
 # refactor that changes report bytes, even consistently, fails here
 PINNED_DIGESTS = {
@@ -361,6 +414,8 @@ PINNED_DIGESTS = {
     "verify axioms --n 2 --degree 6": "e6a03e3b5f0b8824c043846d959a9cf52e99e9a4c4bfc0726419a9d8759a535e",
     "verify section5 --n 7": "1a8d9a7cda8d1d69923819a4843db1a88afb3719631711fc216ced8f2929d7dc",
     "lr --nu 3,2 --mu 2,1 --n 4": "1241f3db8407814b23bb5c727ef3c70752a74e7c96eb682c5fb364ecc9bd6187",
+    "verify axioms --n 3 --degree 9": "f3e4a2793c4d0d0ef94c8c861dd4a3643a7774251cdb6a1ce91ebabee20e5628",
+    "verify axioms --n 5 --degree 6": "df93a219526b5b98a0c7afb954fc3a1d3546797e38306726d3c4583a9d49a9e4",
 }
 
 

@@ -311,6 +311,44 @@ class TestCongruence:
         assert rewrite._canonical_memo[KNUTH] is cong.memo
         assert expanded_rules(KNUTH) is cong.rules
 
+    # the scales the benchmark runs: axioms n=3 d=9, n=5 d=6, section5 n=7 d=4
+    @pytest.mark.parametrize("n, top", [(3, 9), (5, 6), (7, 4)])
+    @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
+    def test_walk_equals_closure_partitions(self, rels, n, top):
+        cong = Congruence(rels, {})
+        levels = cong.partitions(n, top)
+        assert levels == tuple(cong.closure_partition(n, d) for d in range(top + 1))
+        assert cong.partition(n, top) == levels[-1]
+        for degree in range(1, top + 1):
+            assert all(w in cong.memo for w in self._words(n, degree))
+        assert len(cong.memo) == sum(n**d for d in range(1, top + 1))
+
+    def test_custom_partitions_close_each_degree(self):
+        rels = RelationSet.custom(KNUTH.relations)
+        cong = Congruence(rels, {})
+        assert cong.step is None
+        assert cong.partitions(3, 5) == Congruence(KNUTH, {}).partitions(3, 5)
+        assert len(cong.memo) == sum(3**d for d in range(1, 6))
+
+    @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
+    def test_walk_inserts_once_per_tableau_and_letter(self, rels):
+        n, top = 3, 7
+        cong = Congruence(rels, {})
+        calls = []
+        real = cong.step
+
+        def counting(rows, a):
+            calls.append((rows, a))
+            return real(rows, a)
+
+        cong.step = counting
+        levels = cong.partitions(n, top)
+        assert len(calls) <= n * sum(len(classes) for classes in levels[:top])
+        assert len(set(calls)) == len(calls)
+        calls.clear()
+        cong.partition(n, top)
+        assert len(calls) <= n * sum(len(classes) for classes in levels[:top])
+
 
 @st.composite
 def _word_and_morphism(draw):

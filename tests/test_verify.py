@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from placto.rewrite import KNUTH, SHIFTED_KNUTH, RelationSet
+from placto.algebra import commutator_in_quotient, free_schur, shifted_free_schur
+from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, Relation, RelationSet, congruence
 from placto.verify import (
     TABLE_FAMILIES,
     first_row_hook_report,
@@ -17,6 +18,7 @@ from placto.verify import (
     verify_section5,
     verify_tables,
 )
+from placto.words import Word, all_intervals, all_ordered_morphisms, apply_morphism, restrict
 
 
 class TestTables:
@@ -152,6 +154,117 @@ class TestAxioms:
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
             verify_axioms("nonesuch", 3, 4)
+
+
+def _reference_axioms(target, n, degree_bound, rels):
+    """`verify_axioms` as a plain loop: classes closed breadth-first degree
+    by degree, and axioms 3 and 4 checked morphism by morphism and interval
+    by interval."""
+    system = "Plac" if target == "plactic" else "SPlac"
+    cong = congruence(rels)
+    canon = cong.canonical
+    knuth_canon = congruence(KNUTH).canonical
+    classes = [cls for d in range(1, degree_bound + 1) for cls in cong.closure_partition(n, d)]
+
+    def report(axiom, checked, violations):
+        return {
+            "check": "axiom",
+            "axiom": f"{system}.{axiom}",
+            "n": n,
+            "degree_bound": degree_bound,
+            "instances_checked": checked,
+            "violations": violations[:20],
+            "pass": not violations,
+        }
+
+    def name(cls):
+        return str(Word.from_bytes(cls[0], n))
+
+    reports = []
+    violations = []
+    for cls in classes:
+        if system == "Plac":
+            keys = {bytes(sorted(w)) for w in cls}
+        else:
+            keys = {knuth_canon(w) for w in cls}
+        if len(keys) != 1:
+            violations.append({"class_of": name(cls)})
+    reports.append(report(1, sum(map(len, classes)), violations))
+
+    schur = free_schur if system == "Plac" else shifted_free_schur
+    big = (1, 1) if system == "Plac" else (2, 1)
+    com = commutator_in_quotient(
+        schur((1,), n, degree_bound), schur(big, n, degree_bound), rels
+    )
+    violations = [] if com.is_zero() else [{"nonzero_terms": sorted(map(str, com.terms))[:10]}]
+    reports.append(report(2, 1, violations))
+
+    violations = []
+    checked = 0
+    morphisms = [m for m in all_ordered_morphisms(n, n) if m.pairs]
+    for cls in classes:
+        for m in morphisms:
+            if not set(cls[0]) <= m.source:
+                continue
+            checked += len(cls)
+            images = {canon(apply_morphism(Word.from_bytes(w, n), m).to_bytes()) for w in cls}
+            if len(images) != 1:
+                violations.append({"class_of": name(cls), "morphism": m.pairs})
+    reports.append(report(3, checked, violations))
+
+    target_canon = canon if system == "Plac" else knuth_canon
+    violations = []
+    checked = 0
+    for cls in classes:
+        for iv in all_intervals(n):
+            checked += len(cls)
+            keys = {target_canon(restrict(Word.from_bytes(w, n), iv).to_bytes()) for w in cls}
+            if len(keys) != 1:
+                violations.append({"class_of": name(cls), "interval": [iv.lo, iv.hi]})
+    reports.append(report(4, checked, violations))
+    return reports
+
+
+_COMMUTATIVE = RelationSet.custom((Relation("comm", "ab", "ba", "a<b"),))
+
+
+class TestAxiomViolations:
+    """The violation lists, against a plain per-morphism, per-interval loop."""
+
+    @staticmethod
+    def _check(target, n, degree, rels, failing):
+        reports = verify_axioms(target, n, degree, relations=rels)
+        expected = _reference_axioms(target, n, degree, rels)
+        assert json.dumps(reports, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert {r["axiom"]: len(r["violations"]) for r in reports if not r["pass"]} == failing
+
+    @pytest.mark.parametrize("n, listed", [(3, 16), (4, 20)])
+    def test_shifted_knuth_under_the_plactic_axioms(self, n, listed):
+        self._check("plactic", n, 5, SHIFTED_KNUTH, {"Plac.2": 1, "Plac.4": listed})
+
+    def test_commutative_set_under_the_shifted_axioms(self):
+        self._check("shifted-plactic", 3, 5, _COMMUTATIVE, {"SPlac.1": 20, "SPlac.4": 20})
+
+    def test_canonical_that_is_not_morphism_stable(self, monkeypatch):
+        # each word holding a 3 is its own canonical form: classes with a 3
+        # and classes that a morphism sends onto letters with a 3 split
+        rels = RelationSet.custom(_COMMUTATIVE.relations, name="unstable")
+        cong = congruence(rels)
+        real = Congruence.canonical
+
+        def unstable(self, word):
+            least = real(self, word)
+            return word if self is cong and 3 in word else least
+
+        monkeypatch.setattr(Congruence, "canonical", unstable)
+        reports = verify_axioms("plactic", 3, 4, relations=rels)
+        assert json.dumps(reports, sort_keys=True) == json.dumps(
+            _reference_axioms("plactic", 3, 4, rels), sort_keys=True
+        )
+        by_axiom = {r["axiom"]: r for r in reports}
+        assert not by_axiom["Plac.3"]["pass"]
+        assert len(by_axiom["Plac.3"]["violations"]) == 20
+        assert by_axiom["Plac.1"]["pass"]
 
 
 class TestReportOnlyChecks:
