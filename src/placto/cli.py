@@ -25,7 +25,7 @@ from .rewrite import (
     RelationSet,
     class_dump,
     class_size,
-    equiv_class,
+    closure_bytes,
     relation_set_by_name,
 )
 from .tableaux import (
@@ -113,16 +113,30 @@ _MAX_CLASS = 10_000
 # 2-core x86-64 machine.  `--n 3 --degree 12` (797 160 words) is refused.
 _MAX_SWEEP = 300_000
 
+# Most letters that one sweep holds.  Only n = 1 reaches it, where a sweep of
+# d words holds d(d + 1)/2 letters and the time grows quadratically
+# (`verify axioms --n 1 --degree 3000`, 4 501 500 letters: 0.87 s and 25 MB
+# peak RSS, in-process).  Every sweep over n >= 2 within `_MAX_SWEEP` stays
+# below it; the largest, `--n 2 --degree 17`, holds 4 194 306 letters.
+_MAX_SWEEP_LETTERS = 5_000_000
+
 
 def _check_sweep(command: str, n: int, degrees: range) -> None:
     """Refuse, before enumerating any, a sweep over the words of `degrees`
-    over {1..n} when there are more than `_MAX_SWEEP` of them."""
+    over {1..n} when there are more than `_MAX_SWEEP` of them, or when they
+    hold more than `_MAX_SWEEP_LETTERS` letters."""
     if n > 1 and len(degrees) > 64:
         count = f"more than {2**64}"  # not worth counting exactly
     else:
         count = len(degrees) if n == 1 else sum(n**k for k in degrees)
         if count <= _MAX_SWEEP:
-            return
+            letters = sum(degrees) if n == 1 else sum(k * n**k for k in degrees)
+            if letters <= _MAX_SWEEP_LETTERS:
+                return
+            raise ValueError(
+                f"{command} would hold {letters} letters, "
+                f"more than the limit of {_MAX_SWEEP_LETTERS}"
+            )
     raise ValueError(
         f"{command} would enumerate {count} words, more than the limit of {_MAX_SWEEP}"
     )
@@ -182,9 +196,9 @@ def _canonical_hook_word(w: Word, shape: tuple[int, ...]) -> Word | None:
     `shape` is the shape of the mixed insertion tableau of w, which is the
     shape of every hook factorization in its class (Serrano 2010), so no
     other strict partition needs checking."""
-    members = sorted(equiv_class(w, SHIFTED_KNUTH), key=lambda m: m.letters)
+    members = sorted(closure_bytes(SHIFTED_KNUTH, w.to_bytes()))
     hits = [m for m in members if hook_factorization_check(m, shape)]
-    return hits[0] if len(hits) == 1 else None
+    return Word.from_bytes(hits[0], w.n) if len(hits) == 1 else None
 
 
 def _cmd_insert(args: argparse.Namespace) -> int:

@@ -439,12 +439,23 @@ def verify_factorization(n: int, degree_bound: int) -> bool:
     return True
 
 
+# byte letters 0..9 -> their ASCII digits, for the text of words over n <= 9
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def class_dump(word: Word, rels: RelationSet) -> dict:
-    """JSON-ready class listing: sorted members plus the class size."""
-    members = sorted(equiv_class(word, rels), key=lambda w: w.letters)
+    """JSON-ready class listing: sorted members plus the class size.
+
+    Members stay byte words from the closure to their text, which is that
+    of `str(Word)`: digits for n <= 9, comma-separated letters otherwise."""
+    members = sorted(closure_bytes(rels, word.to_bytes()))
+    if word.n <= 9:
+        text = [m.translate(_DIGITS).decode("ascii") for m in members]
+    else:
+        text = [",".join(map(str, m)) for m in members]
     return {
         "word": str(word),
         "relation_set": rels.name,
-        "class": [str(w) for w in members],
+        "class": text,
         "size": len(members),
     }

@@ -521,7 +521,11 @@ def enumerate_shssyt(shape: tuple[int, ...], n: int) -> list[ShiftedTableau]:
 def is_hook_word(w: Word) -> bool:
     """True iff w is a strictly decreasing prefix followed by a weakly
     increasing suffix (either part may be empty)."""
-    letters = w.letters
+    return _is_hook(w.letters)
+
+
+def _is_hook(letters) -> bool:
+    """`is_hook_word` of a letter sequence (a tuple or a byte word)."""
     k = 1
     while k < len(letters) and letters[k] < letters[k - 1]:
         k += 1
@@ -535,7 +539,11 @@ def longest_hook_subword(w: Word) -> int:
     ending at each position, the best weakly increasing subsequence starting
     at each position, and the best join of the two across a split point.
     """
-    letters = w.letters
+    return _longest_hook(w.letters)
+
+
+def _longest_hook(letters) -> int:
+    """`longest_hook_subword` of a letter sequence (a tuple or a byte word)."""
     length = len(letters)
     if length == 0:
         return 0
@@ -576,26 +584,26 @@ def _segment_lengths(nu: tuple[int, ...]) -> list[int]:
     return list(reversed(nu))
 
 
-def hook_factorization_check(w: Word, nu: tuple[int, ...]) -> bool:
+def hook_factorization_check(w: Word | bytes, nu: tuple[int, ...]) -> bool:
     """True iff w splits into consecutive hook segments of lengths
     nu_l, ..., nu_1 with each later segment a longest hook subword of its
-    predecessor pair."""
+    predecessor pair.  `w` is a `Word` or a byte word; the segments are
+    slices of its letters."""
     if not is_strict_partition(nu):
         raise ValueError(f"{nu} is not a strict partition")
-    if len(w) != sum(nu):
-        raise ValueError(f"word degree {len(w)} != |{nu}|")
-    segments = []
+    letters = w.letters if isinstance(w, Word) else w
+    if len(letters) != sum(nu):
+        raise ValueError(f"word degree {len(letters)} != |{nu}|")
+    prev = None
     pos = 0
     for length in _segment_lengths(nu):
-        segments.append(Word(w.letters[pos : pos + length], w.n))
+        seg = letters[pos : pos + length]
         pos += length
-    for i, seg in enumerate(segments):
-        if not is_hook_word(seg):
+        if not _is_hook(seg):
             return False
-        if i > 0:
-            pair = segments[i - 1] + seg
-            if longest_hook_subword(pair) != len(seg):
-                return False
+        if prev is not None and _longest_hook(prev + seg) != length:
+            return False
+        prev = seg
     return True
 
 

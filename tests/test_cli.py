@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, custom relation files."""
 
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -10,7 +11,7 @@ import pytest
 
 from placto import cli
 from placto.cli import main
-from placto.rewrite import SHIFTED_KNUTH
+from placto.rewrite import KNUTH, SHIFTED_KNUTH, RelationSet, class_dump, equiv_class
 from placto.tableaux import hook_factorization_check, mixed_insert_word, strict_partitions
 from placto.verify import _partition_degree
 from placto.words import Word
@@ -397,6 +398,49 @@ def test_sweep_at_the_limit_accepted(capsys, monkeypatch, argv, words):
     assert f"would enumerate {words} words" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, letters",
+    [
+        (["verify", "axioms", "--n", "1", "--degree", "299999"], "44999850000"),
+        (["verify", "axioms", "--n", "1", "--degree", "3162"], "5000703"),
+    ],
+    ids=["n1-d299999", "n1-d3162"],
+)
+def test_sweep_over_the_letter_limit_rejected(capsys, argv, letters):
+    """At n = 1 a sweep of d words holds d(d + 1)/2 letters, so it is refused
+    from its letter count, fast, within the word limit."""
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"placto: error: {' '.join(argv)} would hold {letters} letters, "
+        f"more than the limit of {cli._MAX_SWEEP_LETTERS}\n"
+    )
+    assert elapsed < 1.0
+
+
+def test_sweep_at_the_letter_limit_accepted(capsys, monkeypatch):
+    argv = ["verify", "axioms", "--n", "1", "--degree", "4"]
+    monkeypatch.setattr(cli, "_MAX_SWEEP_LETTERS", 1 + 2 + 3 + 4)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_MAX_SWEEP_LETTERS", 9)
+    assert main(argv) == 2
+    assert "would hold 10 letters" in capsys.readouterr().err
+
+
+def test_sweeps_over_two_letters_within_the_word_limit_are_within_the_letter_limit():
+    # for each n the longest degree within the word limit holds the most letters
+    for n in range(2, 256):
+        degree = 1
+        while sum(n**k for k in range(1, degree + 2)) <= cli._MAX_SWEEP:
+            degree += 1
+        assert sum(k * n**k for k in range(1, degree + 1)) <= cli._MAX_SWEEP_LETTERS
+
+
 def test_next_tier_sweeps_are_within_the_limit():
     # verify axioms --n 3 --degree 11, --n 5 --degree 7 and --n 6 --degree 6
     for n, degree in [(3, 11), (5, 7), (6, 6)]:
@@ -424,3 +468,83 @@ def test_pinned_output_digest(capsys, command):
     code, out = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_DIGESTS[command]
+
+
+# relations of lengths 3 and 4 in one custom set, written to a file per test
+_CUSTOM_MIXED_LENGTHS = [
+    {"left": "bca", "right": "bac", "constraints": "a<b<=c"},
+    {"left": "abc", "right": "cab", "constraints": "a<b<c"},
+    {"left": "dacb", "right": "adcb", "constraints": "a<=b<c<d"},
+    {"left": "abdc", "right": "adbc", "constraints": "a<=b<=c<d"},
+]
+
+# sha256 of the stdout of single-class queries; "{custom}" stands for the
+# path of a file holding _CUSTOM_MIXED_LENGTHS.  Words over n >= 10 are
+# printed comma-separated, which the --n 12 and --n 10 entries pin.
+QUERY_DIGESTS = {
+    "class --relations knuth 3142": "36e4d0d93ca3a3362d02adced0aadb170c3bc8c5c301534018f7dd2a12a1708e",
+    "class --relations knuth 5316427": "fc285df0e85d71a81ff086948d11bff692f840d391907febf274476c7df602f4",
+    "class --relations shifted-knuth 2143": "27ce1e0a8b42161096728f406dbf0a05376ba1a37ab82ddf860da7aeabbd4397",
+    "class --relations shifted-knuth 3142536": "353a8d98e697be5c6f662bf27117bf4481f87290f7b54ccb498c2f52c4a4af05",
+    "class --relations knuth --n 12 213": "62c1287b9a72da7d13778a5dbbf0e76f25c8f2c4b0149ebdcdd885b280677f00",
+    "class --relations knuth 12,3,10,1,7,5": "db350423f2280caaf6c48c1f799beab08719e6cd7bf623b064783071c0f23460",
+    "class --relations shifted-knuth 11,2,10,5,1,12": "bbc95685948898fce714ac556202c148bf812ad427761738ed2ae19703590457",
+    "class --relations custom:{custom} 31423": "e6448aafb60f531b4bada77e8286315e07027173c1f42798e86e6e6801a61693",
+    "class --relations custom:{custom} --n 10 3,1,4,2,10": "f81c6a60473b944ef471fe8006c9d29912eab0d111eb51e0a5ec6400d3e9491b",
+    "insert --mode plactic 3142": "3feb883d8f51c7c904e59e7e0f0d51b7415bcb3abb28101f496fabaee99fda80",
+    "insert --mode plactic 12,3,10,1,7,5": "523ed3d16dbcc09c21aaee5dc051db5249b2085114d4d81a11df7b71b1a2a16e",
+    "insert --mode mixed 1243": "70b316f28f876767ff2996c8e22e5d594b1759f991dfcfdfbdf7933274c7ee42",
+    "insert --mode mixed 7762845173753216": "2a2c72560687246b659b8be9a987e28f6997bcf173c6aad0d34bdbcb05af3c8a",
+    "insert --mode mixed 11,2,10,5,1,12": "0c4534ba509a007161db143587964263d40932fa4f77a3604922a1113974b016",
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUERY_DIGESTS))
+def test_query_output_digest(capsys, tmp_path, command):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(_CUSTOM_MIXED_LENGTHS), encoding="utf-8")
+    code, out = run_cli(capsys, *command.format(custom=path).split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == QUERY_DIGESTS[command]
+
+
+@pytest.mark.parametrize("hits", [0, 2])
+def test_mixed_insert_without_a_single_hook_word(capsys, monkeypatch, hits):
+    # every shifted class holds exactly one hook word (criterion 12), so the
+    # null branch shows only with a forced check: no hit, or a hit for every
+    # member of the two-member class of 2143
+    monkeypatch.setattr(cli, "hook_factorization_check", lambda m, nu: hits > 0)
+    code, out = run_cli(capsys, "insert", "--mode", "mixed", "2143")
+    assert code == 0
+    assert json.loads(out)["canonical_word"] is None
+    digest = "cf9ce4c9d7b6c912fdd4e4c58e22327e5dd30782cdbdae88354130c1e30fee5b"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _class_dump_by_words(word, rels):
+    """`class_dump` through `Word` members: sort them, then format each."""
+    members = sorted(equiv_class(word, rels), key=lambda w: w.letters)
+    return {
+        "word": str(word),
+        "relation_set": rels.name,
+        "class": [str(w) for w in members],
+        "size": len(members),
+    }
+
+
+def test_class_dump_equals_the_word_route():
+    custom = RelationSet.from_json(json.dumps(_CUSTOM_MIXED_LENGTHS))
+    words = [
+        Word(letters, n)
+        for n in range(1, 4)
+        for degree in range(7)
+        for letters in itertools.product(range(1, n + 1), repeat=degree)
+    ]
+    rng = random.Random(12)
+    words += [
+        Word(tuple(rng.randint(1, 12) for _ in range(rng.randint(0, 7))), 12)
+        for _ in range(40)
+    ]
+    for w in words:
+        for rels in (KNUTH, SHIFTED_KNUTH, custom):
+            assert class_dump(w, rels) == _class_dump_by_words(w, rels), (w, rels.name)

@@ -1,5 +1,8 @@
-"""The rewrite kernel: edges of its input (empty words, the 255-letter limit)
-and its one-step rewrites against an independent matcher."""
+"""The rewrite kernel: edges of its input (empty words, the 255-letter limit),
+its one-step rewrites and closures against an independent matcher, and the
+bound on its order-type table."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,3 +77,62 @@ def test_neighbors_match_independent_matcher(data):
     word = bytes(letters)
     got = _kernels.neighbors(word, congruence(rels).table)
     assert got == _reference_neighbors(word, n, rels)
+
+
+def _reference_closure(word: bytes, n: int, rels: RelationSet) -> set[bytes]:
+    """Breadth-first closure over `_reference_neighbors`."""
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        frontier = [
+            w for v in frontier for w in _reference_neighbors(v, n, rels) if w not in seen
+        ]
+        seen.update(frontier)
+    return seen
+
+
+SPARSE_LETTERS = (1, 2, 7, 100, 200, 255)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sparse_letters_match_independent_matcher(data):
+    # letters far apart and up to 255, with repeats: the order type of a
+    # window, not its letters, decides which rules match
+    rels = data.draw(st.sampled_from([KNUTH, SHIFTED_KNUTH, MIXED_LENGTHS]))
+    letters = data.draw(st.lists(st.sampled_from(SPARSE_LETTERS), max_size=10))
+    word = bytes(letters)
+    table = congruence(rels).table
+    assert _kernels.neighbors(word, table) == _reference_neighbors(word, 255, rels)
+    # closed on at most 6 letters: the mixed-lengths classes grow fast (1 344
+    # words for 8 distinct letters) and the reference is slow
+    head = word[:6]
+    assert _kernels.closure(head, table) == _reference_closure(head, 255, rels)
+
+
+# `most` counts the weak orders (ordered set partitions) of each pattern
+# length: 13 of 3 positions, 75 of 4
+@pytest.mark.parametrize(
+    "rels, most, longest",
+    [(KNUTH, 13, 9), (SHIFTED_KNUTH, 75, 9), (MIXED_LENGTHS, 13 + 75, 6)],
+    ids=["knuth", "shifted-knuth", "mixed-lengths"],
+)
+def test_order_type_table_is_bounded(rels, most, longest):
+    table = _kernels.RuleTable(expanded_rules(rels))
+    rng = random.Random(9)
+    for _ in range(300):
+        # a few letters from 1..255 per word, so that windows repeat letters
+        pool = rng.sample(range(1, 256), rng.randint(1, longest))
+        word = bytes(rng.choice(pool) for _ in range(rng.randint(0, longest)))
+        _kernels.closure(word, table)
+    assert len(table.order_types) <= most
+    for order_type in table.order_types:
+        # ranks from 0 with none skipped
+        assert sorted(set(order_type)) == list(range(len(set(order_type))))
+
+
+def test_rule_table_rejects_a_right_side_variable_missing_on_the_left():
+    # the replacement is a rearrangement of the window, so every variable of
+    # the right side must be bound by the left side
+    with pytest.raises(ValueError, match="^right pattern uses a variable the left pattern lacks$"):
+        _kernels.RuleTable([((0, 0, 1), (0, 1, 2), (False, True))])
