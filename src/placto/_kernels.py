@@ -138,11 +138,19 @@ def neighbors(word: bytes, table: RuleTable) -> set:
     return out
 
 
-def closure(word: bytes, table: RuleTable) -> set:
-    """Breadth-first reflexive-transitive closure of the one-step rewrites."""
+def closure(word: bytes, table: RuleTable, cap: int | None = None) -> set:
+    """Breadth-first reflexive-transitive closure of the one-step rewrites.
+
+    With a `cap`, raises ValueError as soon as a whole layer of the search
+    leaves more than `cap` words found, so the last layer may overshoot the
+    cap by up to the words one rewrite of the layer before reaches."""
     cache: dict[bytes, tuple[bytes, ...]] = {}
     seen = {word}
     frontier = [word]
     while frontier:
         frontier = _grow(frontier, table, cache, seen)
+        if cap is not None and len(seen) > cap:
+            raise ValueError(
+                f"the class has at least {len(seen)} members, more than the limit of {cap}"
+            )
     return seen

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .rewrite import KNUTH, RelationSet, canonical_word
+from .rewrite import KNUTH, RelationSet, canonical_word, congruence
 from .tableaux import (
     Tableau,
     enumerate_shssyt,
@@ -324,29 +324,36 @@ def _yamanouchi(shape: tuple[int, ...], n: int) -> Tableau:
 def lr_expand(nu: tuple[int, ...], mu: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
     """Expand the quotient image of S_nu * S_mu in the plactic Schur basis.
 
-    Greedy subtraction over shapes in decreasing lexicographic order; the
+    Knuth classes are the fibers of Schensted insertion, so the image counts
+    the product's words by the rows of their insertion tableaux
+    (`congruence(KNUTH).key`); no least class member is computed.  Greedy
+    subtraction over shapes in decreasing lexicographic order; the
     coefficient of each shape is read off the class of its highest-weight
-    tableau.  A nonzero remainder or a negative coefficient raises, since
-    either signals an implementation bug.
+    tableau, and each reading word of the shape's basis sum is subtracted
+    from the class its own insertion gives.  A nonzero remainder or a
+    negative coefficient raises, since either signals an implementation bug.
     """
     size = sum(nu) + sum(mu)
+    key = congruence(KNUTH).key
     product = nc_mul(free_schur(nu, n, size), free_schur(mu, n, size))
-    remaining = dict(project_quotient(product, KNUTH).terms)
+    remaining: dict[tuple, int] = {}
+    for w, c in product.terms.items():
+        rows = key(w.letters)
+        remaining[rows] = remaining.get(rows, 0) + c
     out: dict[tuple[int, ...], int] = {}
     for shape in partitions(size, max_rows=n):
-        lead = canonical_word(reading_word(_yamanouchi(shape, n), n), KNUTH)
-        coeff = remaining.get(lead, 0)
+        coeff = remaining.get(key(_yamanouchi(shape, n).reading_letters()), 0)
         if coeff == 0:
             continue
         if coeff < 0:
             raise ValueError(f"negative coefficient {coeff} for shape {shape}")
-        basis = project_quotient(free_schur(shape, n, size), KNUTH)
-        for key, c in basis.terms.items():
-            newc = remaining.get(key, 0) - coeff * c
+        for w, c in free_schur(shape, n, size).terms.items():
+            rows = key(w.letters)
+            newc = remaining.get(rows, 0) - coeff * c
             if newc:
-                remaining[key] = newc
+                remaining[rows] = newc
             else:
-                remaining.pop(key, None)
+                remaining.pop(rows, None)
         out[shape] = coeff
     if remaining:
         raise ValueError(f"nonzero remainder after exhausting shapes: {remaining}")

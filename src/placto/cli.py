@@ -33,15 +33,23 @@ from .tableaux import (
     mixed_insert_word,
     p_tableau,
     reading_word,
+    ssyt_count,
 )
 from .words import Word
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text or text == "0":
+def _parse_shape(text: str, option: str) -> tuple[int, ...]:
+    """The parts of a shape written as comma-separated integers, e.g. 2,1;
+    empty or 0 is the empty shape."""
+    stripped = text.strip()
+    if not stripped or stripped == "0":
         return ()
-    return tuple(int(part) for part in text.split(","))
+    try:
+        return tuple(int(part) for part in stripped.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--{option} must be comma-separated integers such as 2,1, got {text!r}"
+        ) from None
 
 
 def _parse_relations(selector: str) -> RelationSet:
@@ -93,8 +101,9 @@ def _check_cells(cells: int, options: str) -> None:
         raise ValueError(f"{options} must have at most {_MAX_LETTER} cells, got {cells}")
 
 
-# Largest class that `class` and `insert --mode mixed` close for the shipped
-# relation sets, whose class sizes are known before closing.  Near this size
+# Largest class that `class` and `insert --mode mixed` list.  The shipped
+# relation sets know a class's size before closing it; a custom set's
+# closure stops once a layer of its search leaves more members.  Near this size
 # (a shifted Knuth class of 9 856 words of length 16; Python 3.11, one core
 # of a 2-core x86-64 machine) `class` takes 0.16 s and 21 MB peak RSS for
 # the whole process, and `insert --mode mixed`, which also checks every
@@ -103,8 +112,12 @@ def _check_cells(cells: int, options: str) -> None:
 _MAX_CLASS = 10_000
 
 
-# Most words that one `verify axioms` or `verify section5` run enumerates:
-# the words of degree 1 to d for axioms, of degree 3 and 4 for section5.
+# Most words that one `verify axioms` or `verify section5` run enumerates
+# (the words of degree 1 to d for axioms, of degree 3 and 4 for section5),
+# and that one `schur` or `lr` run lists (the reading words of the shape, or
+# the products of the reading words of the two shapes; `lr --nu 3,2 --mu
+# 2,1 --n 8`, 282 240 words, takes 5-8 s and about 170 MB).  `schur
+# --shifted` has no closed count here and is bounded by its cells only.
 # Peak RSS of the whole process grows by about 230-300 bytes per word for
 # axioms (`--n 3 --degree 11`, 265 719 words: 75 MB in 2.0 s; `--n 5
 # --degree 7`: 46 MB; `--n 6 --degree 6`: 34 MB) and by about 1 kB per word
@@ -126,17 +139,24 @@ def _check_sweep(command: str, n: int, degrees: range) -> None:
     over {1..n} when there are more than `_MAX_SWEEP` of them, or when they
     hold more than `_MAX_SWEEP_LETTERS` letters."""
     if n > 1 and len(degrees) > 64:
-        count = f"more than {2**64}"  # not worth counting exactly
-    else:
-        count = len(degrees) if n == 1 else sum(n**k for k in degrees)
-        if count <= _MAX_SWEEP:
-            letters = sum(degrees) if n == 1 else sum(k * n**k for k in degrees)
-            if letters <= _MAX_SWEEP_LETTERS:
-                return
-            raise ValueError(
-                f"{command} would hold {letters} letters, "
-                f"more than the limit of {_MAX_SWEEP_LETTERS}"
-            )
+        _refuse_words(command, f"more than {2**64}")  # not worth counting exactly
+    count = len(degrees) if n == 1 else sum(n**k for k in degrees)
+    _check_words(command, count)
+    letters = sum(degrees) if n == 1 else sum(k * n**k for k in degrees)
+    if letters > _MAX_SWEEP_LETTERS:
+        raise ValueError(
+            f"{command} would hold {letters} letters, "
+            f"more than the limit of {_MAX_SWEEP_LETTERS}"
+        )
+
+
+def _check_words(command: str, count: int) -> None:
+    """Refuse a run that would list more than `_MAX_SWEEP` words."""
+    if count > _MAX_SWEEP:
+        _refuse_words(command, count)
+
+
+def _refuse_words(command: str, count) -> None:
     raise ValueError(
         f"{command} would enumerate {count} words, more than the limit of {_MAX_SWEEP}"
     )
@@ -230,14 +250,22 @@ def _cmd_class(args: argparse.Namespace) -> int:
     rels = _parse_relations(args.relations)
     w = Word.parse(args.word, args.n)
     _check_class_size(rels, w)
-    print(json.dumps(class_dump(w, rels), sort_keys=True))
+    # a custom set's class size is known only by closing it, so cap the closure
+    cap = None if rels in (KNUTH, SHIFTED_KNUTH) else _MAX_CLASS
+    print(json.dumps(class_dump(w, rels, cap), sort_keys=True))
     return 0
 
 
+def _shape_text(shape: tuple[int, ...]) -> str:
+    return ",".join(map(str, shape))
+
+
 def _cmd_schur(args: argparse.Namespace) -> int:
-    shape = _parse_shape(args.shape)
+    shape = _parse_shape(args.shape, "shape")
     n = _size_option(args.n, None, "n", _MAX_LETTER)
     _check_cells(sum(shape), "--shape")
+    if not args.shifted:
+        _check_words(f"schur --shape {_shape_text(shape)} --n {n}", ssyt_count(shape, n))
     degree = args.degree if args.degree is not None else sum(shape)
     poly = (
         shifted_free_schur(shape, n, degree)
@@ -249,18 +277,21 @@ def _cmd_schur(args: argparse.Namespace) -> int:
 
 
 def _cmd_lr(args: argparse.Namespace) -> int:
-    nu = _parse_shape(args.nu)
-    mu = _parse_shape(args.mu)
+    nu = _parse_shape(args.nu, "nu")
+    mu = _parse_shape(args.mu, "mu")
     n = _size_option(args.n, None, "n", _MAX_LETTER)
     _check_cells(sum(nu) + sum(mu), "--nu plus --mu")
+    _check_words(
+        f"lr --nu {_shape_text(nu)} --mu {_shape_text(mu)} --n {n}",
+        ssyt_count(nu, n) * ssyt_count(mu, n),
+    )
     coeffs = lr_expand(nu, mu, n)
     payload = {
         "nu": list(nu),
         "mu": list(mu),
         "n": n,
         "coefficients": {
-            ",".join(str(p) for p in shape): coeff
-            for shape, coeff in sorted(coeffs.items())
+            _shape_text(shape): coeff for shape, coeff in sorted(coeffs.items())
         },
     }
     print(json.dumps(payload, sort_keys=True))

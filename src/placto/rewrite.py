@@ -340,8 +340,10 @@ def expanded_rules(rels: RelationSet):
     return congruence(rels).rules
 
 
-def closure_bytes(rels: RelationSet, word: bytes) -> frozenset[bytes]:
-    return frozenset(_kernels.closure(word, congruence(rels).table))
+def closure_bytes(rels: RelationSet, word: bytes, cap: int | None = None) -> frozenset[bytes]:
+    """The class of `word`; with a `cap`, ValueError on a class of more
+    members (see `_kernels.closure`)."""
+    return frozenset(_kernels.closure(word, congruence(rels).table, cap))
 
 
 def class_size(rels: RelationSet, word: bytes) -> int | None:
@@ -443,12 +445,13 @@ def verify_factorization(n: int, degree_bound: int) -> bool:
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def class_dump(word: Word, rels: RelationSet) -> dict:
-    """JSON-ready class listing: sorted members plus the class size.
+def class_dump(word: Word, rels: RelationSet, cap: int | None = None) -> dict:
+    """JSON-ready class listing: sorted members plus the class size; with a
+    `cap`, ValueError on a class of more members.
 
     Members stay byte words from the closure to their text, which is that
     of `str(Word)`: digits for n <= 9, comma-separated letters otherwise."""
-    members = sorted(closure_bytes(rels, word.to_bytes()))
+    members = sorted(closure_bytes(rels, word.to_bytes(), cap))
     if word.n <= 9:
         text = [m.translate(_DIGITS).decode("ascii") for m in members]
     else:

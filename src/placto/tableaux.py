@@ -243,15 +243,35 @@ def least_plactic_word(letters) -> bytes:
     return bytes(out)
 
 
-def standard_count(shape: tuple[int, ...]) -> int:
-    """Standard Young tableaux of a shape, by the hook length formula: the
-    size of each Knuth class whose Schensted tableau has this shape."""
+def _hook_product(shape: tuple[int, ...]) -> int:
+    """Product of the hook lengths of the cells of a partition."""
     hooks = 1
     for i, length in enumerate(shape):
         for j in range(length):
             below = sum(1 for later in shape[i + 1 :] if later > j)
             hooks *= length - j + below
-    return math.factorial(sum(shape)) // hooks
+    return hooks
+
+
+def standard_count(shape: tuple[int, ...]) -> int:
+    """Standard Young tableaux of a shape, by the hook length formula: the
+    size of each Knuth class whose Schensted tableau has this shape."""
+    return math.factorial(sum(shape)) // _hook_product(shape)
+
+
+def ssyt_count(shape: tuple[int, ...], n: int) -> int:
+    """Semistandard tableaux of a shape with entries <= n, by the hook
+    content formula: the product over the cells of (n + j - i) / hook, for
+    the cell in row i and column j.  This is `len(enumerate_ssyt(shape, n))`
+    without listing them; a shape of more than n rows has a cell of content
+    -n, so it counts 0."""
+    if not (shape == () or is_partition(shape)):
+        raise ValueError(f"{shape} is not a partition")
+    contents = 1
+    for i, length in enumerate(shape):
+        for j in range(length):
+            contents *= n + j - i
+    return contents // _hook_product(shape)
 
 
 def shifted_standard_count(shape: tuple[int, ...]) -> int:

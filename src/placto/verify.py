@@ -169,35 +169,55 @@ def _intervals(n: int) -> list[tuple[int, int, bytes]]:
     return [(iv.lo, iv.hi, outside_letters(iv, n)) for iv in all_intervals(n)]
 
 
-def _interval_witness(u: bytes, v: bytes, canon, intervals):
-    """First interval whose restrictions of u and v have different
-    canonical forms under `canon`, from `_intervals`."""
+def _knuth_key():
+    """A Knuth class key of byte words: the rows of the Schensted tableau,
+    whose fibers are the Knuth classes (Knuth 1970).
+
+    Each call returns a new function with a dict of its own, so that a word
+    met again (restrictions repeat across the words of a product) is
+    inserted once, and the dict goes when the caller drops the function.
+    """
+    rows_of = congruence(KNUTH).key
+    memo: dict[bytes, tuple] = {}
+
+    def key(w: bytes) -> tuple:
+        got = memo.get(w)
+        if got is None:
+            got = memo[w] = rows_of(w)
+        return got
+
+    return key
+
+
+def _interval_witness(u: bytes, v: bytes, class_key, intervals):
+    """First interval whose restrictions of u and v have different class
+    keys under `class_key`, from `_intervals`."""
     for lo, hi, outside in intervals:
-        if canon(u.translate(None, outside)) != canon(v.translate(None, outside)):
+        if class_key(u.translate(None, outside)) != class_key(v.translate(None, outside)):
             return (lo, hi)
     return None
 
 
-def _forced_matching(U: set[bytes], V: set[bytes], intervals):
+def _forced_matching(U: set[bytes], V: set[bytes], intervals, class_key):
     """Match each left monomial to a right monomial, forcing unique choices.
 
     Identical words on the two sides cancel first.  A pair is compatible when
     every interval restriction of the two words is Knuth-equivalent, i.e.
-    when the two words have the same restriction key: the canonical forms
-    of their restrictions to each of `intervals` (from `_intervals`).  The
-    matching succeeds only when repeatedly fixing vertices with a single
-    remaining candidate resolves everything, i.e. when the compatibility graph
-    has a unique perfect matching.
+    when the two words have the same restriction key: the Knuth class keys
+    (`class_key`, e.g. from `_knuth_key`) of their restrictions to each of
+    `intervals` (from `_intervals`).  The matching succeeds only when
+    repeatedly fixing vertices with a single remaining candidate resolves
+    everything, i.e. when the compatibility graph has a unique perfect
+    matching.
     """
     match: dict[bytes, bytes] = {w: w for w in U & V}
     left = sorted(U - V)
     right = sorted(V - U)
     if len(left) != len(right):
         return match, False, "unequal monomial counts after cancellation"
-    canon = congruence(KNUTH).canonical
 
-    def key(w: bytes) -> tuple[bytes, ...]:
-        return tuple(canon(w.translate(None, outside)) for _, _, outside in intervals)
+    def key(w: bytes) -> tuple:
+        return tuple(class_key(w.translate(None, outside)) for _, _, outside in intervals)
 
     by_key: dict[tuple[bytes, ...], set[bytes]] = {}
     for v in right:
@@ -236,8 +256,9 @@ def _forced_matching(U: set[bytes], V: set[bytes], intervals):
     return match, True, ""
 
 
-def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
-    """Forced matchings of single*big against big*single, content by content.
+def _forced_matchings(single: NcPoly, big: NcPoly, n: int, class_key):
+    """Forced matchings of single*big against big*single, content by content,
+    with `class_key` as the Knuth class key of restrictions.
 
     Returns {content: (right monomials, match, ok, note)} in content order,
     with the monomials as byte words and (match, ok, note) from
@@ -252,7 +273,7 @@ def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
             groups.setdefault(content(w), (set(), set()))[side].add(w.to_bytes())
     intervals = _intervals(n)
     return {
-        vec: (V, *_forced_matching(U, V, intervals))
+        vec: (V, *_forced_matching(U, V, intervals, class_key))
         for vec, (U, V) in sorted(groups.items())
     }
 
@@ -306,8 +327,8 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     left monomial.  The unique survivor must be the relation's right side.
     """
     rels, n, single, big = _case_products(relations)
-    matchings = _forced_matchings(single, big, n)
-    knuth_canon = congruence(KNUTH).canonical
+    class_key = _knuth_key()
+    matchings = _forced_matchings(single, big, n, class_key)
     intervals = _intervals(n)
     reports = []
     for rel in rels.relations:
@@ -320,7 +341,7 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
             for v in sorted(V):
                 if v == survivor:
                     continue
-                witness = _interval_witness(ub, v, knuth_canon, intervals)
+                witness = _interval_witness(ub, v, class_key, intervals)
                 word_str = str(Word.from_bytes(v, n))
                 if witness is not None:
                     lo, hi = witness
@@ -649,7 +670,7 @@ def _section5_comparison(part: str, description: str, schur, other, rels, n: int
     failures = []
     for shape in ((degree - 1,), other):
         pairs = []
-        matchings = _forced_matchings(single, schur(shape, n, degree), n)
+        matchings = _forced_matchings(single, schur(shape, n, degree), n, _knuth_key())
         for vec, (_, match, ok, note) in matchings.items():
             if ok:
                 pairs.extend((u, v) for u, v in match.items() if u != v)

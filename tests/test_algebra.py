@@ -17,8 +17,8 @@ from placto.algebra import (
     schur_poly,
     shifted_free_schur,
 )
-from placto.rewrite import KNUTH, SHIFTED_KNUTH, RelationSet, equivalent
-from placto.tableaux import partitions, strict_partitions
+from placto.rewrite import KNUTH, SHIFTED_KNUTH, RelationSet, canonical_word, equivalent
+from placto.tableaux import Tableau, partitions, reading_word, strict_partitions
 from placto.words import Word, content
 
 
@@ -209,6 +209,37 @@ class TestLrExpand:
             if len(xi) > 4:
                 continue
             assert coeffs.get(xi, 0) == _lr_oracle(nu, mu, xi, 4)
+
+
+def _lr_by_least_words(nu, mu, n):
+    """`lr_expand` with every class keyed by its least member
+    (`project_quotient`), the route that keying by Schensted rows replaced."""
+    size = sum(nu) + sum(mu)
+    product = nc_mul(free_schur(nu, n, size), free_schur(mu, n, size))
+    remaining = dict(project_quotient(product, KNUTH).terms)
+    out = {}
+    for shape in partitions(size, max_rows=n):
+        yamanouchi = Tableau(tuple((i + 1,) * length for i, length in enumerate(shape)))
+        coeff = remaining.get(canonical_word(reading_word(yamanouchi, n), KNUTH), 0)
+        if coeff:
+            for key, c in project_quotient(free_schur(shape, n, size), KNUTH).terms.items():
+                remaining[key] = remaining.get(key, 0) - coeff * c
+            out[shape] = coeff
+    assert not any(remaining.values())
+    return out
+
+
+def test_lr_expand_matches_least_word_route():
+    """Every (nu, mu, n) with |nu| + |mu| <= 7 and n <= 4, empty shapes too."""
+    cases = 0
+    for n in range(1, 5):
+        for size in range(8):
+            for left in range(size + 1):
+                for nu in partitions(left):
+                    for mu in partitions(size - left):
+                        assert lr_expand(nu, mu, n) == _lr_by_least_words(nu, mu, n), (nu, mu, n)
+                        cases += 1
+    assert cases == 996
 
 
 words_strategy = st.lists(

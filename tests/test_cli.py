@@ -334,7 +334,9 @@ def test_class_listing_at_the_limit_accepted(capsys, monkeypatch, argv):
     assert "has 2 members" in capsys.readouterr().err
 
 
-def test_custom_class_listing_is_not_bounded(capsys, monkeypatch, tmp_path):
+def test_custom_class_listing_is_capped(capsys, monkeypatch, tmp_path):
+    """A custom set's class size is known only by closing it, so the closure
+    stops once it has more than `_MAX_CLASS` members."""
     path = tmp_path / "knuth.json"
     path.write_text(
         json.dumps(
@@ -345,10 +347,39 @@ def test_custom_class_listing_is_not_bounded(capsys, monkeypatch, tmp_path):
         ),
         encoding="utf-8",
     )
-    monkeypatch.setattr(cli, "_MAX_CLASS", 1)
-    code, out = run_cli(capsys, "class", "--relations", f"custom:{path}", "2143")
+    argv = ["class", "--relations", f"custom:{path}", "2143"]
+    monkeypatch.setattr(cli, "_MAX_CLASS", 2)
+    code, out = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["size"] == 2
+    monkeypatch.setattr(cli, "_MAX_CLASS", 1)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has at least 2 members" in captured.err
+
+
+@pytest.mark.parametrize(
+    "word", ["12345678", ",".join(map(str, range(1, 13))), ",".join(map(str, range(255, 0, -1)))]
+)
+def test_custom_class_above_the_limit_rejected(capsys, tmp_path, word):
+    """Under ab ~ ba (a < b) the class of a word of k distinct letters holds
+    all k! orders: 40 320 for k = 8, far more for k >= 10."""
+    path = tmp_path / "commutative.json"
+    path.write_text(json.dumps([{"left": "ab", "right": "ba", "constraints": "a<b"}]))
+    start = time.perf_counter()
+    code = main(["class", "--relations", f"custom:{path}", word])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    size = re.fullmatch(
+        rf"placto: error: the class has at least (\d+) members, "
+        rf"more than the limit of {cli._MAX_CLASS}\n",
+        captured.err,
+    )
+    assert size and int(size.group(1)) > cli._MAX_CLASS
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(
@@ -441,6 +472,82 @@ def test_sweeps_over_two_letters_within_the_word_limit_are_within_the_letter_lim
         assert sum(k * n**k for k in range(1, degree + 1)) <= cli._MAX_SWEEP_LETTERS
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        # C(258, 4) one-row tableaux of each factor
+        (["lr", "--nu", "4", "--mu", "4", "--n", "255"], 180352320 * 180352320),
+        # n(n^2 - 1)/3 tableaux of shape (2, 1)
+        (["schur", "--shape", "2,1", "--n", "255"], 5527040),
+        (["lr", "--nu", "3,2", "--mu", "2,1", "--n", "9"], 2970 * 240),
+    ],
+    ids=["lr-n255", "schur-n255", "lr-n9"],
+)
+def test_products_above_the_limit_rejected(capsys, argv, count):
+    """`lr` and `schur` are refused from their word count, fast."""
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"placto: error: {' '.join(argv)} would enumerate {count} words, "
+        f"more than the limit of {cli._MAX_SWEEP}\n"
+    )
+    assert elapsed < 1.0
+
+
+def test_lr_at_the_stretch_scale_accepted(capsys, monkeypatch):
+    # 1 680 x 168 = 282 240 words; the expansion itself takes seconds, so stub it
+    monkeypatch.setattr(cli, "lr_expand", lambda nu, mu, n: {(5, 3): 1})
+    assert main(["lr", "--nu", "3,2", "--mu", "2,1", "--n", "8"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["lr", "--nu", "2,1", "--mu", "1", "--n", "3"], 8 * 3),
+        (["schur", "--shape", "2,1", "--n", "3"], 8),
+    ],
+    ids=["lr", "schur"],
+)
+def test_products_at_the_limit_accepted(capsys, monkeypatch, argv, words):
+    monkeypatch.setattr(cli, "_MAX_SWEEP", words)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_MAX_SWEEP", words - 1)
+    assert main(argv) == 2
+    assert f"would enumerate {words} words" in capsys.readouterr().err
+
+
+def test_shifted_schur_is_not_word_bounded(capsys, monkeypatch):
+    # no closed count of hook words is used, so only the cells bound it
+    monkeypatch.setattr(cli, "_MAX_SWEEP", 0)
+    assert main(["schur", "--shape", "2,1", "--shifted", "--n", "2"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["lr", "--nu", "3,2", "--mu", ",1", "--n", "4"], "mu", ",1"),
+        (["lr", "--nu", "3,x", "--mu", "1", "--n", "4"], "nu", "3,x"),
+        (["schur", "--shape", "2,,1", "--n", "3"], "shape", "2,,1"),
+    ],
+    ids=["lr-mu-empty-part", "lr-nu-letter", "schur-empty-part"],
+)
+def test_malformed_shape_names_its_option(capsys, argv, option, value):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"placto: error: --{option} must be comma-separated integers such as 2,1, "
+        f"got {value!r}\n"
+    )
+
+
 def test_next_tier_sweeps_are_within_the_limit():
     # verify axioms --n 3 --degree 11, --n 5 --degree 7 and --n 6 --degree 6
     for n, degree in [(3, 11), (5, 7), (6, 6)]:
@@ -460,6 +567,8 @@ PINNED_DIGESTS = {
     "lr --nu 3,2 --mu 2,1 --n 4": "1241f3db8407814b23bb5c727ef3c70752a74e7c96eb682c5fb364ecc9bd6187",
     "verify axioms --n 3 --degree 9": "f3e4a2793c4d0d0ef94c8c861dd4a3643a7774251cdb6a1ce91ebabee20e5628",
     "verify axioms --n 5 --degree 6": "df93a219526b5b98a0c7afb954fc3a1d3546797e38306726d3c4583a9d49a9e4",
+    "lr --nu 3,2 --mu 2,1 --n 6": "36d694a35cc7a77e3df10ce84c8eba66d469ef0e75a8ab586097d810b5df76d3",
+    "lr --nu 2,2 --mu 2,1,1 --n 5": "6f666cef5d5c78af30384cc91f70d23d317a15191b56847e3073d500f0b38cde",
 }
 
 

@@ -35,6 +35,20 @@ def test_words_over_255_letters_rejected():
             kernel(longest + bytes([1]), table)
 
 
+def test_closure_cap_is_checked_per_layer():
+    # ab ~ ba (a < b): the class of 1234 is all 24 orders, in layers of
+    # 1, 3, 5, 6, 5, 3, 1 words by their number of inversions
+    table = _kernels.RuleTable(
+        congruence(RelationSet.custom([Relation("C", "ab", "ba", "a<b")])).rules
+    )
+    assert len(_kernels.closure(b"\x01\x02\x03\x04", table, 24)) == 24
+    with pytest.raises(ValueError, match="^the class has at least 24 members, more than"):
+        _kernels.closure(b"\x01\x02\x03\x04", table, 23)
+    # the third layer takes 4 words past a cap of 5
+    with pytest.raises(ValueError, match="^the class has at least 9 members, more than"):
+        _kernels.closure(b"\x01\x02\x03\x04", table, 5)
+
+
 # patterns of lengths 3 and 4 in one set, so the kernel runs two length groups
 MIXED_LENGTHS = RelationSet.custom(
     [

@@ -28,6 +28,7 @@ from placto.tableaux import (
     partitions,
     reading_word,
     schensted_insert,
+    ssyt_count,
     strict_partitions,
 )
 from placto.words import Word, all_words
@@ -282,6 +283,17 @@ class TestEnumerations:
     def test_ssyt_counts(self):
         assert len(enumerate_ssyt((1, 1), 2)) == 1
         assert {t.rows for t in enumerate_ssyt((2,), 2)} == {((1, 1),), ((1, 2),), ((2, 2),)}
+
+    def test_hook_content_formula_counts_the_enumeration(self):
+        # shapes with more rows than n count 0
+        for size in range(7):
+            for shape in partitions(size):
+                for n in range(1, 6):
+                    assert ssyt_count(shape, n) == len(enumerate_ssyt(shape, n)), (shape, n)
+
+    def test_hook_content_formula_rejects_a_non_partition(self):
+        with pytest.raises(ValueError, match="is not a partition"):
+            ssyt_count((1, 2), 3)
 
     def test_shssyt_shape_2_1_n2(self):
         tableaux = enumerate_shssyt((2, 1), 2)

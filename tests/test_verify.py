@@ -8,6 +8,9 @@ from placto.algebra import commutator_in_quotient, free_schur, shifted_free_schu
 from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, Relation, RelationSet, congruence
 from placto.verify import (
     TABLE_FAMILIES,
+    _case_products,
+    _forced_matchings,
+    _knuth_key,
     first_row_hook_report,
     restriction_surprise,
     section5_degree3_comparison,
@@ -303,6 +306,29 @@ class TestSection5:
     def test_degree_bound_validated(self):
         with pytest.raises(ValueError):
             verify_section5(4, 3)
+
+
+def _forced_matching_products():
+    """(single, big, n) of every forced matching that `verify cases` and
+    `verify section5` at n <= 5 make."""
+    for relations in ("knuth", "shifted-knuth"):
+        _, n, single, big = _case_products(relations)
+        yield single, big, n
+    for n in range(1, 6):
+        for schur, shapes in ((free_schur, ((2,), (1, 1))), (shifted_free_schur, ((3,), (2, 1)))):
+            degree = sum(shapes[0]) + 1
+            for shape in shapes:
+                yield schur((1,), n, degree), schur(shape, n, degree), n
+
+
+def test_forced_matchings_by_tableau_match_those_by_least_word():
+    least_word = congruence(KNUTH).canonical
+    forced = 0
+    for single, big, n in _forced_matching_products():
+        by_tableau = _forced_matchings(single, big, n, _knuth_key())
+        assert by_tableau == _forced_matchings(single, big, n, least_word)
+        forced += sum(u != v for _, match, _, _ in by_tableau.values() for u, v in match.items())
+    assert forced > 0  # pairs that only the restriction keys match
 
 
 def test_reports_are_deterministic():
