@@ -2,10 +2,12 @@
 
 NcPoly is a finitely supported integer combination of words over {1..n},
 truncated at a degree bound: products silently drop terms above the bound,
-so per-degree comparisons below the bound are exact.  Projections go two
-ways: to a quotient algebra (words replaced by canonical class
-representatives) and to the commutative image (words replaced by content
-vectors).
+so per-degree comparisons below the bound are exact.  Terms are keyed by
+byte words, one letter per byte, with n kept by the polynomial; the
+constructors and `coefficient` also accept `Word` keys, and `to_json` and
+`repr` print the text of `str(Word)`.  Projections go two ways: to a quotient algebra (words
+replaced by canonical class representatives) and to the commutative image
+(words replaced by content vectors).
 """
 
 from __future__ import annotations
@@ -13,18 +15,46 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .rewrite import KNUTH, RelationSet, canonical_word, congruence
+from .rewrite import KNUTH, RelationSet, canonical_bytes, congruence
 from .tableaux import (
-    Tableau,
-    enumerate_shssyt,
-    enumerate_ssyt,
-    enumerate_hook,
+    _hook_words,
+    _shssyt_rows,
+    _ssyt_rows,
+    base_letter,
     is_partition,
     longest_weakly_increasing_subword,
     partitions,
-    reading_word,
 )
-from .words import Word, concat, content
+from .words import Word, content, word_text
+
+
+def _byte_key(word: Word | bytes, n: int) -> bytes:
+    """A term key as a byte word: a `Word` over {1..n} is converted, and a
+    `Word` over another alphabet is a ValueError."""
+    if isinstance(word, Word):
+        if word.n != n:
+            raise ValueError(f"word {word!r} outside context alphabet {n}")
+        return bytes(word.letters)
+    return word
+
+
+def _byte_terms(terms, n: int, degree_bound: int) -> dict[bytes, int]:
+    """The nonzero terms of a polynomial over {1..n}, keyed by byte words
+    (`_byte_key`); ValueError for a key that is longer than the degree bound
+    or holds a letter outside {1..n}."""
+    if not 1 <= n <= 255 or degree_bound < 0:
+        raise ValueError(f"bad context: n={n} must lie in 1..255, D={degree_bound} >= 0")
+    alphabet = bytes(range(1, n + 1))
+    clean: dict[bytes, int] = {}
+    for word, coeff in (terms or {}).items():
+        word = _byte_key(word, n)
+        if len(word) > degree_bound:
+            raise ValueError(f"word {list(word)} above degree bound {degree_bound}")
+        if word.translate(None, alphabet):  # the letters outside {1..n}
+            raise ValueError(f"word {list(word)} outside context alphabet {n}")
+        if coeff:
+            clean[word] = clean.get(word, 0) + coeff
+    return {w: c for w, c in clean.items() if c}
 
 
 class NcPoly:
@@ -33,32 +63,17 @@ class NcPoly:
     __slots__ = ("n", "degree_bound", "terms")
 
     def __init__(self, n: int, degree_bound: int, terms=None):
-        if n < 1 or degree_bound < 0:
-            raise ValueError("bad context")
+        self.terms = _byte_terms(terms, n, degree_bound)
         self.n = n
         self.degree_bound = degree_bound
-        clean: dict[Word, int] = {}
-        for word, coeff in (terms or {}).items():
-            if word.n != n:
-                raise ValueError(f"word {word!r} outside context alphabet {n}")
-            if len(word) > degree_bound:
-                raise ValueError(f"word {word!r} above degree bound {degree_bound}")
-            if coeff:
-                clean[word] = clean.get(word, 0) + coeff
-        self.terms = {w: c for w, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls, n: int, degree_bound: int) -> "NcPoly":
-        return cls(n, degree_bound)
 
     @classmethod
     def unit(cls, n: int, degree_bound: int) -> "NcPoly":
-        return cls(n, degree_bound, {Word((), n): 1})
+        return cls(n, degree_bound, {b"": 1})
 
     @classmethod
     def from_words(cls, words, n: int, degree_bound: int) -> "NcPoly":
-        counts = Counter(words)
-        return cls(n, degree_bound, dict(counts))
+        return cls(n, degree_bound, Counter(words))
 
     def _require_context(self, other: "NcPoly") -> None:
         if (self.n, self.degree_bound) != (other.n, other.degree_bound):
@@ -67,8 +82,8 @@ class NcPoly:
                 f"(n={other.n}, D={other.degree_bound})"
             )
 
-    def coefficient(self, word: Word) -> int:
-        return self.terms.get(word, 0)
+    def coefficient(self, word: Word | bytes) -> int:
+        return self.terms.get(_byte_key(word, self.n), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -109,24 +124,24 @@ class NcPoly:
     def __mul__(self, other: "NcPoly") -> "NcPoly":
         return nc_mul(self, other)
 
-    def support(self) -> list[Word]:
-        return sorted(self.terms, key=lambda w: (len(w), w.letters))
+    def support(self) -> list[bytes]:
+        return sorted(self.terms, key=lambda w: (len(w), w))
 
-    def monomials_of_content(self, vector: tuple[int, ...]) -> set[Word]:
-        return {w for w in self.terms if content(w) == vector}
+    def monomials_of_content(self, vector: tuple[int, ...]) -> set[bytes]:
+        return {w for w in self.terms if content(w, self.n) == vector}
 
     def to_json(self) -> dict:
         return {
             "context": {"n": self.n, "D": self.degree_bound},
             "terms": [
-                {"word": str(w), "coeff": self.terms[w]} for w in self.support()
+                {"word": word_text(w, self.n), "coeff": self.terms[w]} for w in self.support()
             ],
         }
 
     def __repr__(self) -> str:
         if not self.terms:
             return "NcPoly(0)"
-        bits = [f"{c}*{w}" for w, c in sorted(self.terms.items(), key=lambda t: t[0].letters)]
+        bits = [f"{c}*{word_text(w, self.n)}" for w, c in sorted(self.terms.items())]
         return "NcPoly(" + " + ".join(bits) + ")"
 
 
@@ -134,13 +149,13 @@ def nc_mul(p: NcPoly, q: NcPoly) -> NcPoly:
     """Concatenation product; terms above the degree bound are dropped."""
     p._require_context(q)
     bound = p.degree_bound
-    out: dict[Word, int] = {}
+    out: dict[bytes, int] = {}
     for u, cu in p.terms.items():
+        room = bound - len(u)
         for v, cv in q.terms.items():
-            if len(u) + len(v) > bound:
-                continue
-            w = concat(u, v)
-            out[w] = out.get(w, 0) + cu * cv
+            if len(v) <= room:
+                w = u + v
+                out[w] = out.get(w, 0) + cu * cv
     return NcPoly(p.n, bound, out)
 
 
@@ -186,17 +201,13 @@ class QuotientPoly:
     __slots__ = ("n", "degree_bound", "relation_set", "terms")
 
     def __init__(self, n: int, degree_bound: int, relation_set: RelationSet, terms=None):
+        self.terms = _byte_terms(terms, n, degree_bound)
         self.n = n
         self.degree_bound = degree_bound
         self.relation_set = relation_set
-        clean: dict[Word, int] = {}
-        for word, coeff in (terms or {}).items():
-            if coeff:
-                clean[word] = clean.get(word, 0) + coeff
-        self.terms = {w: c for w, c in clean.items() if c}
 
-    def coefficient(self, word: Word) -> int:
-        return self.terms.get(canonical_word(word, self.relation_set), 0)
+    def coefficient(self, word: Word | bytes) -> int:
+        return self.terms.get(canonical_bytes(self.relation_set, _byte_key(word, self.n)), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -214,15 +225,15 @@ class QuotientPoly:
     def __repr__(self) -> str:
         if not self.terms:
             return f"QuotientPoly(0; {self.relation_set.name})"
-        bits = [f"{c}*[{w}]" for w, c in sorted(self.terms.items(), key=lambda t: t[0].letters)]
+        bits = [f"{c}*[{word_text(w, self.n)}]" for w, c in sorted(self.terms.items())]
         return f"QuotientPoly({' + '.join(bits)}; {self.relation_set.name})"
 
 
 def project_quotient(p: NcPoly, rels: RelationSet) -> QuotientPoly:
     """Replace every word by its canonical class representative, merging terms."""
-    out: dict[Word, int] = {}
+    out: dict[bytes, int] = {}
     for w, c in p.terms.items():
-        key = canonical_word(w, rels)
+        key = canonical_bytes(rels, w)
         out[key] = out.get(key, 0) + c
     return QuotientPoly(p.n, p.degree_bound, rels, out)
 
@@ -231,7 +242,7 @@ def abelianize(p: NcPoly) -> CPoly:
     """Forget letter order: map every word to its content vector."""
     out: dict[tuple[int, ...], int] = {}
     for w, c in p.terms.items():
-        vec = content(w)
+        vec = content(w, p.n)
         out[vec] = out.get(vec, 0) + c
     return CPoly(p.n, out)
 
@@ -248,7 +259,8 @@ def free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> 
     bound = size if degree_bound is None else degree_bound
     if size > bound:
         raise ValueError(f"|{nu}| exceeds degree bound {bound}")
-    words = [reading_word(t, n) for t in enumerate_ssyt(nu, n)]
+    # reading words: rows bottom to top, each left to right
+    words = [bytes(itertools.chain.from_iterable(reversed(rows))) for rows in _ssyt_rows(nu, n)]
     return NcPoly.from_words(words, n, bound)
 
 
@@ -262,14 +274,13 @@ def free_schur_by_filter(nu: tuple[int, ...], n: int, degree_bound: int | None =
     lengths = list(reversed(nu))
     words = []
     for letters in itertools.product(range(1, n + 1), repeat=size):
-        w = Word(letters, n)
         segments = []
         pos = 0
         ok = True
         for length in lengths:
-            seg = Word(letters[pos : pos + length], n)
+            seg = letters[pos : pos + length]
             pos += length
-            if any(seg.letters[i] > seg.letters[i + 1] for i in range(len(seg) - 1)):
+            if any(seg[i] > seg[i + 1] for i in range(len(seg) - 1)):
                 ok = False
                 break
             if segments and longest_weakly_increasing_subword(segments[-1] + seg) != length:
@@ -277,7 +288,7 @@ def free_schur_by_filter(nu: tuple[int, ...], n: int, degree_bound: int | None =
                 break
             segments.append(seg)
         if ok:
-            words.append(w)
+            words.append(bytes(letters))
     return NcPoly.from_words(words, n, bound)
 
 
@@ -287,18 +298,14 @@ def shifted_free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = N
     bound = size if degree_bound is None else degree_bound
     if size > bound:
         raise ValueError(f"|{nu}| exceeds degree bound {bound}")
-    return NcPoly.from_words(sorted(enumerate_hook(nu, n), key=lambda w: w.letters), n, bound)
+    return NcPoly.from_words(_hook_words(nu, n), n, bound)
 
 
 def schur_poly(nu: tuple[int, ...], n: int) -> CPoly:
     """Content generating function over semistandard tableaux of shape nu."""
     out: dict[tuple[int, ...], int] = {}
-    for t in enumerate_ssyt(nu, n):
-        vec = [0] * n
-        for row in t.rows:
-            for a in row:
-                vec[a - 1] += 1
-        key = tuple(vec)
+    for rows in _ssyt_rows(nu, n):
+        key = content(itertools.chain.from_iterable(rows), n)
         out[key] = out.get(key, 0) + 1
     return CPoly(n, out)
 
@@ -306,8 +313,8 @@ def schur_poly(nu: tuple[int, ...], n: int) -> CPoly:
 def p_schur_poly(nu: tuple[int, ...], n: int) -> CPoly:
     """Content generating function over shifted semistandard tableaux."""
     out: dict[tuple[int, ...], int] = {}
-    for t in enumerate_shssyt(nu, n):
-        key = t.content(n)
+    for rows in _shssyt_rows(nu, n):
+        key = content(map(base_letter, itertools.chain.from_iterable(rows)), n)
         out[key] = out.get(key, 0) + 1
     return CPoly(n, out)
 
@@ -315,10 +322,6 @@ def p_schur_poly(nu: tuple[int, ...], n: int) -> CPoly:
 def commutator_in_quotient(pa: NcPoly, pb: NcPoly, rels: RelationSet) -> QuotientPoly:
     """Projection of pa*pb - pb*pa; the zero polynomial certifies commutation."""
     return project_quotient(nc_mul(pa, pb) - nc_mul(pb, pa), rels)
-
-
-def _yamanouchi(shape: tuple[int, ...], n: int) -> Tableau:
-    return Tableau(tuple(tuple([i + 1] * length) for i, length in enumerate(shape)))
 
 
 def lr_expand(nu: tuple[int, ...], mu: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
@@ -338,17 +341,19 @@ def lr_expand(nu: tuple[int, ...], mu: tuple[int, ...], n: int) -> dict[tuple[in
     product = nc_mul(free_schur(nu, n, size), free_schur(mu, n, size))
     remaining: dict[tuple, int] = {}
     for w, c in product.terms.items():
-        rows = key(w.letters)
+        rows = key(w)
         remaining[rows] = remaining.get(rows, 0) + c
     out: dict[tuple[int, ...], int] = {}
     for shape in partitions(size, max_rows=n):
-        coeff = remaining.get(key(_yamanouchi(shape, n).reading_letters()), 0)
+        # row i of the highest-weight tableau holds only the letter i + 1,
+        # and a tableau is the insertion tableau of its reading word
+        coeff = remaining.get(tuple((i + 1,) * length for i, length in enumerate(shape)), 0)
         if coeff == 0:
             continue
         if coeff < 0:
             raise ValueError(f"negative coefficient {coeff} for shape {shape}")
         for w, c in free_schur(shape, n, size).terms.items():
-            rows = key(w.letters)
+            rows = key(w)
             newc = remaining.get(rows, 0) - coeff * c
             if newc:
                 remaining[rows] = newc

@@ -20,7 +20,6 @@ import sys
 from . import verify as verify_mod
 from .algebra import free_schur, lr_expand, shifted_free_schur
 from .rewrite import (
-    KNUTH,
     SHIFTED_KNUTH,
     RelationSet,
     class_dump,
@@ -162,17 +161,33 @@ def _refuse_words(command: str, count) -> None:
     )
 
 
-def _check_class_size(rels: RelationSet, w: Word) -> None:
+def _check_class_size(rels: RelationSet, w: Word) -> int | None:
+    """The size of the class of w from `rewrite.class_size`, which is None
+    for a set with no size formula; refuses a class above `_MAX_CLASS`."""
     size = class_size(rels, w.to_bytes())
     if size is not None and size > _MAX_CLASS:
         raise ValueError(
             f"the {rels.name} class of this word has {size} members, "
             f"more than the {_MAX_CLASS} that are listed"
         )
+    return size
+
+
+# The options each `verify` family reads.  Any other option given is refused,
+# since the family would print the same output without it.
+_VERIFY_OPTIONS = {
+    "tables": (),
+    "cases": ("relations",),
+    "axioms": ("n", "degree", "relations"),
+    "section5": ("n",),
+}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     what = args.what
+    for option in ("n", "degree", "relations"):
+        if getattr(args, option) is not None and option not in _VERIFY_OPTIONS[what]:
+            raise ValueError(f"verify {what} does not take --{option}")
     if what == "tables":
         reports = verify_mod.verify_tables()
     elif what == "cases":
@@ -189,22 +204,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _check_sweep(f"verify axioms --n {n} --degree {degree}", n, range(1, degree + 1))
         reports = []
         rel_spec = args.relations
-        if rel_spec is None:
+        if rel_spec in (None, "knuth"):
             reports.extend(verify_mod.verify_axioms("plactic", n, degree))
+        if rel_spec in (None, "shifted-knuth"):
             reports.extend(verify_mod.verify_axioms("shifted-plactic", n, degree))
             reports.append(verify_mod.restriction_surprise(n, min(degree, 4)))
-        elif rel_spec == "knuth":
-            reports.extend(verify_mod.verify_axioms("plactic", n, degree))
-        elif rel_spec == "shifted-knuth":
-            reports.extend(verify_mod.verify_axioms("shifted-plactic", n, degree))
-            reports.append(verify_mod.restriction_surprise(n, min(degree, 4)))
-        else:
+        if rel_spec not in (None, "knuth", "shifted-knuth"):
             rels = _parse_relations(rel_spec)
             reports.extend(verify_mod.verify_axioms("plactic", n, degree, relations=rels))
     elif what == "section5":
         n = _size_option(args.n, 4, "n", _MAX_LETTER)
         _check_sweep(f"verify section5 --n {n}", n, range(3, 5))
-        reports = verify_mod.verify_section5(n, _size_option(args.degree, 4, "degree"))
+        reports = verify_mod.verify_section5(n)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(what)
     return _emit(reports, args.json)
@@ -249,9 +260,8 @@ def _cmd_insert(args: argparse.Namespace) -> int:
 def _cmd_class(args: argparse.Namespace) -> int:
     rels = _parse_relations(args.relations)
     w = Word.parse(args.word, args.n)
-    _check_class_size(rels, w)
-    # a custom set's class size is known only by closing it, so cap the closure
-    cap = None if rels in (KNUTH, SHIFTED_KNUTH) else _MAX_CLASS
+    # a class with no size formula is measured only by closing it, so cap the closure
+    cap = _MAX_CLASS if _check_class_size(rels, w) is None else None
     print(json.dumps(class_dump(w, rels, cap), sort_keys=True))
     return 0
 

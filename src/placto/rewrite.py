@@ -43,7 +43,7 @@ from .tableaux import (
     shifted_standard_count,
     standard_count,
 )
-from .words import Word, content
+from .words import Word, content, word_text
 
 _CHAIN_RE = re.compile(r"^\s*([a-z])\s*((?:(?:<=|<)\s*[a-z]\s*)+)$")
 _STEP_RE = re.compile(r"(<=|<)\s*([a-z])\s*")
@@ -393,7 +393,11 @@ def equiv_class(word: Word, rels: RelationSet) -> frozenset[Word]:
 
 
 def equivalent(w1: Word, w2: Word, rels: RelationSet) -> bool:
-    """Quotient equality test; short-circuits on content mismatch."""
+    """Quotient equality test; short-circuits on content mismatch.
+
+    The two shipped sets compare the class keys of the words (their
+    insertion tableaux), which computes no class member; every other set
+    compares canonical words."""
     if w1.n != w2.n:
         raise ValueError(f"mismatched alphabet bounds {w1.n} != {w2.n}")
     if content(w1) != content(w2):
@@ -401,7 +405,9 @@ def equivalent(w1: Word, w2: Word, rels: RelationSet) -> bool:
     wb1, wb2 = w1.to_bytes(), w2.to_bytes()
     if wb1 == wb2:
         return True
-    return canonical_bytes(rels, wb1) == canonical_bytes(rels, wb2)
+    cong = congruence(rels)
+    class_key = cong.key if cong.key is not None else cong.canonical
+    return class_key(wb1) == class_key(wb2)
 
 
 def canonical_word(word: Word, rels: RelationSet) -> Word:
@@ -441,24 +447,15 @@ def verify_factorization(n: int, degree_bound: int) -> bool:
     return True
 
 
-# byte letters 0..9 -> their ASCII digits, for the text of words over n <= 9
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-
 def class_dump(word: Word, rels: RelationSet, cap: int | None = None) -> dict:
     """JSON-ready class listing: sorted members plus the class size; with a
     `cap`, ValueError on a class of more members.
 
-    Members stay byte words from the closure to their text, which is that
-    of `str(Word)`: digits for n <= 9, comma-separated letters otherwise."""
+    Members stay byte words from the closure to their text (`word_text`)."""
     members = sorted(closure_bytes(rels, word.to_bytes(), cap))
-    if word.n <= 9:
-        text = [m.translate(_DIGITS).decode("ascii") for m in members]
-    else:
-        text = [",".join(map(str, m)) for m in members]
     return {
         "word": str(word),
         "relation_set": rels.name,
-        "class": text,
+        "class": [word_text(m, word.n) for m in members],
         "size": len(members),
     }

@@ -12,6 +12,12 @@ finds the least word of a Knuth class from its tableau, and the hook length
 formulas count the members of a class from the shape of its tableau.  Hook
 words - strictly decreasing prefix followed by weakly increasing suffix -
 provide canonical representatives for the shifted classes.
+
+The insertion and hook functions take any letter sequence: a byte word (the
+internal word type), a tuple or a `Word`.  The enumerations list tableaux as
+row tuples (`_ssyt_rows`, `_shssyt_rows`) and hook words as byte words
+(`_hook_words`); the public `enumerate_*` functions wrap them in validated
+`Tableau`, `ShiftedTableau` and `Word` objects.
 """
 
 from __future__ import annotations
@@ -291,7 +297,7 @@ def shifted_standard_count(shape: tuple[int, ...]) -> int:
 
 def p_tableau(w: Word) -> Tableau:
     """Insertion tableau of a word: left fold of Schensted insertion."""
-    return Tableau(schensted_rows(w.letters))
+    return Tableau(schensted_rows(w))
 
 
 def reading_word(tableau: Tableau, n: int | None = None) -> Word:
@@ -304,17 +310,21 @@ def reading_word(tableau: Tableau, n: int | None = None) -> Word:
 
 def enumerate_ssyt(shape: tuple[int, ...], n: int) -> list[Tableau]:
     """All semistandard tableaux of the given shape with entries <= n."""
-    if shape == ():
-        return [EMPTY_TABLEAU]
+    return [Tableau(rows) for rows in _ssyt_rows(shape, n)]
+
+
+def _ssyt_rows(shape: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of every semistandard tableau of the given shape with
+    entries <= n, as tuples, filled cell by cell in row order."""
     if not is_partition(shape):
         raise ValueError(f"{shape} is not a partition")
     cells = [(i, j) for i, length in enumerate(shape) for j in range(length)]
     grid = [[0] * length for length in shape]
-    out: list[Tableau] = []
+    out: list[tuple[tuple[int, ...], ...]] = []
 
     def fill(k: int) -> None:
         if k == len(cells):
-            out.append(Tableau(tuple(tuple(r) for r in grid)))
+            out.append(tuple(map(tuple, grid)))
             return
         i, j = cells[k]
         lo = 1
@@ -388,14 +398,6 @@ class ShiftedTableau:
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def content(self, n: int) -> tuple[int, ...]:
-        """Content vector over {1..n}; primes are ignored."""
-        counts = [0] * n
-        for row in self.rows:
-            for x in row:
-                counts[base_letter(x) - 1] += 1
-        return tuple(counts)
-
     def to_json(self) -> dict:
         return {
             "shape": list(self.shape),
@@ -404,9 +406,6 @@ class ShiftedTableau:
 
     def __str__(self) -> str:
         return "/".join(" ".join(format_entry(x) for x in row) for row in self.rows) or "-"
-
-
-EMPTY_SHIFTED_TABLEAU = ShiftedTableau(())
 
 
 def _mixed_insert_encoded(rows: list[list[int]], entry: int) -> None:
@@ -497,23 +496,28 @@ def mixed_insertion_rows(letters) -> tuple[tuple[int, ...], ...]:
 
 def mixed_insert_word(w: Word) -> ShiftedTableau:
     """Mixed insertion tableau of a word without primed entries."""
-    return ShiftedTableau(mixed_insertion_rows(w.letters))
+    return ShiftedTableau(mixed_insertion_rows(w))
 
 
 def enumerate_shssyt(shape: tuple[int, ...], n: int) -> list[ShiftedTableau]:
     """All shifted semistandard tableaux of the given strict shape, letters <= n."""
-    if shape == ():
-        return [EMPTY_SHIFTED_TABLEAU]
+    return [ShiftedTableau(rows) for rows in _shssyt_rows(shape, n)]
+
+
+def _shssyt_rows(shape: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows, in the doubled encoding, of every shifted semistandard
+    tableau of the given strict shape with letters <= n, filled cell by
+    cell in row order."""
     if not is_strict_partition(shape):
         raise ValueError(f"{shape} is not a strict partition")
     cells = [(i, j) for i, length in enumerate(shape) for j in range(length)]
     grid = [[0] * length for length in shape]
-    out: list[ShiftedTableau] = []
+    out: list[tuple[tuple[int, ...], ...]] = []
     top = unprimed(n)
 
     def fill(k: int) -> None:
         if k == len(cells):
-            out.append(ShiftedTableau(tuple(tuple(r) for r in grid)))
+            out.append(tuple(map(tuple, grid)))
             return
         i, j = cells[k]
         lo = 1
@@ -538,32 +542,24 @@ def enumerate_shssyt(shape: tuple[int, ...], n: int) -> list[ShiftedTableau]:
 # hook words
 
 
-def is_hook_word(w: Word) -> bool:
-    """True iff w is a strictly decreasing prefix followed by a weakly
-    increasing suffix (either part may be empty)."""
-    return _is_hook(w.letters)
-
-
-def _is_hook(letters) -> bool:
-    """`is_hook_word` of a letter sequence (a tuple or a byte word)."""
+def is_hook_word(letters) -> bool:
+    """True iff a letter sequence (a byte word, a tuple or a `Word`) is a
+    strictly decreasing prefix followed by a weakly increasing suffix
+    (either part may be empty)."""
     k = 1
     while k < len(letters) and letters[k] < letters[k - 1]:
         k += 1
     return all(letters[i] <= letters[i + 1] for i in range(k, len(letters) - 1))
 
 
-def longest_hook_subword(w: Word) -> int:
-    """Length of the longest hook subword (as a subsequence) of w.
+def longest_hook_subword(letters) -> int:
+    """Length of the longest hook subword (as a subsequence) of a letter
+    sequence (a byte word, a tuple or a `Word`).
 
     Quadratic dynamic program: the best strictly decreasing subsequence
     ending at each position, the best weakly increasing subsequence starting
     at each position, and the best join of the two across a split point.
     """
-    return _longest_hook(w.letters)
-
-
-def _longest_hook(letters) -> int:
-    """`longest_hook_subword` of a letter sequence (a tuple or a byte word)."""
     length = len(letters)
     if length == 0:
         return 0
@@ -587,8 +583,9 @@ def _longest_hook(letters) -> int:
     return best
 
 
-def longest_weakly_increasing_subword(w: Word) -> int:
-    letters = w.letters
+def longest_weakly_increasing_subword(letters) -> int:
+    """Length of the longest weakly increasing subsequence of a letter
+    sequence (a byte word, a tuple or a `Word`)."""
     if not letters:
         return 0
     inc = [1] * len(letters)
@@ -599,41 +596,25 @@ def longest_weakly_increasing_subword(w: Word) -> int:
     return max(inc)
 
 
-def _segment_lengths(nu: tuple[int, ...]) -> list[int]:
-    # segments are read off smallest part first
-    return list(reversed(nu))
-
-
-def hook_factorization_check(w: Word | bytes, nu: tuple[int, ...]) -> bool:
-    """True iff w splits into consecutive hook segments of lengths
-    nu_l, ..., nu_1 with each later segment a longest hook subword of its
-    predecessor pair.  `w` is a `Word` or a byte word; the segments are
-    slices of its letters."""
+def hook_factorization_check(letters, nu: tuple[int, ...]) -> bool:
+    """True iff a letter sequence (a byte word, a tuple or a `Word`) splits
+    into consecutive hook segments of lengths nu_l, ..., nu_1 with each
+    later segment a longest hook subword of its predecessor pair."""
     if not is_strict_partition(nu):
         raise ValueError(f"{nu} is not a strict partition")
-    letters = w.letters if isinstance(w, Word) else w
     if len(letters) != sum(nu):
         raise ValueError(f"word degree {len(letters)} != |{nu}|")
     prev = None
     pos = 0
-    for length in _segment_lengths(nu):
+    for length in reversed(nu):  # segments are read off smallest part first
         seg = letters[pos : pos + length]
         pos += length
-        if not _is_hook(seg):
+        if not is_hook_word(seg):
             return False
-        if prev is not None and _longest_hook(prev + seg) != length:
+        if prev is not None and longest_hook_subword(prev + seg) != length:
             return False
         prev = seg
     return True
-
-
-def _hook_words_of_length(length: int, n: int) -> list[tuple[int, ...]]:
-    out = [
-        letters
-        for letters in itertools.product(range(1, n + 1), repeat=length)
-        if is_hook_word(Word(letters, n))
-    ]
-    return out
 
 
 def enumerate_hook(nu: tuple[int, ...], n: int) -> set[Word]:
@@ -642,22 +623,29 @@ def enumerate_hook(nu: tuple[int, ...], n: int) -> set[Word]:
     Built generatively, segment by segment; enumerate_hook_by_filter is the
     independent brute-force oracle.
     """
+    return {Word(tuple(w), n) for w in _hook_words(nu, n)}
+
+
+def _hook_words(nu: tuple[int, ...], n: int) -> list[bytes]:
+    """The words of `enumerate_hook` as byte words, in lexicographic order:
+    every segment extends every prefix of one length in order."""
     if not is_strict_partition(nu):
         raise ValueError(f"{nu} is not a strict partition")
-    if nu == ():
-        return {Word((), n)}
-    lengths = _segment_lengths(nu)
-    states: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    for length in lengths:
-        segments = _hook_words_of_length(length, n)
+    states: list[tuple[bytes, bytes]] = [(b"", b"")]
+    for length in reversed(nu):
+        segments = [
+            bytes(letters)
+            for letters in itertools.product(range(1, n + 1), repeat=length)
+            if is_hook_word(letters)
+        ]
         nxt = []
         for prefix, last in states:
             for seg in segments:
-                if last and longest_hook_subword(Word(last + seg, n)) != length:
+                if last and longest_hook_subword(last + seg) != length:
                     continue
                 nxt.append((prefix + seg, seg))
         states = nxt
-    return {Word(prefix, n) for prefix, _ in states}
+    return [prefix for prefix, _ in states]
 
 
 def enumerate_hook_by_filter(nu: tuple[int, ...], n: int) -> set[Word]:
@@ -666,5 +654,5 @@ def enumerate_hook_by_filter(nu: tuple[int, ...], n: int) -> set[Word]:
     return {
         Word(letters, n)
         for letters in itertools.product(range(1, n + 1), repeat=degree)
-        if hook_factorization_check(Word(letters, n), nu)
+        if hook_factorization_check(letters, nu)
     }

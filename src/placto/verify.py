@@ -7,7 +7,9 @@ propositions (trading the column-pair sum for the row-pair sum, and the
 three-cell hook sum for the three-cell row sum).
 
 Every check returns JSON-ready dicts with a "pass" flag; identical inputs
-produce identical output.
+produce identical output.  Words are byte words throughout, one letter per
+byte, as the polynomials and congruences hold them; `words.word_text` gives
+the reports their text.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from .rewrite import (
     RelationSet,
     congruence,
 )
-from .tableaux import longest_hook_subword, mixed_insert_word
+from .tableaux import longest_hook_subword, mixed_insertion_rows
 from .words import (
-    Word,
     all_intervals,
     all_ordered_morphisms,
     content,
     morphism_table,
     outside_letters,
+    word_text,
 )
 
 # ---------------------------------------------------------------------------
@@ -117,10 +119,6 @@ def _family_factors(family: str, n: int) -> tuple[NcPoly, NcPoly, str]:
     raise ValueError(f"unknown table family {family!r}")
 
 
-def _instantiate_words(words: list[str], assign: dict[str, int], n: int) -> set[Word]:
-    return {Word(tuple(assign[ch] for ch in w), n) for w in words}
-
-
 def verify_tables(family: str | None = None, pattern: str | None = None) -> list[dict]:
     """Compare product monomial sets against the expected listings."""
     reports = []
@@ -136,19 +134,19 @@ def verify_tables(family: str | None = None, pattern: str | None = None) -> list
             left_label = "*".join(reversed(label.split("*")))
             comparisons.append((left_label, nc_mul(single, big), data["left_words"]))
         for prod_label, prod, expected_words in comparisons:
-            expected = _instantiate_words(expected_words, data["assign"], n)
-            vec = content(next(iter(expected)))
+            expected = {bytes(map(data["assign"].get, w)) for w in expected_words}
+            vec = content(next(iter(expected)), n)
             actual = prod.monomials_of_content(vec)
-            missing = sorted(str(w) for w in expected - actual)
-            extra = sorted(str(w) for w in actual - expected)
+            missing = sorted(word_text(w, n) for w in expected - actual)
+            extra = sorted(word_text(w, n) for w in actual - expected)
             reports.append(
                 {
                     "check": "tables",
                     "family": fam,
                     "pattern": pat,
                     "product": prod_label,
-                    "expected": sorted(str(w) for w in expected),
-                    "actual": sorted(str(w) for w in actual),
+                    "expected": sorted(word_text(w, n) for w in expected),
+                    "actual": sorted(word_text(w, n) for w in actual),
                     "missing": missing,
                     "extra": extra,
                     "pass": not missing and not extra,
@@ -261,8 +259,7 @@ def _forced_matchings(single: NcPoly, big: NcPoly, n: int, class_key):
     with `class_key` as the Knuth class key of restrictions.
 
     Returns {content: (right monomials, match, ok, note)} in content order,
-    with the monomials as byte words and (match, ok, note) from
-    `_forced_matching`.
+    with (match, ok, note) from `_forced_matching`.
     """
     products = (nc_mul(single, big), nc_mul(big, single))
     if any(c != 1 for prod in products for c in prod.terms.values()):
@@ -270,7 +267,7 @@ def _forced_matchings(single: NcPoly, big: NcPoly, n: int, class_key):
     groups: dict[tuple[int, ...], tuple[set[bytes], set[bytes]]] = {}
     for side, prod in enumerate(products):
         for w in prod.terms:
-            groups.setdefault(content(w), (set(), set()))[side].add(w.to_bytes())
+            groups.setdefault(content(w, n), (set(), set()))[side].add(w)
     intervals = _intervals(n)
     return {
         vec: (V, *_forced_matching(U, V, intervals, class_key))
@@ -285,8 +282,9 @@ def _forced_matchings(single: NcPoly, big: NcPoly, n: int, class_key):
 def _degeneracies(rel: Relation):
     """All letter patterns a relation schema admits, distinct letters first.
 
-    Yields (pattern string like 'a=b<c<d', variable -> letter assignment);
-    equalities are taken only at the weak steps of the constraint chain.
+    Yields (pattern string like 'a=b<c<d', left side, right side), the
+    sides as byte words; equalities are taken only at the weak steps of the
+    constraint chain.
     """
     variables = rel.variables()
     strict = rel.strict_flags()
@@ -303,7 +301,7 @@ def _degeneracies(rel: Relation):
                 current += 1
                 pattern += "<" + variables[i + 1]
             assign[variables[i + 1]] = current
-        yield pattern, assign
+        yield pattern, bytes(map(assign.get, rel.left)), bytes(map(assign.get, rel.right))
 
 
 def _case_products(rels_name: str) -> tuple[RelationSet, int, NcPoly, NcPoly]:
@@ -332,44 +330,36 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     intervals = _intervals(n)
     reports = []
     for rel in rels.relations:
-        for pattern, assign in _degeneracies(rel):
-            left_w, expected_w = rel.instantiate_pattern(assign, n)
-            V, match, ok, note = matchings[content(left_w)]
-            ub = left_w.to_bytes()
-            survivor = match.get(ub) if ok else None
+        for pattern, left, expected in _degeneracies(rel):
+            V, match, ok, note = matchings[content(left, n)]
+            survivor = match.get(left) if ok else None
             eliminated = []
             for v in sorted(V):
                 if v == survivor:
                     continue
-                witness = _interval_witness(ub, v, class_key, intervals)
-                word_str = str(Word.from_bytes(v, n))
+                witness = _interval_witness(left, v, class_key, intervals)
                 if witness is not None:
                     lo, hi = witness
-                    letters = set(ub) | set(v)
+                    letters = set(left) | set(v)
                     if all(lo <= a <= hi for a in letters):
                         reason = f"plactic inequality (restriction to [{lo},{hi}] is trivial)"
                     else:
                         reason = f"restriction to [{lo},{hi}]"
                 else:
                     partners = sorted(u for u, m in match.items() if m == v)
-                    reason = (
-                        f"matched to {str(Word.from_bytes(partners[0], n))}"
-                        if partners
-                        else "unmatched"
-                    )
-                eliminated.append({"word": word_str, "reason": reason})
-            passed = ok and survivor == expected_w.to_bytes()
+                    reason = f"matched to {word_text(partners[0], n)}" if partners else "unmatched"
+                eliminated.append({"word": word_text(v, n), "reason": reason})
             report = {
                 "check": "case",
                 "relations": relations,
                 "relation": rel.name,
                 "pattern": pattern,
-                "left": str(left_w),
-                "candidates": sorted(str(Word.from_bytes(v, n)) for v in V),
+                "left": word_text(left, n),
+                "candidates": sorted(word_text(v, n) for v in V),
                 "eliminated": eliminated,
-                "survivor": str(Word.from_bytes(survivor, n)) if survivor else None,
-                "expected": str(expected_w),
-                "pass": passed,
+                "survivor": word_text(survivor, n) if survivor else None,
+                "expected": word_text(expected, n),
+                "pass": ok and survivor == expected,
             }
             if note:
                 report["note"] = note
@@ -441,7 +431,7 @@ def verify_axioms(
         else:
             keys = {knuth_canon(w) for w in cls}
         if len(keys) != 1:
-            violations.append({"class_of": str(Word.from_bytes(cls[0], n))})
+            violations.append({"class_of": word_text(cls[0], n)})
     reports.append(_axiom_report(f"{system}.1", n, degree_bound, checked, violations))
 
     # axiom 2: the two designated sums commute in the quotient
@@ -455,7 +445,7 @@ def verify_axioms(
     violations = (
         []
         if com.is_zero()
-        else [{"nonzero_terms": sorted(str(w) for w in com.terms)[:10]}]
+        else [{"nonzero_terms": sorted(word_text(w, n) for w in com.terms)[:10]}]
     )
     reports.append(_axiom_report(f"{system}.2", n, degree_bound, 1, violations))
 
@@ -546,7 +536,7 @@ def _stable_under(classes, by_support, images, field: str, n: int) -> tuple[int,
         checked += len(cls) * len(labels)
         bad = [len(images(cls, argument)) != 1 for argument in actions]
         if any(bad):
-            class_of = str(Word.from_bytes(cls[0], n))
+            class_of = word_text(cls[0], n)
             violations.extend(
                 {"class_of": class_of, field: label} for label, i in labels if bad[i]
             )
@@ -577,13 +567,10 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
                         return {
                             "check": "restriction-surprise",
                             "witness_found": True,
-                            "w1": str(Word.from_bytes(base, n)),
-                            "w2": str(Word.from_bytes(other, n)),
+                            "w1": word_text(base, n),
+                            "w2": word_text(other, n),
                             "interval": [lo, hi],
-                            "restrictions": [
-                                str(Word.from_bytes(ru, n)),
-                                str(Word.from_bytes(rv, n)),
-                            ],
+                            "restrictions": [word_text(ru, n), word_text(rv, n)],
                             "restrictions_knuth_equivalent": knuth_canon(ru)
                             == knuth_canon(rv),
                             "pass": True,
@@ -598,14 +585,14 @@ def first_row_hook_report(n: int = 3, degree_bound: int = 5) -> dict:
     disagreements = []
     for d in range(1, degree_bound + 1):
         for letters in itertools.product(range(1, n + 1), repeat=d):
-            w = Word(letters, n)
-            first_row = len(mixed_insert_word(w).rows[0])
+            w = bytes(letters)
+            first_row = len(mixed_insertion_rows(w)[0])
             hook = longest_hook_subword(w)
             if first_row == hook:
                 agree += 1
             elif len(disagreements) < 10:
                 disagreements.append(
-                    {"word": str(w), "first_row": first_row, "longest_hook": hook}
+                    {"word": word_text(w, n), "first_row": first_row, "longest_hook": hook}
                 )
     return {
         "check": "mixed-first-row-vs-longest-hook",

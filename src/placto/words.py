@@ -1,16 +1,21 @@
 """Words over finite alphabet truncations {1..n} and their structural maps.
 
-A word is an immutable sequence of letters drawn from {1, ..., n}; the empty
-word is the monoid identity.  The maps provided here (concatenation, content,
-interval restriction, ordered-morphism relabelling) are the pieces the
-rewrite engine and the verification harness quantify over.
+A word is a sequence of letters drawn from {1, ..., n}; the empty word is
+the monoid identity.  Inside the package a word is a byte string, one letter
+per byte (so n <= 255), with n kept by its context: the rewrite kernel, the
+congruences, the polynomials of `algebra` and the verifier all work on byte
+words.  `Word` is the validated word of the public API, built where text is
+parsed or printed; `word_text` gives a byte word the text of `str(Word)`.
+The maps provided here (concatenation, content, interval restriction,
+ordered-morphism relabelling) are the pieces the rewrite engine and the
+verification harness quantify over.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,10 +31,6 @@ class Word:
         for a in self.letters:
             if not 1 <= a <= self.n:
                 raise ValueError(f"letter {a} outside alphabet 1..{self.n}")
-
-    @classmethod
-    def of(cls, letters: Iterable[int], n: int) -> "Word":
-        return cls(tuple(letters), n)
 
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> "Word":
@@ -51,10 +52,6 @@ class Word:
             n = max(letters)
         return cls(letters, n)
 
-    @property
-    def degree(self) -> int:
-        return len(self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -65,15 +62,10 @@ class Word:
         return self.letters[i]
 
     def __str__(self) -> str:
-        if self.n <= 9:
-            return "".join(str(a) for a in self.letters)
-        return ",".join(str(a) for a in self.letters)
+        return word_text(self.letters, self.n)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r}, n={self.n})"
-
-    def __add__(self, other: "Word") -> "Word":
-        return concat(self, other)
 
     def to_bytes(self) -> bytes:
         if self.n > 255:
@@ -98,9 +90,6 @@ class Interval:
 
     def __contains__(self, a: int) -> bool:
         return self.lo <= a <= self.hi
-
-    def __str__(self) -> str:
-        return f"[{self.lo},{self.hi}]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,12 +137,28 @@ def concat(w1: Word, w2: Word) -> Word:
     return Word(w1.letters + w2.letters, w1.n)
 
 
-def content(w: Word) -> tuple[int, ...]:
-    """Content vector: entry i-1 counts the letter i.  Length is always w.n."""
-    counts = [0] * w.n
-    for a in w.letters:
+def content(w: Word | bytes, n: int | None = None) -> tuple[int, ...]:
+    """Content vector of a `Word` or of a byte word over {1..n}: entry i-1
+    counts the letter i.  Its length is n, which defaults to `w.n`."""
+    if n is None:
+        n = w.n
+    counts = [0] * n
+    for a in w:
         counts[a - 1] += 1
     return tuple(counts)
+
+
+# byte letters 0..9 -> their ASCII digits
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def word_text(letters, n: int) -> str:
+    """The text format of a word over {1..n} given by its letters (a byte
+    word or a tuple): digits for n <= 9, comma-separated letters otherwise.
+    `Word.parse` reads it back."""
+    if n <= 9:
+        return bytes(letters).translate(_DIGITS).decode("ascii")
+    return ",".join(map(str, letters))
 
 
 def restrict(w: Word, interval: Interval) -> Word:

@@ -190,7 +190,7 @@ def test_criterion_11_lr_sanity():
         hits = 0
         for u in free_schur(nu, 4).terms:
             for v in free_schur(mu, 4).terms:
-                uv = concat(u, v)
+                uv = concat(Word.from_bytes(u, 4), Word.from_bytes(v, 4))
                 if content(uv) == content(target) and equivalent(uv, target, KNUTH):
                     hits += 1
         return hits

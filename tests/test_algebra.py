@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from placto.algebra import (
     CPoly,
     NcPoly,
+    QuotientPoly,
     abelianize,
     commutator_in_quotient,
     free_schur,
@@ -58,6 +59,42 @@ class TestNcPoly:
         assert (poly(2, 2, ("1", 1)) + poly(2, 2, ("1", -1))).is_zero()
 
 
+class TestByteKeys:
+    """Terms are keyed by byte words, checked as `Word` keys are."""
+
+    @pytest.mark.parametrize(
+        "key",
+        [b"\x00", b"\x01\x04", b"\x01\x02\x03"],
+        ids=["letter-0", "above-n", "above-bound"],
+    )
+    def test_bad_byte_key_rejected(self, key):
+        with pytest.raises(ValueError):
+            NcPoly(3, 2, {key: 1})
+        with pytest.raises(ValueError):
+            QuotientPoly(3, 2, KNUTH, {key: 1})
+
+    @pytest.mark.parametrize("word", [Word((1, 2, 3), 3), Word((1,), 4)], ids=["above-bound", "other-n"])
+    def test_bad_word_key_rejected(self, word):
+        with pytest.raises(ValueError):
+            NcPoly(3, 2, {word: 1})
+        with pytest.raises(ValueError):
+            QuotientPoly(3, 2, KNUTH, {word: 1})
+
+    def test_word_keys_become_byte_keys(self):
+        p = NcPoly(3, 2, {W("12", 3): 2, W("3"): 1})
+        assert p.terms == {b"\x01\x02": 2, b"\x03": 1}
+        assert p.coefficient(W("12", 3)) == p.coefficient(b"\x01\x02") == 2
+        q = project_quotient(NcPoly(3, 3, {W("132"): 1, W("312"): 1}), KNUTH)
+        assert q.coefficient(W("312")) == q.coefficient(b"\x01\x03\x02") == 2
+
+    def test_support_and_json_order_by_length_then_letters(self):
+        p = NcPoly(10, 2, {b"\x02\x01": 1, b"\x0a": 2, b"\x01\x0a": -1, b"\x01": 1, b"": 3})
+        assert p.support() == [b"", b"\x01", b"\x0a", b"\x01\x0a", b"\x02\x01"]
+        terms = p.to_json()["terms"]
+        assert [t["word"] for t in terms] == ["", "1", "10", "1,10", "2,1"]
+        assert [t["coeff"] for t in terms] == [3, 1, 2, -1, 1]
+
+
 class TestFreeSchur:
     def test_singleton_shape(self):
         assert free_schur((1,), 2) == poly(2, 1, ("1", 1), ("2", 1))
@@ -105,11 +142,11 @@ class TestProjections:
     def test_project_merges_classes(self):
         p = poly(3, 3, ("132", 1), ("312", 1))
         q = project_quotient(p, KNUTH)
-        assert q.terms == {W("132"): 2}
+        assert q.terms == {W("132").to_bytes(): 2}
 
     def test_singleton_class(self):
         q = project_quotient(poly(2, 2, ("12", 1)), KNUTH)
-        assert q.terms == {W("12"): 1}
+        assert q.terms == {W("12").to_bytes(): 1}
 
     def test_cancellation_to_zero(self):
         p = poly(4, 4, ("1243", 1), ("1423", -1))
@@ -176,8 +213,8 @@ def _lr_oracle(nu, mu, xi, n):
 
     target = reading_word(enumerate_ssyt(xi, n)[0], n)
     count = 0
-    for u in free_schur(nu, n).terms:
-        for v in free_schur(mu, n).terms:
+    for u in [Word.from_bytes(w, n) for w in free_schur(nu, n).terms]:
+        for v in [Word.from_bytes(w, n) for w in free_schur(mu, n).terms]:
             if content(concat(u, v)) != content(target):
                 continue
             if equivalent(concat(u, v), target, KNUTH):
@@ -220,7 +257,7 @@ def _lr_by_least_words(nu, mu, n):
     out = {}
     for shape in partitions(size, max_rows=n):
         yamanouchi = Tableau(tuple((i + 1,) * length for i, length in enumerate(shape)))
-        coeff = remaining.get(canonical_word(reading_word(yamanouchi, n), KNUTH), 0)
+        coeff = remaining.get(canonical_word(reading_word(yamanouchi, n), KNUTH).to_bytes(), 0)
         if coeff:
             for key, c in project_quotient(free_schur(shape, n, size), KNUTH).terms.items():
                 remaining[key] = remaining.get(key, 0) - coeff * c

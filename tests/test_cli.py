@@ -239,6 +239,25 @@ class TestUsageErrors:
         assert captured.err == f"placto: error: {message}\n"
 
     @pytest.mark.parametrize(
+        "what, option, value",
+        [
+            ("tables", "--n", "3"),
+            ("tables", "--degree", "4"),
+            ("tables", "--relations", "knuth"),
+            ("cases", "--n", "3"),
+            ("cases", "--degree", "4"),
+            ("section5", "--degree", "9"),
+            ("section5", "--relations", "knuth"),
+        ],
+    )
+    def test_option_a_family_ignores_is_refused(self, capsys, what, option, value):
+        code = main(["verify", what, option, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"placto: error: verify {what} does not take {option}\n"
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["--degree", "1"], "at least 2 for the Plac axioms, got 1"),

@@ -479,6 +479,31 @@ def test_only_knuth_canonical_skips_the_kernel(monkeypatch):
         calls.clear()
 
 
+@pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=["knuth", "shifted-knuth"])
+def test_equivalent_needs_no_least_word_or_closure(monkeypatch, rels):
+    """The shipped sets compare class keys: with every route to a class
+    member made to raise, `equivalent` still agrees with closure membership
+    on every pair of words with n <= 3 and degree <= 5."""
+    words = [
+        Word(letters, n)
+        for n in range(1, 4)
+        for degree in range(6)
+        for letters in itertools.product(range(1, n + 1), repeat=degree)
+    ]
+    classes = {w: closure_bytes(rels, w.to_bytes()) for w in words}
+
+    def refuse(*args):
+        raise AssertionError("equivalent computed a class member")
+
+    monkeypatch.setattr(congruence(KNUTH), "least", refuse)
+    monkeypatch.setattr(rewrite._kernels, "closure", refuse)
+    monkeypatch.setattr(Congruence, "canonical", refuse)
+    for w1 in words:
+        for w2 in words:
+            if w1.n == w2.n:
+                assert equivalent(w1, w2, rels) == (w2.to_bytes() in classes[w1])
+
+
 def _permutation(length, seed):
     return random.Random(seed).sample(range(1, length + 1), length)
 

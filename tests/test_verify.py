@@ -73,7 +73,7 @@ class TestTables:
         }
         product = nc_mul(shifted_free_schur((2, 1), 5, 4), shifted_free_schur((1,), 5, 4))
         vec = content(next(iter(expected)))
-        assert product.monomials_of_content(vec) == expected
+        assert product.monomials_of_content(vec) == {w.to_bytes() for w in expected}
 
     def test_family_list_is_stable(self):
         assert TABLE_FAMILIES == (
@@ -199,7 +199,8 @@ def _reference_axioms(target, n, degree_bound, rels):
     com = commutator_in_quotient(
         schur((1,), n, degree_bound), schur(big, n, degree_bound), rels
     )
-    violations = [] if com.is_zero() else [{"nonzero_terms": sorted(map(str, com.terms))[:10]}]
+    nonzero = sorted(str(Word.from_bytes(w, n)) for w in com.terms)
+    violations = [] if com.is_zero() else [{"nonzero_terms": nonzero[:10]}]
     reports.append(report(2, 1, violations))
 
     violations = []

@@ -16,6 +16,7 @@ from placto.words import (
     concat,
     content,
     restrict,
+    word_text,
 )
 
 
@@ -59,6 +60,19 @@ class TestWordBasics:
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
             Word.parse("1a2")
+
+
+@pytest.mark.parametrize(
+    "letters, n",
+    [((), 1), ((), 10), ((9, 1, 5), 9), ((10, 2, 1), 10), ((1, 2), 10), ((255, 1), 255)],
+)
+def test_word_text_of_bytes_equals_str_of_word(letters, n):
+    assert word_text(bytes(letters), n) == str(Word(letters, n))
+
+
+def test_content_of_bytes_equals_content_of_word():
+    for letters in itertools.product(range(1, 4), repeat=3):
+        assert content(bytes(letters), 4) == content(Word(letters, 4))
 
 
 class TestRestrict:
