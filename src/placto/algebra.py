@@ -156,7 +156,11 @@ def nc_mul(p: NcPoly, q: NcPoly) -> NcPoly:
             if len(v) <= room:
                 w = u + v
                 out[w] = out.get(w, 0) + cu * cv
-    return NcPoly(p.n, bound, out)
+    # concatenations of valid terms within the bound are valid: no second check
+    product = NcPoly.__new__(NcPoly)
+    product.n, product.degree_bound = p.n, bound
+    product.terms = {w: c for w, c in out.items() if c}
+    return product
 
 
 class CPoly:

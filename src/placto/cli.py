@@ -70,10 +70,11 @@ def _emit(reports: list[dict], json_path: str | None) -> int:
     }
     lines = [json.dumps(r, sort_keys=True) for r in reports + [summary]]
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    # the file first, so that a failed write leaves stdout empty like any usage error
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    sys.stdout.write(text)
     return 0 if summary["pass"] else 1
 
 
@@ -92,6 +93,17 @@ def _size_option(
     if most is not None and value > most:
         raise ValueError(f"--{option} must be at most {most}, got {value}")
     return value
+
+
+def _parse_word(text: str, n: int | None) -> Word:
+    """The word argument over {1..n}, n defaulting to its largest letter;
+    a byte word, so at most 255 letters, each at most 255."""
+    w = Word.parse(text, _size_option(n, None, "n", _MAX_LETTER))
+    if len(w) > _MAX_LETTER:
+        raise ValueError(f"word must have at most {_MAX_LETTER} letters, got {len(w)}")
+    if w.n > _MAX_LETTER:
+        raise ValueError(f"word letters must be at most {_MAX_LETTER}, got {w.n}")
+    return w
 
 
 def _check_cells(cells: int, options: str) -> None:
@@ -233,7 +245,7 @@ def _canonical_hook_word(w: Word, shape: tuple[int, ...]) -> Word | None:
 
 
 def _cmd_insert(args: argparse.Namespace) -> int:
-    w = Word.parse(args.word, args.n)
+    w = _parse_word(args.word, args.n)
     if args.mode == "plactic":
         tab = p_tableau(w)
         canonical = reading_word(tab, w.n)
@@ -259,7 +271,7 @@ def _cmd_insert(args: argparse.Namespace) -> int:
 
 def _cmd_class(args: argparse.Namespace) -> int:
     rels = _parse_relations(args.relations)
-    w = Word.parse(args.word, args.n)
+    w = _parse_word(args.word, args.n)
     # a class with no size formula is measured only by closing it, so cap the closure
     cap = _MAX_CLASS if _check_class_size(rels, w) is None else None
     print(json.dumps(class_dump(w, rels, cap), sort_keys=True))

@@ -9,21 +9,24 @@ arbitrary homogeneous relation sets can be loaded from JSON.
 The class of a single word is computed by breadth-first closure over
 one-step rewrites (both directions, every window).  Everything computed for
 one relation set lives on its `Congruence`, one per relation set for the
-whole process (see `congruence`): the kernel rule table and the canonical
-memo that maps a byte word to the lexicographically least member of its
-class.  `Congruence.partitions` splits the words of every degree up to a
-bound into classes.  For `KNUTH` the classes are exactly the fibers of
-Schensted insertion, for `SHIFTED_KNUTH` those of mixed insertion, and
-insertion is a right action of letters on tableaux: the tableau of w a is
-the tableau of w with a inserted.  So one walk builds every degree from the
-one below, with one insertion per (tableau, letter) pair, not one per word
-and letter.  Every other relation set closes each class breadth-first,
-degree by degree, which the tests keep as the reference for the walk.  A
-partition records every member's least word in the memo, so a later
-canonical lookup of any word of those degrees needs no closure.  On a memo
-miss, `KNUTH` reads the least word off the Schensted tableau by reverse
-column insertion (`tableaux.least_plactic_word`); every other relation set
-closes the class.
+whole process (see `congruence`): the kernel rule table, the canonical memo
+that maps a byte word to the lexicographically least member of its class,
+a class key, the key's one-letter step and, where known, the class count.
+A congruence is closed under right multiplication, so the class of w a
+depends only on the class of w and the letter a.  `Congruence.partitions`
+uses this for every relation set: one walk builds the classes of each
+degree from those of the degree below, with one step per (class, letter)
+pair, not one per word and letter.  For `KNUTH` the classes are exactly the
+fibers of Schensted insertion and for `SHIFTED_KNUTH` those of mixed
+insertion, so their key is the insertion tableau and their step inserts a
+letter.  Every other relation set keys a class by its least member, and its
+step closes the class of that member with the letter appended, once per
+class.  `closure_partition` closes each class of one degree breadth-first,
+and the tests keep it as the reference for the walk.  A partition records
+every member's least word in the memo, so a later canonical lookup of any
+word of those degrees needs no closure.  On a memo miss, `KNUTH` reads the
+least word off the Schensted tableau by reverse column insertion
+(`tableaux.least_plactic_word`); every other relation set closes the class.
 """
 
 from __future__ import annotations
@@ -157,20 +160,17 @@ SHIFTED_KNUTH = RelationSet(
 )
 
 
-# Insertion maps whose fibers are the classes: Knuth classes are the fibers
-# of Schensted insertion (Knuth 1970), shifted Knuth classes those of
-# Haiman's mixed insertion (Serrano 2010).
-_INSERTION_KEYS = {KNUTH: schensted_rows, SHIFTED_KNUTH: mixed_insertion_rows}
-
-# The same maps one letter at a time: the rows for w a from the rows for w.
-_INSERTION_STEPS = {KNUTH: schensted_step, SHIFTED_KNUTH: mixed_step}
-
-# Least class member computed from the word alone, without the class.
-_LEAST_WORDS = {KNUTH: least_plactic_word}
-
-# Class size from the shape of the insertion tableau: one member per
-# standard recording tableau.
-_CLASS_SIZES = {KNUTH: standard_count, SHIFTED_KNUTH: shifted_standard_count}
+# What a shipped relation set knows of a class without closing it, one row
+# per set: the insertion map whose fibers are the classes (Knuth classes are
+# the fibers of Schensted insertion, Knuth 1970; shifted Knuth classes those
+# of Haiman's mixed insertion, Serrano 2010), the same map one letter at a
+# time (the rows of w a from the rows of w), the class size from the shape of
+# the tableau (one member per standard recording tableau) and, for `KNUTH`,
+# the least member computed from the word alone.
+_INSERTION = (
+    (KNUTH, schensted_rows, schensted_step, standard_count, least_plactic_word),
+    (SHIFTED_KNUTH, mixed_insertion_rows, mixed_step, shifted_standard_count, None),
+)
 
 
 def relation_set_by_name(name: str) -> RelationSet:
@@ -200,22 +200,26 @@ class Congruence:
 
     Words are byte strings, one letter per byte.  Obtain instances through
     `congruence(rels)`, so that every caller shares one memo per relation set.
-    `key` is the insertion map whose fibers are the classes, for the two
-    shipped relation sets, and None for every other set; `step` is the same
-    map one letter at a time (rows of w, letter a -> rows of w a).  `least` maps a
-    word to the least member of its class without closing it, for `KNUTH`,
-    and is None for every other set.
+    `key` maps a word to the key of its class, so two words are congruent
+    exactly when their keys are equal, and `step(k, a)` is the key of w a
+    for a word w of key k.  The two shipped relation sets key a class by its
+    insertion tableau (rows) and step by inserting a letter, and their
+    `count` gives the size of a class from the shape of its key.  Every
+    other set keys a class by its least member (`canonical`), steps with
+    `_least_step`, and has no `count` (None).  `least` maps a word to the least member of its
+    class without closing it, for `KNUTH`, and is None for every other set.
     """
 
-    __slots__ = ("rules", "table", "key", "step", "least", "memo")
+    __slots__ = ("rules", "table", "memo", "key", "step", "count", "least")
 
     def __init__(self, rels: RelationSet, memo: dict[bytes, bytes]) -> None:
         self.rules = _expand(rels)
         self.table = _kernels.RuleTable(self.rules)
-        self.key = _INSERTION_KEYS.get(rels)
-        self.step = _INSERTION_STEPS.get(rels)
-        self.least = _LEAST_WORDS.get(rels)
         self.memo = memo  # byte word -> least member of its class
+        self.key, self.step, self.count, self.least = next(
+            (row[1:] for row in _INSERTION if row[0] == rels),
+            (self.canonical, self._least_step, None, None),
+        )
 
     def canonical(self, word: bytes) -> bytes:
         """Least member of the class of `word`.  On a memo miss `KNUTH`
@@ -233,50 +237,34 @@ class Congruence:
                     memo[m] = got
         return got
 
-    def partitions(self, n: int, degree: int) -> tuple[tuple[tuple[bytes, ...], ...], ...]:
-        """`partition(n, k)` for every k from 0 to `degree`, in one pass.
+    def _least_step(self, least: bytes, a: int) -> bytes:
+        """The key of w a from the key of w, for a set keyed by least
+        members: w a and least a are congruent, so they share a key."""
+        return self.key(least + bytes((a,)))
 
-        `KNUTH` and `SHIFTED_KNUTH` build each degree from the one below
-        (`_insertion_walk`); every other relation set closes the classes of
-        each degree breadth-first (`closure_partition`).  Seeds the memo
-        with every member of positive degree; the empty word is its own
-        class, which `canonical` finds without the memo.  The partitions
-        themselves are not kept, so a second call computes them again.
+    def partitions(self, n: int, degree: int) -> tuple[tuple[tuple[bytes, ...], ...], ...]:
+        """The classes of the words of each degree 0..`degree` over {1..n}.
+
+        Level k lists the classes of degree k, each a sorted tuple, in the
+        order of their first member in lexicographic order of all words.
+        One walk (`_insertion_walk`) builds each degree from the one below
+        by `step`, for every relation set.  Seeds the memo with every member
+        of positive degree; the empty word is its own class, which
+        `canonical` finds without the memo.  The partitions themselves are
+        not kept, so a second call computes them again.
         """
-        if self.step is None:
-            levels = tuple(self.closure_partition(n, d) for d in range(degree + 1))
-        else:
-            levels = _insertion_walk(self.step, n, degree)
+        levels = _insertion_walk(self.step, self.key(b""), n, degree)
+        memo = self.memo
         for classes in levels[1:]:
-            self._record(classes)
+            for members in classes:
+                least = members[0]
+                for m in members:
+                    memo[m] = least
         return levels
 
-    def partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
-        """Classes of all degree-d words over {1..n}, each a sorted tuple, in
-        the order of their first member in lexicographic order of all words.
-
-        The last entry of `partitions(n, degree)`, for `KNUTH` and
-        `SHIFTED_KNUTH`; every other relation set closes the classes of this
-        degree alone.  Both routes give the same tuple.  Seeds the memo with
-        the members of this degree only.
-        """
-        if self.step is None:
-            classes = self.closure_partition(n, degree)
-        else:
-            classes = _insertion_walk(self.step, n, degree)[-1]
-        self._record(classes)
-        return classes
-
-    def _record(self, classes: tuple[tuple[bytes, ...], ...]) -> None:
-        memo = self.memo
-        for members in classes:
-            least = members[0]
-            for m in members:
-                memo[m] = least
-
     def closure_partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
-        """`partition` by breadth-first closure of each class, for any relation
-        set; not recorded in the memo.
+        """The classes of the degree-d words, as in `partitions`, by
+        breadth-first closure of each class; not recorded in the memo.
 
         Words are skipped through this call's own `seen` set, never through
         the memo: the memo may already hold some words of this degree, and
@@ -295,28 +283,29 @@ class Congruence:
         return tuple(found)
 
 
-def _insertion_walk(step, n: int, degree: int) -> tuple[tuple[tuple[bytes, ...], ...], ...]:
-    """Fibers of an insertion map on the words of each degree 0..d over
-    {1..n}, where `step(rows, a)` gives the rows of w a from those of w.
+def _insertion_walk(step, start, n: int, degree: int) -> tuple[tuple[tuple[bytes, ...], ...], ...]:
+    """The classes of the words of each degree 0..d over {1..n}, where
+    `start` is the class key of the empty word and `step(k, a)` the key of
+    w a for a word w of key k.
 
-    Each level maps the rows of a tableau to its fiber; the fibers of
-    degree k + 1 take one insertion per (tableau, letter) pair, since every
-    word w a of the fiber of rows r has the tableau step(r, a).  Each fiber
-    is sorted and the fibers come in the order of their first member, the
-    order `closure_partition` gives.
+    Each level maps a class key to its class; the classes of degree k + 1
+    take one step per (class, letter) pair, since every word w a of the
+    class of key k has the key step(k, a).  Each class is sorted and the
+    classes come in the order of their first member, the order
+    `closure_partition` gives.
     """
-    level: dict[tuple, tuple[bytes, ...]] = {(): (b"",)}
+    level: dict[object, tuple[bytes, ...]] = {start: (b"",)}
     levels = [((b"",),)]
     letters = [(a, bytes((a,))) for a in range(1, n + 1)]
     for _ in range(degree):
-        grown: dict[tuple, list[bytes]] = {}
-        for rows, members in level.items():
+        grown: dict[object, list[bytes]] = {}
+        for key, members in level.items():
             for a, suffix in letters:
                 words = [m + suffix for m in members]
-                fiber = grown.setdefault(step(rows, a), words)
+                fiber = grown.setdefault(step(key, a), words)
                 if fiber is not words:
                     fiber.extend(words)
-        level = {rows: tuple(sorted(fiber)) for rows, fiber in grown.items()}
+        level = {key: tuple(sorted(fiber)) for key, fiber in grown.items()}
         levels.append(tuple(sorted(level.values())))
     return tuple(levels)
 
@@ -347,12 +336,12 @@ def closure_bytes(rels: RelationSet, word: bytes, cap: int | None = None) -> fro
 
 
 def class_size(rels: RelationSet, word: bytes) -> int | None:
-    """Size of the class of `word`, from the shape of its insertion tableau,
-    for the two shipped relation sets; None for every other set."""
-    count = _CLASS_SIZES.get(rels)
-    if count is None:
+    """Size of the class of `word`, from the shape of its class key, for
+    the two shipped relation sets; None for every other set."""
+    cong = congruence(rels)
+    if cong.count is None:
         return None
-    return count(tuple(map(len, _INSERTION_KEYS[rels](word))))
+    return cong.count(tuple(map(len, cong.key(word))))
 
 
 def canonical_bytes(rels: RelationSet, word: bytes) -> bytes:
@@ -395,9 +384,9 @@ def equiv_class(word: Word, rels: RelationSet) -> frozenset[Word]:
 def equivalent(w1: Word, w2: Word, rels: RelationSet) -> bool:
     """Quotient equality test; short-circuits on content mismatch.
 
-    The two shipped sets compare the class keys of the words (their
-    insertion tableaux), which computes no class member; every other set
-    compares canonical words."""
+    Compares the class keys of the words: their insertion tableaux for the
+    two shipped sets, which computes no class member, and their least
+    members for every other set."""
     if w1.n != w2.n:
         raise ValueError(f"mismatched alphabet bounds {w1.n} != {w2.n}")
     if content(w1) != content(w2):
@@ -405,9 +394,8 @@ def equivalent(w1: Word, w2: Word, rels: RelationSet) -> bool:
     wb1, wb2 = w1.to_bytes(), w2.to_bytes()
     if wb1 == wb2:
         return True
-    cong = congruence(rels)
-    class_key = cong.key if cong.key is not None else cong.canonical
-    return class_key(wb1) == class_key(wb2)
+    key = congruence(rels).key
+    return key(wb1) == key(wb2)
 
 
 def canonical_word(word: Word, rels: RelationSet) -> Word:

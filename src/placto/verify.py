@@ -372,8 +372,9 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
 
 
 def _partition_degree(rels: RelationSet, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
-    """Equivalence classes of all degree-d words over {1..n}, as sorted tuples."""
-    return congruence(rels).partition(n, degree)
+    """Equivalence classes of all degree-d words over {1..n}, as sorted
+    tuples: the last level of `Congruence.partitions`."""
+    return congruence(rels).partitions(n, degree)[-1]
 
 
 def _axiom_report(axiom: str, n: int, degree_bound: int, checked: int, violations: list) -> dict:

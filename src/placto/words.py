@@ -42,12 +42,11 @@ class Word:
         text = text.strip()
         if not text:
             return cls((), n if n is not None else 1)
-        if "," in text:
-            letters = tuple(int(part) for part in text.split(","))
-        else:
-            if not text.isdigit():
-                raise ValueError(f"cannot parse word {text!r}")
-            letters = tuple(int(ch) for ch in text)
+        parts = text.split(",") if "," in text else text  # one digit per letter
+        try:
+            letters = tuple(int(part) for part in parts)
+        except ValueError:
+            raise ValueError(f"cannot parse word {text!r}") from None
         if n is None:
             n = max(letters)
         return cls(letters, n)

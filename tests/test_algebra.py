@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from placto import algebra
 from placto.algebra import (
     CPoly,
     NcPoly,
@@ -57,6 +58,20 @@ class TestNcPoly:
 
     def test_zero_coefficients_dropped(self):
         assert (poly(2, 2, ("1", 1)) + poly(2, 2, ("1", -1))).is_zero()
+
+    def test_mul_checks_no_product_word_and_drops_zeros(self, monkeypatch):
+        """1·11 and 11·1 cancel; the product's words are not checked again."""
+        p, q = poly(2, 3, ("1", 1), ("11", 1)), poly(2, 3, ("1", 1), ("11", -1))
+        expected = poly(2, 3, ("11", 1))
+
+        def refuse(*args):
+            raise AssertionError("nc_mul checked its product again")
+
+        monkeypatch.setattr(algebra, "_byte_terms", refuse)
+        product = nc_mul(p, q)
+        assert product == expected
+        assert product.terms == {b"\x01\x01": 1}
+        assert (product.n, product.degree_bound) == (2, 3)
 
 
 class TestByteKeys:

@@ -149,6 +149,16 @@ class TestVerifyCommand:
         assert code == 0
         assert path.read_text(encoding="utf-8") == out
 
+    def test_failed_json_write_leaves_stdout_empty(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.jsonl"
+        code = main(["verify", "tables", "--json", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("placto: error:")
+        assert str(path) in captured.err
+        assert not path.exists()
+
     def test_byte_identical_reruns(self, capsys):
         _, first = run_cli(capsys, "verify", "cases", "--relations", "shifted-knuth")
         _, second = run_cli(capsys, "verify", "cases", "--relations", "shifted-knuth")
@@ -281,6 +291,51 @@ class TestUsageErrors:
         code, out = run_cli(capsys, "schur", "--shape", "255", "--n", "1")
         assert code == 0
         assert json.loads(out)["terms"] == [{"coeff": 1, "word": "1" * 255}]
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("insert --mode plactic --n 300 12", "--n must be at most 255, got 300"),
+            ("insert --mode mixed --n 256 12", "--n must be at most 255, got 256"),
+            ("class --n 300 12", "--n must be at most 255, got 300"),
+            ("insert --mode plactic --n 0 1", "--n must be at least 1, got 0"),
+            ("insert --mode plactic 1,300", "word letters must be at most 255, got 300"),
+            ("insert --mode mixed 1,300", "word letters must be at most 255, got 300"),
+            ("class 1,300", "word letters must be at most 255, got 300"),
+            ("insert --mode plactic " + "1" * 256, "word must have at most 255 letters, got 256"),
+            ("insert --mode mixed " + "1" * 256, "word must have at most 255 letters, got 256"),
+            ("class " + "12" * 128, "word must have at most 255 letters, got 256"),
+            ("insert --mode plactic 1,,2", "cannot parse word '1,,2'"),
+            ("class 1,,2", "cannot parse word '1,,2'"),
+        ],
+        ids=[
+            "plactic-n-300",
+            "mixed-n-256",
+            "class-n-300",
+            "plactic-n-0",
+            "plactic-letter-300",
+            "mixed-letter-300",
+            "class-letter-300",
+            "plactic-256-letters",
+            "mixed-256-letters",
+            "class-256-letters",
+            "plactic-empty-letter",
+            "class-empty-letter",
+        ],
+    )
+    def test_insert_and_class_words_bounded(self, capsys, command, message):
+        code = main(command.split())
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"placto: error: {message}\n"
+
+    @pytest.mark.parametrize("mode", ["plactic", "mixed"])
+    def test_insert_of_255_letters_over_255_accepted(self, capsys, mode):
+        word = ",".join(map(str, range(255, 0, -1)))
+        code, out = run_cli(capsys, "insert", "--mode", mode, "--n", "255", word)
+        assert code == 0
+        assert json.loads(out)["word"] == word
 
     def test_class_of_word_over_255_letters_rejected(self, capsys):
         code = main(["class", "12" * 128])

@@ -244,15 +244,15 @@ class TestCongruence:
         cong = Congruence(rels, {})
         for w in words[::7]:
             cong.canonical(w)
-        classes = cong.partition(3, 5)
+        classes = cong.partitions(3, 5)[-1]
         assert sorted(m for cls in classes for m in cls) == words
-        assert classes == Congruence(rels, {}).partition(3, 5)
+        assert classes == Congruence(rels, {}).partitions(3, 5)[-1]
         for cls in classes:
             assert all(cong.memo[m] == cls[0] for m in cls)
 
     def test_partition_seeds_the_memo(self, monkeypatch):
         cong = Congruence(SHIFTED_KNUTH, {})
-        cong.partition(3, 5)
+        cong.partitions(3, 5)
         calls = []
         real = rewrite._kernels.closure
 
@@ -264,7 +264,7 @@ class TestCongruence:
         for w in self._words(3, 5):
             cong.canonical(w)
         assert calls == []
-        cong.canonical(bytes([1, 3, 2, 4]))  # degree 4 was never partitioned
+        cong.canonical(bytes([1, 3, 2, 3, 1, 2]))  # degree 6 was never partitioned
         assert len(calls) == 1
 
     def test_partition_equals_breadth_first_classes_custom(self):
@@ -273,7 +273,7 @@ class TestCongruence:
         )
         for degree in range(1, 6):
             bfs = {closure_bytes(rels, w) for w in self._words(3, degree)}
-            classes = congruence(rels).partition(3, degree)
+            classes = congruence(rels).partitions(3, degree)[-1]
             assert {frozenset(cls) for cls in classes} == bfs
             assert all(list(cls) == sorted(cls) for cls in classes)
 
@@ -282,9 +282,8 @@ class TestCongruence:
     @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
     def test_keyed_partition_equals_closure_partition(self, rels, n, top):
         cong = Congruence(rels, {})
-        assert cong.key is not None
         for degree in range(top + 1):
-            assert cong.partition(n, degree) == cong.closure_partition(n, degree)
+            assert cong.partitions(n, degree)[-1] == cong.closure_partition(n, degree)
 
     def test_route_follows_the_relation_set(self, monkeypatch):
         calls = []
@@ -295,15 +294,17 @@ class TestCongruence:
             return real(word, table)
 
         monkeypatch.setattr(rewrite._kernels, "closure", counting)
-        Congruence(KNUTH, {}).partition(3, 4)
-        Congruence(SHIFTED_KNUTH, {}).partition(3, 4)
+        Congruence(KNUTH, {}).partitions(3, 4)
+        Congruence(SHIFTED_KNUTH, {}).partitions(3, 4)
         assert calls == []
-        # the Knuth relations under another name are a custom set: closure
+        # the Knuth relations under another name are a custom set: it keys a
+        # class by its least member and closes each class of degree 0..4 once
         custom = RelationSet.custom(KNUTH.relations)
         cong = Congruence(custom, {})
-        assert cong.key is None
-        assert cong.partition(3, 4) == Congruence(KNUTH, {}).partition(3, 4)
-        assert len(calls) == len(cong.partition(3, 4))
+        assert (cong.key, cong.step, cong.count) == (cong.canonical, cong._least_step, None)
+        levels = cong.partitions(3, 4)
+        assert levels[-1] == Congruence(KNUTH, {}).partitions(3, 4)[-1]
+        assert len(calls) == sum(len(classes) for classes in levels)
 
     def test_one_congruence_per_relation_set(self):
         cong = congruence(KNUTH)
@@ -318,20 +319,36 @@ class TestCongruence:
         cong = Congruence(rels, {})
         levels = cong.partitions(n, top)
         assert levels == tuple(cong.closure_partition(n, d) for d in range(top + 1))
-        assert cong.partition(n, top) == levels[-1]
+        assert cong.partitions(n, top)[-1] == levels[-1]
         for degree in range(1, top + 1):
             assert all(w in cong.memo for w in self._words(n, degree))
         assert len(cong.memo) == sum(n**d for d in range(1, top + 1))
 
-    def test_custom_partitions_close_each_degree(self):
+    def test_custom_partitions_close_each_degree(self, monkeypatch):
+        calls = []
+        real = rewrite._kernels.closure
+
+        def counting(word, table):
+            calls.append(len(word))
+            return real(word, table)
+
+        monkeypatch.setattr(rewrite._kernels, "closure", counting)
         rels = RelationSet.custom(KNUTH.relations)
         cong = Congruence(rels, {})
-        assert cong.step is None
-        assert cong.partitions(3, 5) == Congruence(KNUTH, {}).partitions(3, 5)
-        assert len(cong.memo) == sum(3**d for d in range(1, 6))
+        levels = cong.partitions(3, 5)
+        assert levels == Congruence(KNUTH, {}).partitions(3, 5)
+        # one closure per class of each degree 0..5, the empty word's included
+        assert sorted(calls) == [d for d, classes in enumerate(levels) for _ in classes]
+        assert len(cong.memo) == sum(3**d for d in range(6))
 
-    @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
+    @pytest.mark.parametrize(
+        "rels",
+        [KNUTH, SHIFTED_KNUTH, RelationSet.custom(SHIFTED_KNUTH.relations)],
+        ids=["knuth", "shifted-knuth", "custom"],
+    )
     def test_walk_inserts_once_per_tableau_and_letter(self, rels):
+        """One step per (class, letter) pair: per tableau for the shipped
+        sets, per least member for a custom set."""
         n, top = 3, 7
         cong = Congruence(rels, {})
         calls = []
@@ -343,11 +360,39 @@ class TestCongruence:
 
         cong.step = counting
         levels = cong.partitions(n, top)
-        assert len(calls) <= n * sum(len(classes) for classes in levels[:top])
+        assert len(calls) == n * sum(len(classes) for classes in levels[:top])
         assert len(set(calls)) == len(calls)
         calls.clear()
-        cong.partition(n, top)
+        cong.partitions(n, top)
         assert len(calls) <= n * sum(len(classes) for classes in levels[:top])
+
+
+@st.composite
+def _custom_relation_sets(draw):
+    """1-3 relations, each with patterns of 2-4 letters over 2-4 variables
+    (every variable used) and a random chain of < and <=."""
+    relations = []
+    for i in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(2, 4))
+        k = draw(st.integers(2, length))
+        variables = "abcd"[:k]
+        extra = draw(st.lists(st.sampled_from(variables), min_size=length - k, max_size=length - k))
+        left = "".join(draw(st.permutations(variables + "".join(extra))))
+        right = "".join(draw(st.permutations(left)))
+        ops = draw(st.lists(st.sampled_from(["<", "<="]), min_size=k - 1, max_size=k - 1))
+        chain = variables[0] + "".join(op + v for op, v in zip(ops, variables[1:]))
+        relations.append(Relation(f"R.{i + 1}", left, right, chain))
+    return RelationSet.custom(relations)
+
+
+@settings(deadline=None)
+@given(rels=_custom_relation_sets(), n=st.integers(1, 4), degree=st.integers(0, 5))
+def test_custom_walk_equals_closure_partitions(rels, n, degree):
+    """The walk keyed by least members gives, level for level, the classes
+    that breadth-first closure of each word gives."""
+    levels = Congruence(rels, {}).partitions(n, degree)
+    reference = Congruence(rels, {})
+    assert levels == tuple(reference.closure_partition(n, k) for k in range(degree + 1))
 
 
 @st.composite

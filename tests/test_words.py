@@ -61,6 +61,11 @@ class TestWordBasics:
         with pytest.raises(ValueError):
             Word.parse("1a2")
 
+    @pytest.mark.parametrize("text", ["1a2", "1,,2", "1,2,", "1 2", "-1"])
+    def test_parse_error_names_the_word(self, text):
+        with pytest.raises(ValueError, match=f"^cannot parse word '{text}'$"):
+            Word.parse(text)
+
 
 @pytest.mark.parametrize(
     "letters, n",
