@@ -288,12 +288,8 @@ def _cmd_schur(args: argparse.Namespace) -> int:
     _check_cells(sum(shape), "--shape")
     if not args.shifted:
         _check_words(f"schur --shape {_shape_text(shape)} --n {n}", ssyt_count(shape, n))
-    degree = args.degree if args.degree is not None else sum(shape)
-    poly = (
-        shifted_free_schur(shape, n, degree)
-        if args.shifted
-        else free_schur(shape, n, degree)
-    )
+    schur = shifted_free_schur if args.shifted else free_schur
+    poly = schur(shape, n, sum(shape))
     print(json.dumps(poly.to_json(), sort_keys=True))
     return 0
 
@@ -355,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_schur.add_argument("--shape", required=True, help="partition, e.g. 2,1")
     p_schur.add_argument("--shifted", action="store_true")
     p_schur.add_argument("--n", type=int, required=True)
-    p_schur.add_argument("--degree", type=int, default=None)
     p_schur.set_defaults(func=_cmd_schur)
 
     p_lr = sub.add_parser("lr", help="expand a product of Schur sums in the quotient")

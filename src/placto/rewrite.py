@@ -2,7 +2,8 @@
 
 A relation is a homogeneous rewrite rule given by two letter patterns over the
 same variables plus a chain of <= / < constraints that totally orders the
-variables (e.g. acb ~ cab for a <= b < c).  The Knuth relations and the eight
+variables (e.g. acb ~ cab for a <= b < c); the chain names exactly the
+variables the patterns use.  The Knuth relations and the eight
 degree-4 shifted Knuth relations are shipped as ready-made relation sets;
 arbitrary homogeneous relation sets can be loaded from JSON.
 
@@ -24,7 +25,8 @@ step closes the class of that member with the letter appended, once per
 class.  `closure_partition` closes each class of one degree breadth-first,
 and the tests keep it as the reference for the walk.  A partition records
 every member's least word in the memo, so a later canonical lookup of any
-word of those degrees needs no closure.  On a memo miss, `KNUTH` reads the
+word of those degrees needs no closure; `Congruence.seed` walks only when
+no earlier walk reached the degree.  On a memo miss, `KNUTH` reads the
 least word off the Schensted tableau by reverse column insertion
 (`tableaux.least_plactic_word`); every other relation set closes the class.
 """
@@ -82,6 +84,9 @@ class Relation:
             raise ValueError(f"{self.name}: sides must use the same variable multiset")
         if not set(self.left) <= set(variables):
             raise ValueError(f"{self.name}: pattern variable missing from chain")
+        unused = [v for v in variables if v not in self.left]
+        if unused:
+            raise ValueError(f"{self.name}: chain variable {unused[0]!r} is in neither pattern")
 
     def compiled(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[bool, ...]]:
         """Patterns as variable-index tuples plus the strict flags of the chain."""
@@ -206,16 +211,19 @@ class Congruence:
     insertion tableau (rows) and step by inserting a letter, and their
     `count` gives the size of a class from the shape of its key.  Every
     other set keys a class by its least member (`canonical`), steps with
-    `_least_step`, and has no `count` (None).  `least` maps a word to the least member of its
-    class without closing it, for `KNUTH`, and is None for every other set.
+    `_least_step`, and has no `count` (None).  `least` maps a word to the
+    least member of its class without closing it, for `KNUTH`, and is None
+    for every other set.  `walked` maps each n to the highest degree a
+    walk over {1..n} reached.
     """
 
-    __slots__ = ("rules", "table", "memo", "key", "step", "count", "least")
+    __slots__ = ("rules", "table", "memo", "walked", "key", "step", "count", "least")
 
     def __init__(self, rels: RelationSet, memo: dict[bytes, bytes]) -> None:
         self.rules = _expand(rels)
         self.table = _kernels.RuleTable(self.rules)
         self.memo = memo  # byte word -> least member of its class
+        self.walked: dict[int, int] = {}  # n -> highest degree `partitions` walked
         self.key, self.step, self.count, self.least = next(
             (row[1:] for row in _INSERTION if row[0] == rels),
             (self.canonical, self._least_step, None, None),
@@ -250,10 +258,11 @@ class Congruence:
         One walk (`_insertion_walk`) builds each degree from the one below
         by `step`, for every relation set.  Seeds the memo with every member
         of positive degree; the empty word is its own class, which
-        `canonical` finds without the memo.  The partitions themselves are
-        not kept, so a second call computes them again.
+        `canonical` finds without the memo.  The partitions are not kept
+        (only the degree reached, in `walked`), so a second call walks again.
         """
         levels = _insertion_walk(self.step, self.key(b""), n, degree)
+        self.walked[n] = max(self.walked.get(n, 0), degree)
         memo = self.memo
         for classes in levels[1:]:
             for members in classes:
@@ -261,6 +270,12 @@ class Congruence:
                 for m in members:
                     memo[m] = least
         return levels
+
+    def seed(self, n: int, degree: int) -> None:
+        """Make sure the memo holds every word of degree 1..`degree` over
+        {1..n}: walk unless a walk over {1..m}, m >= n, reached `degree`."""
+        if all(d < degree for m, d in self.walked.items() if m >= n):
+            self.partitions(n, degree)
 
     def closure_partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
         """The classes of the degree-d words, as in `partitions`, by

@@ -9,7 +9,8 @@ three-cell hook sum for the three-cell row sum).
 Every check returns JSON-ready dicts with a "pass" flag; identical inputs
 produce identical output.  Words are byte words throughout, one letter per
 byte, as the polynomials and congruences hold them; `words.word_text` gives
-the reports their text.
+the reports their text.  Every Knuth-class question the checks ask is
+answered by `congruence(KNUTH).canonical` after `Congruence.seed`.
 """
 
 from __future__ import annotations
@@ -167,26 +168,6 @@ def _intervals(n: int) -> list[tuple[int, int, bytes]]:
     return [(iv.lo, iv.hi, outside_letters(iv, n)) for iv in all_intervals(n)]
 
 
-def _knuth_key():
-    """A Knuth class key of byte words: the rows of the Schensted tableau,
-    whose fibers are the Knuth classes (Knuth 1970).
-
-    Each call returns a new function with a dict of its own, so that a word
-    met again (restrictions repeat across the words of a product) is
-    inserted once, and the dict goes when the caller drops the function.
-    """
-    rows_of = congruence(KNUTH).key
-    memo: dict[bytes, tuple] = {}
-
-    def key(w: bytes) -> tuple:
-        got = memo.get(w)
-        if got is None:
-            got = memo[w] = rows_of(w)
-        return got
-
-    return key
-
-
 def _interval_witness(u: bytes, v: bytes, class_key, intervals):
     """First interval whose restrictions of u and v have different class
     keys under `class_key`, from `_intervals`."""
@@ -202,11 +183,11 @@ def _forced_matching(U: set[bytes], V: set[bytes], intervals, class_key):
     Identical words on the two sides cancel first.  A pair is compatible when
     every interval restriction of the two words is Knuth-equivalent, i.e.
     when the two words have the same restriction key: the Knuth class keys
-    (`class_key`, e.g. from `_knuth_key`) of their restrictions to each of
-    `intervals` (from `_intervals`).  The matching succeeds only when
-    repeatedly fixing vertices with a single remaining candidate resolves
-    everything, i.e. when the compatibility graph has a unique perfect
-    matching.
+    (`class_key`: least Knuth words, or Schensted rows in the tests) of
+    their restrictions to each of `intervals` (from `_intervals`).  The
+    matching succeeds only when repeatedly fixing vertices with a single
+    remaining candidate resolves everything, i.e. when the compatibility
+    graph has a unique perfect matching.
     """
     match: dict[bytes, bytes] = {w: w for w in U & V}
     left = sorted(U - V)
@@ -254,9 +235,9 @@ def _forced_matching(U: set[bytes], V: set[bytes], intervals, class_key):
     return match, True, ""
 
 
-def _forced_matchings(single: NcPoly, big: NcPoly, n: int, class_key):
+def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
     """Forced matchings of single*big against big*single, content by content,
-    with `class_key` as the Knuth class key of restrictions.
+    keying restrictions by least Knuth words from the seeded memo.
 
     Returns {content: (right monomials, match, ok, note)} in content order,
     with (match, ok, note) from `_forced_matching`.
@@ -268,9 +249,11 @@ def _forced_matchings(single: NcPoly, big: NcPoly, n: int, class_key):
     for side, prod in enumerate(products):
         for w in prod.terms:
             groups.setdefault(content(w, n), (set(), set()))[side].add(w)
+    knuth = congruence(KNUTH)
+    knuth.seed(n, big.degree_bound)
     intervals = _intervals(n)
     return {
-        vec: (V, *_forced_matching(U, V, intervals, class_key))
+        vec: (V, *_forced_matching(U, V, intervals, knuth.canonical))
         for vec, (U, V) in sorted(groups.items())
     }
 
@@ -325,8 +308,8 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     left monomial.  The unique survivor must be the relation's right side.
     """
     rels, n, single, big = _case_products(relations)
-    class_key = _knuth_key()
-    matchings = _forced_matchings(single, big, n, class_key)
+    matchings = _forced_matchings(single, big, n)
+    knuth_canon = congruence(KNUTH).canonical
     intervals = _intervals(n)
     reports = []
     for rel in rels.relations:
@@ -337,7 +320,7 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
             for v in sorted(V):
                 if v == survivor:
                     continue
-                witness = _interval_witness(left, v, class_key, intervals)
+                witness = _interval_witness(left, v, knuth_canon, intervals)
                 if witness is not None:
                     lo, hi = witness
                     letters = set(left) | set(v)
@@ -418,6 +401,8 @@ def verify_axioms(
     cong = congruence(rels)
     canon = cong.canonical
     knuth_canon = congruence(KNUTH).canonical
+    if system == "SPlac":
+        congruence(KNUTH).seed(n, degree_bound)  # a no-op once the Plac half has walked it
     classes = [cls for level in cong.partitions(n, degree_bound)[1:] for cls in level]
 
     reports = []
@@ -658,7 +643,7 @@ def _section5_comparison(part: str, description: str, schur, other, rels, n: int
     failures = []
     for shape in ((degree - 1,), other):
         pairs = []
-        matchings = _forced_matchings(single, schur(shape, n, degree), n, _knuth_key())
+        matchings = _forced_matchings(single, schur(shape, n, degree), n)
         for vec, (_, match, ok, note) in matchings.items():
             if ok:
                 pairs.extend((u, v) for u, v in match.items() if u != v)

@@ -110,6 +110,13 @@ class TestSchurAndLr:
         assert code == 0
         assert [t["word"] for t in json.loads(out)["terms"]] == ["121", "221"]
 
+    def test_schur_degree_option_rejected(self, capsys):
+        # the degree of a Schur sum is its shape's size; no option sets it
+        with pytest.raises(SystemExit) as exc:
+            main(["schur", "--shape", "2,1", "--n", "2", "--degree", "7"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_lr(self, capsys):
         code, out = run_cli(capsys, "lr", "--nu", "1", "--mu", "1", "--n", "3")
         assert code == 0
@@ -363,6 +370,31 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == f"placto: error: custom relation {message}\n"
+
+
+# a chain variable that neither pattern uses: c after the used ones, then a
+# before them
+_UNUSED_CHAIN_VARIABLES = [
+    ({"left": "ab", "right": "ba", "constraints": "a<b<c"}, "'c'"),
+    ({"left": "bc", "right": "cb", "constraints": "a<b<c"}, "'a'"),
+]
+
+
+@pytest.mark.parametrize("entry, variable", _UNUSED_CHAIN_VARIABLES, ids=["last", "first"])
+@pytest.mark.parametrize(
+    "argv",
+    [["class", "--relations", "{custom}", "321"], ["verify", "axioms", "--relations", "{custom}"]],
+    ids=["class", "axioms"],
+)
+def test_unused_chain_variable_rejected(capsys, tmp_path, argv, entry, variable):
+    path = tmp_path / "unused.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    code = main([arg.format(custom=f"custom:{path}") for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"placto: error: custom.1: chain variable {variable} is in neither pattern\n"
+    )
 
 
 _ALTERNATING_255 = "12" * 127 + "1"
@@ -641,6 +673,7 @@ PINNED_DIGESTS = {
     "lr --nu 3,2 --mu 2,1 --n 4": "1241f3db8407814b23bb5c727ef3c70752a74e7c96eb682c5fb364ecc9bd6187",
     "verify axioms --n 3 --degree 9": "f3e4a2793c4d0d0ef94c8c861dd4a3643a7774251cdb6a1ce91ebabee20e5628",
     "verify axioms --n 5 --degree 6": "df93a219526b5b98a0c7afb954fc3a1d3546797e38306726d3c4583a9d49a9e4",
+    "verify axioms --n 4 --degree 5 --relations shifted-knuth": "647066a5f6e59f174497297cf1302d8523fec756194d8b813de51e73da68e3a1",
     "lr --nu 3,2 --mu 2,1 --n 6": "36d694a35cc7a77e3df10ce84c8eba66d469ef0e75a8ab586097d810b5df76d3",
     "lr --nu 2,2 --mu 2,1,1 --n 5": "6f666cef5d5c78af30384cc91f70d23d317a15191b56847e3073d500f0b38cde",
 }

@@ -232,6 +232,18 @@ class TestCustomRelations:
         with pytest.raises(ValueError):
             Relation("bad", "abc", "cba", "a<b")
 
+    @pytest.mark.parametrize(
+        "left, right, variable",
+        [("ab", "ba", "c"), ("bc", "cb", "a")],
+        ids=["after-the-used", "before-the-used"],
+    )
+    def test_chain_variable_unused_by_patterns_rejected(self, left, right, variable):
+        # the kernel would read the unused variable as 0: with c unused, 12 ~ 21
+        # never applied although relation_instances listed it; with a
+        # unused, a < b was dropped and 12 ~ 21 held with no instance b = 1
+        with pytest.raises(ValueError, match=f"^bad: chain variable '{variable}' is in neither"):
+            Relation("bad", left, right, "a<b<c")
+
 
 class TestCongruence:
     @staticmethod

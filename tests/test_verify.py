@@ -4,13 +4,17 @@ import json
 
 import pytest
 
-from placto.algebra import commutator_in_quotient, free_schur, shifted_free_schur
+from placto import rewrite
+from placto.algebra import commutator_in_quotient, free_schur, nc_mul, shifted_free_schur
+from placto.cli import main
 from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, Relation, RelationSet, congruence
+from placto.tableaux import schensted_rows
 from placto.verify import (
     TABLE_FAMILIES,
     _case_products,
+    _forced_matching,
     _forced_matchings,
-    _knuth_key,
+    _intervals,
     first_row_hook_report,
     restriction_surprise,
     section5_degree3_comparison,
@@ -21,7 +25,14 @@ from placto.verify import (
     verify_section5,
     verify_tables,
 )
-from placto.words import Word, all_intervals, all_ordered_morphisms, apply_morphism, restrict
+from placto.words import (
+    Word,
+    all_intervals,
+    all_ordered_morphisms,
+    apply_morphism,
+    content,
+    restrict,
+)
 
 
 class TestTables:
@@ -322,14 +333,68 @@ def _forced_matching_products():
                 yield schur((1,), n, degree), schur(shape, n, degree), n
 
 
-def test_forced_matchings_by_tableau_match_those_by_least_word():
-    least_word = congruence(KNUTH).canonical
+def _by_content(poly, n):
+    groups = {}
+    for w in poly.terms:
+        groups.setdefault(content(w, n), set()).add(w)
+    return groups
+
+
+def test_forced_matchings_match_those_by_schensted_rows():
+    """The seeded Knuth memo matches exactly as a memo-free reference key,
+    the Schensted rows of each restriction, does."""
     forced = 0
     for single, big, n in _forced_matching_products():
-        by_tableau = _forced_matchings(single, big, n, _knuth_key())
-        assert by_tableau == _forced_matchings(single, big, n, least_word)
-        forced += sum(u != v for _, match, _, _ in by_tableau.values() for u, v in match.items())
+        left, right = (_by_content(p, n) for p in (nc_mul(single, big), nc_mul(big, single)))
+        intervals = _intervals(n)
+        reference = {}
+        for vec in sorted(left.keys() | right.keys()):
+            U, V = left.get(vec, set()), right.get(vec, set())
+            reference[vec] = (V, *_forced_matching(U, V, intervals, schensted_rows))
+        matchings = _forced_matchings(single, big, n)
+        assert matchings == reference
+        forced += sum(u != v for _, match, _, _ in matchings.values() for u, v in match.items())
     assert forced > 0  # pairs that only the restriction keys match
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify cases",
+        "verify section5 --n 5",
+        "verify axioms --n 4 --degree 5 --relations shifted-knuth",
+        "verify axioms --n 4 --degree 5",
+    ],
+)
+def test_verifier_reads_knuth_classes_from_the_seeded_memo(capsys, monkeypatch, command):
+    monkeypatch.setattr(rewrite, "_congruences", {})
+    monkeypatch.setattr(rewrite, "_canonical_memo", {})
+    knuth = congruence(KNUTH)
+    searched = []
+    least = knuth.least
+    knuth.least = lambda w: searched.append(w) or least(w)
+    assert main(command.split()) == 0
+    capsys.readouterr()
+
+    walked = dict(knuth.walked)
+    assert walked
+    assert all(
+        w == b"" or any(len(w) <= d and max(w) <= m for m, d in walked.items())
+        for w in knuth.memo
+    )
+    assert set(searched) <= {b""}
+
+    steps = []
+    step = knuth.step
+    knuth.step = lambda key, a: steps.append(a) or step(key, a)
+    for m, d in walked.items():
+        knuth.seed(m, d)
+        knuth.seed(m, d - 1)
+        knuth.seed(m - 1, d)  # words over a smaller alphabet are seeded too
+    assert steps == []
+    m, d = max(walked.items())
+    knuth.seed(m, d + 1)
+    assert steps  # the counter sees a walk
 
 
 def test_reports_are_deterministic():
