@@ -178,60 +178,35 @@ def _interval_witness(u: bytes, v: bytes, class_key, intervals):
 
 
 def _forced_matching(U: set[bytes], V: set[bytes], intervals, class_key):
-    """Match each left monomial to a right monomial, forcing unique choices.
+    """Match each left monomial to a right monomial, when the match is forced.
 
     Identical words on the two sides cancel first.  A pair is compatible when
     every interval restriction of the two words is Knuth-equivalent, i.e.
     when the two words have the same restriction key: the Knuth class keys
     (`class_key`: least Knuth words, or Schensted rows in the tests) of
-    their restrictions to each of `intervals` (from `_intervals`).  The
-    matching succeeds only when repeatedly fixing vertices with a single
-    remaining candidate resolves everything, i.e. when the compatibility
-    graph has a unique perfect matching.
+    their restrictions to each of `intervals` (from `_intervals`).  So the
+    compatibility graph is a disjoint union of complete bipartite blocks,
+    one per key.  A block of a left and b right words has a! perfect
+    matchings when a = b and none otherwise, so the graph has a unique
+    perfect matching exactly when every block holds one word of each side.
     """
     match: dict[bytes, bytes] = {w: w for w in U & V}
     left = sorted(U - V)
     right = sorted(V - U)
     if len(left) != len(right):
         return match, False, "unequal monomial counts after cancellation"
-
-    def key(w: bytes) -> tuple:
-        return tuple(class_key(w.translate(None, outside)) for _, _, outside in intervals)
-
-    by_key: dict[tuple[bytes, ...], set[bytes]] = {}
-    for v in right:
-        by_key.setdefault(key(v), set()).add(v)
-    candidates = {u: by_key.get(key(u), set()) for u in left}
-    used: set[bytes] = set()
-    unmatched = list(left)
-    while unmatched:
-        progress = False
-        for u in list(unmatched):
-            avail = candidates[u] - used
-            if not avail:
-                return match, False, f"no remaining candidate for {u!r}"
-            if len(avail) == 1:
-                v = next(iter(avail))
-                match[u] = v
-                used.add(v)
-                unmatched.remove(u)
-                progress = True
-        if progress:
-            continue
-        for v in right:
-            if v in used:
-                continue
-            takers = [u for u in unmatched if v in candidates[u]]
-            if not takers:
-                return match, False, f"no remaining candidate for {v!r}"
-            if len(takers) == 1:
-                u = takers[0]
-                match[u] = v
-                used.add(v)
-                unmatched.remove(u)
-                progress = True
-        if not progress:
+    blocks: dict[tuple, tuple[list[bytes], list[bytes]]] = {}
+    for side, words in enumerate((left, right)):
+        for w in words:
+            key = tuple(class_key(w.translate(None, outside)) for _, _, outside in intervals)
+            blocks.setdefault(key, ([], []))[side].append(w)
+    for us, vs in blocks.values():
+        if len(us) != len(vs):
+            spare = us[len(vs):] or vs[len(us):]
+            return match, False, f"no remaining candidate for {spare[0]!r}"
+        if len(us) > 1:
             return match, False, "matching is not uniquely forced"
+        match[us[0]] = vs[0]
     return match, True, ""
 
 
@@ -302,10 +277,13 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
 
     For every relation schema and every degeneracy pattern, the instantiated
     left side is a monomial of single*big; candidates are the monomials of
-    big*single with the same content.  Candidates are eliminated when some
-    interval restriction separates them from the left side in the ordinary
-    Knuth quotient, or when the forced matching consumes them for a different
-    left monomial.  The unique survivor must be the relation's right side.
+    big*single with the same content.  Candidates are eliminated by
+    restriction: some interval restriction separates them from the left side
+    in the ordinary Knuth quotient.  The forced matching pairs the left side
+    with the one candidate left in its restriction key; a word of both
+    products cancels and is matched to itself, so it may share that key and
+    is reported by its match.  The unique survivor must be the relation's
+    right side.
     """
     rels, n, single, big = _case_products(relations)
     matchings = _forced_matchings(single, big, n)
@@ -400,9 +378,14 @@ def verify_axioms(
 
     cong = congruence(rels)
     canon = cong.canonical
-    knuth_canon = congruence(KNUTH).canonical
-    if system == "SPlac":
-        congruence(KNUTH).seed(n, degree_bound)  # a no-op once the Plac half has walked it
+    # the target of axioms 1 and 4: the congruence itself for the plactic
+    # system (content for axiom 1), ordinary Knuth for the shifted system
+    if system == "Plac":
+        target_canon = canon
+    else:
+        knuth = congruence(KNUTH)
+        knuth.seed(n, degree_bound)  # a no-op once the Plac half has walked it
+        target_canon = knuth.canonical
     classes = [cls for level in cong.partitions(n, degree_bound)[1:] for cls in level]
 
     reports = []
@@ -415,7 +398,7 @@ def verify_axioms(
         if system == "Plac":
             keys = {bytes(sorted(w)) for w in cls}  # same sorted letters = same content
         else:
-            keys = {knuth_canon(w) for w in cls}
+            keys = {target_canon(w) for w in cls}
         if len(keys) != 1:
             violations.append({"class_of": word_text(cls[0], n)})
     reports.append(_axiom_report(f"{system}.1", n, degree_bound, checked, violations))
@@ -466,9 +449,6 @@ def verify_axioms(
     reports.append(_axiom_report(f"{system}.3", n, degree_bound, checked, violations))
 
     # axiom 4: interval restrictions agree in the target congruence
-    # (the congruence itself for the plactic system, ordinary Knuth for the
-    # shifted system)
-    target_canon = canon if system == "Plac" else knuth_canon
     intervals = _intervals(n)
     by_support = {
         support: _group_by_action(

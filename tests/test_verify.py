@@ -1,13 +1,24 @@
 """Verification harness: tables, case analysis, axioms, replacement checks."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from placto import rewrite
 from placto.algebra import commutator_in_quotient, free_schur, nc_mul, shifted_free_schur
 from placto.cli import main
-from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, Relation, RelationSet, congruence
+from placto.rewrite import (
+    KNUTH,
+    SHIFTED_KNUTH,
+    Congruence,
+    Relation,
+    RelationSet,
+    class_size,
+    closure_bytes,
+    congruence,
+)
 from placto.tableaux import schensted_rows
 from placto.verify import (
     TABLE_FAMILIES,
@@ -168,6 +179,28 @@ class TestAxioms:
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
             verify_axioms("nonesuch", 3, 4)
+
+
+@settings(max_examples=75, deadline=None)
+@pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=["knuth", "shifted-knuth"])
+@given(data=st.data())
+def test_axioms_3_and_4_beyond_exhaustive_scale(rels, data):
+    """Random classes of 7-12 letters over {1..n}, n <= 8: an order-preserving
+    relabelling of a class into {1..255} lands in one class (axiom 3), and
+    the restrictions of its members to each interval share one Knuth class
+    (axiom 4, whose target is the Knuth quotient for both shipped sets)."""
+    n = data.draw(st.integers(2, 8))
+    w = bytes(data.draw(st.lists(st.integers(1, n), min_size=7, max_size=12)))
+    assume(class_size(rels, w) <= 3000)
+    members = closure_bytes(rels, w)
+    support = sorted(set(w))
+    images = data.draw(st.sets(st.integers(1, 255), min_size=len(support), max_size=len(support)))
+    table = bytes.maketrans(bytes(support), bytes(sorted(images)))
+    key = congruence(rels).key
+    assert len({key(m.translate(table)) for m in members}) == 1
+    knuth_key = congruence(KNUTH).key
+    for _, _, outside in _intervals(n):
+        assert len({knuth_key(m.translate(None, outside)) for m in members}) == 1
 
 
 def _reference_axioms(target, n, degree_bound, rels):
@@ -357,6 +390,83 @@ def test_forced_matchings_match_those_by_schensted_rows():
     assert forced > 0  # pairs that only the restriction keys match
 
 
+def _restriction_rows(w, n):
+    """The Schensted rows of the restriction of w to each interval of {1..n}."""
+    return tuple(schensted_rows(w.translate(None, outside)) for _, _, outside in _intervals(n))
+
+
+def _perfect_matchings(U, V, n):
+    """Every perfect matching of U - V with V - U in which each pair has
+    Knuth-equivalent restrictions to every interval, found by trying all
+    bijections."""
+    left, right = sorted(U - V), sorted(V - U)
+    if len(left) != len(right):
+        return []
+    return [
+        dict(zip(left, image))
+        for image in itertools.permutations(right)
+        if all(_restriction_rows(u, n) == _restriction_rows(v, n) for u, v in zip(left, image))
+    ]
+
+
+@st.composite
+def _matching_inputs(draw):
+    """(n, U, V): at most 6 words each, all of one content over {1..n}.
+    Half the time V takes, for each left word, a word with the same
+    restriction key, so that a forced matching often exists."""
+    n = draw(st.integers(1, 4))
+    letters = draw(st.lists(st.integers(1, n), min_size=1, max_size=6))
+    words = sorted(set(map(bytes, itertools.permutations(letters))))
+    U = draw(st.sets(st.sampled_from(words), max_size=6))
+    if draw(st.booleans()):
+        return n, U, draw(st.sets(st.sampled_from(words), max_size=6))
+    same_key = [[v for v in words if _restriction_rows(v, n) == _restriction_rows(u, n)] for u in U]
+    return n, U, {draw(st.sampled_from(vs)) for vs in same_key}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matching_inputs())
+def test_forced_matching_is_the_unique_perfect_matching(case):
+    n, U, V = case
+    match, ok, note = _forced_matching(U, V, _intervals(n), schensted_rows)
+    perfect = _perfect_matchings(U, V, n)
+    assert ok == (len(perfect) == 1)
+    assert ok == (note == "")
+    if ok:
+        assert match == {**{w: w for w in U & V}, **perfect[0]}
+
+
+def test_forced_matching_failure_notes():
+    intervals = _intervals(2)
+    assert _forced_matching({b"\1\2", b"\2\1"}, {b"\1\2"}, intervals, schensted_rows)[1:] == (
+        False,
+        "unequal monomial counts after cancellation",
+    )
+    # 123 and 321 are not Knuth-equivalent, so 123 has no candidate
+    left = b"\1\2\3"
+    assert _forced_matching({left}, {b"\3\2\1"}, _intervals(3), schensted_rows)[1:] == (
+        False,
+        f"no remaining candidate for {left!r}",
+    )
+    # four words of one Knuth class of content (4, 1) and one restriction
+    # key: a 2x2 block has two perfect matchings
+    U = {b"\1\1\1\2\1", b"\1\1\2\1\1"}
+    V = {b"\1\2\1\1\1", b"\2\1\1\1\1"}
+    assert _forced_matching(U, V, intervals, schensted_rows)[1:] == (
+        False,
+        "matching is not uniquely forced",
+    )
+
+
+def test_forced_matching_keys_by_the_given_intervals():
+    """The key is built from the restrictions to `intervals` alone: 123 and
+    321 agree on every one-letter interval, but not on [1, 3]."""
+    U, V = {b"\1\2\3"}, {b"\3\2\1"}
+    singletons = [iv for iv in _intervals(3) if iv[0] == iv[1]]
+    assert _forced_matching(U, V, singletons, schensted_rows) == ({b"\1\2\3": b"\3\2\1"}, True, "")
+    assert not _forced_matching(U, V, _intervals(3), schensted_rows)[1]
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -395,6 +505,40 @@ def test_verifier_reads_knuth_classes_from_the_seeded_memo(capsys, monkeypatch, 
     m, d = max(walked.items())
     knuth.seed(m, d + 1)
     assert steps  # the counter sees a walk
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify axioms --n 4 --degree 5",
+        "verify axioms --n 4 --degree 5 --relations shifted-knuth",
+        "verify section5 --n 5",
+        "verify cases",
+        "verify axioms --n 3 --degree 5 --relations custom:{custom}",
+    ],
+)
+def test_every_memo_holds_only_walked_words(capsys, monkeypatch, tmp_path, command):
+    """After a `verify` family, the memo of every congruence it used holds
+    only the empty word and words that one of that congruence's walks
+    reached; a Plac run on a custom set makes no Knuth congruence."""
+    monkeypatch.setattr(rewrite, "_congruences", {})
+    monkeypatch.setattr(rewrite, "_canonical_memo", {})
+    path = tmp_path / "commutative.json"
+    path.write_text(json.dumps([{"left": "ab", "right": "ba", "constraints": "a<b"}]))
+    assert main(command.format(custom=path).split()) == 0
+    capsys.readouterr()
+
+    assert rewrite._congruences
+    for cong in rewrite._congruences.values():
+        assert cong.walked
+        assert all(
+            w == b"" or any(len(w) <= d and max(w) <= m for m, d in cong.walked.items())
+            for w in cong.memo
+        )
+    if "custom" in command:
+        assert KNUTH not in rewrite._congruences
+        (cong,) = rewrite._congruences.values()
+        assert len(cong.memo) == 3 + 9 + 27 + 81 + 243 + 1  # degrees 1..5 and b""
 
 
 def test_reports_are_deterministic():
