@@ -296,13 +296,17 @@ def free_schur_by_filter(nu: tuple[int, ...], n: int, degree_bound: int | None =
     return NcPoly.from_words(words, n, bound)
 
 
-def shifted_free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> NcPoly:
-    """Indicator sum over the hook-factorization words of the strict shape."""
+def shifted_free_schur(
+    nu: tuple[int, ...], n: int, degree_bound: int | None = None, cap: int | None = None
+) -> NcPoly:
+    """Indicator sum over the hook-factorization words of the strict shape;
+    with a `cap`, ValueError once the listing holds more words
+    (`tableaux._hook_words`)."""
     size = sum(nu)
     bound = size if degree_bound is None else degree_bound
     if size > bound:
         raise ValueError(f"|{nu}| exceeds degree bound {bound}")
-    return NcPoly.from_words(_hook_words(nu, n), n, bound)
+    return NcPoly.from_words(_hook_words(nu, n, cap), n, bound)
 
 
 def schur_poly(nu: tuple[int, ...], n: int) -> CPoly:

@@ -128,7 +128,8 @@ _MAX_CLASS = 10_000
 # and that one `schur` or `lr` run lists (the reading words of the shape, or
 # the products of the reading words of the two shapes; `lr --nu 3,2 --mu
 # 2,1 --n 8`, 282 240 words, takes 5-8 s and about 170 MB).  `schur
-# --shifted` has no closed count here and is bounded by its cells only.
+# --shifted` has no closed count here: its listing of hook words is refused
+# as soon as one list it holds passes the limit.
 # Peak RSS of the whole process grows by about 230-300 bytes per word for
 # axioms (`--n 3 --degree 11`, 265 719 words: 75 MB in 2.0 s; `--n 5
 # --degree 7`: 46 MB; `--n 6 --degree 6`: 34 MB) and by about 1 kB per word
@@ -286,10 +287,12 @@ def _cmd_schur(args: argparse.Namespace) -> int:
     shape = _parse_shape(args.shape, "shape")
     n = _size_option(args.n, None, "n", _MAX_LETTER)
     _check_cells(sum(shape), "--shape")
-    if not args.shifted:
+    if args.shifted:
+        # no closed count of hook words is used: the listing checks its own size
+        poly = shifted_free_schur(shape, n, sum(shape), cap=_MAX_SWEEP)
+    else:
         _check_words(f"schur --shape {_shape_text(shape)} --n {n}", ssyt_count(shape, n))
-    schur = shifted_free_schur if args.shifted else free_schur
-    poly = schur(shape, n, sum(shape))
+        poly = free_schur(shape, n, sum(shape))
     print(json.dumps(poly.to_json(), sort_keys=True))
     return 0
 

@@ -626,26 +626,53 @@ def enumerate_hook(nu: tuple[int, ...], n: int) -> set[Word]:
     return {Word(tuple(w), n) for w in _hook_words(nu, n)}
 
 
-def _hook_words(nu: tuple[int, ...], n: int) -> list[bytes]:
+def _hook_words(nu: tuple[int, ...], n: int, cap: int | None = None) -> list[bytes]:
     """The words of `enumerate_hook` as byte words, in lexicographic order:
-    every segment extends every prefix of one length in order."""
+    every segment extends every prefix of one length in order.
+
+    With a `cap`, raises ValueError as soon as a list the listing holds (the
+    hook segments of one part, or the prefixes after one part) passes `cap`
+    words; a prefix may extend to no word, so a listing of at most `cap`
+    words may still be refused."""
     if not is_strict_partition(nu):
         raise ValueError(f"{nu} is not a strict partition")
     states: list[tuple[bytes, bytes]] = [(b"", b"")]
     for length in reversed(nu):
-        segments = [
-            bytes(letters)
-            for letters in itertools.product(range(1, n + 1), repeat=length)
-            if is_hook_word(letters)
-        ]
+        segments = _hook_segments(length, n, cap)
         nxt = []
         for prefix, last in states:
             for seg in segments:
                 if last and longest_hook_subword(last + seg) != length:
                     continue
                 nxt.append((prefix + seg, seg))
+            _check_listing(nxt, cap)
         states = nxt
     return [prefix for prefix, _ in states]
+
+
+def _hook_segments(length: int, n: int, cap: int | None) -> list[bytes]:
+    """The hook words of a positive length over {1..n}, in lexicographic
+    order: a strictly decreasing run, then a weakly increasing run that does
+    not start below the run's last letter.  With a `cap`, no more tails are
+    drawn than pass it by one word, so a listing far beyond it is refused
+    fast."""
+    out: list[bytes] = []
+    for k in range(1, length + 1):
+        for dec in itertools.combinations(range(n, 0, -1), k):
+            tails = itertools.combinations_with_replacement(range(dec[-1], n + 1), length - k)
+            room = None if cap is None else cap + 1 - len(out)
+            out.extend(bytes(dec + tail) for tail in itertools.islice(tails, room))
+            _check_listing(out, cap)
+    out.sort()
+    return out
+
+
+def _check_listing(words: list, cap: int | None) -> None:
+    if cap is not None and len(words) > cap:
+        raise ValueError(
+            f"listing the hook words holds at least {len(words)} words, "
+            f"more than the limit of {cap}"
+        )
 
 
 def enumerate_hook_by_filter(nu: tuple[int, ...], n: int) -> set[Word]:

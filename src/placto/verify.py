@@ -177,29 +177,29 @@ def _interval_witness(u: bytes, v: bytes, class_key, intervals):
     return None
 
 
-def _forced_matching(U: set[bytes], V: set[bytes], intervals, class_key):
+def _forced_matching(U: set[bytes], V: set[bytes], class_key):
     """Match each left monomial to a right monomial, when the match is forced.
 
-    Identical words on the two sides cancel first.  A pair is compatible when
-    every interval restriction of the two words is Knuth-equivalent, i.e.
-    when the two words have the same restriction key: the Knuth class keys
-    (`class_key`: least Knuth words, or Schensted rows in the tests) of
-    their restrictions to each of `intervals` (from `_intervals`).  So the
-    compatibility graph is a disjoint union of complete bipartite blocks,
-    one per key.  A block of a left and b right words has a! perfect
-    matchings when a = b and none otherwise, so the graph has a unique
-    perfect matching exactly when every block holds one word of each side.
+    Identical words on the two sides cancel first.  Two words are compatible
+    when their restrictions to every interval are Knuth-equivalent, which is
+    when the whole words are: (1) restricting to an interval maps each
+    elementary Knuth relation to an equality or to the same relation, (2) so
+    the restriction keys of congruent words agree, and (3) [1, n] restricts a
+    word over {1..n} to itself, so equal restriction keys mean equal
+    whole-word keys.  So `class_key` (least Knuth words, or Schensted rows in
+    the tests) keys each word once, and the compatibility graph is one
+    complete bipartite block per key.  A block of a left and b right words
+    has a! perfect matchings when a = b and none otherwise, so the matching
+    is forced exactly when every block holds one word of each side.
     """
     match: dict[bytes, bytes] = {w: w for w in U & V}
-    left = sorted(U - V)
-    right = sorted(V - U)
+    left, right = sorted(U - V), sorted(V - U)
     if len(left) != len(right):
         return match, False, "unequal monomial counts after cancellation"
-    blocks: dict[tuple, tuple[list[bytes], list[bytes]]] = {}
+    blocks: dict[object, tuple[list[bytes], list[bytes]]] = {}
     for side, words in enumerate((left, right)):
         for w in words:
-            key = tuple(class_key(w.translate(None, outside)) for _, _, outside in intervals)
-            blocks.setdefault(key, ([], []))[side].append(w)
+            blocks.setdefault(class_key(w), ([], []))[side].append(w)
     for us, vs in blocks.values():
         if len(us) != len(vs):
             spare = us[len(vs):] or vs[len(us):]
@@ -212,7 +212,8 @@ def _forced_matching(U: set[bytes], V: set[bytes], intervals, class_key):
 
 def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
     """Forced matchings of single*big against big*single, content by content,
-    keying restrictions by least Knuth words from the seeded memo.
+    keying each word by its least Knuth word from the seeded memo: one memo
+    lookup per word left after cancellation.
 
     Returns {content: (right monomials, match, ok, note)} in content order,
     with (match, ok, note) from `_forced_matching`.
@@ -226,9 +227,8 @@ def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
             groups.setdefault(content(w, n), (set(), set()))[side].add(w)
     knuth = congruence(KNUTH)
     knuth.seed(n, big.degree_bound)
-    intervals = _intervals(n)
     return {
-        vec: (V, *_forced_matching(U, V, intervals, knuth.canonical))
+        vec: (V, *_forced_matching(U, V, knuth.canonical))
         for vec, (U, V) in sorted(groups.items())
     }
 
@@ -277,13 +277,12 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
 
     For every relation schema and every degeneracy pattern, the instantiated
     left side is a monomial of single*big; candidates are the monomials of
-    big*single with the same content.  Candidates are eliminated by
-    restriction: some interval restriction separates them from the left side
-    in the ordinary Knuth quotient.  The forced matching pairs the left side
-    with the one candidate left in its restriction key; a word of both
-    products cancels and is matched to itself, so it may share that key and
-    is reported by its match.  The unique survivor must be the relation's
-    right side.
+    big*single with the same content.  The forced matching pairs the left
+    side with the one candidate in its Knuth class, which must be the
+    relation's right side.  Each other candidate is reported with the first
+    interval whose restriction separates it from the left side in the Knuth
+    quotient, or, in the left side's class, with its match: a word of both
+    products cancels and is matched to itself.
     """
     rels, n, single, big = _case_products(relations)
     matchings = _forced_matchings(single, big, n)
@@ -301,8 +300,7 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
                 witness = _interval_witness(left, v, knuth_canon, intervals)
                 if witness is not None:
                     lo, hi = witness
-                    letters = set(left) | set(v)
-                    if all(lo <= a <= hi for a in letters):
+                    if set(left + v) <= set(range(lo, hi + 1)):
                         reason = f"plactic inequality (restriction to [{lo},{hi}] is trivial)"
                     else:
                         reason = f"restriction to [{lo},{hi}]"
@@ -411,11 +409,8 @@ def verify_axioms(
         pa = shifted_free_schur((1,), n, degree_bound)
         pb = shifted_free_schur((2, 1), n, degree_bound)
     com = commutator_in_quotient(pa, pb, rels)
-    violations = (
-        []
-        if com.is_zero()
-        else [{"nonzero_terms": sorted(word_text(w, n) for w in com.terms)[:10]}]
-    )
+    nonzero = sorted(word_text(w, n) for w in com.terms)[:10]
+    violations = [{"nonzero_terms": nonzero}] if nonzero else []
     reports.append(_axiom_report(f"{system}.2", n, degree_bound, 1, violations))
 
     # Axioms 3 and 4 are checked once per distinct action on a class's

@@ -3,8 +3,12 @@
 import hashlib
 import itertools
 import json
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -628,11 +632,45 @@ def test_products_at_the_limit_accepted(capsys, monkeypatch, argv, words):
     assert f"would enumerate {words} words" in capsys.readouterr().err
 
 
-def test_shifted_schur_is_not_word_bounded(capsys, monkeypatch):
-    # no closed count of hook words is used, so only the cells bound it
-    monkeypatch.setattr(cli, "_MAX_SWEEP", 0)
-    assert main(["schur", "--shape", "2,1", "--shifted", "--n", "2"]) == 0
-    capsys.readouterr()
+def test_shifted_schur_above_the_limit_rejected(capsys):
+    """The hook segments of one part are listed lazily enough that a listing
+    far above the limit is refused within seconds."""
+    start = time.perf_counter()
+    code = main(["schur", "--shape", "20", "--n", "255", "--shifted"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"placto: error: listing the hook words holds at least {cli._MAX_SWEEP + 1} words, "
+        f"more than the limit of {cli._MAX_SWEEP}\n"
+    )
+    assert elapsed < 5.0
+
+
+def test_shifted_schur_at_the_limit_accepted(capsys, monkeypatch):
+    # 24 hook-factorization words of shape (3, 1) over {1, 2, 3}; no list
+    # the listing holds on the way is longer
+    argv = ["schur", "--shape", "3,1", "--shifted", "--n", "3"]
+    monkeypatch.setattr(cli, "_MAX_SWEEP", 24)
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["terms"]) == 24
+    monkeypatch.setattr(cli, "_MAX_SWEEP", 23)
+    assert main(argv) == 2
+    assert "holds at least 24 words" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "shape, n, digest",
+    [
+        ("5", "12", "110f41c684154a923ea5d4a77839879a55f19bb27a7a759c607f90e988f2bc64"),
+        ("4,3,2,1", "5", "e2e4d8b1d10789bcbca58b24ca751154a7b7e3ac7530776be2882d0efe0c27a1"),
+    ],
+    ids=["5-n12", "4321-n5"],
+)
+def test_shifted_schur_output_is_pinned(capsys, shape, n, digest):
+    """Two `schur --shifted` outputs, pinned by the sha256 of stdout."""
+    assert main(["schur", "--shape", shape, "--shifted", "--n", n]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -764,3 +802,23 @@ def test_class_dump_equals_the_word_route():
     for w in words:
         for rels in (KNUTH, SHIFTED_KNUTH, custom):
             assert class_dump(w, rels) == _class_dump_by_words(w, rels), (w, rels.name)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify", "tables"], 0), (["schur", "--shape", "2,2", "--shifted", "--n", "3"], 2)],
+    ids=["pass", "usage-error"],
+)
+def test_python_m_placto_runs_the_cli(argv, code):
+    """`python -m placto` runs the command line with its exit codes."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "placto", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == code
+    assert bool(result.stdout) == (code == 0)
+    assert result.stderr.startswith("placto: error:") == (code == 2)

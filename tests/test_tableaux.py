@@ -14,6 +14,7 @@ from placto.tableaux import (
     EMPTY_TABLEAU,
     ShiftedTableau,
     Tableau,
+    _hook_segments,
     enumerate_hook,
     enumerate_hook_by_filter,
     enumerate_shssyt,
@@ -198,6 +199,16 @@ class TestHookWords:
 
     def test_every_length_two_word_is_hook(self):
         assert all(is_hook_word(w) for w in all_words(4, 2))
+
+    def test_generated_segments_are_the_filtered_words_in_order(self):
+        for n in range(1, 6):
+            for length in range(1, 6):
+                filtered = [
+                    bytes(letters)
+                    for letters in itertools.product(range(1, n + 1), repeat=length)
+                    if is_hook_word(letters)
+                ]
+                assert _hook_segments(length, n, None) == filtered
 
     def test_longest_hook_subword_examples(self):
         assert longest_hook_subword(W("3142")) == 3

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from placto import rewrite
+from placto import rewrite, verify
 from placto.algebra import commutator_in_quotient, free_schur, nc_mul, shifted_free_schur
 from placto.cli import main
 from placto.rewrite import (
@@ -379,11 +379,10 @@ def test_forced_matchings_match_those_by_schensted_rows():
     forced = 0
     for single, big, n in _forced_matching_products():
         left, right = (_by_content(p, n) for p in (nc_mul(single, big), nc_mul(big, single)))
-        intervals = _intervals(n)
         reference = {}
         for vec in sorted(left.keys() | right.keys()):
             U, V = left.get(vec, set()), right.get(vec, set())
-            reference[vec] = (V, *_forced_matching(U, V, intervals, schensted_rows))
+            reference[vec] = (V, *_forced_matching(U, V, lambda w: _restriction_rows(w, n)))
         matchings = _forced_matchings(single, big, n)
         assert matchings == reference
         forced += sum(u != v for _, match, _, _ in matchings.values() for u, v in match.items())
@@ -428,7 +427,7 @@ def _matching_inputs(draw):
 @given(_matching_inputs())
 def test_forced_matching_is_the_unique_perfect_matching(case):
     n, U, V = case
-    match, ok, note = _forced_matching(U, V, _intervals(n), schensted_rows)
+    match, ok, note = _forced_matching(U, V, schensted_rows)
     perfect = _perfect_matchings(U, V, n)
     assert ok == (len(perfect) == 1)
     assert ok == (note == "")
@@ -437,34 +436,70 @@ def test_forced_matching_is_the_unique_perfect_matching(case):
 
 
 def test_forced_matching_failure_notes():
-    intervals = _intervals(2)
-    assert _forced_matching({b"\1\2", b"\2\1"}, {b"\1\2"}, intervals, schensted_rows)[1:] == (
+    assert _forced_matching({b"\1\2", b"\2\1"}, {b"\1\2"}, schensted_rows)[1:] == (
         False,
         "unequal monomial counts after cancellation",
     )
     # 123 and 321 are not Knuth-equivalent, so 123 has no candidate
     left = b"\1\2\3"
-    assert _forced_matching({left}, {b"\3\2\1"}, _intervals(3), schensted_rows)[1:] == (
+    assert _forced_matching({left}, {b"\3\2\1"}, schensted_rows)[1:] == (
         False,
         f"no remaining candidate for {left!r}",
     )
-    # four words of one Knuth class of content (4, 1) and one restriction
-    # key: a 2x2 block has two perfect matchings
+    # four words of one Knuth class of content (4, 1): a 2x2 block has two
+    # perfect matchings
     U = {b"\1\1\1\2\1", b"\1\1\2\1\1"}
     V = {b"\1\2\1\1\1", b"\2\1\1\1\1"}
-    assert _forced_matching(U, V, intervals, schensted_rows)[1:] == (
+    assert _forced_matching(U, V, schensted_rows)[1:] == (
         False,
         "matching is not uniquely forced",
     )
 
 
-def test_forced_matching_keys_by_the_given_intervals():
-    """The key is built from the restrictions to `intervals` alone: 123 and
-    321 agree on every one-letter interval, but not on [1, 3]."""
-    U, V = {b"\1\2\3"}, {b"\3\2\1"}
-    singletons = [iv for iv in _intervals(3) if iv[0] == iv[1]]
-    assert _forced_matching(U, V, singletons, schensted_rows) == ({b"\1\2\3": b"\3\2\1"}, True, "")
-    assert not _forced_matching(U, V, _intervals(3), schensted_rows)[1]
+def _partition(words, key):
+    blocks = {}
+    for w in words:
+        blocks.setdefault(key(w), set()).add(w)
+    return {frozenset(block) for block in blocks.values()}
+
+
+@pytest.mark.parametrize(
+    "n, degree", [(n, d) for n in range(1, 5) for d in range(1, 6)] + [(5, d) for d in range(1, 5)]
+)
+def test_restriction_keys_partition_words_as_the_knuth_class_does(n, degree):
+    """The restriction key, the Schensted rows of a word's restriction to
+    every interval, splits the words of one degree exactly as the word's own
+    Schensted rows do, so `_forced_matching` may key each word once; for
+    degree <= 4 over {1..3} both agree with the closure of the Knuth
+    relations."""
+    words = [bytes(w) for w in itertools.product(range(1, n + 1), repeat=degree)]
+    by_intervals = _partition(words, lambda w: _restriction_rows(w, n))
+    assert by_intervals == _partition(words, schensted_rows)
+    if n <= 3 and degree <= 4:
+        closure = {frozenset(cls) for cls in congruence(KNUTH).closure_partition(n, degree)}
+        assert by_intervals == closure
+
+
+@pytest.mark.parametrize(
+    "command, keyed",
+    [("verify cases", 176), ("verify section5 --n 5", 960)],
+    ids=["cases", "section5-n5"],
+)
+def test_forced_matching_keys_each_remaining_word_once(capsys, monkeypatch, command, keyed):
+    """One class key per word left after cancellation, not one per interval."""
+    calls = []
+    real = verify._forced_matching
+
+    def counted(U, V, class_key):
+        before = len(calls)
+        result = real(U, V, lambda w: calls.append(w) or class_key(w))
+        assert len(calls) - before == len(U ^ V)
+        return result
+
+    monkeypatch.setattr(verify, "_forced_matching", counted)
+    assert main(command.split()) == 0
+    capsys.readouterr()
+    assert len(calls) == keyed
 
 
 @pytest.mark.parametrize(
