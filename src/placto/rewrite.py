@@ -339,11 +339,6 @@ def congruence(rels: RelationSet) -> Congruence:
     return cong
 
 
-def expanded_rules(rels: RelationSet):
-    """Direction-expanded (match, replace, strict) triples for the kernels."""
-    return congruence(rels).rules
-
-
 def closure_bytes(rels: RelationSet, word: bytes, cap: int | None = None) -> frozenset[bytes]:
     """The class of `word`; with a `cap`, ValueError on a class of more
     members (see `_kernels.closure`)."""

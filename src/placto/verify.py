@@ -31,7 +31,6 @@ from .rewrite import (
     RelationSet,
     congruence,
 )
-from .tableaux import longest_hook_subword, mixed_insertion_rows
 from .words import (
     all_intervals,
     all_ordered_morphisms,
@@ -358,6 +357,17 @@ def verify_axioms(
     ordinary Knuth quotient.  `relations` overrides the congruence under test
     (defaults: knuth, shifted-knuth), which lets the harness confirm that,
     e.g., the fully commutative quotient also satisfies the plactic axioms.
+
+    Axioms 3 and 4 look up one word per block, in one pass over the classes
+    (`_stable_under`), and give the verdicts of one lookup per member:
+    (1) a class of degree k is the union of its blocks C'·a, C' a class of
+    degree k - 1 and a a letter; (2) ordered morphisms and interval
+    restrictions are homomorphisms and every target is a congruence, so if
+    a map sends C' into one target class it sends C'·a into one; (3) so one
+    representative per block decides each class, except for a block whose
+    C' split under the map, which is recorded as it splits and looked up
+    member by member; (4) a class of one block, every singleton among them,
+    needs no lookup when nothing has split.
     """
     if target == "plactic":
         system = "Plac"
@@ -417,49 +427,35 @@ def verify_axioms(
     # letters.  Relations keep content, so every member of a class has the
     # letters of its first member, its support; two morphisms (or intervals)
     # that act alike on the support give byte-identical images of every
-    # member.  Violations are still listed per morphism and per interval.
+    # member.  An action is the (table, delete) pair that `bytes.translate`
+    # applies.  Violations are still listed per morphism and per interval.
     supports = set(map(_support, classes))
-
-    # axiom 3: classes are stable under every ordered morphism
-    morphisms = [
-        (m.pairs, m.source, morphism_table(m)) for m in all_ordered_morphisms(n, n) if m.pairs
+    letters = frozenset(range(1, n + 1))
+    maps_by_axiom = (
+        # axiom 3: classes are stable under every ordered morphism whose
+        # source holds their support, in the congruence itself
+        (
+            [
+                (m.pairs, m.source, (morphism_table(m), b""))
+                for m in all_ordered_morphisms(n, n)
+                if m.pairs
+            ],
+            canon,
+            "morphism",
+        ),
+        # axiom 4: interval restrictions agree in the target congruence
+        (
+            [([lo, hi], letters, (None, outside)) for lo, hi, outside in _intervals(n)],
+            target_canon,
+            "interval",
+        ),
+    )
+    checks = [
+        ({support: _group_by_action(support, maps) for support in supports}, target, field)
+        for maps, target, field in maps_by_axiom
     ]
-    # the morphisms whose source holds a support, in enumeration order, each
-    # with the index of its action on the support
-    by_support = {
-        support: _group_by_action(
-            (pairs, table, support.translate(table))
-            for pairs, source, table in morphisms
-            if source.issuperset(support)
-        )
-        for support in supports
-    }
-    checked, violations = _stable_under(
-        classes,
-        by_support,
-        lambda cls, table: {canon(w.translate(table)) for w in cls},
-        "morphism",
-        n,
-    )
-    reports.append(_axiom_report(f"{system}.3", n, degree_bound, checked, violations))
-
-    # axiom 4: interval restrictions agree in the target congruence
-    intervals = _intervals(n)
-    by_support = {
-        support: _group_by_action(
-            ([lo, hi], outside, support.translate(None, outside))
-            for lo, hi, outside in intervals
-        )
-        for support in supports
-    }
-    checked, violations = _stable_under(
-        classes,
-        by_support,
-        lambda cls, outside: {target_canon(w.translate(None, outside)) for w in cls},
-        "interval",
-        n,
-    )
-    reports.append(_axiom_report(f"{system}.4", n, degree_bound, checked, violations))
+    for axiom, (checked, violations) in zip((3, 4), _stable_under(classes, canon, checks, n)):
+        reports.append(_axiom_report(f"{system}.{axiom}", n, degree_bound, checked, violations))
     return reports
 
 
@@ -468,40 +464,106 @@ def _support(cls: tuple[bytes, ...]) -> bytes:
     return bytes(sorted(set(cls[0])))
 
 
-def _group_by_action(maps) -> tuple[list, list]:
-    """(labels, actions) for (label, argument, action) triples in order:
-    `labels` holds (label, index into `actions`) per triple, and `actions`
-    one argument per distinct action, in order of first appearance."""
+def _group_by_action(support: bytes, maps) -> tuple[list, list]:
+    """(labels, actions) of the (label, source, action) triples, in order,
+    whose source holds the support, an action being a (table, delete) pair
+    for `bytes.translate`: `labels` holds (label, index into `actions`) per
+    triple, and `actions` one action per distinct image of the support, in
+    order of first appearance."""
     labels = []
     actions = []
     index: dict[bytes, int] = {}
-    for label, argument, action in maps:
-        i = index.get(action)
+    for label, source, action in maps:
+        if not source.issuperset(support):
+            continue
+        image = support.translate(*action)
+        i = index.get(image)
         if i is None:
-            i = index[action] = len(actions)
-            actions.append(argument)
+            i = index[image] = len(actions)
+            actions.append(action)
         labels.append((label, i))
     return labels, actions
 
 
-def _stable_under(classes, by_support, images, field: str, n: int) -> tuple[int, list[dict]]:
-    """(instances checked, violations) of a stability axiom: for each class,
-    in order, each map whose action sends the class to more than one
-    canonical word.  `images(cls, argument)` is computed once per distinct
-    action on the class's support (`by_support`, from `_group_by_action`);
-    each map counts one instance per member."""
-    checked = 0
-    violations = []
+def _blocks(cls: tuple[bytes, ...], canon) -> dict[tuple[bytes, int], bytes]:
+    """One representative per block C'·a of a class of positive degree:
+    {(least word of the class of w[:-1], last letter of w): first such w}
+    over its members w, with `canon` the canonical map of their congruence."""
+    blocks: dict[tuple[bytes, int], bytes] = {}
+    for w in cls:
+        blocks.setdefault((canon(w[:-1]), w[-1]), w)
+    return blocks
+
+
+def _stable_under(classes, canon, checks, n: int) -> list[tuple[int, list[dict]]]:
+    """(instances checked, violations) of each stability axiom in `checks`.
+
+    `checks` lists (by_support, target canonical map, field) per axiom;
+    `by_support` maps a class's support to (labels, actions) from
+    `_group_by_action`, each action a (table, delete) pair for
+    `bytes.translate`.  A violation is a class, in order, and a map whose
+    action sends the class into more than one target class; each map
+    counts one instance per member.  `classes` come in degree order, and
+    `canon` is the canonical map of their congruence.
+
+    Every map φ here, an ordered morphism or an interval restriction, is a
+    monoid homomorphism, and every target is a congruence, so:
+
+    1. A class C of degree k is the union of its blocks C'·a, one per class
+       C' of degree k - 1 and letter a with C'·a inside C: the members w
+       grouped by (least word of the class of w[:-1], last letter of w),
+       as `_blocks` keeps them.
+    2. If φ(C') lies in one target class, so does φ(C'·a) = φ(C')·φ(a),
+       because a congruence is closed under right multiplication.
+    3. So, by induction on degree, φ(C) lies in one target class iff the
+       images of one representative per block have one canonical word.
+       The exception is a block whose C' split under φ.  Each class that
+       splits is recorded, per axiom, as its least member with the images
+       of that member under the splitting actions; the least member holds
+       every letter of the support, so its image names φ's action there.
+       Classes come in degree order, so the record is complete when it is
+       read.  A block whose C' split contributes all its members, found
+       by grouping the class again.
+    4. When nothing has split, a class of one block needs no lookup at all.
+       Every singleton class is one, and its block's C' is a singleton,
+       which never splits.
+    """
+    checked = [0] * len(checks)
+    violations: list[list[dict]] = [[] for _ in checks]
+    splits: list[dict[bytes, set[bytes]]] = [{} for _ in checks]  # least member -> images
     for cls in classes:
-        labels, actions = by_support[_support(cls)]
-        checked += len(cls) * len(labels)
-        bad = [len(images(cls, argument)) != 1 for argument in actions]
-        if any(bad):
-            class_of = word_text(cls[0], n)
-            violations.extend(
-                {"class_of": class_of, field: label} for label, i in labels if bad[i]
-            )
-    return checked, violations
+        support = _support(cls)
+        blocks = _blocks(cls, canon) if len(cls) > 1 else {}
+        reps = list(blocks.values())
+        for k, (by_support, target, field) in enumerate(checks):
+            labels, actions = by_support[support]
+            checked[k] += len(cls) * len(labels)
+            split = splits[k]
+            torn = [key for key in blocks if key[0] in split] if split else []
+            if len(reps) < 2 and not torn:
+                continue
+            if torn:
+                members = {key: [w for w in cls if (canon(w[:-1]), w[-1]) == key] for key in torn}
+            bad = []
+            for table, delete in actions:
+                words = reps
+                if torn:
+                    broken = [p for p in torn if p[0].translate(table, delete) in split[p[0]]]
+                    words = [w for key, w in blocks.items() if key not in broken]
+                    words += [w for key in broken for w in members[key]]
+                bad.append(len({target(w.translate(table, delete)) for w in words}) != 1)
+            if any(bad):
+                least = cls[0]
+                split[least] = {
+                    least.translate(table, delete)
+                    for (table, delete), b in zip(actions, bad)
+                    if b
+                }
+                class_of = word_text(least, n)
+                violations[k].extend(
+                    {"class_of": class_of, field: label} for label, i in labels if bad[i]
+                )
+    return list(zip(checked, violations))
 
 
 def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
@@ -537,32 +599,6 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
                             "pass": True,
                         }
     return {"check": "restriction-surprise", "witness_found": False, "pass": True}
-
-
-def first_row_hook_report(n: int = 3, degree_bound: int = 5) -> dict:
-    """Report-only comparison of the mixed-insertion first-row length with the
-    longest-hook-subword statistic; nothing is asserted either way."""
-    agree = 0
-    disagreements = []
-    for d in range(1, degree_bound + 1):
-        for letters in itertools.product(range(1, n + 1), repeat=d):
-            w = bytes(letters)
-            first_row = len(mixed_insertion_rows(w)[0])
-            hook = longest_hook_subword(w)
-            if first_row == hook:
-                agree += 1
-            elif len(disagreements) < 10:
-                disagreements.append(
-                    {"word": word_text(w, n), "first_row": first_row, "longest_hook": hook}
-                )
-    return {
-        "check": "mixed-first-row-vs-longest-hook",
-        "n": n,
-        "degree_bound": degree_bound,
-        "agree": agree,
-        "disagreements": disagreements,
-        "pass": True,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,18 @@ from placto.rewrite import (
     Relation,
     RelationSet,
     congruence,
-    expanded_rules,
     instantiate,
 )
 from placto.words import Word
 
 
 def test_pure_closure_of_empty_word():
-    table = _kernels.RuleTable(expanded_rules(KNUTH))
+    table = _kernels.RuleTable(congruence(KNUTH).rules)
     assert _kernels.closure(b"", table) == {b""}
 
 
 def test_words_over_255_letters_rejected():
-    table = _kernels.RuleTable(expanded_rules(SHIFTED_KNUTH))
+    table = _kernels.RuleTable(congruence(SHIFTED_KNUTH).rules)
     longest = bytes([1]) * 255
     assert _kernels.closure(longest, table) == {longest}
     assert _kernels.neighbors(longest, table) == set()
@@ -132,7 +131,7 @@ def test_sparse_letters_match_independent_matcher(data):
     ids=["knuth", "shifted-knuth", "mixed-lengths"],
 )
 def test_order_type_table_is_bounded(rels, most, longest):
-    table = _kernels.RuleTable(expanded_rules(rels))
+    table = _kernels.RuleTable(congruence(rels).rules)
     rng = random.Random(9)
     for _ in range(300):
         # a few letters from 1..255 per word, so that windows repeat letters

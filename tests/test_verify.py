@@ -1,5 +1,6 @@
 """Verification harness: tables, case analysis, axioms, replacement checks."""
 
+import contextlib
 import itertools
 import json
 
@@ -26,7 +27,6 @@ from placto.verify import (
     _forced_matching,
     _forced_matchings,
     _intervals,
-    first_row_hook_report,
     restriction_surprise,
     section5_degree3_comparison,
     section5_degree4_comparison,
@@ -43,6 +43,7 @@ from placto.words import (
     apply_morphism,
     content,
     restrict,
+    word_text,
 )
 
 
@@ -315,6 +316,149 @@ class TestAxiomViolations:
         assert by_axiom["Plac.1"]["pass"]
 
 
+def _per_member_stable_under(classes, canon, checks, n):
+    """`verify._stable_under` with one canonical lookup per member per
+    distinct action: the reference for its one-word-per-block argument."""
+    results = []
+    for by_support, target, field in checks:
+        checked = 0
+        violations = []
+        for cls in classes:
+            labels, actions = by_support[verify._support(cls)]
+            checked += len(cls) * len(labels)
+            bad = [
+                len({target(w.translate(table, delete)) for w in cls}) != 1
+                for table, delete in actions
+            ]
+            if any(bad):
+                class_of = word_text(cls[0], n)
+                violations.extend(
+                    {"class_of": class_of, field: label} for label, i in labels if bad[i]
+                )
+        results.append((checked, violations))
+    return results
+
+
+def _reaches_fallback(classes, canon, checks, results, n):
+    """Whether some class of more than one member has a block C'·a whose C'
+    split under a map that also applies to the class: the case in which
+    `_stable_under` looks up every member of the block."""
+    for (by_support, _, field), (_, violations) in zip(checks, results):
+        split = {(v["class_of"], repr(v[field])) for v in violations}
+        for cls in classes:
+            if len(cls) == 1:
+                continue
+            labels, _ = by_support[verify._support(cls)]
+            prefixes = {word_text(canon(w[:-1]), n) for w in cls}
+            if any((p, repr(label)) in split for p in prefixes for label, _ in labels):
+                return True
+    return False
+
+
+@contextlib.contextmanager
+def _per_member_oracle():
+    """Compare every `_stable_under` call with the per-member reference, on
+    the full violation lists; yields one flag per call, set when the call
+    reached the fallback of its step 3."""
+    reached = []
+    real = verify._stable_under
+
+    def compared(classes, canon, checks, n):
+        got = real(classes, canon, checks, n)
+        expected = _per_member_stable_under(classes, canon, checks, n)
+        assert got == expected
+        reached.append(_reaches_fallback(classes, canon, checks, expected, n))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_stable_under", compared)
+        yield reached
+
+
+_CHINESE = RelationSet.custom(
+    (Relation("C.1", "cba", "bca", "a<=b<=c"), Relation("C.2", "cba", "cab", "a<=b<=c")),
+    name="chinese",
+)
+
+
+class TestOneWordPerBlock:
+    """Axioms 3 and 4 on one representative per block, against one lookup
+    per member, on untruncated violation lists."""
+
+    @pytest.mark.parametrize("n, degree", [(2, 8), (3, 6), (4, 5)])
+    @pytest.mark.parametrize("target", ["plactic", "shifted-plactic"])
+    @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
+    def test_shipped_sets(self, rels, target, n, degree):
+        with _per_member_oracle() as reached:
+            verify_axioms(target, n, degree, relations=rels)
+        assert len(reached) == 1
+
+    @pytest.mark.parametrize("n, degree", [(3, 6), (4, 5)])
+    @pytest.mark.parametrize("rels", [SHIFTED_KNUTH, _CHINESE], ids=lambda r: r.name)
+    def test_sets_failing_the_plactic_interval_axiom(self, rels, n, degree):
+        with _per_member_oracle() as reached:
+            reports = verify_axioms("plactic", n, degree, relations=rels)
+        assert not reports[3]["pass"]
+        assert reached == [True]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_sets(self, data):
+        """1-3 random relations on 2-4 variables with random chains."""
+        relations = []
+        for i in range(data.draw(st.integers(1, 3))):
+            variables = "abcd"[: data.draw(st.integers(2, 4))]
+            steps = len(variables) - 1
+            ops = data.draw(st.lists(st.sampled_from(["<", "<="]), min_size=steps, max_size=steps))
+            chain = variables[0] + "".join(op + v for op, v in zip(ops, variables[1:]))
+            extra = data.draw(st.lists(st.sampled_from(variables), max_size=4 - len(variables)))
+            left = "".join(data.draw(st.permutations(list(variables) + extra)))
+            right = "".join(data.draw(st.permutations(left)))
+            relations.append(Relation(f"r.{i + 1}", left, right, chain))
+        rels = RelationSet.custom(relations, name="random")
+        target = data.draw(st.sampled_from(["plactic", "shifted-plactic"]))
+        n, degree = data.draw(st.sampled_from([(2, 6), (3, 4), (3, 5), (4, 4)]))
+        with _per_member_oracle() as reached:
+            verify_axioms(target, n, degree, relations=rels)
+        assert len(reached) == 1
+
+
+def _count_lookups(monkeypatch):
+    """Count `Congruence.canonical` calls: (all calls, calls made by each
+    `_stable_under` call)."""
+    calls = []
+    per_sweep = []
+    real = Congruence.canonical
+    monkeypatch.setattr(Congruence, "canonical", lambda self, w: calls.append(w) or real(self, w))
+    stable_under = verify._stable_under
+
+    def counted(*args):
+        before = len(calls)
+        result = stable_under(*args)
+        per_sweep.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(verify, "_stable_under", counted)
+    return calls, per_sweep
+
+
+def test_axioms_look_up_one_word_per_block(capsys, monkeypatch):
+    """The per-member check made 442 873 lookups in this run."""
+    calls, per_sweep = _count_lookups(monkeypatch)
+    assert main("verify axioms --n 3 --degree 9".split()) == 0
+    capsys.readouterr()
+    assert len(calls) == 128_677 < 442_873 / 3
+    assert len(per_sweep) == 2
+
+
+def test_singleton_classes_need_no_image_lookup(capsys, monkeypatch):
+    calls, per_sweep = _count_lookups(monkeypatch)
+    assert main("verify axioms --n 1 --degree 6".split()) == 0
+    capsys.readouterr()
+    assert per_sweep == [0, 0]
+    assert calls  # axioms 1 and 2 still look words up
+
+
 class TestReportOnlyChecks:
     def test_restriction_surprise_finds_witness(self):
         report = restriction_surprise(4, 4)
@@ -325,12 +469,6 @@ class TestReportOnlyChecks:
     def test_restriction_surprise_absent_below_degree_4(self):
         report = restriction_surprise(4, 3)
         assert not report["witness_found"]
-
-    def test_first_row_hook_report_shape(self):
-        report = first_row_hook_report(3, 4)
-        assert report["check"] == "mixed-first-row-vs-longest-hook"
-        assert report["agree"] + len(report["disagreements"]) >= report["agree"]
-        assert report["pass"]  # report-only: never fails
 
 
 class TestSection5:
