@@ -22,7 +22,6 @@ from .tableaux import (
     _ssyt_rows,
     base_letter,
     is_partition,
-    longest_weakly_increasing_subword,
     partitions,
 )
 from .words import Word, content, word_text
@@ -265,34 +264,6 @@ def free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> 
         raise ValueError(f"|{nu}| exceeds degree bound {bound}")
     # reading words: rows bottom to top, each left to right
     words = [bytes(itertools.chain.from_iterable(reversed(rows))) for rows in _ssyt_rows(nu, n)]
-    return NcPoly.from_words(words, n, bound)
-
-
-def free_schur_by_filter(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> NcPoly:
-    """Independent route to the same sum: filter every word of degree |nu| by
-    the weakly-increasing factorization condition."""
-    if not (nu == () or is_partition(nu)):
-        raise ValueError(f"{nu} is not a partition")
-    size = sum(nu)
-    bound = size if degree_bound is None else degree_bound
-    lengths = list(reversed(nu))
-    words = []
-    for letters in itertools.product(range(1, n + 1), repeat=size):
-        segments = []
-        pos = 0
-        ok = True
-        for length in lengths:
-            seg = letters[pos : pos + length]
-            pos += length
-            if any(seg[i] > seg[i + 1] for i in range(len(seg) - 1)):
-                ok = False
-                break
-            if segments and longest_weakly_increasing_subword(segments[-1] + seg) != length:
-                ok = False
-                break
-            segments.append(seg)
-        if ok:
-            words.append(bytes(letters))
     return NcPoly.from_words(words, n, bound)
 
 

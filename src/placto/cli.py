@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import verify as verify_mod
@@ -162,6 +163,27 @@ def _check_sweep(command: str, n: int, degrees: range) -> None:
         )
 
 
+# Most ordered morphisms that one `verify axioms` run checks: the C(2n, n) - 1
+# nonempty strictly increasing partial maps of {1..n} into itself, each held
+# with its `bytes.translate` table and tried against the letters of every
+# class.  `--n 9` has 48 619 (`--degree 5`: 21-24 s and 189-206 MB peak RSS
+# for the whole process), `--n 10` has 184 755 (`--degree 3`, only 1 110
+# words: 27-43 s and 631-666 MB), and `--n 12 --degree 3` ran out of memory
+# under a 3 GB cap; Python 3.11, one core of a 2-core x86-64 machine.
+_MAX_MORPHISMS = 50_000
+
+
+def _check_morphisms(command: str, n: int) -> None:
+    """Refuse, before listing any, a `verify axioms` run over {1..n} with
+    more than `_MAX_MORPHISMS` ordered morphisms to check."""
+    count = math.comb(2 * n, n) - 1
+    if count > _MAX_MORPHISMS:
+        raise ValueError(
+            f"{command} would check {count} ordered morphisms, "
+            f"more than the limit of {_MAX_MORPHISMS}"
+        )
+
+
 def _check_words(command: str, count: int) -> None:
     """Refuse a run that would list more than `_MAX_SWEEP` words."""
     if count > _MAX_SWEEP:
@@ -214,7 +236,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif what == "axioms":
         n = _size_option(args.n, 3, "n", _MAX_LETTER)
         degree = _size_option(args.degree, 5, "degree")
-        _check_sweep(f"verify axioms --n {n} --degree {degree}", n, range(1, degree + 1))
+        command = f"verify axioms --n {n} --degree {degree}"
+        _check_sweep(command, n, range(1, degree + 1))
+        _check_morphisms(command, n)
         reports = []
         rel_spec = args.relations
         if rel_spec in (None, "knuth"):

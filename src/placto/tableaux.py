@@ -583,19 +583,6 @@ def longest_hook_subword(letters) -> int:
     return best
 
 
-def longest_weakly_increasing_subword(letters) -> int:
-    """Length of the longest weakly increasing subsequence of a letter
-    sequence (a byte word, a tuple or a `Word`)."""
-    if not letters:
-        return 0
-    inc = [1] * len(letters)
-    for i in range(len(letters)):
-        for j in range(i):
-            if letters[j] <= letters[i] and inc[j] + 1 > inc[i]:
-                inc[i] = inc[j] + 1
-    return max(inc)
-
-
 def hook_factorization_check(letters, nu: tuple[int, ...]) -> bool:
     """True iff a letter sequence (a byte word, a tuple or a `Word`) splits
     into consecutive hook segments of lengths nu_l, ..., nu_1 with each
@@ -620,8 +607,8 @@ def hook_factorization_check(letters, nu: tuple[int, ...]) -> bool:
 def enumerate_hook(nu: tuple[int, ...], n: int) -> set[Word]:
     """All words over {1..n} in the hook-factorization set of the strict shape.
 
-    Built generatively, segment by segment; enumerate_hook_by_filter is the
-    independent brute-force oracle.
+    Built generatively, segment by segment; the tests check it against a
+    filter of every word of the degree.
     """
     return {Word(tuple(w), n) for w in _hook_words(nu, n)}
 
@@ -673,13 +660,3 @@ def _check_listing(words: list, cap: int | None) -> None:
             f"listing the hook words holds at least {len(words)} words, "
             f"more than the limit of {cap}"
         )
-
-
-def enumerate_hook_by_filter(nu: tuple[int, ...], n: int) -> set[Word]:
-    """Brute-force oracle: filter every word of degree |nu| over {1..n}."""
-    degree = sum(nu)
-    return {
-        Word(letters, n)
-        for letters in itertools.product(range(1, n + 1), repeat=degree)
-        if hook_factorization_check(letters, nu)
-    }

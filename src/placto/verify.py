@@ -358,16 +358,12 @@ def verify_axioms(
     (defaults: knuth, shifted-knuth), which lets the harness confirm that,
     e.g., the fully commutative quotient also satisfies the plactic axioms.
 
-    Axioms 3 and 4 look up one word per block, in one pass over the classes
-    (`_stable_under`), and give the verdicts of one lookup per member:
-    (1) a class of degree k is the union of its blocks C'·a, C' a class of
-    degree k - 1 and a a letter; (2) ordered morphisms and interval
-    restrictions are homomorphisms and every target is a congruence, so if
-    a map sends C' into one target class it sends C'·a into one; (3) so one
-    representative per block decides each class, except for a block whose
-    C' split under the map, which is recorded as it splits and looked up
-    member by member; (4) a class of one block, every singleton among them,
-    needs no lookup when nothing has split.
+    Axioms 1, 3 and 4 each say that a homomorphism (the identity, an
+    ordered morphism, an interval restriction) sends every class into one
+    class of a target congruence.  `_stable_under` checks all three in one
+    pass over the walk's classes, with one lookup per block C'·a of a class
+    rather than one per member, and gives the verdicts of one lookup per
+    member; its docstring gives the argument.
     """
     if target == "plactic":
         system = "Plac"
@@ -386,30 +382,16 @@ def verify_axioms(
 
     cong = congruence(rels)
     canon = cong.canonical
-    # the target of axioms 1 and 4: the congruence itself for the plactic
-    # system (content for axiom 1), ordinary Knuth for the shifted system
+    # the targets of axioms 1 and 4: content and the congruence itself for
+    # the plactic system, ordinary Knuth for both in the shifted system
     if system == "Plac":
+        reference = _sorted_letters
         target_canon = canon
     else:
         knuth = congruence(KNUTH)
         knuth.seed(n, degree_bound)  # a no-op once the Plac half has walked it
-        target_canon = knuth.canonical
-    classes = [cls for level in cong.partitions(n, degree_bound)[1:] for cls in level]
-
-    reports = []
-
-    # axiom 1: the reference map is constant on classes
-    violations: list = []
-    checked = 0
-    for cls in classes:
-        checked += len(cls)
-        if system == "Plac":
-            keys = {bytes(sorted(w)) for w in cls}  # same sorted letters = same content
-        else:
-            keys = {target_canon(w) for w in cls}
-        if len(keys) != 1:
-            violations.append({"class_of": word_text(cls[0], n)})
-    reports.append(_axiom_report(f"{system}.1", n, degree_bound, checked, violations))
+        reference = target_canon = knuth.canonical
+    levels = cong.partitions(n, degree_bound)
 
     # axiom 2: the two designated sums commute in the quotient
     if system == "Plac":
@@ -420,43 +402,55 @@ def verify_axioms(
         pb = shifted_free_schur((2, 1), n, degree_bound)
     com = commutator_in_quotient(pa, pb, rels)
     nonzero = sorted(word_text(w, n) for w in com.terms)[:10]
-    violations = [{"nonzero_terms": nonzero}] if nonzero else []
-    reports.append(_axiom_report(f"{system}.2", n, degree_bound, 1, violations))
+    commutes = _axiom_report(
+        f"{system}.2", n, degree_bound, 1, [{"nonzero_terms": nonzero}] if nonzero else []
+    )
 
-    # Axioms 3 and 4 are checked once per distinct action on a class's
+    # Axioms 1, 3 and 4 are checked once per distinct action on a class's
     # letters.  Relations keep content, so every member of a class has the
-    # letters of its first member, its support; two morphisms (or intervals)
-    # that act alike on the support give byte-identical images of every
-    # member.  An action is the (table, delete) pair that `bytes.translate`
-    # applies.  Violations are still listed per morphism and per interval.
-    supports = set(map(_support, classes))
+    # letters of its first member, its support; two maps that act alike on
+    # the support give byte-identical images of every member.  An action is
+    # the (table, delete) pair that `bytes.translate` applies, and a map's
+    # label holds the fields that name it in a violation.
     letters = frozenset(range(1, n + 1))
     maps_by_axiom = (
+        # axiom 1: classes lie in one class of the reference map's target
+        ([({}, letters, (None, b""))], reference),
         # axiom 3: classes are stable under every ordered morphism whose
         # source holds their support, in the congruence itself
         (
             [
-                (m.pairs, m.source, (morphism_table(m), b""))
+                ({"morphism": m.pairs}, m.source, (morphism_table(m), b""))
                 for m in all_ordered_morphisms(n, n)
                 if m.pairs
             ],
             canon,
-            "morphism",
         ),
         # axiom 4: interval restrictions agree in the target congruence
         (
-            [([lo, hi], letters, (None, outside)) for lo, hi, outside in _intervals(n)],
+            [
+                ({"interval": [lo, hi]}, letters, (None, outside))
+                for lo, hi, outside in _intervals(n)
+            ],
             target_canon,
-            "interval",
         ),
     )
+    supports = {_support(cls) for level in levels[1:] for cls in level}
     checks = [
-        ({support: _group_by_action(support, maps) for support in supports}, target, field)
-        for maps, target, field in maps_by_axiom
+        ({support: _group_by_action(support, maps) for support in supports}, target)
+        for maps, target in maps_by_axiom
     ]
-    for axiom, (checked, violations) in zip((3, 4), _stable_under(classes, canon, checks, n)):
-        reports.append(_axiom_report(f"{system}.{axiom}", n, degree_bound, checked, violations))
-    return reports
+    results = _stable_under(levels, cong.memo, checks, n)
+    one, three, four = (
+        _axiom_report(f"{system}.{axiom}", n, degree_bound, checked, violations)
+        for axiom, (checked, violations) in zip((1, 3, 4), results)
+    )
+    return [one, commutes, three, four]
+
+
+def _sorted_letters(word: bytes) -> bytes:
+    """The letters of a word in increasing order: a key of its content."""
+    return bytes(sorted(word))
 
 
 def _support(cls: tuple[bytes, ...]) -> bytes:
@@ -485,45 +479,38 @@ def _group_by_action(support: bytes, maps) -> tuple[list, list]:
     return labels, actions
 
 
-def _blocks(cls: tuple[bytes, ...], canon) -> dict[tuple[bytes, int], bytes]:
-    """One representative per block C'·a of a class of positive degree:
-    {(least word of the class of w[:-1], last letter of w): first such w}
-    over its members w, with `canon` the canonical map of their congruence."""
-    blocks: dict[tuple[bytes, int], bytes] = {}
-    for w in cls:
-        blocks.setdefault((canon(w[:-1]), w[-1]), w)
-    return blocks
-
-
-def _stable_under(classes, canon, checks, n: int) -> list[tuple[int, list[dict]]]:
+def _stable_under(levels, memo, checks, n: int) -> list[tuple[int, list[dict]]]:
     """(instances checked, violations) of each stability axiom in `checks`.
 
-    `checks` lists (by_support, target canonical map, field) per axiom;
-    `by_support` maps a class's support to (labels, actions) from
-    `_group_by_action`, each action a (table, delete) pair for
-    `bytes.translate`.  A violation is a class, in order, and a map whose
-    action sends the class into more than one target class; each map
-    counts one instance per member.  `classes` come in degree order, and
-    `canon` is the canonical map of their congruence.
+    `levels` are the classes of each degree 0..d from `Congruence.partitions`
+    and `memo` the canonical memo that walk seeded.  `checks` lists
+    (by_support, target canonical map) per axiom; `by_support` maps a
+    class's support to (labels, actions) from `_group_by_action`, each
+    label a dict of the fields that name a map and each action a (table,
+    delete) pair for `bytes.translate`.  A violation is a class, in order,
+    with the label of a map whose action sends the class into more than one
+    target class; each map counts one instance per member.
 
-    Every map φ here, an ordered morphism or an interval restriction, is a
-    monoid homomorphism, and every target is a congruence, so:
+    Every map φ here, the identity, an ordered morphism or an interval
+    restriction, is a monoid homomorphism, and every target is a
+    congruence, so:
 
     1. A class C of degree k is the union of its blocks C'·a, one per class
-       C' of degree k - 1 and letter a with C'·a inside C: the members w
-       grouped by (least word of the class of w[:-1], last letter of w),
-       as `_blocks` keeps them.
+       C' of degree k - 1 and letter a with C'·a inside C.  Before the
+       classes of degree k are checked, one memo read per class of degree
+       k - 1 and letter finds the class of least(C')·a, and records
+       (C', a) under its least member.
     2. If φ(C') lies in one target class, so does φ(C'·a) = φ(C')·φ(a),
        because a congruence is closed under right multiplication.
     3. So, by induction on degree, φ(C) lies in one target class iff the
-       images of one representative per block have one canonical word.
-       The exception is a block whose C' split under φ.  Each class that
-       splits is recorded, per axiom, as its least member with the images
-       of that member under the splitting actions; the least member holds
-       every letter of the support, so its image names φ's action there.
-       Classes come in degree order, so the record is complete when it is
-       read.  A block whose C' split contributes all its members, found
-       by grouping the class again.
+       images of one representative per block, least(C')·a, have one
+       canonical word.  The exception is a block whose C' split under φ.
+       Each class that splits is recorded, per axiom, as its least member
+       with the images of that member under the splitting actions; the
+       least member holds every letter of the support, so its image names
+       φ's action there.  Classes come in degree order, so the record is
+       complete when it is read.  A block whose C' split contributes all
+       its members, m·a for m in C'.
     4. When nothing has split, a class of one block needs no lookup at all.
        Every singleton class is one, and its block's C' is a singleton,
        which never splits.
@@ -531,38 +518,45 @@ def _stable_under(classes, canon, checks, n: int) -> list[tuple[int, list[dict]]
     checked = [0] * len(checks)
     violations: list[list[dict]] = [[] for _ in checks]
     splits: list[dict[bytes, set[bytes]]] = [{} for _ in checks]  # least member -> images
-    for cls in classes:
-        support = _support(cls)
-        blocks = _blocks(cls, canon) if len(cls) > 1 else {}
-        reps = list(blocks.values())
-        for k, (by_support, target, field) in enumerate(checks):
-            labels, actions = by_support[support]
-            checked[k] += len(cls) * len(labels)
-            split = splits[k]
-            torn = [key for key in blocks if key[0] in split] if split else []
-            if len(reps) < 2 and not torn:
-                continue
-            if torn:
-                members = {key: [w for w in cls if (canon(w[:-1]), w[-1]) == key] for key in torn}
-            bad = []
-            for table, delete in actions:
-                words = reps
-                if torn:
-                    broken = [p for p in torn if p[0].translate(table, delete) in split[p[0]]]
-                    words = [w for key, w in blocks.items() if key not in broken]
-                    words += [w for key in broken for w in members[key]]
-                bad.append(len({target(w.translate(table, delete)) for w in words}) != 1)
-            if any(bad):
-                least = cls[0]
-                split[least] = {
-                    least.translate(table, delete)
-                    for (table, delete), b in zip(actions, bad)
-                    if b
-                }
-                class_of = word_text(least, n)
-                violations[k].extend(
-                    {"class_of": class_of, field: label} for label, i in labels if bad[i]
-                )
+    suffixes = [bytes((a,)) for a in range(1, n + 1)]
+    blocks: dict[bytes, list[tuple[tuple[bytes, ...], bytes]]] = {}  # least -> (C', a)
+    for below, level in zip(levels, levels[1:]):
+        for prefix in below:
+            for suffix in suffixes:
+                blocks.setdefault(memo[prefix[0] + suffix], []).append((prefix, suffix))
+        for cls in level:
+            least = cls[0]
+            own = blocks.pop(least)
+            reps = [prefix[0] + suffix for prefix, suffix in own]
+            support = _support(cls)
+            for k, (by_support, target) in enumerate(checks):
+                labels, actions = by_support[support]
+                checked[k] += len(cls) * len(labels)
+                split = splits[k]
+                torn = bool(split) and any(prefix[0] in split for prefix, _ in own)
+                if len(reps) < 2 and not torn:
+                    continue
+                bad = []
+                for table, delete in actions:
+                    words = reps
+                    if torn:
+                        words = []
+                        for (prefix, suffix), rep in zip(own, reps):
+                            if prefix[0].translate(table, delete) in split.get(prefix[0], ()):
+                                words += [m + suffix for m in prefix]
+                            else:
+                                words.append(rep)
+                    bad.append(len({target(w.translate(table, delete)) for w in words}) != 1)
+                if any(bad):
+                    split[least] = {
+                        least.translate(table, delete)
+                        for (table, delete), b in zip(actions, bad)
+                        if b
+                    }
+                    class_of = word_text(least, n)
+                    violations[k].extend(
+                        {"class_of": class_of, **label} for label, i in labels if bad[i]
+                    )
     return list(zip(checked, violations))
 
 

@@ -1,0 +1,61 @@
+"""Brute-force oracles that the tests check the library's routes against:
+each filters every word of one degree by a condition read off the
+definition, with no generation shared with `placto`."""
+
+import itertools
+
+from placto.algebra import NcPoly
+from placto.tableaux import hook_factorization_check, is_partition
+from placto.words import Word
+
+
+def longest_weakly_increasing_subword(letters) -> int:
+    """Length of the longest weakly increasing subsequence of a letter
+    sequence (a byte word, a tuple or a `Word`)."""
+    if not letters:
+        return 0
+    inc = [1] * len(letters)
+    for i in range(len(letters)):
+        for j in range(i):
+            if letters[j] <= letters[i] and inc[j] + 1 > inc[i]:
+                inc[i] = inc[j] + 1
+    return max(inc)
+
+
+def free_schur_by_filter(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> NcPoly:
+    """`algebra.free_schur` by another route: filter every word of degree
+    |nu| by the weakly-increasing factorization condition."""
+    if not (nu == () or is_partition(nu)):
+        raise ValueError(f"{nu} is not a partition")
+    size = sum(nu)
+    bound = size if degree_bound is None else degree_bound
+    lengths = list(reversed(nu))
+    words = []
+    for letters in itertools.product(range(1, n + 1), repeat=size):
+        segments = []
+        pos = 0
+        ok = True
+        for length in lengths:
+            seg = letters[pos : pos + length]
+            pos += length
+            if any(seg[i] > seg[i + 1] for i in range(len(seg) - 1)):
+                ok = False
+                break
+            if segments and longest_weakly_increasing_subword(segments[-1] + seg) != length:
+                ok = False
+                break
+            segments.append(seg)
+        if ok:
+            words.append(bytes(letters))
+    return NcPoly.from_words(words, n, bound)
+
+
+def enumerate_hook_by_filter(nu: tuple[int, ...], n: int) -> set[Word]:
+    """`tableaux.enumerate_hook` by another route: filter every word of
+    degree |nu| over {1..n}."""
+    degree = sum(nu)
+    return {
+        Word(letters, n)
+        for letters in itertools.product(range(1, n + 1), repeat=degree)
+        if hook_factorization_check(letters, nu)
+    }

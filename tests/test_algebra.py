@@ -11,7 +11,6 @@ from placto.algebra import (
     abelianize,
     commutator_in_quotient,
     free_schur,
-    free_schur_by_filter,
     lr_expand,
     nc_mul,
     p_schur_poly,
@@ -22,6 +21,8 @@ from placto.algebra import (
 from placto.rewrite import KNUTH, SHIFTED_KNUTH, RelationSet, canonical_word, equivalent
 from placto.tableaux import Tableau, partitions, reading_word, strict_partitions
 from placto.words import Word, content
+
+from oracles import free_schur_by_filter
 
 
 def W(text, n=None):

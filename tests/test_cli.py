@@ -573,6 +573,37 @@ def test_sweep_at_the_letter_limit_accepted(capsys, monkeypatch):
     assert "would hold 10 letters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, morphisms", [(10, 184_755), (12, 2_704_155)])
+def test_morphism_family_above_the_limit_rejected(capsys, n, morphisms):
+    """`verify axioms --n 10 --degree 3` sweeps only 1 110 words, but
+    would check C(20, 10) - 1 ordered morphisms: refused, fast."""
+    start = time.perf_counter()
+    code = main(["verify", "axioms", "--n", str(n), "--degree", "3"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"placto: error: verify axioms --n {n} --degree 3 would check {morphisms} "
+        f"ordered morphisms, more than the limit of {cli._MAX_MORPHISMS}\n"
+    )
+    assert elapsed < 1.0
+
+
+def test_morphism_family_at_the_limit_accepted(capsys, monkeypatch):
+    # --n 9 --degree 5 takes about 20 s, so it is checked against the
+    # limits without running; --n 2 runs at a limit of its 5 morphisms
+    cli._check_sweep("verify axioms --n 9 --degree 5", 9, range(1, 6))
+    cli._check_morphisms("verify axioms --n 9 --degree 5", 9)
+    argv = ["verify", "axioms", "--n", "2", "--degree", "3"]
+    monkeypatch.setattr(cli, "_MAX_MORPHISMS", 5)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_MAX_MORPHISMS", 4)
+    assert main(argv) == 2
+    assert "would check 5 ordered morphisms" in capsys.readouterr().err
+
+
 def test_sweeps_over_two_letters_within_the_word_limit_are_within_the_letter_limit():
     # for each n the longest degree within the word limit holds the most letters
     for n in range(2, 256):
@@ -722,6 +753,39 @@ def test_pinned_output_digest(capsys, command):
     code, out = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_DIGESTS[command]
+
+
+# custom sets that fail some Plac axiom, so that `verify axioms` looks up
+# every member of the blocks whose prefix class split
+_FAILING_SETS = {
+    "chinese": [
+        {"left": "cba", "right": "bca", "constraints": "a<=b<=c"},
+        {"left": "cba", "right": "cab", "constraints": "a<=b<=c"},
+    ],
+    "knuth-1": [{"left": "acb", "right": "cab", "constraints": "a<=b<c"}],
+    "shifted-knuth": [
+        {"left": rel.left, "right": rel.right, "constraints": rel.constraints}
+        for rel in SHIFTED_KNUTH.relations
+    ],
+}
+
+# sha256 of the stdout of `verify axioms --n 4 --degree 5 --relations
+# custom:<file>` for each set above, which exits 1
+FAILING_DIGESTS = {
+    "chinese": "a86eab0494dc3390d5bd22fcaa800d7545cecd63ee0ca2460a989ddee3fe017c",
+    "knuth-1": "8f87dcb14779a50b4ae8a682957bede8b2180ab3bfa6202879d599da941c4e88",
+    "shifted-knuth": "f9e30a48ea54d6f1de4f47c0d7966b92f4b4ed9beaf5685339302d8385499933",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_DIGESTS))
+def test_failing_custom_axioms_digest(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_FAILING_SETS[name]), encoding="utf-8")
+    argv = "verify axioms --n 4 --degree 5 --relations".split() + [f"custom:{path}"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FAILING_DIGESTS[name]
 
 
 # relations of lengths 3 and 4 in one custom set, written to a file per test

@@ -1,7 +1,8 @@
 """Insertion algorithms, shifted tableaux, and hook-word machinery.
 
 Brute-force oracles (subsequence enumeration, independent hook predicate)
-are defined here first and the library answers are checked against them.
+are defined here first, or in `oracles.py`, and the library answers are
+checked against them.
 """
 
 import itertools
@@ -16,13 +17,11 @@ from placto.tableaux import (
     Tableau,
     _hook_segments,
     enumerate_hook,
-    enumerate_hook_by_filter,
     enumerate_shssyt,
     enumerate_ssyt,
     hook_factorization_check,
     is_hook_word,
     longest_hook_subword,
-    longest_weakly_increasing_subword,
     mixed_insert,
     mixed_insert_word,
     p_tableau,
@@ -33,6 +32,8 @@ from placto.tableaux import (
     strict_partitions,
 )
 from placto.words import Word, all_words
+
+from oracles import enumerate_hook_by_filter, longest_weakly_increasing_subword
 
 
 def W(text, n=None):
