@@ -16,6 +16,7 @@ answered by `congruence(KNUTH).canonical` after `Congruence.seed`.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .algebra import (
     NcPoly,
@@ -33,9 +34,7 @@ from .rewrite import (
 )
 from .words import (
     all_intervals,
-    all_ordered_morphisms,
     content,
-    morphism_table,
     outside_letters,
     word_text,
 )
@@ -361,9 +360,19 @@ def verify_axioms(
     Axioms 1, 3 and 4 each say that a homomorphism (the identity, an
     ordered morphism, an interval restriction) sends every class into one
     class of a target congruence.  `_stable_under` checks all three in one
-    pass over the walk's classes, with one lookup per block C'·a of a class
-    rather than one per member, and gives the verdicts of one lookup per
-    member; its docstring gives the argument.
+    pass over the walk's classes and gives the verdicts of one lookup per
+    member; its docstring gives the argument:
+
+    1. A class C of degree k is the union of its right blocks C'·a and also
+       of its left blocks b·C'', with C' and C'' classes of degree k - 1;
+       memo reads over the walk's levels find both.
+    2. Each map is a homomorphism and each target a two-sided congruence,
+       so a block lies in one target class when its C' or C'' does.
+    3. The left block b·C'' meets the right blocks (class of b·D, a) for
+       the right blocks (D, a) of C'', which joins the right blocks of C
+       into groups; one lookup per group decides C, and every member is
+       looked up only when some C' or C'' of C split under the map.
+    4. So a class of one group, almost every class, needs no lookup.
     """
     if target == "plactic":
         system = "Plac"
@@ -412,33 +421,19 @@ def verify_axioms(
     # the support give byte-identical images of every member.  An action is
     # the (table, delete) pair that `bytes.translate` applies, and a map's
     # label holds the fields that name it in a violation.
-    letters = frozenset(range(1, n + 1))
-    maps_by_axiom = (
+    checks = [
         # axiom 1: classes lie in one class of the reference map's target
-        ([({}, letters, (None, b""))], reference),
+        (_group_by_action([({}, (None, b""))]), reference),
         # axiom 3: classes are stable under every ordered morphism whose
         # source holds their support, in the congruence itself
-        (
-            [
-                ({"morphism": m.pairs}, m.source, (morphism_table(m), b""))
-                for m in all_ordered_morphisms(n, n)
-                if m.pairs
-            ],
-            canon,
-        ),
+        (_ordered_injections(n), canon),
         # axiom 4: interval restrictions agree in the target congruence
         (
-            [
-                ({"interval": [lo, hi]}, letters, (None, outside))
-                for lo, hi, outside in _intervals(n)
-            ],
+            _group_by_action(
+                [({"interval": [lo, hi]}, (None, outside)) for lo, hi, outside in _intervals(n)]
+            ),
             target_canon,
         ),
-    )
-    supports = {_support(cls) for level in levels[1:] for cls in level}
-    checks = [
-        ({support: _group_by_action(support, maps) for support in supports}, target)
-        for maps, target in maps_by_axiom
     ]
     results = _stable_under(levels, cong.memo, checks, n)
     one, three, four = (
@@ -458,105 +453,202 @@ def _support(cls: tuple[bytes, ...]) -> bytes:
     return bytes(sorted(set(cls[0])))
 
 
-def _group_by_action(support: bytes, maps) -> tuple[list, list]:
-    """(labels, actions) of the (label, source, action) triples, in order,
-    whose source holds the support, an action being a (table, delete) pair
-    for `bytes.translate`: `labels` holds (label, index into `actions`) per
-    triple, and `actions` one action per distinct image of the support, in
-    order of first appearance."""
-    labels = []
-    actions = []
-    index: dict[bytes, int] = {}
-    for label, source, action in maps:
-        if not source.issuperset(support):
-            continue
-        image = support.translate(*action)
-        i = index.get(image)
-        if i is None:
-            i = index[image] = len(actions)
-            actions.append(action)
-        labels.append((label, i))
-    return labels, actions
+# A family of maps takes a class's support to (instances, actions, labels):
+# the number of its maps that apply to the support, one (table, delete)
+# action for `bytes.translate` per distinct image of the support, and a
+# callable that lists (label, index into actions) per applicable map, in
+# order.  `_stable_under` calls `labels` only for a class that fails.
+
+
+def _group_by_action(maps):
+    """The family of (label, action) maps that apply to every support;
+    maps that act alike on a support share the action of the first."""
+
+    def family(support: bytes):
+        labels = []
+        actions = []
+        index: dict[bytes, int] = {}
+        for label, action in maps:
+            image = support.translate(*action)
+            i = index.get(image)
+            if i is None:
+                i = index[image] = len(actions)
+                actions.append(action)
+            labels.append((label, i))
+        return len(labels), actions, lambda: labels
+
+    return family
+
+
+def _ordered_injections(n: int):
+    """The family of the ordered morphisms of {1..n} with nonempty pairs,
+    labelled {"morphism": pairs} in `all_ordered_morphisms` order.
+
+    Those whose source holds a support of k letters act on it as its
+    C(n, k) order-preserving injections into {1..n}, and there are
+    sum over j >= k of C(n - k, j - k) * C(n, j) of them: a source of j
+    letters holding the support, and an image of j letters.
+    """
+    letters = range(1, n + 1)
+
+    def family(support: bytes):
+        k = len(support)
+        images = [bytes(image) for image in itertools.combinations(letters, k)]
+        instances = sum(math.comb(n - k, j - k) * math.comb(n, j) for j in range(k, n + 1))
+        actions = [(bytes.maketrans(support, image), b"") for image in images]
+
+        def labels():
+            index = {image: i for i, image in enumerate(images)}
+            rest = [a for a in letters if a not in support]
+            for j in range(k, n + 1):
+                sources = sorted(
+                    bytes(sorted(support + bytes(extra)))
+                    for extra in itertools.combinations(rest, j - k)
+                )
+                for source in sources:
+                    for image in itertools.combinations(letters, j):
+                        restricted = support.translate(bytes.maketrans(source, bytes(image)))
+                        yield {"morphism": tuple(zip(source, image))}, index[restricted]
+
+        return instances, actions, labels
+
+    return family
 
 
 def _stable_under(levels, memo, checks, n: int) -> list[tuple[int, list[dict]]]:
     """(instances checked, violations) of each stability axiom in `checks`.
 
     `levels` are the classes of each degree 0..d from `Congruence.partitions`
-    and `memo` the canonical memo that walk seeded.  `checks` lists
-    (by_support, target canonical map) per axiom; `by_support` maps a
-    class's support to (labels, actions) from `_group_by_action`, each
-    label a dict of the fields that name a map and each action a (table,
-    delete) pair for `bytes.translate`.  A violation is a class, in order,
-    with the label of a map whose action sends the class into more than one
-    target class; each map counts one instance per member.
+    and `memo` the canonical memo that walk seeded.  `checks` lists (family,
+    target canonical map) per axiom, a family as described above.  A
+    violation is a class, in order, with the label of a map whose action
+    sends the class into more than one target class; each map counts one
+    instance per member.
 
     Every map φ here, the identity, an ordered morphism or an interval
-    restriction, is a monoid homomorphism, and every target is a
+    restriction, is a monoid homomorphism, and every target is a two-sided
     congruence, so:
 
-    1. A class C of degree k is the union of its blocks C'·a, one per class
-       C' of degree k - 1 and letter a with C'·a inside C.  Before the
-       classes of degree k are checked, one memo read per class of degree
-       k - 1 and letter finds the class of least(C')·a, and records
-       (C', a) under its least member.
-    2. If φ(C') lies in one target class, so does φ(C'·a) = φ(C')·φ(a),
-       because a congruence is closed under right multiplication.
-    3. So, by induction on degree, φ(C) lies in one target class iff the
-       images of one representative per block, least(C')·a, have one
-       canonical word.  The exception is a block whose C' split under φ.
+    1. A class C of degree k is the union of its right blocks C'·a, one per
+       class C' of degree k - 1 and letter a with C'·a inside C, and also
+       the union of its left blocks b·C'', one per letter b and class C''
+       of degree k - 1 with b·C'' inside C.  Before the classes of degree k
+       are checked, two memo reads per class of degree k - 1 and letter
+       find the classes of least(C')·a and a·least(C'), and give each right
+       block an integer id.
+    2. If φ(C') lies in one target class, so does φ(C'·a) = φ(C')·φ(a); if
+       φ(C'') does, so does φ(b·C'') = φ(b)·φ(C''), because a congruence is
+       closed under multiplication on both sides.
+    3. The left block b·C'' meets exactly the right blocks (class of b·D,
+       a), where (D, a) runs over the right blocks of C'', so the ids
+       recorded one degree lower join the right blocks of C into groups
+       that share members.  By induction on degree, φ(C) lies in one target
+       class iff the images of one representative per group, least(C')·a,
+       have one canonical word.  The exception is a class with a block
+       whose C' or C'' split under φ: then every member of C is looked up.
        Each class that splits is recorded, per axiom, as its least member
        with the images of that member under the splitting actions; the
        least member holds every letter of the support, so its image names
-       φ's action there.  Classes come in degree order, so the record is
-       complete when it is read.  A block whose C' split contributes all
-       its members, m·a for m in C'.
-    4. When nothing has split, a class of one block needs no lookup at all.
-       Every singleton class is one, and its block's C' is a singleton,
-       which never splits.
+       φ's action there.  Classes come in degree order, and only the
+       record of degree k - 1 is read at degree k.
+    4. When nothing has split, a class of one group needs no lookup at
+       all.  Every singleton class is one, and its blocks' C' and C'' are
+       singletons, which never split.
     """
     checked = [0] * len(checks)
     violations: list[list[dict]] = [[] for _ in checks]
-    splits: list[dict[bytes, set[bytes]]] = [{} for _ in checks]  # least member -> images
-    suffixes = [bytes((a,)) for a in range(1, n + 1)]
-    blocks: dict[bytes, list[tuple[tuple[bytes, ...], bytes]]] = {}  # least -> (C', a)
+    # per axiom, least member of a class of degree k - 1 that split -> images
+    splits: list[dict[bytes, set[bytes]]] = [{} for _ in checks]
+    families: dict[bytes, list] = {}  # support -> each check's family there
+    letters = [bytes((a,)) for a in range(1, n + 1)]
+    # a right block C'·a has id i * n + (a - 1), where C' is class i of its
+    # degree.  Read at degree k: the right-block ids of each class of degree
+    # k - 1 and, per class D of degree k - 2 and letter b, the index of the
+    # class of b·D among those of degree k - 1.
+    rights_below: list[list[int]] = [[]]
+    prepended_below: list[list[int]] = []
     for below, level in zip(levels, levels[1:]):
-        for prefix in below:
-            for suffix in suffixes:
-                blocks.setdefault(memo[prefix[0] + suffix], []).append((prefix, suffix))
-        for cls in level:
+        where = {cls[0]: j for j, cls in enumerate(level)}
+        rights: list[list[int]] = [[] for _ in level]
+        lefts: list[list[int]] = [[] for _ in level]  # left blocks b·C'' as i * n + (b - 1)
+        prepended = []
+        for i, cls in enumerate(below):
             least = cls[0]
-            own = blocks.pop(least)
-            reps = [prefix[0] + suffix for prefix, suffix in own]
+            row = []
+            for a, letter in enumerate(letters):
+                rights[where[memo[least + letter]]].append(i * n + a)
+                j = where[memo[letter + least]]
+                lefts[j].append(i * n + a)
+                row.append(j)
+            prepended.append(row)
+        new_splits: list[dict[bytes, set[bytes]]] = [{} for _ in checks]
+        for j, cls in enumerate(level):
+            own = rights[j]
+            reps = None  # one right block per group, when there is more than one
+            if len(own) > 1:
+                group = {r: r for r in own}  # right block -> a block of its group
+                count = len(own)
+                for block in lefts[j]:
+                    i, b = divmod(block, n)
+                    if len(rights_below[i]) < 2:
+                        continue  # b·C'' meets one right block
+                    roots = set()
+                    for r in rights_below[i]:
+                        r = prepended_below[r // n][b] * n + r % n
+                        while group[r] != r:
+                            r = group[r]
+                        roots.add(r)
+                    root = roots.pop()
+                    for r in roots:
+                        group[r] = root
+                    count -= len(roots)
+                    if count == 1:
+                        break
+                if count > 1:
+                    tops: dict[int, int] = {}
+                    for r in own:
+                        top = r
+                        while group[top] != top:
+                            top = group[top]
+                        tops.setdefault(top, r)
+                    reps = [below[r // n][0] + letters[r % n] for r in tops.values()]
             support = _support(cls)
-            for k, (by_support, target) in enumerate(checks):
-                labels, actions = by_support[support]
-                checked[k] += len(cls) * len(labels)
+            family = families.get(support)
+            if family is None:
+                family = families[support] = [check(support) for check, _ in checks]
+            for k, ((instances, actions, labels), (_, target)) in enumerate(zip(family, checks)):
+                checked[k] += len(cls) * instances
                 split = splits[k]
-                torn = bool(split) and any(prefix[0] in split for prefix, _ in own)
-                if len(reps) < 2 and not torn:
+                torn = []  # (least member, images) of each split C' or C''
+                if split:
+                    parts = {below[block // n][0] for block in own + lefts[j]}
+                    torn = [(part, split[part]) for part in parts if part in split]
+                if reps is None and not torn:
                     continue
                 bad = []
                 for table, delete in actions:
                     words = reps
-                    if torn:
-                        words = []
-                        for (prefix, suffix), rep in zip(own, reps):
-                            if prefix[0].translate(table, delete) in split.get(prefix[0], ()):
-                                words += [m + suffix for m in prefix]
-                            else:
-                                words.append(rep)
-                    bad.append(len({target(w.translate(table, delete)) for w in words}) != 1)
+                    if torn and any(
+                        part.translate(table, delete) in images for part, images in torn
+                    ):
+                        words = cls
+                    bad.append(
+                        words is not None
+                        and len({target(w.translate(table, delete)) for w in words}) != 1
+                    )
                 if any(bad):
-                    split[least] = {
+                    least = cls[0]
+                    new_splits[k][least] = {
                         least.translate(table, delete)
-                        for (table, delete), b in zip(actions, bad)
-                        if b
+                        for (table, delete), failed in zip(actions, bad)
+                        if failed
                     }
                     class_of = word_text(least, n)
                     violations[k].extend(
-                        {"class_of": class_of, **label} for label, i in labels if bad[i]
+                        {"class_of": class_of, **label} for label, i in labels() if bad[i]
                     )
+        splits = new_splits
+        rights_below, prepended_below = rights, prepended
     return list(zip(checked, violations))
 
 

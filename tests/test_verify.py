@@ -318,45 +318,48 @@ class TestAxiomViolations:
 
 def _per_member_stable_under(levels, memo, checks, n):
     """`verify._stable_under` with one canonical lookup per member per
-    distinct action: the reference for its one-word-per-block argument."""
+    distinct action: the reference for its one-lookup-per-group argument."""
     classes = [cls for level in levels[1:] for cls in level]
     results = []
-    for by_support, target in checks:
+    for family, target in checks:
         checked = 0
         violations = []
         for cls in classes:
-            labels, actions = by_support[verify._support(cls)]
-            checked += len(cls) * len(labels)
+            instances, actions, labels = family(verify._support(cls))
+            checked += len(cls) * instances
             bad = [
                 len({target(w.translate(table, delete)) for w in cls}) != 1
                 for table, delete in actions
             ]
             if any(bad):
                 class_of = word_text(cls[0], n)
-                violations.extend({"class_of": class_of, **label} for label, i in labels if bad[i])
+                violations.extend(
+                    {"class_of": class_of, **label} for label, i in labels() if bad[i]
+                )
         results.append((checked, violations))
     return results
 
 
 def _reaches_fallback(levels, memo, checks, results, n):
     """Per check, whether some class of more than one member has a block
-    C'·a whose C' split under a map that also applies to the class: the
-    case in which `_stable_under` looks up every member of the block.  The
-    class of each member's prefix is read from the walk's memo."""
+    C'·a or b·C'' whose C' or C'' split under a map that also applies to
+    the class: the case in which `_stable_under` looks up every member of
+    the class.  The classes of each member's prefix and suffix are read
+    from the walk's memo."""
 
     def named(violation):
         return violation["class_of"], repr({k: v for k, v in violation.items() if k != "class_of"})
 
     classes = [cls for level in levels[1:] for cls in level if len(cls) > 1]
     reached = []
-    for (by_support, _), (_, violations) in zip(checks, results):
+    for (family, _), (_, violations) in zip(checks, results):
         split = set(map(named, violations))
         reached.append(
             any(
-                (prefix, repr(label)) in split
+                (part, repr(label)) in split
                 for cls in classes
-                for prefix in {word_text(memo[w[:-1]], n) for w in cls}
-                for label, _ in by_support[verify._support(cls)][0]
+                for part in {word_text(memo[w], n) for m in cls for w in (m[:-1], m[1:])}
+                for label, _ in family(verify._support(cls))[2]()
             )
         )
     return tuple(reached)
@@ -389,8 +392,11 @@ _CHINESE = RelationSet.custom(
 
 
 class TestOneWordPerBlock:
-    """Axioms 1, 3 and 4 on one representative per block, against one
-    lookup per member, on untruncated violation lists."""
+    """Axioms 1, 3 and 4 on one representative per group of joined blocks,
+    against one lookup per member, on untruncated violation lists.  A class
+    is torn under a map when some block C'·a or b·C'' of it has a C' or C''
+    that split under the map; the flags say whether a torn class was
+    reached."""
 
     @pytest.mark.parametrize("n, degree", [(2, 8), (3, 6), (4, 5)])
     @pytest.mark.parametrize("target", ["plactic", "shifted-plactic"])
@@ -464,13 +470,71 @@ def _count_lookups(monkeypatch):
 
 
 def test_axioms_look_up_one_word_per_block(capsys, monkeypatch):
-    """The per-member check made 442 873 lookups in this run, and finding
-    each block by a prefix lookup per member 128 677."""
+    """The per-member check made 442 873 lookups in this run, finding each
+    block by a prefix lookup per member 128 677, and one lookup per right
+    block C'·a 44 774; one per group of blocks joined by left blocks makes
+    632."""
     calls, per_sweep = _count_lookups(monkeypatch)
     assert main("verify axioms --n 3 --degree 9".split()) == 0
     capsys.readouterr()
-    assert len(calls) == 44_774 < 128_677 / 2
+    assert len(calls) == 632 < 44_774 / 2
     assert len(per_sweep) == 2
+
+
+@pytest.mark.parametrize(
+    "n, degree, calls_per_block, calls_per_group", [(5, 6, 217_560, 9_036), (4, 7, 111_470, 2_682)]
+)
+def test_axioms_look_up_one_word_per_joined_group(
+    capsys, monkeypatch, n, degree, calls_per_block, calls_per_group
+):
+    """Canonical lookups of the run with one lookup per right block, and
+    with one per group of joined blocks."""
+    calls, per_sweep = _count_lookups(monkeypatch)
+    assert main(f"verify axioms --n {n} --degree {degree}".split()) == 0
+    capsys.readouterr()
+    assert len(calls) == calls_per_group < calls_per_block / 20
+    assert len(per_sweep) == 2
+
+
+def test_class_of_joined_right_blocks_needs_no_lookup():
+    """{1121, 1211, 2111} has two right blocks, {112}·1 and {121, 211}·1,
+    and the left block 1·{121, 211} = {1121, 1211} meets both."""
+    cong = congruence(KNUTH)
+    levels = cong.partitions(2, 4)
+    cls = (b"\x01\x01\x02\x01", b"\x01\x02\x01\x01", b"\x02\x01\x01\x01")
+    assert cls in levels[4]
+    assert len({cong.memo[w[:-1]] for w in cls}) == 2
+    looked_up = []
+
+    def target(word):
+        looked_up.append(word)
+        return cong.canonical(word)
+
+    identity = verify._group_by_action([({}, (None, b""))])
+    [(checked, violations)] = verify._stable_under(levels, cong.memo, [(identity, target)], 2)
+    assert violations == []
+    assert checked == sum(len(c) for level in levels[1:] for c in level)
+    assert not set(looked_up) & set(cls)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ordered_injections_are_the_morphisms_that_apply(n):
+    """Per support, the morphism family lists, in `all_ordered_morphisms`
+    order, exactly the morphisms whose source holds the support, each with
+    the action it has there, and counts them."""
+    morphisms = [m for m in all_ordered_morphisms(n, n) if m.pairs]
+    family = verify._ordered_injections(n)
+    for k in range(1, n + 1):
+        for support in map(bytes, itertools.combinations(range(1, n + 1), k)):
+            instances, actions, labels = family(support)
+            expected = [m for m in morphisms if m.source >= set(support)]
+            listed = list(labels())
+            assert instances == len(expected) == len(listed)
+            assert [label for label, _ in listed] == [{"morphism": m.pairs} for m in expected]
+            images = [support.translate(table, delete) for table, delete in actions]
+            assert len(set(images)) == len(images)
+            for m, (_, i) in zip(expected, listed):
+                assert images[i] == bytes(dict(m.pairs)[a] for a in support)
 
 
 def test_singleton_classes_need_no_image_lookup(capsys, monkeypatch):
