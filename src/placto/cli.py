@@ -163,24 +163,26 @@ def _check_sweep(command: str, n: int, degrees: range) -> None:
         )
 
 
-# Most ordered morphisms that one `verify axioms` run checks: the C(2n, n) - 1
-# nonempty strictly increasing partial maps of {1..n} into itself, each held
-# with its `bytes.translate` table and tried against the letters of every
-# class.  `--n 9` has 48 619 (`--degree 5`: 21-24 s and 189-206 MB peak RSS
-# for the whole process), `--n 10` has 184 755 (`--degree 3`, only 1 110
-# words: 27-43 s and 631-666 MB), and `--n 12 --degree 3` ran out of memory
-# under a 3 GB cap; Python 3.11, one core of a 2-core x86-64 machine.
-_MAX_MORPHISMS = 50_000
+# Most injection tables that one `verify axioms` run builds.  The ordered
+# morphisms of {1..n} act on a support of k letters as its C(n, k)
+# order-preserving injections into {1..n}, one `bytes.translate` table
+# each, and the words up to degree d have C(n, k) supports of each k <= d:
+# sum over k = 1..min(n, d) of C(n, k)^2 tables.  `--n 14 --degree 3` builds
+# 140 973 (about 0.7 s and 80 MB peak RSS for the whole process) and
+# `--n 10 --degree 5` 124 129 (about 2 s and 100 MB), while `--n 12
+# --degree 4` builds 297 925 (3.6 s, 152 MB); Python 3.11, one core of a
+# 2-core x86-64 machine.
+_MAX_INJECTIONS = 150_000
 
 
-def _check_morphisms(command: str, n: int) -> None:
-    """Refuse, before listing any, a `verify axioms` run over {1..n} with
-    more than `_MAX_MORPHISMS` ordered morphisms to check."""
-    count = math.comb(2 * n, n) - 1
-    if count > _MAX_MORPHISMS:
+def _check_injections(command: str, n: int, degree: int) -> None:
+    """Refuse, before building any, a `verify axioms` run over {1..n} up
+    to `degree` with more than `_MAX_INJECTIONS` injection tables."""
+    count = sum(math.comb(n, k) ** 2 for k in range(1, min(n, degree) + 1))
+    if count > _MAX_INJECTIONS:
         raise ValueError(
-            f"{command} would check {count} ordered morphisms, "
-            f"more than the limit of {_MAX_MORPHISMS}"
+            f"{command} would build {count} injection tables, "
+            f"more than the limit of {_MAX_INJECTIONS}"
         )
 
 
@@ -238,7 +240,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         degree = _size_option(args.degree, 5, "degree")
         command = f"verify axioms --n {n} --degree {degree}"
         _check_sweep(command, n, range(1, degree + 1))
-        _check_morphisms(command, n)
+        _check_injections(command, n, degree)
         reports = []
         rel_spec = args.relations
         if rel_spec in (None, "knuth"):

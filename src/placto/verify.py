@@ -31,6 +31,7 @@ from .rewrite import (
     Relation,
     RelationSet,
     congruence,
+    relation_instances,
 )
 from .words import (
     all_intervals,
@@ -359,20 +360,11 @@ def verify_axioms(
 
     Axioms 1, 3 and 4 each say that a homomorphism (the identity, an
     ordered morphism, an interval restriction) sends every class into one
-    class of a target congruence.  `_stable_under` checks all three in one
-    pass over the walk's classes and gives the verdicts of one lookup per
-    member; its docstring gives the argument:
-
-    1. A class C of degree k is the union of its right blocks C'·a and also
-       of its left blocks b·C'', with C' and C'' classes of degree k - 1;
-       memo reads over the walk's levels find both.
-    2. Each map is a homomorphism and each target a two-sided congruence,
-       so a block lies in one target class when its C' or C'' does.
-    3. The left block b·C'' meets the right blocks (class of b·D, a) for
-       the right blocks (D, a) of C'', which joins the right blocks of C
-       into groups; one lookup per group decides C, and every member is
-       looked up only when some C' or C'' of C split under the map.
-    4. So a class of one group, almost every class, needs no lookup.
+    class of a target congruence.  That holds on every class of degree at
+    most the bound exactly when it holds on every relation instance (l, r)
+    of that degree, so `_stable_under`, whose docstring gives the argument,
+    decides each axiom from the instances alone and looks up the members of
+    the walk's classes only to list the violations of an axiom that fails.
     """
     if target == "plactic":
         system = "Plac"
@@ -415,12 +407,12 @@ def verify_axioms(
         f"{system}.2", n, degree_bound, 1, [{"nonzero_terms": nonzero}] if nonzero else []
     )
 
-    # Axioms 1, 3 and 4 are checked once per distinct action on a class's
-    # letters.  Relations keep content, so every member of a class has the
-    # letters of its first member, its support; two maps that act alike on
-    # the support give byte-identical images of every member.  An action is
-    # the (table, delete) pair that `bytes.translate` applies, and a map's
-    # label holds the fields that name it in a violation.
+    # Axioms 1, 3 and 4 are checked once per distinct action on a support,
+    # the letters of a relation instance or of a class.  Relations keep
+    # content, so every member of a class has the support of its first
+    # member; two maps that act alike on it give byte-identical images.  An
+    # action is the (table, delete) pair that `bytes.translate` applies, and
+    # a map's label holds the fields that name it in a violation.
     checks = [
         # axiom 1: classes lie in one class of the reference map's target
         (_group_by_action([({}, (None, b""))]), reference),
@@ -435,7 +427,13 @@ def verify_axioms(
             target_canon,
         ),
     ]
-    results = _stable_under(levels, cong.memo, checks, n)
+    instances = [
+        (left.to_bytes(), right.to_bytes())
+        for rel in rels.relations
+        if len(rel.left) <= degree_bound
+        for left, right in relation_instances(rel, n)
+    ]
+    results = _stable_under(levels, instances, checks, n)
     one, three, four = (
         _axiom_report(f"{system}.{axiom}", n, degree_bound, checked, violations)
         for axiom, (checked, violations) in zip((1, 3, 4), results)
@@ -448,9 +446,9 @@ def _sorted_letters(word: bytes) -> bytes:
     return bytes(sorted(word))
 
 
-def _support(cls: tuple[bytes, ...]) -> bytes:
-    """The letters of a class's members, each once, in increasing order."""
-    return bytes(sorted(set(cls[0])))
+def _support(word: bytes) -> bytes:
+    """The letters of a word, each once, in increasing order."""
+    return bytes(sorted(set(word)))
 
 
 # A family of maps takes a class's support to (instances, actions, labels):
@@ -515,141 +513,60 @@ def _ordered_injections(n: int):
     return family
 
 
-def _stable_under(levels, memo, checks, n: int) -> list[tuple[int, list[dict]]]:
+def _stable_under(levels, instances, checks, n: int) -> list[tuple[int, list[dict]]]:
     """(instances checked, violations) of each stability axiom in `checks`.
 
-    `levels` are the classes of each degree 0..d from `Congruence.partitions`
-    and `memo` the canonical memo that walk seeded.  `checks` lists (family,
-    target canonical map) per axiom, a family as described above.  A
-    violation is a class, in order, with the label of a map whose action
-    sends the class into more than one target class; each map counts one
-    instance per member.
+    `levels` are the classes of each degree 0..d from `Congruence.partitions`,
+    `instances` the (left, right) byte words of every relation instance over
+    {1..n} of degree at most d, and `checks` lists (family, target canonical
+    map) per axiom, a family as described above.  A violation is a class, in
+    order, with the label of a map whose action sends the class into more
+    than one target class; each map counts one instance per member.
 
-    Every map φ here, the identity, an ordered morphism or an interval
-    restriction, is a monoid homomorphism, and every target is a two-sided
-    congruence, so:
+    An axiom holds on every class iff, for every instance (l, r) and every
+    action of its family on the support of l, the images of l and r have one
+    target class:
 
-    1. A class C of degree k is the union of its right blocks C'·a, one per
-       class C' of degree k - 1 and letter a with C'·a inside C, and also
-       the union of its left blocks b·C'', one per letter b and class C''
-       of degree k - 1 with b·C'' inside C.  Before the classes of degree k
-       are checked, two memo reads per class of degree k - 1 and letter
-       find the classes of least(C')·a and a·least(C'), and give each right
-       block an integer id.
-    2. If φ(C') lies in one target class, so does φ(C'·a) = φ(C')·φ(a); if
-       φ(C'') does, so does φ(b·C'') = φ(b)·φ(C''), because a congruence is
-       closed under multiplication on both sides.
-    3. The left block b·C'' meets exactly the right blocks (class of b·D,
-       a), where (D, a) runs over the right blocks of C'', so the ids
-       recorded one degree lower join the right blocks of C into groups
-       that share members.  By induction on degree, φ(C) lies in one target
-       class iff the images of one representative per group, least(C')·a,
-       have one canonical word.  The exception is a class with a block
-       whose C' or C'' split under φ: then every member of C is looked up.
-       Each class that splits is recorded, per axiom, as its least member
-       with the images of that member under the splitting actions; the
-       least member holds every letter of the support, so its image names
-       φ's action there.  Classes come in degree order, and only the
-       record of degree k - 1 is read at degree k.
-    4. When nothing has split, a class of one group needs no lookup at
-       all.  Every singleton class is one, and its blocks' C' and C'' are
-       singletons, which never split.
+    - Enough.  The members of a class C are joined by rewrites
+      u·l·v <-> u·r·v, and the instance (l, r) of each lies in the support
+      of C and has at most the degree of C.  On that support each map is a
+      homomorphism and acts on the support of l as one of the actions its
+      family gives there: an ordered morphism as one of the C(n, k)
+      order-preserving injections, a restriction as a restriction.  Each
+      target is a congruence, so the images of u·l·v and u·r·v share a
+      target class whenever those of l and r do.
+    - Needed.  l and r are members of one class of degree at most d, so a
+      failing instance is a failing class.
+
+    So an axiom that holds makes no lookup per class; one that fails lists
+    its violations with one lookup per member and action.
     """
-    checked = [0] * len(checks)
-    violations: list[list[dict]] = [[] for _ in checks]
-    # per axiom, least member of a class of degree k - 1 that split -> images
-    splits: list[dict[bytes, set[bytes]]] = [{} for _ in checks]
-    families: dict[bytes, list] = {}  # support -> each check's family there
-    letters = [bytes((a,)) for a in range(1, n + 1)]
-    # a right block C'·a has id i * n + (a - 1), where C' is class i of its
-    # degree.  Read at degree k: the right-block ids of each class of degree
-    # k - 1 and, per class D of degree k - 2 and letter b, the index of the
-    # class of b·D among those of degree k - 1.
-    rights_below: list[list[int]] = [[]]
-    prepended_below: list[list[int]] = []
-    for below, level in zip(levels, levels[1:]):
-        where = {cls[0]: j for j, cls in enumerate(level)}
-        rights: list[list[int]] = [[] for _ in level]
-        lefts: list[list[int]] = [[] for _ in level]  # left blocks b·C'' as i * n + (b - 1)
-        prepended = []
-        for i, cls in enumerate(below):
-            least = cls[0]
-            row = []
-            for a, letter in enumerate(letters):
-                rights[where[memo[least + letter]]].append(i * n + a)
-                j = where[memo[letter + least]]
-                lefts[j].append(i * n + a)
-                row.append(j)
-            prepended.append(row)
-        new_splits: list[dict[bytes, set[bytes]]] = [{} for _ in checks]
-        for j, cls in enumerate(level):
-            own = rights[j]
-            reps = None  # one right block per group, when there is more than one
-            if len(own) > 1:
-                group = {r: r for r in own}  # right block -> a block of its group
-                count = len(own)
-                for block in lefts[j]:
-                    i, b = divmod(block, n)
-                    if len(rights_below[i]) < 2:
-                        continue  # b·C'' meets one right block
-                    roots = set()
-                    for r in rights_below[i]:
-                        r = prepended_below[r // n][b] * n + r % n
-                        while group[r] != r:
-                            r = group[r]
-                        roots.add(r)
-                    root = roots.pop()
-                    for r in roots:
-                        group[r] = root
-                    count -= len(roots)
-                    if count == 1:
-                        break
-                if count > 1:
-                    tops: dict[int, int] = {}
-                    for r in own:
-                        top = r
-                        while group[top] != top:
-                            top = group[top]
-                        tops.setdefault(top, r)
-                    reps = [below[r // n][0] + letters[r % n] for r in tops.values()]
-            support = _support(cls)
-            family = families.get(support)
-            if family is None:
-                family = families[support] = [check(support) for check, _ in checks]
-            for k, ((instances, actions, labels), (_, target)) in enumerate(zip(family, checks)):
-                checked[k] += len(cls) * instances
-                split = splits[k]
-                torn = []  # (least member, images) of each split C' or C''
-                if split:
-                    parts = {below[block // n][0] for block in own + lefts[j]}
-                    torn = [(part, split[part]) for part in parts if part in split]
-                if reps is None and not torn:
-                    continue
-                bad = []
-                for table, delete in actions:
-                    words = reps
-                    if torn and any(
-                        part.translate(table, delete) in images for part, images in torn
-                    ):
-                        words = cls
-                    bad.append(
-                        words is not None
-                        and len({target(w.translate(table, delete)) for w in words}) != 1
-                    )
+    classes = [cls for level in levels[1:] for cls in level]
+    members: dict[bytes, int] = {}  # support -> members of its classes
+    for cls in classes:
+        support = _support(cls[0])
+        members[support] = members.get(support, 0) + len(cls)
+    families = {support: [check(support) for check, _ in checks] for support in members}
+    results = []
+    for k, (_, target) in enumerate(checks):
+        checked = sum(size * families[support][k][0] for support, size in members.items())
+        violations = []
+        holds = all(
+            target(left.translate(*action)) == target(right.translate(*action))
+            for left, right in instances
+            for action in families[_support(left)][k][1]
+        )
+        if not holds:
+            for cls in classes:
+                _, actions, labels = families[_support(cls[0])][k]
+                bad = [len({target(w.translate(*action)) for w in cls}) != 1 for action in actions]
                 if any(bad):
-                    least = cls[0]
-                    new_splits[k][least] = {
-                        least.translate(table, delete)
-                        for (table, delete), failed in zip(actions, bad)
-                        if failed
-                    }
-                    class_of = word_text(least, n)
-                    violations[k].extend(
+                    class_of = word_text(cls[0], n)
+                    violations.extend(
                         {"class_of": class_of, **label} for label, i in labels() if bad[i]
                     )
-        splits = new_splits
-        rights_below, prepended_below = rights, prepended
-    return list(zip(checked, violations))
+        results.append((checked, violations))
+    return results
 
 
 def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:

@@ -175,20 +175,6 @@ def apply_morphism(w: Word, morphism: OrderedMorphism) -> Word:
     return Word(letters, morphism.target_n)
 
 
-def morphism_table(morphism: OrderedMorphism) -> bytes:
-    """`bytes.translate` table that applies the morphism to a byte-encoded word.
-
-    Letters outside the morphism's source map to themselves, so callers
-    check that a word's letters lie in the source before translating it.
-    """
-    table = bytearray(range(256))
-    for src, img in morphism.pairs:
-        if src > 255 or img > 255:
-            raise ValueError("byte encoding supports alphabets up to 255 letters")
-        table[src] = img
-    return bytes(table)
-
-
 def outside_letters(interval: Interval, n: int) -> bytes:
     """The letters of {1..n} outside the interval, as a byte string.
 

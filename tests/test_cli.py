@@ -573,35 +573,41 @@ def test_sweep_at_the_letter_limit_accepted(capsys, monkeypatch):
     assert "would hold 10 letters" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n, morphisms", [(10, 184_755), (12, 2_704_155)])
-def test_morphism_family_above_the_limit_rejected(capsys, n, morphisms):
-    """`verify axioms --n 10 --degree 3` sweeps only 1 110 words, but
-    would check C(20, 10) - 1 ordered morphisms: refused, fast."""
+@pytest.mark.parametrize(
+    "n, degree, tables", [(12, 4, 297_925), (16, 3, 328_256), (255, 2, 1_048_853_250)]
+)
+def test_morphism_family_above_the_limit_rejected(capsys, n, degree, tables):
+    """`verify axioms --n 16 --degree 3` sweeps only 4 368 words, but would
+    build C(16, 1)^2 + C(16, 2)^2 + C(16, 3)^2 injection tables: refused,
+    fast; over 255 letters only this limit refuses degree 2."""
     start = time.perf_counter()
-    code = main(["verify", "axioms", "--n", str(n), "--degree", "3"])
+    code = main(["verify", "axioms", "--n", str(n), "--degree", str(degree)])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        f"placto: error: verify axioms --n {n} --degree 3 would check {morphisms} "
-        f"ordered morphisms, more than the limit of {cli._MAX_MORPHISMS}\n"
+        f"placto: error: verify axioms --n {n} --degree {degree} would build {tables} "
+        f"injection tables, more than the limit of {cli._MAX_INJECTIONS}\n"
     )
     assert elapsed < 1.0
 
 
 def test_morphism_family_at_the_limit_accepted(capsys, monkeypatch):
-    # --n 9 --degree 5 takes about 20 s, so it is checked against the
-    # limits without running; --n 2 runs at a limit of its 5 morphisms
-    cli._check_sweep("verify axioms --n 9 --degree 5", 9, range(1, 6))
-    cli._check_morphisms("verify axioms --n 9 --degree 5", 9)
+    # --n 14 --degree 3 and --n 10 --degree 5 take about 1 and 2 s, so they
+    # are checked against the limits without running; --n 2 runs at a
+    # limit of its 5 injection tables
+    for n, degree in ((14, 3), (10, 5)):
+        command = f"verify axioms --n {n} --degree {degree}"
+        cli._check_sweep(command, n, range(1, degree + 1))
+        cli._check_injections(command, n, degree)
     argv = ["verify", "axioms", "--n", "2", "--degree", "3"]
-    monkeypatch.setattr(cli, "_MAX_MORPHISMS", 5)
+    monkeypatch.setattr(cli, "_MAX_INJECTIONS", 5)
     assert main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "_MAX_MORPHISMS", 4)
+    monkeypatch.setattr(cli, "_MAX_INJECTIONS", 4)
     assert main(argv) == 2
-    assert "would check 5 ordered morphisms" in capsys.readouterr().err
+    assert "would build 5 injection tables" in capsys.readouterr().err
 
 
 def test_sweeps_over_two_letters_within_the_word_limit_are_within_the_letter_limit():

@@ -40,7 +40,6 @@ from placto.tableaux import (
 )
 from placto.words import (
     Interval,
-    OrderedMorphism,
     Word,
     all_intervals,
     all_ordered_morphisms,
@@ -48,7 +47,6 @@ from placto.words import (
     apply_morphism,
     concat,
     content,
-    morphism_table,
     outside_letters,
     restrict,
 )
@@ -403,24 +401,6 @@ def test_custom_walk_equals_closure_partitions(rels, n, degree):
     levels = Congruence(rels, {}).partitions(n, degree)
     reference = Congruence(rels, {})
     assert levels == tuple(reference.closure_partition(n, k) for k in range(degree + 1))
-
-
-@st.composite
-def _word_and_morphism(draw):
-    source_n = draw(st.integers(1, 8))
-    target_n = draw(st.integers(1, 8))
-    k = draw(st.integers(1, min(source_n, target_n)))
-    src = sorted(draw(st.sets(st.integers(1, source_n), min_size=k, max_size=k)))
-    img = sorted(draw(st.sets(st.integers(1, target_n), min_size=k, max_size=k)))
-    letters = draw(st.lists(st.sampled_from(src), max_size=12))
-    return Word(tuple(letters), source_n), OrderedMorphism(tuple(zip(src, img)), target_n)
-
-
-@given(_word_and_morphism())
-def test_translate_table_applies_morphism(case):
-    w, m = case
-    image = w.to_bytes().translate(morphism_table(m))
-    assert Word.from_bytes(image, m.target_n) == apply_morphism(w, m)
 
 
 @given(st.data())

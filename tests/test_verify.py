@@ -275,21 +275,55 @@ def _reference_axioms(target, n, degree_bound, rels):
 
 
 _COMMUTATIVE = RelationSet.custom((Relation("comm", "ab", "ba", "a<b"),))
+_CHINESE = RelationSet.custom(
+    (Relation("C.1", "cba", "bca", "a<=b<=c"), Relation("C.2", "cba", "cab", "a<=b<=c")),
+    name="chinese",
+)
+_HYPOPLACTIC = RelationSet.custom(
+    KNUTH.relations
+    + (Relation("H.1", "cadb", "acbd", "a<=b<c<=d"), Relation("H.2", "bdac", "dbca", "a<b<=c<d")),
+    name="hypoplactic",
+)
 
 
 class TestAxiomViolations:
     """The violation lists, against a plain per-morphism, per-interval loop."""
 
     @staticmethod
-    def _check(target, n, degree, rels, failing):
+    def _check(target, n, degree, rels, failing=None, passes=None):
+        """Compare with `_reference_axioms`; `failing` maps each failing
+        axiom to its listed violations, and `passes` spells the pass flags
+        of axioms 1-4, P for a pass and - for a failure."""
         reports = verify_axioms(target, n, degree, relations=rels)
         expected = _reference_axioms(target, n, degree, rels)
         assert json.dumps(reports, sort_keys=True) == json.dumps(expected, sort_keys=True)
-        assert {r["axiom"]: len(r["violations"]) for r in reports if not r["pass"]} == failing
+        if failing is not None:
+            assert {r["axiom"]: len(r["violations"]) for r in reports if not r["pass"]} == failing
+        if passes is not None:
+            assert "".join("P" if r["pass"] else "-" for r in reports) == passes
 
     @pytest.mark.parametrize("n, listed", [(3, 16), (4, 20)])
     def test_shifted_knuth_under_the_plactic_axioms(self, n, listed):
         self._check("plactic", n, 5, SHIFTED_KNUTH, {"Plac.2": 1, "Plac.4": listed})
+
+    def test_relations_above_the_degree_bound_join_nothing(self):
+        # no shifted Knuth relation has degree 3, so every class is a singleton
+        self._check("plactic", 3, 3, SHIFTED_KNUTH, {"Plac.2": 1}, passes="P-PP")
+
+    @pytest.mark.parametrize(
+        "rels, plac, splac",
+        [
+            (_HYPOPLACTIC, "PPPP", "-PP-"),
+            (_COMMUTATIVE, "PPPP", "-PP-"),
+            (_CHINESE, "P-P-", "--P-"),
+            (RelationSet.custom(KNUTH.relations[:1], name="K.1"), "P-PP", "P-PP"),
+            (RelationSet.custom(KNUTH.relations[1:], name="K.2"), "P-PP", "P-PP"),
+        ],
+        ids=["hypoplactic", "commutative", "chinese", "K.1", "K.2"],
+    )
+    @pytest.mark.parametrize("system", ["plactic", "shifted-plactic"])
+    def test_catalogue_sets(self, system, rels, plac, splac):
+        self._check(system, 4, 5, rels, passes=plac if system == "plactic" else splac)
 
     def test_commutative_set_under_the_shifted_axioms(self):
         self._check("shifted-plactic", 3, 5, _COMMUTATIVE, {"SPlac.1": 20, "SPlac.4": 20})
@@ -316,16 +350,17 @@ class TestAxiomViolations:
         assert by_axiom["Plac.1"]["pass"]
 
 
-def _per_member_stable_under(levels, memo, checks, n):
+def _per_member_stable_under(levels, instances, checks, n):
     """`verify._stable_under` with one canonical lookup per member per
-    distinct action: the reference for its one-lookup-per-group argument."""
+    distinct action, whatever the relation instances give: the reference
+    for its argument that the instances decide each axiom."""
     classes = [cls for level in levels[1:] for cls in level]
     results = []
     for family, target in checks:
         checked = 0
         violations = []
         for cls in classes:
-            instances, actions, labels = family(verify._support(cls))
+            instances, actions, labels = family(verify._support(cls[0]))
             checked += len(cls) * instances
             bad = [
                 len({target(w.translate(table, delete)) for w in cls}) != 1
@@ -340,44 +375,30 @@ def _per_member_stable_under(levels, memo, checks, n):
     return results
 
 
-def _reaches_fallback(levels, memo, checks, results, n):
-    """Per check, whether some class of more than one member has a block
-    C'·a or b·C'' whose C' or C'' split under a map that also applies to
-    the class: the case in which `_stable_under` looks up every member of
-    the class.  The classes of each member's prefix and suffix are read
-    from the walk's memo."""
-
-    def named(violation):
-        return violation["class_of"], repr({k: v for k, v in violation.items() if k != "class_of"})
-
-    classes = [cls for level in levels[1:] for cls in level if len(cls) > 1]
-    reached = []
-    for (family, _), (_, violations) in zip(checks, results):
-        split = set(map(named, violations))
-        reached.append(
-            any(
-                (part, repr(label)) in split
-                for cls in classes
-                for part in {word_text(memo[w], n) for m in cls for w in (m[:-1], m[1:])}
-                for label, _ in family(verify._support(cls))[2]()
-            )
-        )
-    return tuple(reached)
-
-
 @contextlib.contextmanager
 def _per_member_oracle():
     """Compare every `_stable_under` call with the per-member reference, on
     the full violation lists; yields, per call, one flag per axiom (1, 3
-    and 4), set when the call reached the fallback of its step 3."""
+    and 4), set when the axiom failed and its violations were listed.  An
+    axiom that holds must have made two lookups per relation instance and
+    action on its support, and no lookup per class."""
     reached = []
     real = verify._stable_under
 
-    def compared(levels, memo, checks, n):
-        got = real(levels, memo, checks, n)
-        expected = _per_member_stable_under(levels, memo, checks, n)
+    def compared(levels, instances, checks, n):
+        lookups = [[] for _ in checks]
+        counted = [
+            (family, lambda w, target=target, seen=seen: seen.append(w) or target(w))
+            for (family, target), seen in zip(checks, lookups)
+        ]
+        got = real(levels, instances, counted, n)
+        expected = _per_member_stable_under(levels, instances, checks, n)
         assert got == expected
-        reached.append(_reaches_fallback(levels, memo, checks, expected, n))
+        for (family, _), seen, (_, violations) in zip(checks, lookups, got):
+            if not violations:
+                actions = sum(len(family(verify._support(left))[1]) for left, _ in instances)
+                assert len(seen) == 2 * actions
+        reached.append(tuple(bool(violations) for _, violations in got))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -385,18 +406,10 @@ def _per_member_oracle():
         yield reached
 
 
-_CHINESE = RelationSet.custom(
-    (Relation("C.1", "cba", "bca", "a<=b<=c"), Relation("C.2", "cba", "cab", "a<=b<=c")),
-    name="chinese",
-)
-
-
 class TestOneWordPerBlock:
-    """Axioms 1, 3 and 4 on one representative per group of joined blocks,
-    against one lookup per member, on untruncated violation lists.  A class
-    is torn under a map when some block C'·a or b·C'' of it has a C' or C''
-    that split under the map; the flags say whether a torn class was
-    reached."""
+    """Axioms 1, 3 and 4 decided from the relation instances, against one
+    lookup per member, on untruncated violation lists; the flags say which
+    axioms failed and had their violations listed."""
 
     @pytest.mark.parametrize("n, degree", [(2, 8), (3, 6), (4, 5)])
     @pytest.mark.parametrize("target", ["plactic", "shifted-plactic"])
@@ -420,9 +433,8 @@ class TestOneWordPerBlock:
         ids=["commutative", "chinese"],
     )
     def test_sets_failing_the_shifted_content_axiom(self, rels, passes):
-        # neither set's classes are Knuth classes: SPlac.1 fails, and so does
-        # SPlac.4, each through blocks whose C' split; for the Chinese set
-        # some SPlac.1 violations show only in the members of such blocks
+        # neither set's classes are Knuth classes: SPlac.1 fails, and so
+        # does SPlac.4
         with _per_member_oracle() as reached:
             reports = verify_axioms("shifted-plactic", 3, 5, relations=rels)
         assert [r["pass"] for r in reports] == passes
@@ -472,8 +484,8 @@ def _count_lookups(monkeypatch):
 def test_axioms_look_up_one_word_per_block(capsys, monkeypatch):
     """The per-member check made 442 873 lookups in this run, finding each
     block by a prefix lookup per member 128 677, and one lookup per right
-    block C'·a 44 774; one per group of blocks joined by left blocks makes
-    632."""
+    block C'·a 44 774; one per group of blocks joined by left blocks made
+    632, and two per relation instance and action make the same 632."""
     calls, per_sweep = _count_lookups(monkeypatch)
     assert main("verify axioms --n 3 --degree 9".split()) == 0
     capsys.readouterr()
@@ -488,33 +500,13 @@ def test_axioms_look_up_one_word_per_joined_group(
     capsys, monkeypatch, n, degree, calls_per_block, calls_per_group
 ):
     """Canonical lookups of the run with one lookup per right block, and
-    with one per group of joined blocks."""
+    with one per group of joined blocks, which two per relation instance
+    and action match."""
     calls, per_sweep = _count_lookups(monkeypatch)
     assert main(f"verify axioms --n {n} --degree {degree}".split()) == 0
     capsys.readouterr()
     assert len(calls) == calls_per_group < calls_per_block / 20
     assert len(per_sweep) == 2
-
-
-def test_class_of_joined_right_blocks_needs_no_lookup():
-    """{1121, 1211, 2111} has two right blocks, {112}·1 and {121, 211}·1,
-    and the left block 1·{121, 211} = {1121, 1211} meets both."""
-    cong = congruence(KNUTH)
-    levels = cong.partitions(2, 4)
-    cls = (b"\x01\x01\x02\x01", b"\x01\x02\x01\x01", b"\x02\x01\x01\x01")
-    assert cls in levels[4]
-    assert len({cong.memo[w[:-1]] for w in cls}) == 2
-    looked_up = []
-
-    def target(word):
-        looked_up.append(word)
-        return cong.canonical(word)
-
-    identity = verify._group_by_action([({}, (None, b""))])
-    [(checked, violations)] = verify._stable_under(levels, cong.memo, [(identity, target)], 2)
-    assert violations == []
-    assert checked == sum(len(c) for level in levels[1:] for c in level)
-    assert not set(looked_up) & set(cls)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
