@@ -131,12 +131,17 @@ _MAX_CLASS = 10_000
 # 2,1 --n 8`, 282 240 words, takes 5-8 s and about 170 MB).  `schur
 # --shifted` has no closed count here: its listing of hook words is refused
 # as soon as one list it holds passes the limit.
-# Peak RSS of the whole process grows by about 230-300 bytes per word for
-# axioms (`--n 3 --degree 11`, 265 719 words: 75 MB in 2.0 s; `--n 5
-# --degree 7`: 46 MB; `--n 6 --degree 6`: 34 MB) and by about 1 kB per word
-# for section5 (`--n 16`, 69 632 words: 88 MB; `--n 23`, the largest
-# accepted, 292 008 words: 327 MB in 73 s); Python 3.11, one core of a
-# 2-core x86-64 machine.  `--n 3 --degree 12` (797 160 words) is refused.
+# Peak RSS of the whole process grows by about 150-280 bytes per word for
+# an axioms run with a failing axiom, which walks every word to list the
+# violations (the Chinese set `cba~bca, cba~cab`: `--n 3 --degree 11`,
+# 265 719 words, 54 MB in 2.7 s; `--n 5 --degree 7`: 35 MB; `--n 6
+# --degree 6`: 30 MB), and by about 1 kB per word for section5 (`--n 16`,
+# 69 632 words: 88 MB; `--n 23`, the largest accepted, 292 008 words:
+# 327 MB in 73 s); Python 3.11, one core of a 2-core x86-64 machine.  A
+# passing axioms run walks only to the degree it looks up, 3 or 4 or its
+# longest relation (`--n 3 --degree 11`: 15 MB in 0.01 s), but the bound
+# stays: whether an axiom fails is known only after the check.  `--n 3
+# --degree 12` (797 160 words) is refused.
 _MAX_SWEEP = 300_000
 
 # Most letters that one sweep holds.  Only n = 1 reaches it, where a sweep of

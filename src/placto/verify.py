@@ -363,8 +363,10 @@ def verify_axioms(
     class of a target congruence.  That holds on every class of degree at
     most the bound exactly when it holds on every relation instance (l, r)
     of that degree, so `_stable_under`, whose docstring gives the argument,
-    decides each axiom from the instances alone and looks up the members of
-    the walk's classes only to list the violations of an axiom that fails.
+    decides each axiom from the instances alone.  Each congruence the check
+    reads is seeded only to the highest degree a passing check looks up;
+    the classes up to the bound are walked only to list the violations of
+    an axiom that fails.
     """
     if target == "plactic":
         system = "Plac"
@@ -390,9 +392,22 @@ def verify_axioms(
         target_canon = canon
     else:
         knuth = congruence(KNUTH)
-        knuth.seed(n, degree_bound)  # a no-op once the Plac half has walked it
         reference = target_canon = knuth.canonical
-    levels = cong.partitions(n, degree_bound)
+
+    # A check that passes looks up only the words of axiom 2's products and
+    # the relation instances with their images, none longer than `top`.
+    top = min(
+        degree_bound,
+        max([least + 1] + [len(r.left) for r in rels.relations if len(r.left) <= degree_bound]),
+    )
+    for read in (cong,) if system == "Plac" else (knuth, cong):
+        read.seed(n, top)
+
+    def walk():
+        # one that fails lists its violations over every class up to the bound
+        if system == "SPlac":
+            knuth.seed(n, degree_bound)
+        return cong.partitions(n, degree_bound)
 
     # axiom 2: the two designated sums commute in the quotient
     if system == "Plac":
@@ -433,7 +448,7 @@ def verify_axioms(
         if len(rel.left) <= degree_bound
         for left, right in relation_instances(rel, n)
     ]
-    results = _stable_under(levels, instances, checks, n)
+    results = _stable_under(walk, degree_bound, instances, checks, n)
     one, three, four = (
         _axiom_report(f"{system}.{axiom}", n, degree_bound, checked, violations)
         for axiom, (checked, violations) in zip((1, 3, 4), results)
@@ -513,15 +528,16 @@ def _ordered_injections(n: int):
     return family
 
 
-def _stable_under(levels, instances, checks, n: int) -> list[tuple[int, list[dict]]]:
+def _stable_under(walk, degree: int, instances, checks, n: int) -> list[tuple[int, list[dict]]]:
     """(instances checked, violations) of each stability axiom in `checks`.
 
-    `levels` are the classes of each degree 0..d from `Congruence.partitions`,
-    `instances` the (left, right) byte words of every relation instance over
-    {1..n} of degree at most d, and `checks` lists (family, target canonical
-    map) per axiom, a family as described above.  A violation is a class, in
-    order, with the label of a map whose action sends the class into more
-    than one target class; each map counts one instance per member.
+    `walk()` returns the classes of each degree 0..d from
+    `Congruence.partitions`, `instances` the (left, right) byte words of
+    every relation instance over {1..n} of degree at most d, and `checks`
+    lists (family, target canonical map) per axiom, a family as described
+    above.  A violation is a class, in order, with the label of a map whose
+    action sends the class into more than one target class; each map counts
+    one instance per member.
 
     An axiom holds on every class iff, for every instance (l, r) and every
     action of its family on the support of l, the images of l and r have one
@@ -538,15 +554,14 @@ def _stable_under(levels, instances, checks, n: int) -> list[tuple[int, list[dic
     - Needed.  l and r are members of one class of degree at most d, so a
       failing instance is a failing class.
 
-    So an axiom that holds makes no lookup per class; one that fails lists
+    So an axiom that holds makes no lookup per class, and its instances
+    checked count the words of each support instead of walking them.  The
+    first axiom that fails calls `walk` once, and each failing axiom lists
     its violations with one lookup per member and action.
     """
-    classes = [cls for level in levels[1:] for cls in level]
-    members: dict[bytes, int] = {}  # support -> members of its classes
-    for cls in classes:
-        support = _support(cls[0])
-        members[support] = members.get(support, 0) + len(cls)
+    members = _words_by_support(n, degree)
     families = {support: [check(support) for check, _ in checks] for support in members}
+    classes = None
     results = []
     for k, (_, target) in enumerate(checks):
         checked = sum(size * families[support][k][0] for support, size in members.items())
@@ -557,6 +572,8 @@ def _stable_under(levels, instances, checks, n: int) -> list[tuple[int, list[dic
             for action in families[_support(left)][k][1]
         )
         if not holds:
+            if classes is None:
+                classes = [cls for level in walk()[1:] for cls in level]
             for cls in classes:
                 _, actions, labels = families[_support(cls[0])][k]
                 bad = [len({target(w.translate(*action)) for w in cls}) != 1 for action in actions]
@@ -567,6 +584,31 @@ def _stable_under(levels, instances, checks, n: int) -> list[tuple[int, list[dic
                     )
         results.append((checked, violations))
     return results
+
+
+def _words_by_support(n: int, degree: int) -> dict[bytes, int]:
+    """support -> the number of words of degree 1..d over {1..n} whose
+    letters are exactly the support: relations keep content, so these are
+    the members of the classes with that support.
+
+    A support of j letters has sum over k = j..d of j! S(k, j) of them.  By
+    inclusion-exclusion j! S(k, j), the words of degree k onto j letters,
+    is the sum over i of (-1)^i C(j, i) (j - i)^k, and the sum over k of
+    each power is geometric.
+    """
+
+    def powers(m: int, j: int) -> int:
+        """m^j + m^(j+1) + ... + m^d."""
+        if m < 2:
+            return m * (degree - j + 1)
+        return (m ** (degree + 1) - m**j) // (m - 1)
+
+    letters = range(1, n + 1)
+    members = {}
+    for j in range(1, min(n, degree) + 1):
+        count = sum((-1) ** i * math.comb(j, i) * powers(j - i, j) for i in range(j + 1))
+        members.update(dict.fromkeys(map(bytes, itertools.combinations(letters, j)), count))
+    return members
 
 
 def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from placto import rewrite, verify
+from placto import cli, rewrite, verify
 from placto.algebra import commutator_in_quotient, free_schur, nc_mul, shifted_free_schur
 from placto.cli import main
 from placto.rewrite import (
@@ -378,22 +378,27 @@ def _per_member_stable_under(levels, instances, checks, n):
 @contextlib.contextmanager
 def _per_member_oracle():
     """Compare every `_stable_under` call with the per-member reference, on
-    the full violation lists; yields, per call, one flag per axiom (1, 3
-    and 4), set when the axiom failed and its violations were listed.  An
-    axiom that holds must have made two lookups per relation instance and
-    action on its support, and no lookup per class."""
+    the full violation lists over the walked levels; yields, per call, one
+    flag per axiom (1, 3 and 4), set when the axiom failed and its
+    violations were listed.  An axiom that holds must have made two lookups
+    per relation instance and action on its support, and no lookup per
+    class; the classes are walked once when an axiom fails, else never."""
     reached = []
     real = verify._stable_under
 
-    def compared(levels, instances, checks, n):
+    def compared(walk, degree, instances, checks, n):
         lookups = [[] for _ in checks]
         counted = [
             (family, lambda w, target=target, seen=seen: seen.append(w) or target(w))
             for (family, target), seen in zip(checks, lookups)
         ]
-        got = real(levels, instances, counted, n)
+        walks = []
+        got = real(lambda: walks.append(degree) or walk(), degree, instances, counted, n)
+        levels = walk()
+        assert len(levels) == degree + 1
         expected = _per_member_stable_under(levels, instances, checks, n)
         assert got == expected
+        assert walks == ([degree] if any(violations for _, violations in got) else [])
         for (family, _), seen, (_, violations) in zip(checks, lookups, got):
             if not violations:
                 actions = sum(len(family(verify._support(left))[1]) for left, _ in instances)
@@ -535,6 +540,80 @@ def test_singleton_classes_need_no_image_lookup(capsys, monkeypatch):
     capsys.readouterr()
     assert per_sweep == [0, 0]
     assert calls == []  # axiom 2's sums are zero over one letter
+
+
+def _accepted_degrees(n):
+    """The degrees d that `verify axioms --n n --degree d` accepts: at most
+    300 000 words, and for n = 1 at most 5 000 000 letters."""
+    degree = 0
+    with contextlib.suppress(ValueError):
+        while True:
+            cli._check_sweep("verify axioms", n, range(1, degree + 2))
+            degree += 1
+    return range(1, degree + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_counted_members_are_the_walked_members(n):
+    """Per support, the count of the words of degree 1..d with exactly its
+    letters is the walk's sum of class sizes, at every accepted degree."""
+    degrees = _accepted_degrees(n)
+    levels = Congruence(KNUTH, {}).partitions(n, degrees[-1])
+    walked = {}
+    for degree in degrees:
+        for cls in levels[degree]:
+            support = verify._support(cls[0])
+            walked[support] = walked.get(support, 0) + len(cls)
+        assert verify._words_by_support(n, degree) == walked
+
+
+def _count_walks(monkeypatch):
+    """Record (step, n, degree) per `rewrite._insertion_walk` call, on fresh
+    congruences."""
+    monkeypatch.setattr(rewrite, "_congruences", {})
+    monkeypatch.setattr(rewrite, "_canonical_memo", {})
+    walks = []
+    real = rewrite._insertion_walk
+
+    def counted(step, start, n, degree):
+        walks.append((step, n, degree))
+        return real(step, start, n, degree)
+
+    monkeypatch.setattr(rewrite, "_insertion_walk", counted)
+    return walks
+
+
+@pytest.mark.parametrize("n, degree", [(5, 6), (3, 9)])
+def test_passing_axioms_walk_only_to_the_lookup_degree(capsys, monkeypatch, n, degree):
+    walks = _count_walks(monkeypatch)
+    assert main(f"verify axioms --n {n} --degree {degree}".split()) == 0
+    capsys.readouterr()
+    assert {(m, d) for _, m, d in walks} == {(n, 3), (n, 4)}
+
+
+def test_failing_axioms_walk_the_classes_once(capsys, monkeypatch, tmp_path):
+    """The Chinese set fails Plac.4 (and Plac.2) at (4, 5), and SPlac.1 and
+    SPlac.4 at (3, 5): each run walks the set's classes to the bound once."""
+    walks = _count_walks(monkeypatch)
+    path = tmp_path / "chinese.json"
+    path.write_text(
+        json.dumps(
+            [
+                {"left": "cba", "right": "bca", "constraints": "a<=b<=c"},
+                {"left": "cba", "right": "cab", "constraints": "a<=b<=c"},
+            ]
+        )
+    )
+    assert main(f"verify axioms --relations custom:{path} --n 4 --degree 5".split()) == 1
+    capsys.readouterr()
+    assert [(m, d) for _, m, d in walks] == [(4, 3), (4, 5)]
+
+    walks.clear()
+    reports = verify_axioms("shifted-plactic", 3, 5, relations=_CHINESE)
+    assert [r["pass"] for r in reports] == [False, False, True, False]
+    chinese = congruence(_CHINESE)._least_step
+    assert [(m, d) for step, m, d in walks if step == chinese] == [(3, 4), (3, 5)]
+    assert [(m, d) for step, m, d in walks if step != chinese] == [(3, 4), (3, 5)]
 
 
 class TestReportOnlyChecks:
@@ -789,7 +868,8 @@ def test_every_memo_holds_only_walked_words(capsys, monkeypatch, tmp_path, comma
     if "custom" in command:
         assert KNUTH not in rewrite._congruences
         (cong,) = rewrite._congruences.values()
-        assert len(cong.memo) == 3 + 9 + 27 + 81 + 243 + 1  # degrees 1..5 and b""
+        # the axioms pass, so the seeded degree is axiom 2's 3: degrees 1..3 and b""
+        assert len(cong.memo) == 3 + 9 + 27 + 1
 
 
 def test_reports_are_deterministic():
