@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import verify as verify_mod
@@ -141,7 +140,13 @@ _MAX_CLASS = 10_000
 # passing axioms run walks only to the degree it looks up, 3 or 4 or its
 # longest relation (`--n 3 --degree 11`: 15 MB in 0.01 s), but the bound
 # stays: whether an axiom fails is known only after the check.  `--n 3
-# --degree 12` (797 160 words) is refused.
+# --degree 12` (797 160 words) is refused.  It is the only bound of an
+# axioms run, which builds no table per ordered morphism.  The largest runs
+# it admits, measured once each: `--n 66 --degree 3` (291 918 words) passes
+# in 11.6 s and 191 MB, `--n 23 --degree 4` in 7.8 s and 168 MB, and
+# `--relations knuth --n 255 --degree 2` in 1.5 s and 44 MB; the Chinese
+# set fails `--n 66 --degree 3` in 6.7 s and 145 MB, its failing axioms
+# each stopping at the 20 violations listed.
 _MAX_SWEEP = 300_000
 
 # Most letters that one sweep holds.  Only n = 1 reaches it, where a sweep of
@@ -165,29 +170,6 @@ def _check_sweep(command: str, n: int, degrees: range) -> None:
         raise ValueError(
             f"{command} would hold {letters} letters, "
             f"more than the limit of {_MAX_SWEEP_LETTERS}"
-        )
-
-
-# Most injection tables that one `verify axioms` run builds.  The ordered
-# morphisms of {1..n} act on a support of k letters as its C(n, k)
-# order-preserving injections into {1..n}, one `bytes.translate` table
-# each, and the words up to degree d have C(n, k) supports of each k <= d:
-# sum over k = 1..min(n, d) of C(n, k)^2 tables.  `--n 14 --degree 3` builds
-# 140 973 (about 0.7 s and 80 MB peak RSS for the whole process) and
-# `--n 10 --degree 5` 124 129 (about 2 s and 100 MB), while `--n 12
-# --degree 4` builds 297 925 (3.6 s, 152 MB); Python 3.11, one core of a
-# 2-core x86-64 machine.
-_MAX_INJECTIONS = 150_000
-
-
-def _check_injections(command: str, n: int, degree: int) -> None:
-    """Refuse, before building any, a `verify axioms` run over {1..n} up
-    to `degree` with more than `_MAX_INJECTIONS` injection tables."""
-    count = sum(math.comb(n, k) ** 2 for k in range(1, min(n, degree) + 1))
-    if count > _MAX_INJECTIONS:
-        raise ValueError(
-            f"{command} would build {count} injection tables, "
-            f"more than the limit of {_MAX_INJECTIONS}"
         )
 
 
@@ -243,9 +225,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif what == "axioms":
         n = _size_option(args.n, 3, "n", _MAX_LETTER)
         degree = _size_option(args.degree, 5, "degree")
-        command = f"verify axioms --n {n} --degree {degree}"
-        _check_sweep(command, n, range(1, degree + 1))
-        _check_injections(command, n, degree)
+        _check_sweep(f"verify axioms --n {n} --degree {degree}", n, range(1, degree + 1))
         reports = []
         rel_spec = args.relations
         if rel_spec in (None, "knuth"):

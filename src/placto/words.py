@@ -6,8 +6,8 @@ per byte (so n <= 255), with n kept by its context: the rewrite kernel, the
 congruences, the polynomials of `algebra` and the verifier all work on byte
 words.  `Word` is the validated word of the public API, built where text is
 parsed or printed; `word_text` gives a byte word the text of `str(Word)`.
-The maps provided here (concatenation, content, interval restriction,
-ordered-morphism relabelling) are the pieces the rewrite engine and the
+The maps provided here (concatenation, content, interval restriction) and
+the ordered morphisms are the pieces the rewrite engine and the
 verification harness quantify over.
 """
 
@@ -165,23 +165,15 @@ def restrict(w: Word, interval: Interval) -> Word:
     return Word(tuple(a for a in w.letters if a in interval), w.n)
 
 
-def apply_morphism(w: Word, morphism: OrderedMorphism) -> Word:
-    """Letterwise image of w under an ordered morphism."""
-    mapping = morphism.mapping()
-    try:
-        letters = tuple(mapping[a] for a in w.letters)
-    except KeyError as exc:
-        raise ValueError(f"letter {exc.args[0]} outside morphism source") from None
-    return Word(letters, morphism.target_n)
-
-
 def outside_letters(interval: Interval, n: int) -> bytes:
     """The letters of {1..n} outside the interval, as a byte string.
 
     `w.translate(None, outside_letters(iv, n))` restricts a byte-encoded
     word over {1..n} to the interval.
     """
-    return bytes(a for a in range(1, n + 1) if a not in interval)
+    below = bytes(range(1, min(interval.lo, n + 1)))
+    above = bytes(range(max(interval.hi + 1, 1), n + 1))
+    return below + above
 
 
 def all_words(n: int, degree: int) -> Iterator[Word]:
@@ -195,16 +187,3 @@ def all_intervals(n: int) -> Iterator[Interval]:
     for lo in range(1, n + 1):
         for hi in range(lo, n + 1):
             yield Interval(lo, hi)
-
-
-def all_ordered_morphisms(source_n: int, target_n: int) -> Iterator[OrderedMorphism]:
-    """All strictly increasing partial maps between the two truncations.
-
-    Includes the empty morphism (applicable only to the empty word).
-    """
-    source_letters = range(1, source_n + 1)
-    target_letters = range(1, target_n + 1)
-    for k in range(0, min(source_n, target_n) + 1):
-        for src in itertools.combinations(source_letters, k):
-            for img in itertools.combinations(target_letters, k):
-                yield OrderedMorphism(tuple(zip(src, img)), target_n)

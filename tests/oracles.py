@@ -1,12 +1,14 @@
 """Brute-force oracles that the tests check the library's routes against:
 each filters every word of one degree by a condition read off the
-definition, with no generation shared with `placto`."""
+definition, with no generation shared with `placto`, or lists every map of
+a family that the library decides without listing."""
 
 import itertools
+from typing import Iterator
 
 from placto.algebra import NcPoly
 from placto.tableaux import hook_factorization_check, is_partition
-from placto.words import Word
+from placto.words import OrderedMorphism, Word
 
 
 def longest_weakly_increasing_subword(letters) -> int:
@@ -59,3 +61,26 @@ def enumerate_hook_by_filter(nu: tuple[int, ...], n: int) -> set[Word]:
         for letters in itertools.product(range(1, n + 1), repeat=degree)
         if hook_factorization_check(letters, nu)
     }
+
+
+def apply_morphism(w: Word, morphism: OrderedMorphism) -> Word:
+    """Letterwise image of w under an ordered morphism."""
+    mapping = morphism.mapping()
+    try:
+        letters = tuple(mapping[a] for a in w.letters)
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]} outside morphism source") from None
+    return Word(letters, morphism.target_n)
+
+
+def all_ordered_morphisms(source_n: int, target_n: int) -> Iterator[OrderedMorphism]:
+    """All strictly increasing partial maps between the two truncations.
+
+    Includes the empty morphism (applicable only to the empty word).
+    """
+    source_letters = range(1, source_n + 1)
+    target_letters = range(1, target_n + 1)
+    for k in range(0, min(source_n, target_n) + 1):
+        for src in itertools.combinations(source_letters, k):
+            for img in itertools.combinations(target_letters, k):
+                yield OrderedMorphism(tuple(zip(src, img)), target_n)

@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import all_ordered_morphisms, apply_morphism
 from placto import rewrite
 from placto.rewrite import (
     KNUTH,
@@ -42,9 +43,7 @@ from placto.words import (
     Interval,
     Word,
     all_intervals,
-    all_ordered_morphisms,
     all_words,
-    apply_morphism,
     concat,
     content,
     outside_letters,
@@ -407,9 +406,12 @@ def test_custom_walk_equals_closure_partitions(rels, n, degree):
 def test_translate_deletions_restrict(data):
     n = data.draw(st.integers(1, 8))
     w = Word(tuple(data.draw(st.lists(st.integers(1, n), max_size=12))), n)
-    lo = data.draw(st.integers(1, n))
-    iv = Interval(lo, data.draw(st.integers(lo, n)))
-    restricted = w.to_bytes().translate(None, outside_letters(iv, n))
+    # intervals may reach past either end of {1..n}, or miss it
+    lo = data.draw(st.integers(-3, n + 3))
+    iv = Interval(lo, data.draw(st.integers(lo, n + 3)))
+    outside = outside_letters(iv, n)
+    assert outside == bytes(a for a in range(1, n + 1) if a not in iv)
+    restricted = w.to_bytes().translate(None, outside)
     assert Word.from_bytes(restricted, n) == restrict(w, iv)
 
 

@@ -5,14 +5,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import all_ordered_morphisms, apply_morphism
 from placto.words import (
     Interval,
     OrderedMorphism,
     Word,
     all_intervals,
-    all_ordered_morphisms,
     all_words,
-    apply_morphism,
     concat,
     content,
     restrict,
