@@ -130,23 +130,24 @@ _MAX_CLASS = 10_000
 # 2,1 --n 8`, 282 240 words, takes 5-8 s and about 170 MB).  `schur
 # --shifted` has no closed count here: its listing of hook words is refused
 # as soon as one list it holds passes the limit.
-# Peak RSS of the whole process grows by about 150-280 bytes per word for
-# an axioms run with a failing axiom, which walks every word to list the
-# violations (the Chinese set `cba~bca, cba~cab`: `--n 3 --degree 11`,
-# 265 719 words, 54 MB in 2.7 s; `--n 5 --degree 7`: 35 MB; `--n 6
-# --degree 6`: 30 MB), and by about 1 kB per word for section5 (`--n 16`,
-# 69 632 words: 88 MB; `--n 23`, the largest accepted, 292 008 words:
-# 327 MB in 73 s); Python 3.11, one core of a 2-core x86-64 machine.  A
-# passing axioms run walks only to the degree it looks up, 3 or 4 or its
-# longest relation (`--n 3 --degree 11`: 15 MB in 0.01 s), but the bound
-# stays: whether an axiom fails is known only after the check.  `--n 3
-# --degree 12` (797 160 words) is refused.  It is the only bound of an
-# axioms run, which builds no table per ordered morphism.  The largest runs
-# it admits, measured once each: `--n 66 --degree 3` (291 918 words) passes
-# in 11.6 s and 191 MB, `--n 23 --degree 4` in 7.8 s and 168 MB, and
-# `--relations knuth --n 255 --degree 2` in 1.5 s and 44 MB; the Chinese
-# set fails `--n 66 --degree 3` in 6.7 s and 145 MB, its failing axioms
-# each stopping at the 20 violations listed.
+# Peak RSS of the whole process, about 17 MB at start, grows by about 650
+# bytes per word for section5 (`--n 16`, 69 632 words: 61 MB in 1.5 s;
+# `--n 23`, the largest accepted, 292 008 words: 206 MB in 5.8 s).  An
+# axioms run with a failing axiom walks the classes degree by degree, only
+# until it has listed its violations: the Chinese set `cba~bca, cba~cab`
+# fails `--n 3 --degree 11`, `--n 5 --degree 7` and `--n 6 --degree 6` in
+# 0.1 s each, under 18 MB.  A listing that needs every level grows it by
+# about 440 bytes per word: the Chinese set fails `--n 66 --degree 3`
+# (291 918 words) in 6.6 s and 147 MB.  These are single runs, Python 3.11,
+# one core of a 2-core x86-64 machine.  A passing axioms run walks only to
+# the degree it looks up, 3 or 4 or its longest relation (`--n 3 --degree
+# 11`: 15 MB in 0.01 s), but the bound stays: whether an axiom fails is
+# known only after the check.  `--n 3 --degree 12` (797 160 words) is
+# refused.  It is the only bound of an axioms run, which builds no table
+# per ordered morphism.  The largest runs it admits, measured once each:
+# `--n 66 --degree 3` (291 918 words) passes in 11.6 s and 191 MB, `--n 23
+# --degree 4` in 7.8 s and 168 MB, and `--relations knuth --n 255 --degree
+# 2` in 1.5 s and 44 MB.
 _MAX_SWEEP = 300_000
 
 # Most letters that one sweep holds.  Only n = 1 reaches it, where a sweep of
@@ -226,8 +227,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n = _size_option(args.n, 3, "n", _MAX_LETTER)
         degree = _size_option(args.degree, 5, "degree")
         _check_sweep(f"verify axioms --n {n} --degree {degree}", n, range(1, degree + 1))
-        reports = []
         rel_spec = args.relations
+        if rel_spec is None and degree == 2:
+            # the Plac half accepts the degree that the SPlac half refuses:
+            # refuse it before the Plac half runs
+            raise ValueError("degree bound must be at least 3 for the SPlac axioms, got 2")
+        reports = []
         if rel_spec in (None, "knuth"):
             reports.extend(verify_mod.verify_axioms("plactic", n, degree))
         if rel_spec in (None, "shifted-knuth"):

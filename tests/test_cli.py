@@ -17,7 +17,7 @@ from placto import cli
 from placto.cli import main
 from placto.rewrite import KNUTH, SHIFTED_KNUTH, RelationSet, class_dump, equiv_class
 from placto.tableaux import hook_factorization_check, mixed_insert_word, strict_partitions
-from placto.verify import _partition_degree
+from placto.verify import _partition_degree, verify_axioms
 from placto.words import Word
 
 
@@ -297,6 +297,20 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"placto: error: degree bound must be {message}\n"
+
+    def test_shifted_degree_refused_before_the_plactic_half(self, capsys):
+        """The Plac half alone takes about 1.5 s at `--n 255 --degree 2`;
+        the SPlac half's least degree is refused before it, with the message
+        that `verify_axioms` gives."""
+        start = time.perf_counter()
+        code = main("verify axioms --n 255 --degree 2".split())
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        with pytest.raises(ValueError) as refused:
+            verify_axioms("shifted-plactic", 255, 2)
+        assert captured.err == f"placto: error: {refused.value}\n"
+        assert elapsed < 0.3
 
     def test_schur_of_255_cells_accepted(self, capsys):
         code, out = run_cli(capsys, "schur", "--shape", "255", "--n", "1")
@@ -771,6 +785,22 @@ def test_failing_custom_axioms_digest(capsys, tmp_path, name):
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FAILING_DIGESTS[name]
+
+
+# sha256 of the stdout of `verify axioms --n 3 --degree 11 --relations
+# custom:<file>` for the Chinese set, which exits 1: the largest degree
+# over three letters within the sweep limit, as listed when every class up
+# to the bound was walked first
+CHINESE_3_11_DIGEST = "74d598ebc699ebbebb695d71e8837426eedd3685a468954aca081d8fa229ef2f"
+
+
+def test_failing_custom_axioms_digest_at_the_largest_degree(capsys, tmp_path):
+    path = tmp_path / "chinese.json"
+    path.write_text(json.dumps(_FAILING_SETS["chinese"]), encoding="utf-8")
+    argv = "verify axioms --n 3 --degree 11 --relations".split() + [f"custom:{path}"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHINESE_3_11_DIGEST
 
 
 # relations of lengths 3 and 4 in one custom set, written to a file per test

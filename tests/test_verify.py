@@ -394,12 +394,11 @@ class TestAxiomViolations:
         ]
 
 
-def _per_member_stable_under(levels, instances, checks, n):
+def _per_member_stable_under(classes, instances, checks, n):
     """`verify._stable_under` with one canonical lookup per member per
     distinct action, whatever the relation instances give: the reference
     for its argument that the instances decide each axiom.  Lists every
     violation."""
-    classes = [cls for level in levels[1:] for cls in level]
     results = []
     for family, target in checks:
         violations = []
@@ -421,26 +420,25 @@ def _per_member_stable_under(levels, instances, checks, n):
 @contextlib.contextmanager
 def _per_member_oracle():
     """Compare every `_stable_under` call with the per-member reference, on
-    the first 20 violations of the walked levels; yields, per call, one
-    flag per axiom (1 and 4), set when the axiom failed and its violations
-    were listed.  An axiom that holds must have made two lookups per
-    relation instance and action on its support, and no lookup per class;
-    the classes are walked once when an axiom fails, else never."""
+    the first 20 violations of all the classes; yields, per call, one flag
+    per axiom (1 and 4), set when the axiom failed and its violations were
+    listed.  An axiom that holds must have made two lookups per relation
+    instance and action on its support, and no lookup per class; the
+    classes are read once per failing axiom, and never when none fails."""
     reached = []
     real = verify._stable_under
 
-    def compared(walk, instances, checks, n):
+    def compared(classes, instances, checks, n):
         lookups = [[] for _ in checks]
         counted = [
             (family, lambda w, target=target, seen=seen: seen.append(w) or target(w))
             for (family, target), seen in zip(checks, lookups)
         ]
-        walks = []
-        got = real(lambda: walks.append(True) or walk(), instances, counted, n)
-        levels = walk()
-        expected = _per_member_stable_under(levels, instances, checks, n)
+        reads = []
+        got = real(lambda: reads.append(True) or classes(), instances, counted, n)
+        expected = _per_member_stable_under(list(classes()), instances, checks, n)
         assert got == [violations[:20] for violations in expected]
-        assert walks == ([True] if any(got) else [])
+        assert len(reads) == sum(map(bool, got))
         for (family, _), seen, violations in zip(checks, lookups, got):
             if not violations:
                 actions = sum(len(family(verify._support(left))[0]) for left, _ in instances)
@@ -672,29 +670,30 @@ def test_passing_axioms_walk_only_to_the_lookup_degree(capsys, monkeypatch, n, d
     assert {(m, d) for _, m, d in walks} == {(n, 3), (n, 4)}
 
 
-def test_failing_axioms_walk_the_classes_once(capsys, monkeypatch, tmp_path):
-    """The Chinese set fails Plac.4 (and Plac.2) at (4, 5), and SPlac.1 and
-    SPlac.4 at (3, 5): each run walks the set's classes to the bound once."""
+@pytest.mark.parametrize(
+    "target, n, degree, reached",
+    [("plactic", 4, 5, [4]), ("plactic", 3, 11, [5]), ("shifted-plactic", 3, 5, [5, 5])],
+    ids=["plac-4-5", "plac-3-11", "splac-3-5"],
+)
+def test_failing_axioms_walk_only_to_their_last_listed_degree(
+    monkeypatch, target, n, degree, reached
+):
+    """The Chinese set fails Plac.4 at (4, 5) and (3, 11), and SPlac.1 and
+    SPlac.4 at (3, 5).  After the seed to the lookup degree, each failing
+    axiom walks its classes degree by degree, 1, 2, ..., and stops at the
+    degree of its last listed violation; the Knuth classes are not walked
+    beyond the seed."""
     walks = _count_walks(monkeypatch)
-    path = tmp_path / "chinese.json"
-    path.write_text(
-        json.dumps(
-            [
-                {"left": "cba", "right": "bca", "constraints": "a<=b<=c"},
-                {"left": "cba", "right": "cab", "constraints": "a<=b<=c"},
-            ]
-        )
-    )
-    assert main(f"verify axioms --relations custom:{path} --n 4 --degree 5".split()) == 1
-    capsys.readouterr()
-    assert [(m, d) for _, m, d in walks] == [(4, 3), (4, 5)]
-
-    walks.clear()
-    reports = verify_axioms("shifted-plactic", 3, 5, relations=_CHINESE)
-    assert [r["pass"] for r in reports] == [False, False, True, False]
+    reports = verify_axioms(target, n, degree, relations=_CHINESE)
+    failing = [r for r in reports if not r["pass"] and r["axiom"][-1] in "14"]
+    assert [len(r["violations"][-1]["class_of"]) for r in failing] == reached
     chinese = congruence(_CHINESE)._least_step
-    assert [(m, d) for step, m, d in walks if step == chinese] == [(3, 4), (3, 5)]
-    assert [(m, d) for step, m, d in walks if step != chinese] == [(3, 4), (3, 5)]
+    seed = 3 if target == "plactic" else 4
+    listed = [(n, d) for top in reached for d in range(1, top + 1)]
+    assert [(m, d) for step, m, d in walks if step == chinese] == [(n, seed)] + listed
+    assert [(m, d) for step, m, d in walks if step != chinese] == (
+        [] if target == "plactic" else [(n, seed)]
+    )
 
 
 class TestReportOnlyChecks:
@@ -727,6 +726,40 @@ class TestSection5:
     def test_degree_bound_validated(self):
         with pytest.raises(ValueError):
             verify_section5(4, 3)
+
+    @pytest.mark.parametrize("call", [0, 1], ids=["row", "hook"])
+    @pytest.mark.parametrize("change", ["drop", "add", "move"])
+    def test_degree4_fails_with_one_pair_changed(self, monkeypatch, change, call):
+        """Part c fails when the forced pairs of one product, the row sum's
+        (call 0) or the hook sum's (call 1), over {1..4} lose a pair, gain a
+        pair of words in different classes, or have a pair moved to such a
+        word, which joins as many parts as before."""
+        canonical = congruence(SHIFTED_KNUTH).canonical
+        words = list(map(bytes, itertools.permutations(range(1, 5))))
+
+        def edit(match):
+            u = next(w for w in match if match[w] != w)
+            if change == "drop":
+                del match[u]
+                return
+            if change == "add":
+                u = next(w for w in words if w not in match)
+            match[u] = next(w for w in words if canonical(w) != canonical(u))
+
+        real = verify._forced_matchings
+        calls = []
+
+        def tampered(single, big, n):
+            matchings = real(single, big, n)
+            if len(calls) == call:
+                _, match, ok, _ = matchings[(1, 1, 1, 1)]
+                assert ok  # part c passes untampered
+                edit(match)
+            calls.append(big)
+            return matchings
+
+        monkeypatch.setattr(verify, "_forced_matchings", tampered)
+        assert not section5_degree4_comparison(4)["pass"]
 
 
 def _forced_matching_products():
