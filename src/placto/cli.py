@@ -20,16 +20,16 @@ import sys
 from . import verify as verify_mod
 from .algebra import free_schur, lr_expand, shifted_free_schur
 from .rewrite import (
-    SHIFTED_KNUTH,
     RelationSet,
     class_dump,
     class_size,
-    closure_bytes,
     relation_set_by_name,
 )
 from .tableaux import (
     hook_factorization_check,
+    hook_word,
     mixed_insert_word,
+    mixed_insertion_rows,
     p_tableau,
     reading_word,
     ssyt_count,
@@ -112,14 +112,12 @@ def _check_cells(cells: int, options: str) -> None:
         raise ValueError(f"{options} must have at most {_MAX_LETTER} cells, got {cells}")
 
 
-# Largest class that `class` and `insert --mode mixed` list.  The shipped
-# relation sets know a class's size before closing it; a custom set's
-# closure stops once a layer of its search leaves more members.  Near this size
-# (a shifted Knuth class of 9 856 words of length 16; Python 3.11, one core
-# of a 2-core x86-64 machine) `class` takes 0.16 s and 21 MB peak RSS for
-# the whole process, and `insert --mode mixed`, which also checks every
-# member for a hook factorization at the mixed tableau's shape, takes
-# 0.23-0.33 s and 19 MB.
+# Largest class that `class` lists.  The shipped relation sets know a
+# class's size before closing it; a custom set's closure stops once a layer
+# of its search leaves more members.  Near this size (a shifted Knuth class
+# of 9 856 words of length 16; Python 3.11, one core of a 2-core x86-64
+# machine) `class` takes 0.16 s and 21 MB peak RSS for the whole process.
+# `insert --mode mixed` closes no class, so no size bounds it.
 _MAX_CLASS = 10_000
 
 
@@ -251,14 +249,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _canonical_hook_word(w: Word, shape: tuple[int, ...]) -> Word | None:
-    """Unique hook-factorization word in the shifted class of w, if any.
+    """The hook-factorization word in the shifted class of w, or None if
+    the word read off the tableau fails the check.
 
     `shape` is the shape of the mixed insertion tableau of w, which is the
-    shape of every hook factorization in its class (Serrano 2010), so no
-    other strict partition needs checking."""
-    members = sorted(closure_bytes(SHIFTED_KNUTH, w.to_bytes()))
-    hits = [m for m in members if hook_factorization_check(m, shape)]
-    return Word.from_bytes(hits[0], w.n) if len(hits) == 1 else None
+    shape of every hook factorization in its class (Serrano 2010).  The
+    word is read off the tableau by reverse mixed insertion
+    (`tableaux.hook_word`), without closing the class; one
+    `hook_factorization_check` of it at `shape` guards that reading."""
+    hook = hook_word(mixed_insertion_rows(w.to_bytes()))
+    return Word.from_bytes(hook, w.n) if hook_factorization_check(hook, shape) else None
 
 
 def _cmd_insert(args: argparse.Namespace) -> int:
@@ -274,7 +274,6 @@ def _cmd_insert(args: argparse.Namespace) -> int:
         }
     else:
         tab = mixed_insert_word(w)
-        _check_class_size(SHIFTED_KNUTH, w)
         hook = _canonical_hook_word(w, tab.shape)
         payload = {
             "mode": "mixed",

@@ -11,7 +11,9 @@ fibers are the Knuth classes) and mixed insertion building a shifted tableau
 finds the least word of a Knuth class from its tableau, and the hook length
 formulas count the members of a class from the shape of its tableau.  Hook
 words - strictly decreasing prefix followed by weakly increasing suffix -
-provide canonical representatives for the shifted classes.
+provide canonical representatives for the shifted classes; reverse mixed
+insertion reads the one of a class off its mixed tableau (`hook_word`),
+without listing the class.
 
 The insertion and hook functions take any letter sequence: a byte word (the
 internal word type), a tuple or a `Word`.  The enumerations list tableaux as
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -468,6 +470,43 @@ def _mixed_insert_encoded(rows: list[list[int]], entry: int) -> None:
             by_rows, idx, v = False, col + 1, x
 
 
+def _mixed_uninsert_encoded(rows: list[list[int]], r: int) -> int:
+    """Undo the mixed insertion that ended in the last cell of row r of
+    mutable shifted rows (doubled encoding); returns the letter inserted,
+    encoded (unprimed).
+
+    Row insertion carries only unprimed values and column insertion only
+    primed ones, so the value leaving a cell tells how it got there.  An
+    unprimed value was row-inserted: in row 0 it is the letter, otherwise it
+    swaps with the rightmost entry below it in the row above.  A primed
+    value was column-inserted: it swaps with the bottommost entry below it
+    in the column to its left, and a diagonal cell there takes back the
+    unprimed value that its bump primed.
+    """
+    row = rows[r]
+    v = row.pop()
+    c = r + len(row)  # absolute column of the cell v leaves
+    if not row:
+        rows.pop()  # a row of one cell is the last row
+    while True:
+        if not is_primed(v):
+            if r == 0:
+                return v
+            r -= 1
+            above = rows[r]
+            j = bisect_left(above, v) - 1
+            v, above[j] = above[j], v
+            c = r + j
+            continue
+        c -= 1
+        # column c holds rows 0..bottom and weakly increases downwards
+        r = min(c, len(rows) - 1)
+        while c - r >= len(rows[r]) or rows[r][c - r] >= v:
+            r -= 1
+        j = c - r
+        v, rows[r][j] = rows[r][j], (v + 1 if j == 0 else v)
+
+
 def mixed_step(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ...], ...]:
     """Rows, in the doubled encoding, of the mixed insertion tableau of w a
     from those of w, for a plain letter a: mixed insertion is a right
@@ -602,6 +641,52 @@ def hook_factorization_check(letters, nu: tuple[int, ...]) -> bool:
             return False
         prev = seg
     return True
+
+
+def _hook_recording_rows(shape: tuple[int, ...]) -> list[int]:
+    """The row of each cell of Q_shape, the mixed recording tableau of the
+    hook words of a strict shape, in the order the cells are added.
+
+    The segments of a hook word are read smallest part first, and each
+    takes the shape mu to nu = (part,) + mu.  Row k of nu (from 0) keeps
+    the m cells of row k of mu (m = 0 for a new row) and gains the cells
+    from column k + m on: first the first new cell of each row, top to
+    bottom, then the other new cells in increasing column order.
+
+    That Q depends only on the shape is not cited as a theorem.  It was
+    verified by computation, and the tests keep checking it: every hook
+    word's recording tableau is Q_shape, and `hook_word`, which rests on
+    it, equals the closure scan on every shifted class of small degree
+    (`tests/test_tableaux.py`, `TestHookWordByReverseInsertion`).
+    """
+    order: list[int] = []
+    mu: tuple[int, ...] = ()
+    for part in reversed(shape):
+        nu = (part,) + mu
+        kept = mu + (0,)
+        order.extend(range(len(nu)))
+        rest = [(c, k) for k, length in enumerate(nu) for c in range(k + kept[k] + 1, k + length)]
+        order.extend(k for _, k in sorted(rest))
+        mu = nu
+    return order
+
+
+def hook_word(rows: tuple[tuple[int, ...], ...]) -> bytes:
+    """The hook word of the shifted Knuth class whose mixed insertion
+    tableau has these rows (doubled encoding), read off the tableau.
+
+    Each shifted plactic class holds exactly one hook-factorization word
+    (Serrano 2010), and mixed insertion is a bijection between words and
+    pairs (P, Q) with Q a standard shifted tableau (Haiman 1989).  So the
+    hook word is the inverse mixed insertion of (P, Q_shape): the cells of
+    Q_shape are removed in reverse order (`_hook_recording_rows`), each by
+    `_mixed_uninsert_encoded`.  The cost is O(|w| * rows) per word, with
+    no class listed.
+    """
+    out = [list(row) for row in rows]
+    cells = _hook_recording_rows(tuple(map(len, rows)))
+    letters = [base_letter(_mixed_uninsert_encoded(out, r)) for r in reversed(cells)]
+    return bytes(reversed(letters))
 
 
 def enumerate_hook(nu: tuple[int, ...], n: int) -> set[Word]:

@@ -7,7 +7,8 @@ import itertools
 from typing import Iterator
 
 from placto.algebra import NcPoly
-from placto.tableaux import hook_factorization_check, is_partition
+from placto.rewrite import SHIFTED_KNUTH, closure_bytes
+from placto.tableaux import hook_factorization_check, is_partition, mixed_insertion_rows
 from placto.words import OrderedMorphism, Word
 
 
@@ -61,6 +62,16 @@ def enumerate_hook_by_filter(nu: tuple[int, ...], n: int) -> set[Word]:
         for letters in itertools.product(range(1, n + 1), repeat=degree)
         if hook_factorization_check(letters, nu)
     }
+
+
+def hook_word_by_closure(word: bytes) -> bytes | None:
+    """`tableaux.hook_word` of the mixed tableau of `word` by another
+    route: close the shifted Knuth class and keep the members with a hook
+    factorization at the tableau's shape; None unless exactly one has."""
+    shape = tuple(map(len, mixed_insertion_rows(word)))
+    members = sorted(closure_bytes(SHIFTED_KNUTH, word))
+    hits = [m for m in members if hook_factorization_check(m, shape)]
+    return hits[0] if len(hits) == 1 else None
 
 
 def apply_morphism(w: Word, morphism: OrderedMorphism) -> Word:

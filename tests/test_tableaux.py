@@ -9,21 +9,27 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from placto.rewrite import KNUTH, SHIFTED_KNUTH, equiv_class, equivalent
+from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, class_size, equiv_class, equivalent
 from placto.tableaux import (
     EMPTY_TABLEAU,
     ShiftedTableau,
     Tableau,
+    _hook_recording_rows,
     _hook_segments,
+    _mixed_insert_encoded,
+    _mixed_uninsert_encoded,
     enumerate_hook,
     enumerate_shssyt,
     enumerate_ssyt,
     hook_factorization_check,
+    hook_word,
     is_hook_word,
     longest_hook_subword,
     mixed_insert,
     mixed_insert_word,
+    mixed_insertion_rows,
     p_tableau,
     partitions,
     reading_word,
@@ -33,7 +39,11 @@ from placto.tableaux import (
 )
 from placto.words import Word, all_words
 
-from oracles import enumerate_hook_by_filter, longest_weakly_increasing_subword
+from oracles import (
+    enumerate_hook_by_filter,
+    hook_word_by_closure,
+    longest_weakly_increasing_subword,
+)
 
 
 def W(text, n=None):
@@ -286,6 +296,54 @@ class TestHookFactorization:
             assert len(tableaux) == len(words)
             assert all(t.shape == nu for t in tableaux)
             assert tableaux == set(enumerate_shssyt(nu, 3))
+
+
+def _recording(letters) -> tuple[list[list[int]], list[int]]:
+    """Mixed insertion rows of a letter sequence and, for each letter, the
+    row of the cell its insertion added (the recording tableau, by rows)."""
+    rows: list[list[int]] = []
+    cells = []
+    for a in letters:
+        before = list(map(len, rows)) + [0]
+        _mixed_insert_encoded(rows, 2 * a)
+        cells.append(next(r for r, row in enumerate(rows) if len(row) != before[r]))
+    return rows, cells
+
+
+class TestHookWordByReverseInsertion:
+    """`hook_word` reads the hook word of a shifted class off its mixed
+    tableau by reverse mixed insertion of (P, Q_shape).  These tests check
+    that Q_shape is the recording tableau of every hook word of the shape,
+    and keep the closure scan as the oracle for the word itself."""
+
+    @pytest.mark.parametrize("n, top", [(4, 7), (5, 5)])
+    def test_equals_the_closure_scan_on_every_class(self, n, top):
+        # the oracle returns None unless the class holds exactly one hook
+        # word, so equality also checks that it does
+        for level in Congruence(SHIFTED_KNUTH, {}).partitions(n, top):
+            for cls in level:
+                assert hook_word(mixed_insertion_rows(cls[0])) == hook_word_by_closure(cls[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(1, n), max_size=12)))
+    def test_equals_the_closure_scan_on_random_words(self, letters):
+        word = bytes(letters)
+        assume(class_size(SHIFTED_KNUTH, word) <= 4000)
+        assert hook_word(mixed_insertion_rows(word)) == hook_word_by_closure(word)
+
+    def test_every_hook_word_records_the_shapes_tableau(self):
+        for size in range(1, 8):
+            for nu in strict_partitions(size):
+                for w in enumerate_hook(nu, 4):
+                    assert _recording(w.letters)[1] == _hook_recording_rows(nu), (w, nu)
+
+    def test_uninsertion_along_the_recording_cells_gives_back_the_word(self):
+        for degree in range(7):
+            for letters in itertools.product(range(1, 5), repeat=degree):
+                rows, cells = _recording(letters)
+                back = [_mixed_uninsert_encoded(rows, r) // 2 for r in reversed(cells)]
+                assert tuple(reversed(back)) == letters
+                assert rows == []
 
 
 # --- enumerations -------------------------------------------------------

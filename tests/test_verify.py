@@ -22,7 +22,7 @@ from placto.rewrite import (
     closure_bytes,
     congruence,
 )
-from placto.tableaux import schensted_rows
+from placto.tableaux import mixed_step, schensted_rows
 from placto.verify import (
     TABLE_FAMILIES,
     _case_products,
@@ -668,6 +668,15 @@ def test_passing_axioms_walk_only_to_the_lookup_degree(capsys, monkeypatch, n, d
     assert main(f"verify axioms --n {n} --degree {degree}".split()) == 0
     capsys.readouterr()
     assert {(m, d) for _, m, d in walks} == {(n, 3), (n, 4)}
+
+
+def test_passing_axioms_walk_the_shifted_classes_once(capsys, monkeypatch):
+    """`restriction_surprise` reads the shifted classes from the memo that
+    the SPlac half of `verify axioms` seeded, instead of walking them again."""
+    walks = _count_walks(monkeypatch)
+    assert main("verify axioms --n 5 --degree 6".split()) == 0
+    capsys.readouterr()
+    assert [(n, d) for step, n, d in walks if step is mixed_step] == [(5, 4)]
 
 
 @pytest.mark.parametrize(
