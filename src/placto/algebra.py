@@ -270,9 +270,9 @@ def free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> 
 def shifted_free_schur(
     nu: tuple[int, ...], n: int, degree_bound: int | None = None, cap: int | None = None
 ) -> NcPoly:
-    """Indicator sum over the hook-factorization words of the strict shape;
-    with a `cap`, ValueError once the listing holds more words
-    (`tableaux._hook_words`)."""
+    """Indicator sum over the hook-factorization words of the strict shape,
+    one read off each shifted tableau of the shape; with a `cap`,
+    ValueError once the shape has more tableaux (`tableaux._hook_words`)."""
     size = sum(nu)
     bound = size if degree_bound is None else degree_bound
     if size > bound:

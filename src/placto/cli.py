@@ -26,10 +26,10 @@ from .rewrite import (
     relation_set_by_name,
 )
 from .tableaux import (
+    ShiftedTableau,
     hook_factorization_check,
     hook_word,
     mixed_insert_word,
-    mixed_insertion_rows,
     p_tableau,
     reading_word,
     ssyt_count,
@@ -126,8 +126,9 @@ _MAX_CLASS = 10_000
 # and that one `schur` or `lr` run lists (the reading words of the shape, or
 # the products of the reading words of the two shapes; `lr --nu 3,2 --mu
 # 2,1 --n 8`, 282 240 words, takes 5-8 s and about 170 MB).  `schur
-# --shifted` has no closed count here: its listing of hook words is refused
-# as soon as one list it holds passes the limit.
+# --shifted` has no closed count here: it reads one hook word off each
+# shifted tableau of the shape, whose listing is refused as soon as it
+# passes the limit.
 # Peak RSS of the whole process, about 17 MB at start, grows by about 650
 # bytes per word for section5 (`--n 16`, 69 632 words: 61 MB in 1.5 s;
 # `--n 23`, the largest accepted, 292 008 words: 206 MB in 5.8 s).  An
@@ -248,17 +249,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _emit(reports, args.json)
 
 
-def _canonical_hook_word(w: Word, shape: tuple[int, ...]) -> Word | None:
-    """The hook-factorization word in the shifted class of w, or None if
-    the word read off the tableau fails the check.
+def _canonical_hook_word(tab: ShiftedTableau, n: int) -> Word | None:
+    """The hook-factorization word over {1..n} in the shifted class whose
+    mixed insertion tableau is `tab`, or None if the word read off the
+    tableau fails the check.
 
-    `shape` is the shape of the mixed insertion tableau of w, which is the
-    shape of every hook factorization in its class (Serrano 2010).  The
-    word is read off the tableau by reverse mixed insertion
-    (`tableaux.hook_word`), without closing the class; one
-    `hook_factorization_check` of it at `shape` guards that reading."""
-    hook = hook_word(mixed_insertion_rows(w.to_bytes()))
-    return Word.from_bytes(hook, w.n) if hook_factorization_check(hook, shape) else None
+    The shape of `tab` is the shape of every hook factorization in its
+    class (Serrano 2010).  The word is read off the tableau by reverse
+    mixed insertion (`tableaux.hook_word`), without closing the class; one
+    `hook_factorization_check` of it at that shape guards that reading."""
+    hook = hook_word(tab.rows)
+    return Word.from_bytes(hook, n) if hook_factorization_check(hook, tab.shape) else None
 
 
 def _cmd_insert(args: argparse.Namespace) -> int:
@@ -274,7 +275,7 @@ def _cmd_insert(args: argparse.Namespace) -> int:
         }
     else:
         tab = mixed_insert_word(w)
-        hook = _canonical_hook_word(w, tab.shape)
+        hook = _canonical_hook_word(tab, w.n)
         payload = {
             "mode": "mixed",
             "word": str(w),
@@ -303,7 +304,7 @@ def _cmd_schur(args: argparse.Namespace) -> int:
     n = _size_option(args.n, None, "n", _MAX_LETTER)
     _check_cells(sum(shape), "--shape")
     if args.shifted:
-        # no closed count of hook words is used: the listing checks its own size
+        # no closed count is used: the listing of the tableaux checks its own size
         poly = shifted_free_schur(shape, n, sum(shape), cap=_MAX_SWEEP)
     else:
         _check_words(f"schur --shape {_shape_text(shape)} --n {n}", ssyt_count(shape, n))

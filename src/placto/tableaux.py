@@ -18,13 +18,13 @@ without listing the class.
 The insertion and hook functions take any letter sequence: a byte word (the
 internal word type), a tuple or a `Word`.  The enumerations list tableaux as
 row tuples (`_ssyt_rows`, `_shssyt_rows`) and hook words as byte words
-(`_hook_words`); the public `enumerate_*` functions wrap them in validated
-`Tableau`, `ShiftedTableau` and `Word` objects.
+(`_hook_words`, the hook word of each shifted tableau of the shape); the
+public `enumerate_*` functions wrap them in validated `Tableau`,
+`ShiftedTableau` and `Word` objects.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -543,10 +543,13 @@ def enumerate_shssyt(shape: tuple[int, ...], n: int) -> list[ShiftedTableau]:
     return [ShiftedTableau(rows) for rows in _shssyt_rows(shape, n)]
 
 
-def _shssyt_rows(shape: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], ...]]:
+def _shssyt_rows(
+    shape: tuple[int, ...], n: int, cap: int | None = None
+) -> list[tuple[tuple[int, ...], ...]]:
     """The rows, in the doubled encoding, of every shifted semistandard
     tableau of the given strict shape with letters <= n, filled cell by
-    cell in row order."""
+    cell in row order.  With a `cap`, raises ValueError as soon as more
+    than `cap` tableaux are listed."""
     if not is_strict_partition(shape):
         raise ValueError(f"{shape} is not a strict partition")
     cells = [(i, j) for i, length in enumerate(shape) for j in range(length)]
@@ -557,6 +560,11 @@ def _shssyt_rows(shape: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], 
     def fill(k: int) -> None:
         if k == len(cells):
             out.append(tuple(map(tuple, grid)))
+            if cap is not None and len(out) > cap:
+                raise ValueError(
+                    f"listing the hook words holds at least {len(out)} words, "
+                    f"more than the limit of {cap}"
+                )
             return
         i, j = cells[k]
         lo = 1
@@ -657,7 +665,8 @@ def _hook_recording_rows(shape: tuple[int, ...]) -> list[int]:
     verified by computation, and the tests keep checking it: every hook
     word's recording tableau is Q_shape, and `hook_word`, which rests on
     it, equals the closure scan on every shifted class of small degree
-    (`tests/test_tableaux.py`, `TestHookWordByReverseInsertion`).
+    (`tests/test_tableaux.py`, `TestHookWordByReverseInsertion`).  Every
+    word that `_hook_words` lists is checked too.
     """
     order: list[int] = []
     mu: tuple[int, ...] = ()
@@ -692,56 +701,21 @@ def hook_word(rows: tuple[tuple[int, ...], ...]) -> bytes:
 def enumerate_hook(nu: tuple[int, ...], n: int) -> set[Word]:
     """All words over {1..n} in the hook-factorization set of the strict shape.
 
-    Built generatively, segment by segment; the tests check it against a
-    filter of every word of the degree.
+    Read off the shifted tableaux of the shape, one word each; the tests
+    check it against a filter of every word of the degree.
     """
     return {Word(tuple(w), n) for w in _hook_words(nu, n)}
 
 
 def _hook_words(nu: tuple[int, ...], n: int, cap: int | None = None) -> list[bytes]:
     """The words of `enumerate_hook` as byte words, in lexicographic order:
-    every segment extends every prefix of one length in order.
-
-    With a `cap`, raises ValueError as soon as a list the listing holds (the
-    hook segments of one part, or the prefixes after one part) passes `cap`
-    words; a prefix may extend to no word, so a listing of at most `cap`
-    words may still be refused."""
-    if not is_strict_partition(nu):
-        raise ValueError(f"{nu} is not a strict partition")
-    states: list[tuple[bytes, bytes]] = [(b"", b"")]
-    for length in reversed(nu):
-        segments = _hook_segments(length, n, cap)
-        nxt = []
-        for prefix, last in states:
-            for seg in segments:
-                if last and longest_hook_subword(last + seg) != length:
-                    continue
-                nxt.append((prefix + seg, seg))
-            _check_listing(nxt, cap)
-        states = nxt
-    return [prefix for prefix, _ in states]
-
-
-def _hook_segments(length: int, n: int, cap: int | None) -> list[bytes]:
-    """The hook words of a positive length over {1..n}, in lexicographic
-    order: a strictly decreasing run, then a weakly increasing run that does
-    not start below the run's last letter.  With a `cap`, no more tails are
-    drawn than pass it by one word, so a listing far beyond it is refused
-    fast."""
-    out: list[bytes] = []
-    for k in range(1, length + 1):
-        for dec in itertools.combinations(range(n, 0, -1), k):
-            tails = itertools.combinations_with_replacement(range(dec[-1], n + 1), length - k)
-            room = None if cap is None else cap + 1 - len(out)
-            out.extend(bytes(dec + tail) for tail in itertools.islice(tails, room))
-            _check_listing(out, cap)
-    out.sort()
-    return out
-
-
-def _check_listing(words: list, cap: int | None) -> None:
-    if cap is not None and len(words) > cap:
-        raise ValueError(
-            f"listing the hook words holds at least {len(words)} words, "
-            f"more than the limit of {cap}"
-        )
+    the hook word of each shifted tableau of the shape (`hook_word`), one
+    per shifted class (Serrano 2010), as `free_schur` takes the reading
+    word of each tableau.  Each word is checked at nu, and ValueError is
+    raised if one fails, or, with a `cap`, if the shape has more than
+    `cap` tableaux (before any word is read)."""
+    words = sorted(hook_word(rows) for rows in _shssyt_rows(nu, n, cap))
+    for w in words:
+        if not hook_factorization_check(w, nu):
+            raise ValueError(f"word {list(w)} read off a tableau of shape {nu} is no hook word")
+    return words

@@ -65,7 +65,7 @@ class TestInsert:
                 ]
                 expected = hits[0] if len(hits) == 1 else None
                 w = members[0]
-                assert cli._canonical_hook_word(w, mixed_insert_word(w).shape) == expected
+                assert cli._canonical_hook_word(mixed_insert_word(w), 4) == expected
 
     def test_mixed_near_the_class_limit(self, capsys):
         # a shifted class of 9 856 words, just under cli._MAX_CLASS
@@ -679,18 +679,19 @@ def test_products_at_the_limit_accepted(capsys, monkeypatch, argv, words):
 
 
 def test_shifted_schur_above_the_limit_rejected(capsys):
-    """The hook segments of one part are listed lazily enough that a listing
-    far above the limit is refused within seconds."""
-    start = time.perf_counter()
-    code = main(["schur", "--shape", "20", "--n", "255", "--shifted"])
-    elapsed = time.perf_counter() - start
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == (
-        f"placto: error: listing the hook words holds at least {cli._MAX_SWEEP + 1} words, "
-        f"more than the limit of {cli._MAX_SWEEP}\n"
-    )
-    assert elapsed < 5.0
+    """The shifted tableaux of the shape are listed before any hook word is
+    read off them, so a listing above the limit is refused within seconds."""
+    for shape, n in [("20", "255"), ("5,4", "10")]:
+        start = time.perf_counter()
+        code = main(["schur", "--shape", shape, "--n", n, "--shifted"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"placto: error: listing the hook words holds at least {cli._MAX_SWEEP + 1} words, "
+            f"more than the limit of {cli._MAX_SWEEP}\n"
+        )
+        assert elapsed < 5.0
 
 
 def test_shifted_schur_at_the_limit_accepted(capsys, monkeypatch):
@@ -710,11 +711,12 @@ def test_shifted_schur_at_the_limit_accepted(capsys, monkeypatch):
     [
         ("5", "12", "110f41c684154a923ea5d4a77839879a55f19bb27a7a759c607f90e988f2bc64"),
         ("4,3,2,1", "5", "e2e4d8b1d10789bcbca58b24ca751154a7b7e3ac7530776be2882d0efe0c27a1"),
+        ("5,4,3", "5", "e561e6cfdc8c2e66abbfb376ba7287cf31851dde4138826d7a95f47ff0b203a1"),
     ],
-    ids=["5-n12", "4321-n5"],
+    ids=["5-n12", "4321-n5", "543-n5"],
 )
 def test_shifted_schur_output_is_pinned(capsys, shape, n, digest):
-    """Two `schur --shifted` outputs, pinned by the sha256 of stdout."""
+    """Three `schur --shifted` outputs, pinned by the sha256 of stdout."""
     assert main(["schur", "--shape", shape, "--shifted", "--n", n]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

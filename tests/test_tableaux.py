@@ -17,7 +17,6 @@ from placto.tableaux import (
     ShiftedTableau,
     Tableau,
     _hook_recording_rows,
-    _hook_segments,
     _mixed_insert_encoded,
     _mixed_uninsert_encoded,
     enumerate_hook,
@@ -211,16 +210,6 @@ class TestHookWords:
     def test_every_length_two_word_is_hook(self):
         assert all(is_hook_word(w) for w in all_words(4, 2))
 
-    def test_generated_segments_are_the_filtered_words_in_order(self):
-        for n in range(1, 6):
-            for length in range(1, 6):
-                filtered = [
-                    bytes(letters)
-                    for letters in itertools.product(range(1, n + 1), repeat=length)
-                    if is_hook_word(letters)
-                ]
-                assert _hook_segments(length, n, None) == filtered
-
     def test_longest_hook_subword_examples(self):
         assert longest_hook_subword(W("3142")) == 3
         assert longest_hook_subword(W("1234")) == 4  # weakly increasing word
@@ -268,7 +257,18 @@ class TestHookFactorization:
 
     @pytest.mark.parametrize(
         "nu,n",
-        [((1,), 3), ((2,), 3), ((2, 1), 3), ((3,), 3), ((3, 1), 3), ((2, 1), 4), ((3, 2), 2)],
+        [
+            ((1,), 3),
+            ((2,), 3),
+            ((2, 1), 3),
+            ((3,), 3),
+            ((3, 1), 3),
+            ((2, 1), 4),
+            ((3, 2), 2),
+            ((3, 2, 1), 3),
+            ((4, 2), 3),
+            ((3, 2), 4),
+        ],
     )
     def test_generative_matches_filter(self, nu, n):
         assert enumerate_hook(nu, n) == enumerate_hook_by_filter(nu, n)
