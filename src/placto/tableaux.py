@@ -548,25 +548,34 @@ def _shssyt_rows(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """The rows, in the doubled encoding, of every shifted semistandard
     tableau of the given strict shape with letters <= n, filled cell by
-    cell in row order.  With a `cap`, raises ValueError as soon as more
-    than `cap` tableaux are listed."""
+    cell in row order.  With a `cap`, raises ValueError, before any is
+    listed, if there are more than `cap` of them.
+
+    No cell is filled above its entry in the largest tableau of the shape
+    (the entrywise maximum of two tableaux is one), so every partial
+    filling extends to a tableau and no branch dies.  The tableaux are
+    counted first by the same filling, with the count of each partial
+    filling memoized on what the cells after it see of it."""
     if not is_strict_partition(shape):
         raise ValueError(f"{shape} is not a strict partition")
     cells = [(i, j) for i, length in enumerate(shape) for j in range(length)]
     grid = [[0] * length for length in shape]
     out: list[tuple[tuple[int, ...], ...]] = []
-    top = unprimed(n)
+    # hi: the largest tableau, filled from the last cell back; with more rows
+    # than letters there is none, and hi leaves the first cell no entry
+    hi = [[unprimed(n)] * length for length in shape]
+    for i, j in reversed(cells):
+        if j + 1 < shape[i]:
+            right = hi[i][j + 1]
+            hi[i][j] = min(hi[i][j], right - 1 if is_primed(right) else right)
+        if j > 0 and i + 1 < len(shape) and j <= shape[i + 1]:
+            below = hi[i + 1][j - 1]
+            hi[i][j] = min(hi[i][j], below if is_primed(below) else below - 1)
+        if j == 0 and is_primed(hi[i][j]):
+            hi[i][j] -= 1
 
-    def fill(k: int) -> None:
-        if k == len(cells):
-            out.append(tuple(map(tuple, grid)))
-            if cap is not None and len(out) > cap:
-                raise ValueError(
-                    f"listing the hook words holds at least {len(out)} words, "
-                    f"more than the limit of {cap}"
-                )
-            return
-        i, j = cells[k]
+    def entries(i: int, j: int) -> range:
+        """The entries cell (i, j) can take after the cells before it."""
         lo = 1
         if j > 0:
             left = grid[i][j - 1]
@@ -574,13 +583,47 @@ def _shssyt_rows(
         if i > 0:
             above = grid[i - 1][j + 1]
             lo = max(lo, above if is_primed(above) else above + 1)
-        for x in range(lo, top + 1):
-            if j == 0 and is_primed(x):
-                continue
+        if j == 0:
+            return range(lo + lo % 2, hi[i][j] + 1, 2)  # unprimed on the diagonal
+        return range(lo, hi[i][j] + 1)
+
+    counts: dict[tuple, int] = {}
+
+    def count(k: int) -> int:
+        if k == len(cells):
+            return 1
+        i, j = cells[k]
+        # the cells from k on see the entry left of k, the entries of row i
+        # above row i + 1, and row i - 1 from column j + 1 on
+        under = shape[i + 1] + 1 if i + 1 < len(shape) else 1
+        above = tuple(grid[i - 1][j + 1 :]) if i else ()
+        key = (k, grid[i][j - 1] if j else 0, tuple(grid[i][1 : min(j, under)]), above)
+        if key not in counts:
+            total = 0
+            for x in entries(i, j):
+                grid[i][j] = x
+                total += count(k + 1)
+                if total > cap:
+                    raise ValueError(
+                        f"listing the hook words holds at least {cap + 1} words, "
+                        f"more than the limit of {cap}"
+                    )
+            grid[i][j] = 0
+            counts[key] = total
+        return counts[key]
+
+    def fill(k: int) -> None:
+        if k == len(cells):
+            out.append(tuple(map(tuple, grid)))
+            return
+        i, j = cells[k]
+        for x in entries(i, j):
             grid[i][j] = x
             fill(k + 1)
         grid[i][j] = 0
 
+    if cap is not None:
+        count(0)
     fill(0)
     return out
 

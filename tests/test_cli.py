@@ -679,9 +679,12 @@ def test_products_at_the_limit_accepted(capsys, monkeypatch, argv, words):
 
 
 def test_shifted_schur_above_the_limit_rejected(capsys):
-    """The shifted tableaux of the shape are listed before any hook word is
-    read off them, so a listing above the limit is refused within seconds."""
-    for shape, n in [("20", "255"), ("5,4", "10")]:
+    """The shifted tableaux of the shape are counted before any is listed,
+    so a listing above the limit is refused within seconds, also for shapes
+    of many rows whose fillings could die cell by cell."""
+    shapes = [("20", "255"), ("5,4", "10"), ("11,10,9,8,7,6,5,4,3,2", "10")]
+    shapes.append(("20,19,18,17,16,15,14,13,12,11", "10"))
+    for shape, n in shapes:
         start = time.perf_counter()
         code = main(["schur", "--shape", shape, "--n", n, "--shifted"])
         elapsed = time.perf_counter() - start
@@ -695,8 +698,8 @@ def test_shifted_schur_above_the_limit_rejected(capsys):
 
 
 def test_shifted_schur_at_the_limit_accepted(capsys, monkeypatch):
-    # 24 hook-factorization words of shape (3, 1) over {1, 2, 3}; no list
-    # the listing holds on the way is longer
+    # 24 shifted tableaux of shape (3, 1) over {1, 2, 3}, one hook word each;
+    # the limit counts the tableaux
     argv = ["schur", "--shape", "3,1", "--shifted", "--n", "3"]
     monkeypatch.setattr(cli, "_MAX_SWEEP", 24)
     assert main(argv) == 0
@@ -704,6 +707,17 @@ def test_shifted_schur_at_the_limit_accepted(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_MAX_SWEEP", 23)
     assert main(argv) == 2
     assert "holds at least 24 words" in capsys.readouterr().err
+
+
+def test_shifted_schur_with_more_rows_than_letters_is_zero(capsys):
+    """A shifted tableau's diagonal 1 < 2 < ... needs a letter for each row,
+    so a shape of 11 rows over 10 letters has no hook word, found at once."""
+    start = time.perf_counter()
+    code = main(["schur", "--shape", "11,10,9,8,7,6,5,4,3,2,1", "--n", "10", "--shifted"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["terms"] == []
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize(

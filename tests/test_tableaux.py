@@ -19,6 +19,7 @@ from placto.tableaux import (
     _hook_recording_rows,
     _mixed_insert_encoded,
     _mixed_uninsert_encoded,
+    _shssyt_rows,
     enumerate_hook,
     enumerate_shssyt,
     enumerate_ssyt,
@@ -374,6 +375,34 @@ class TestEnumerations:
         tabs = enumerate_shssyt((3, 1), 3)
         assert len(tabs) == len(set(tabs))
         assert all(t.shape == (3, 1) for t in tabs)
+
+    def test_shssyt_listing_is_every_valid_filling(self):
+        """The listing, which fills no cell above the largest tableau, against
+        every filling of the cells from the doubled alphabet that is a valid
+        shifted tableau; shapes with more rows than n have none."""
+        for size in range(6):
+            for shape in strict_partitions(size):
+                for n in range(1, 4):
+                    valid = []
+                    for entries in itertools.product(range(1, 2 * n + 1), repeat=size):
+                        it = iter(entries)
+                        rows = tuple(tuple(itertools.islice(it, length)) for length in shape)
+                        try:
+                            ShiftedTableau(rows)
+                        except ValueError:
+                            continue
+                        valid.append(rows)
+                    assert _shssyt_rows(shape, n) == valid, (shape, n)
+
+    def test_shssyt_cap_refuses_exactly_above_the_count(self):
+        for size in range(1, 9):
+            for shape in strict_partitions(size):
+                for n in range(1, 5):
+                    listed = _shssyt_rows(shape, n)
+                    assert _shssyt_rows(shape, n, cap=len(listed)) == listed
+                    if listed:
+                        with pytest.raises(ValueError, match=f"at least {len(listed)} words"):
+                            _shssyt_rows(shape, n, cap=len(listed) - 1)
 
     def test_partitions_order(self):
         assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
