@@ -1,5 +1,10 @@
 """The rewrite kernel: window lookup and breadth-first class closure.
 
+The closure lists the classes of custom relation sets, and the tests keep it
+as the reference for every route that insertion takes for the two shipped
+sets: `class` lists a shipped class from its insertion tableau by reverse
+insertion (`tableaux.insertion_fiber`), not through this kernel.
+
 Words are bytes objects, one letter per byte (values 1..255), so a word has
 at most 255 letters.  Rules arrive direction-expanded from placto.rewrite as
 (left, right, strict) triples of variable patterns; `RuleTable` groups them

@@ -19,12 +19,7 @@ import sys
 
 from . import verify as verify_mod
 from .algebra import free_schur, lr_expand, shifted_free_schur
-from .rewrite import (
-    RelationSet,
-    class_dump,
-    class_size,
-    relation_set_by_name,
-)
+from .rewrite import RelationSet, class_dump, relation_set_by_name
 from .tableaux import (
     ShiftedTableau,
     hook_factorization_check,
@@ -113,11 +108,12 @@ def _check_cells(cells: int, options: str) -> None:
 
 
 # Largest class that `class` lists.  The shipped relation sets know a
-# class's size before closing it; a custom set's closure stops once a layer
-# of its search leaves more members.  Near this size (a shifted Knuth class
-# of 9 856 words of length 16; Python 3.11, one core of a 2-core x86-64
-# machine) `class` takes 0.16 s and 21 MB peak RSS for the whole process.
-# `insert --mode mixed` closes no class, so no size bounds it.
+# class's size from the shape of its insertion tableau before listing it by
+# reverse insertion; a custom set's closure stops once a layer of its search
+# leaves more members.  Near this size (a shifted Knuth class of 9 856 words
+# of length 16; Python 3.11, one core of a 2-core x86-64 machine) `class`
+# takes 12-18 ms inside `main`, and 0.09-0.10 s and 19 MB peak RSS for the
+# whole process.  `insert --mode mixed` lists no class, so no size bounds it.
 _MAX_CLASS = 10_000
 
 
@@ -155,6 +151,10 @@ _MAX_SWEEP = 300_000
 # (`verify axioms --n 1 --degree 3000`, 4 501 500 letters: 0.87 s and 25 MB
 # peak RSS, in-process).  Every sweep over n >= 2 within `_MAX_SWEEP` stays
 # below it; the largest, `--n 2 --degree 17`, holds 4 194 306 letters.
+# `schur --shifted` lists one word of |shape| letters per tableau, so it
+# lists at most `_MAX_SWEEP_LETTERS // |shape|` of them: `--shape 116,107,23
+# --n 3` (281 232 tableaux of 246 cells) is refused after counting 20 326,
+# in 0.05 s, where listing them took 41 s.
 _MAX_SWEEP_LETTERS = 5_000_000
 
 
@@ -184,18 +184,6 @@ def _refuse_words(command: str, count) -> None:
     raise ValueError(
         f"{command} would enumerate {count} words, more than the limit of {_MAX_SWEEP}"
     )
-
-
-def _check_class_size(rels: RelationSet, w: Word) -> int | None:
-    """The size of the class of w from `rewrite.class_size`, which is None
-    for a set with no size formula; refuses a class above `_MAX_CLASS`."""
-    size = class_size(rels, w.to_bytes())
-    if size is not None and size > _MAX_CLASS:
-        raise ValueError(
-            f"the {rels.name} class of this word has {size} members, "
-            f"more than the {_MAX_CLASS} that are listed"
-        )
-    return size
 
 
 # The options each `verify` family reads.  Any other option given is refused,
@@ -290,9 +278,7 @@ def _cmd_insert(args: argparse.Namespace) -> int:
 def _cmd_class(args: argparse.Namespace) -> int:
     rels = _parse_relations(args.relations)
     w = _parse_word(args.word, args.n)
-    # a class with no size formula is measured only by closing it, so cap the closure
-    cap = _MAX_CLASS if _check_class_size(rels, w) is None else None
-    print(json.dumps(class_dump(w, rels, cap), sort_keys=True))
+    print(json.dumps(class_dump(w, rels, _MAX_CLASS), sort_keys=True))
     return 0
 
 
@@ -305,8 +291,10 @@ def _cmd_schur(args: argparse.Namespace) -> int:
     n = _size_option(args.n, None, "n", _MAX_LETTER)
     _check_cells(sum(shape), "--shape")
     if args.shifted:
-        # no closed count is used: the tableaux are counted before any is listed
-        poly = shifted_free_schur(shape, n, sum(shape), cap=_MAX_SWEEP)
+        # no closed count is used: the tableaux are counted before any is
+        # listed, and each holds one word of |shape| letters
+        cap = min(_MAX_SWEEP, _MAX_SWEEP_LETTERS // max(sum(shape), 1))
+        poly = shifted_free_schur(shape, n, sum(shape), cap=cap)
     else:
         _check_words(f"schur --shape {_shape_text(shape)} --n {n}", ssyt_count(shape, n))
         poly = free_schur(shape, n, sum(shape))

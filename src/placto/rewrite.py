@@ -8,11 +8,14 @@ degree-4 shifted Knuth relations are shipped as ready-made relation sets;
 arbitrary homogeneous relation sets can be loaded from JSON.
 
 The class of a single word is computed by breadth-first closure over
-one-step rewrites (both directions, every window).  Everything computed for
-one relation set lives on its `Congruence`, one per relation set for the
-whole process (see `congruence`): the kernel rule table, the canonical memo
-that maps a byte word to the lexicographically least member of its class,
-a class key, the key's one-letter step and, where known, the class count.
+one-step rewrites (both directions, every window); `class_dump` lists the
+class of a word under a shipped set from its insertion tableau instead, by
+reverse insertion (`tableaux.insertion_fiber`), and the tests keep the
+closure as its reference.  Everything computed for one relation set lives
+on its `Congruence`, one per relation set for the whole process (see
+`congruence`): the kernel rule table, the canonical memo that maps a byte
+word to the lexicographically least member of its class, a class key, the
+key's one-letter step and, where known, the class count.
 A congruence is closed under right multiplication, so the class of w a
 depends only on the class of w and the letter a.  `Congruence.partitions`
 uses this for every relation set: one walk builds the classes of each
@@ -41,8 +44,10 @@ from dataclasses import dataclass
 from . import _kernels
 from .tableaux import (
     least_plactic_word,
+    mixed_fiber,
     mixed_insertion_rows,
     mixed_step,
+    schensted_fiber,
     schensted_rows,
     schensted_step,
     shifted_standard_count,
@@ -170,11 +175,12 @@ SHIFTED_KNUTH = RelationSet(
 # the fibers of Schensted insertion, Knuth 1970; shifted Knuth classes those
 # of Haiman's mixed insertion, Serrano 2010), the same map one letter at a
 # time (the rows of w a from the rows of w), the class size from the shape of
-# the tableau (one member per standard recording tableau) and, for `KNUTH`,
-# the least member computed from the word alone.
+# the tableau (one member per standard recording tableau), for `KNUTH` the
+# least member computed from the word alone, and the class listed from the
+# tableau by reverse insertion (`tableaux.insertion_fiber`).
 _INSERTION = (
-    (KNUTH, schensted_rows, schensted_step, standard_count, least_plactic_word),
-    (SHIFTED_KNUTH, mixed_insertion_rows, mixed_step, shifted_standard_count, None),
+    (KNUTH, schensted_rows, schensted_step, standard_count, least_plactic_word, schensted_fiber),
+    (SHIFTED_KNUTH, mixed_insertion_rows, mixed_step, shifted_standard_count, None, mixed_fiber),
 )
 
 
@@ -213,20 +219,22 @@ class Congruence:
     other set keys a class by its least member (`canonical`), steps with
     `_least_step`, and has no `count` (None).  `least` maps a word to the
     least member of its class without closing it, for `KNUTH`, and is None
-    for every other set.  `walked` maps each n to the highest degree a
-    walk over {1..n} reached.
+    for every other set.  `fiber` lists the class of a key (its members,
+    unsorted) without closing it, for the two shipped sets, and is None for
+    every other set.  `walked` maps each n to the highest degree a walk
+    over {1..n} reached.
     """
 
-    __slots__ = ("rules", "table", "memo", "walked", "key", "step", "count", "least")
+    __slots__ = ("rules", "table", "memo", "walked", "key", "step", "count", "least", "fiber")
 
     def __init__(self, rels: RelationSet, memo: dict[bytes, bytes]) -> None:
         self.rules = _expand(rels)
         self.table = _kernels.RuleTable(self.rules)
         self.memo = memo  # byte word -> least member of its class
         self.walked: dict[int, int] = {}  # n -> highest degree `partitions` walked
-        self.key, self.step, self.count, self.least = next(
+        self.key, self.step, self.count, self.least, self.fiber = next(
             (row[1:] for row in _INSERTION if row[0] == rels),
-            (self.canonical, self._least_step, None, None),
+            (self.canonical, self._least_step, None, None, None),
         )
 
     def canonical(self, word: bytes) -> bytes:
@@ -449,8 +457,30 @@ def class_dump(word: Word, rels: RelationSet, cap: int | None = None) -> dict:
     """JSON-ready class listing: sorted members plus the class size; with a
     `cap`, ValueError on a class of more members.
 
-    Members stay byte words from the closure to their text (`word_text`)."""
-    members = sorted(closure_bytes(rels, word.to_bytes(), cap))
+    The two shipped sets know the size of the class from the shape of the
+    word's insertion tableau, so they refuse before listing any member, and
+    list it from the tableau by reverse insertion (`Congruence.fiber`; a
+    class of one member is the word).  Every other set closes the class
+    (`closure_bytes`), and the closure stops once a layer of its search
+    leaves more than `cap` members.  Members stay byte words up to their
+    text (`word_text`)."""
+    wb = word.to_bytes()
+    cong = congruence(rels)
+    if cong.fiber is None:
+        members = sorted(closure_bytes(rels, wb, cap))
+    else:
+        rows = cong.key(wb)
+        size = cong.count(tuple(map(len, rows)))
+        if cap is not None and size > cap:
+            raise ValueError(
+                f"the {rels.name} class of this word has {size} members, "
+                f"more than the {cap} that are listed"
+            )
+        # a class of one member is the word itself; listing it would still
+        # uninsert every letter, along bumping paths as long as a row or a
+        # column: 32 ms for 255,...,1 under KNUTH and 16 ms under
+        # SHIFTED_KNUTH, where its closure takes under 1 ms
+        members = [wb] if size == 1 else sorted(cong.fiber(rows))
     return {
         "word": str(word),
         "relation_set": rels.name,

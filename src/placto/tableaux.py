@@ -8,8 +8,10 @@ order coincides with doubled-alphabet order.
 Two insertion algorithms live here: classical Schensted row insertion (whose
 fibers are the Knuth classes) and mixed insertion building a shifted tableau
 (whose fibers are the shifted Knuth classes).  Reverse column insertion
-finds the least word of a Knuth class from its tableau, and the hook length
-formulas count the members of a class from the shape of its tableau.  Hook
+finds the least word of a Knuth class from its tableau, reverse row and
+reverse mixed insertion list a whole class from its tableau
+(`insertion_fiber`), and the hook length formulas count the members of a
+class from the shape of its tableau.  Hook
 words - strictly decreasing prefix followed by weakly increasing suffix -
 provide canonical representatives for the shifted classes; reverse mixed
 insertion reads the one of a class off its mixed tableau (`hook_word`),
@@ -175,6 +177,22 @@ def _row_insert(rows: list[list[int]], x: int) -> None:
             return
         x, row[j] = row[j], x
     rows.append([x])
+
+
+def _row_uninsert(rows: list[list[int]], r: int) -> int:
+    """Undo the row insertion that ended in the last cell of row r of
+    mutable rows, the inverse of `_row_insert`: pop that entry, then in each
+    row above swap it with the rightmost entry strictly smaller.  Returns
+    the letter inserted."""
+    row = rows[r]
+    y = row.pop()
+    if not row:
+        rows.pop()  # a row of one cell is the last row
+    for k in range(r - 1, -1, -1):
+        above = rows[k]
+        j = bisect_left(above, y) - 1
+        y, above[j] = above[j], y
+    return y
 
 
 def schensted_step(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ...], ...]:
@@ -629,6 +647,63 @@ def _shssyt_rows(
 
 
 # ---------------------------------------------------------------------------
+# insertion fibers
+
+
+def insertion_fiber(rows, uninsert, gap: int, decode=None) -> list[bytes]:
+    """Every word whose insertion tableau has these rows, unsorted, for an
+    insertion that is one step of a bijection onto (tableau, standard
+    recording tableau) pairs.
+
+    `uninsert(rows, r)` undoes, on mutable rows, the insertion that ended in
+    the last cell of row r and returns the letter inserted (`decode` turns
+    it into a plain letter).  Row r holds a corner when the row below it is
+    shorter by more than `gap`: 0 for ordinary shapes, 1 for shifted ones.
+    The last letter of a word of P is the letter that reverse insertion
+    from the corner its recording tableau ends in ejects, so
+
+        words(P) = union over the corners c of P of words(P - c) . y_c,
+
+    with words(empty) = {empty word}.  Each recording tableau gives exactly
+    one word, so the union is disjoint.  The rule is memoized on the
+    sub-tableau, for this call only: the words of a class share most of
+    their prefixes' tableaux.
+    """
+    memo: dict[tuple, list[bytes]] = {(): [b""]}
+
+    def words(rows: tuple[tuple[int, ...], ...]) -> list[bytes]:
+        got = memo.get(rows)
+        if got is None:
+            got = []
+            last = len(rows) - 1
+            for r in range(last + 1):
+                if r == last or len(rows[r + 1]) + gap < len(rows[r]):
+                    out = list(map(list, rows))
+                    y = uninsert(out, r)
+                    suffix = bytes((y if decode is None else decode(y),))
+                    got.extend([w + suffix for w in words(tuple(map(tuple, out)))])
+            memo[rows] = got
+        return got
+
+    fiber = words(tuple(map(tuple, rows)))
+    memo.clear()  # `words` refers to itself, so the memo would live until a collection
+    return fiber
+
+
+def schensted_fiber(rows: tuple[tuple[int, ...], ...]) -> list[bytes]:
+    """The Knuth class whose Schensted tableau has these rows, unsorted, by
+    reverse row insertion (`insertion_fiber`)."""
+    return insertion_fiber(rows, _row_uninsert, 0)
+
+
+def mixed_fiber(rows: tuple[tuple[int, ...], ...]) -> list[bytes]:
+    """The shifted Knuth class whose mixed insertion tableau has these rows
+    (doubled encoding), unsorted, by reverse mixed insertion
+    (`insertion_fiber`)."""
+    return insertion_fiber(rows, _mixed_uninsert_encoded, 1, base_letter)
+
+
+# ---------------------------------------------------------------------------
 # hook words
 
 
@@ -735,8 +810,14 @@ def hook_word(rows: tuple[tuple[int, ...], ...]) -> bytes:
     `_mixed_uninsert_encoded`.  The cost is O(|w| * rows) per word, with
     no class listed.
     """
+    return _uninsert_along(rows, _hook_recording_rows(tuple(map(len, rows))))
+
+
+def _uninsert_along(rows: tuple[tuple[int, ...], ...], cells: list[int]) -> bytes:
+    """The word whose mixed insertion tableau has these rows and whose
+    letters add their cells to the rows `cells`, in order: the cells are
+    removed in reverse order by `_mixed_uninsert_encoded`."""
     out = [list(row) for row in rows]
-    cells = _hook_recording_rows(tuple(map(len, rows)))
     letters = [base_letter(_mixed_uninsert_encoded(out, r)) for r in reversed(cells)]
     return bytes(reversed(letters))
 
@@ -757,7 +838,8 @@ def _hook_words(nu: tuple[int, ...], n: int, cap: int | None = None) -> list[byt
     word of each tableau.  Each word is checked at nu, and ValueError is
     raised if one fails, or, with a `cap`, if the shape has more than
     `cap` tableaux (before any word is read)."""
-    words = sorted(hook_word(rows) for rows in _shssyt_rows(nu, n, cap))
+    cells = _hook_recording_rows(nu)  # the same for every tableau of the shape
+    words = sorted(_uninsert_along(rows, cells) for rows in _shssyt_rows(nu, n, cap))
     for w in words:
         if not hook_factorization_check(w, nu):
             raise ValueError(f"word {list(w)} read off a tableau of shape {nu} is no hook word")

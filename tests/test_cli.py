@@ -474,6 +474,21 @@ def test_mixed_insert_of_255_letters_reads_the_hook_word(capsys, word):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("relations", ["knuth", "shifted-knuth"])
+@pytest.mark.parametrize(
+    "word", ["1" * 200 + "2" * 55, ",".join(map(str, range(1, 256)))], ids=["1-2", "1-255"]
+)
+def test_class_of_255_letters_with_one_member(capsys, relations, word):
+    """A weakly increasing word has a one-row tableau and is alone in its
+    class: the listing walks 255 levels, one cell each."""
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "class", "--relations", relations, word)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out) == {"word": word, "relation_set": relations, "class": [word], "size": 1}
+    assert elapsed < 1.0
+
+
 def test_custom_class_listing_is_capped(capsys, monkeypatch, tmp_path):
     """A custom set's class size is known only by closing it, so the closure
     stops once it has more than `_MAX_CLASS` members."""
@@ -681,20 +696,39 @@ def test_products_at_the_limit_accepted(capsys, monkeypatch, argv, words):
 def test_shifted_schur_above_the_limit_rejected(capsys):
     """The shifted tableaux of the shape are counted before any is listed,
     so a listing above the limit is refused within seconds, also for shapes
-    of many rows whose fillings could die cell by cell."""
+    of many rows whose fillings could die cell by cell.  The limit is
+    `_MAX_SWEEP` words, or fewer when those would hold more than
+    `_MAX_SWEEP_LETTERS` letters."""
     shapes = [("20", "255"), ("5,4", "10"), ("11,10,9,8,7,6,5,4,3,2", "10")]
     shapes.append(("20,19,18,17,16,15,14,13,12,11", "10"))
     for shape, n in shapes:
+        limit = min(cli._MAX_SWEEP, cli._MAX_SWEEP_LETTERS // sum(map(int, shape.split(","))))
         start = time.perf_counter()
         code = main(["schur", "--shape", shape, "--n", n, "--shifted"])
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == (
-            f"placto: error: listing the hook words holds at least {cli._MAX_SWEEP + 1} words, "
-            f"more than the limit of {cli._MAX_SWEEP}\n"
+            f"placto: error: listing the hook words holds at least {limit + 1} words, "
+            f"more than the limit of {limit}\n"
         )
         assert elapsed < 5.0
+
+
+def test_shifted_schur_of_many_cells_is_bounded_by_letters(capsys):
+    """(116, 107, 23) has 281 232 shifted tableaux over 3 letters, fewer
+    than `_MAX_SWEEP`, but their hook words would hold about 69 million
+    letters: the count stops at the letter bound, 5 000 000 // 246 words."""
+    start = time.perf_counter()
+    code = main(["schur", "--shape", "116,107,23", "--n", "3", "--shifted"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "placto: error: listing the hook words holds at least 20326 words, "
+        "more than the limit of 20325\n"
+    )
+    assert elapsed < 1.0
 
 
 def test_shifted_schur_at_the_limit_accepted(capsys, monkeypatch):
@@ -854,6 +888,9 @@ QUERY_DIGESTS = {
     "class --relations knuth --n 12 213": "62c1287b9a72da7d13778a5dbbf0e76f25c8f2c4b0149ebdcdd885b280677f00",
     "class --relations knuth 12,3,10,1,7,5": "db350423f2280caaf6c48c1f799beab08719e6cd7bf623b064783071c0f23460",
     "class --relations shifted-knuth 11,2,10,5,1,12": "bbc95685948898fce714ac556202c148bf812ad427761738ed2ae19703590457",
+    "class --relations shifted-knuth 7762845173753216": "8c25d39eded06843b6cd18cc53a72fbdfc2fecfa43dd24d55b8826d077a626c5",
+    "class --relations knuth 10,1,7,4,5,9,2,8,3,6": "be0db6e208d65f9f05d50301edc0f351abf2d6b16cfa3f202f5c649969e72b49",
+    "class --relations shifted-knuth 10,1,7,4,5,9,2,8,3,6": "f9a33aaca789bdbd53d92d471f15c2e4227187200971a1e4f93cd3898c9ea632",
     "class --relations custom:{custom} 31423": "e6448aafb60f531b4bada77e8286315e07027173c1f42798e86e6e6801a61693",
     "class --relations custom:{custom} --n 10 3,1,4,2,10": "f81c6a60473b944ef471fe8006c9d29912eab0d111eb51e0a5ec6400d3e9491b",
     "insert --mode plactic 3142": "3feb883d8f51c7c904e59e7e0f0d51b7415bcb3abb28101f496fabaee99fda80",

@@ -108,6 +108,13 @@ class TestNeighborsAndClasses:
             "size": 2,
         }
 
+    def test_class_dump_cap_of_a_shipped_set(self, monkeypatch):
+        # the size comes from the shape of the tableau: no class is closed
+        monkeypatch.setattr(rewrite._kernels, "closure", None)
+        assert class_dump(W("1243"), SHIFTED_KNUTH, cap=2)["size"] == 2
+        with pytest.raises(ValueError, match="shifted-knuth class of this word has 2 members"):
+            class_dump(W("1243"), SHIFTED_KNUTH, cap=1)
+
 
 class TestFactorization:
     def test_shifted_refines_knuth_at_4_4(self):

@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from placto import _kernels
 from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, class_size, equiv_class, equivalent
 from placto.tableaux import (
     EMPTY_TABLEAU,
@@ -19,6 +20,8 @@ from placto.tableaux import (
     _hook_recording_rows,
     _mixed_insert_encoded,
     _mixed_uninsert_encoded,
+    _row_insert,
+    _row_uninsert,
     _shssyt_rows,
     enumerate_hook,
     enumerate_shssyt,
@@ -27,13 +30,16 @@ from placto.tableaux import (
     hook_word,
     is_hook_word,
     longest_hook_subword,
+    mixed_fiber,
     mixed_insert,
     mixed_insert_word,
     mixed_insertion_rows,
     p_tableau,
     partitions,
     reading_word,
+    schensted_fiber,
     schensted_insert,
+    schensted_rows,
     ssyt_count,
     strict_partitions,
 )
@@ -343,6 +349,69 @@ class TestHookWordByReverseInsertion:
             for letters in itertools.product(range(1, 5), repeat=degree):
                 rows, cells = _recording(letters)
                 back = [_mixed_uninsert_encoded(rows, r) // 2 for r in reversed(cells)]
+                assert tuple(reversed(back)) == letters
+                assert rows == []
+
+
+_FIBERS = [
+    (KNUTH, schensted_rows, schensted_fiber),
+    (SHIFTED_KNUTH, mixed_insertion_rows, mixed_fiber),
+]
+
+
+class TestInsertionFiber:
+    """`insertion_fiber` lists a class from its insertion tableau by reverse
+    insertion; the breadth-first closure of the rewrite kernel, which knows
+    nothing of tableaux, is the oracle."""
+
+    # the scales the benchmark runs: axioms n=3 d=9, n=5 d=6, section5 n=7 d=4
+    @pytest.mark.parametrize("n, top", [(3, 9), (5, 6), (7, 4)])
+    @pytest.mark.parametrize("rels, rows, fiber", _FIBERS, ids=["knuth", "shifted-knuth"])
+    def test_equals_the_closure_on_every_class(self, rels, rows, fiber, n, top):
+        cong = Congruence(rels, {})
+        for degree in range(top + 1):
+            for cls in cong.closure_partition(n, degree):
+                assert sorted(fiber(rows(cls[0]))) == list(cls), cls[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda n: st.lists(st.integers(1, n), max_size=12)),
+        st.sampled_from(_FIBERS),
+    )
+    def test_equals_the_closure_on_random_words(self, letters, route):
+        rels, rows, fiber = route
+        word = bytes(letters)
+        assume(class_size(rels, word) <= 4000)
+        listed = fiber(rows(word))
+        assert len(listed) == len(set(listed))  # one word per recording tableau
+        assert set(listed) == _kernels.closure(word, Congruence(rels, {}).table)
+
+    def test_shifted_class_of_9856_members(self):
+        word = bytes(map(int, "7762845173753216"))
+        listed = mixed_fiber(mixed_insertion_rows(word))
+        assert len(listed) == 9856
+        assert set(listed) == _kernels.closure(word, Congruence(SHIFTED_KNUTH, {}).table)
+
+    @pytest.mark.parametrize(
+        "letters", [[1] * 200 + [2] * 55, list(range(1, 256))], ids=["1-2", "1-255"]
+    )
+    @pytest.mark.parametrize("rels, rows, fiber", _FIBERS, ids=["knuth", "shifted-knuth"])
+    def test_single_member_classes_of_255_letters(self, rels, rows, fiber, letters):
+        # one row of 255 cells: the walk is 255 levels deep with one corner each
+        word = bytes(letters)
+        assert fiber(rows(word)) == [word]
+        assert _kernels.closure(word, Congruence(rels, {}).table) == {word}
+
+    def test_row_uninsertion_along_the_recording_cells_gives_back_the_word(self):
+        for degree in range(7):
+            for letters in itertools.product(range(1, 5), repeat=degree):
+                rows: list[list[int]] = []
+                cells = []
+                for a in letters:
+                    before = list(map(len, rows)) + [0]
+                    _row_insert(rows, a)
+                    cells.append(next(r for r, row in enumerate(rows) if len(row) != before[r]))
+                back = [_row_uninsert(rows, r) for r in reversed(cells)]
                 assert tuple(reversed(back)) == letters
                 assert rows == []
 
