@@ -267,17 +267,14 @@ def free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> 
     return NcPoly.from_words(words, n, bound)
 
 
-def shifted_free_schur(
-    nu: tuple[int, ...], n: int, degree_bound: int | None = None, cap: int | None = None
-) -> NcPoly:
+def shifted_free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> NcPoly:
     """Indicator sum over the hook-factorization words of the strict shape,
-    one read off each shifted tableau of the shape; with a `cap`,
-    ValueError once the shape has more tableaux (`tableaux._hook_words`)."""
+    one read off each shifted tableau of the shape (`tableaux._hook_words`)."""
     size = sum(nu)
     bound = size if degree_bound is None else degree_bound
     if size > bound:
         raise ValueError(f"|{nu}| exceeds degree bound {bound}")
-    return NcPoly.from_words(_hook_words(nu, n, cap), n, bound)
+    return NcPoly.from_words(_hook_words(nu, n), n, bound)
 
 
 def schur_poly(nu: tuple[int, ...], n: int) -> CPoly:

@@ -27,6 +27,7 @@ from .tableaux import (
     mixed_insert_word,
     p_tableau,
     reading_word,
+    shifted_ssyt_count,
     ssyt_count,
 )
 from .words import Word
@@ -119,42 +120,41 @@ _MAX_CLASS = 10_000
 
 # Most words that one `verify axioms` or `verify section5` run enumerates
 # (the words of degree 1 to d for axioms, of degree 3 and 4 for section5),
-# and that one `schur` or `lr` run lists (the reading words of the shape, or
-# the products of the reading words of the two shapes; `lr --nu 3,2 --mu
-# 2,1 --n 8`, 282 240 words, takes 5-8 s and about 170 MB).  `schur
-# --shifted` has no closed count here: it reads one hook word off each
-# shifted tableau of the shape, and counts the tableaux first, by a
-# memoized filling, to refuse a shape with more of them before listing any
-# (`--shape 84,83,82,6 --n 4`, the slowest count found: 1.3 s, 149 MB).
-# Peak RSS of the whole process, about 17 MB at start, grows by about 650
-# bytes per word for section5 (`--n 16`, 69 632 words: 61 MB in 1.5 s;
-# `--n 23`, the largest accepted, 292 008 words: 206 MB in 5.8 s).  An
-# axioms run with a failing axiom walks the classes degree by degree, only
-# until it has listed its violations: the Chinese set `cba~bca, cba~cab`
-# fails `--n 3 --degree 11`, `--n 5 --degree 7` and `--n 6 --degree 6` in
-# 0.1 s each, under 18 MB.  A listing that needs every level grows it by
-# about 440 bytes per word: the Chinese set fails `--n 66 --degree 3`
-# (291 918 words) in 6.6 s and 147 MB.  These are single runs, Python 3.11,
-# one core of a 2-core x86-64 machine.  A passing axioms run walks only to
-# the degree it looks up, 3 or 4 or its longest relation (`--n 3 --degree
-# 11`: 15 MB in 0.01 s), but the bound stays: whether an axiom fails is
-# known only after the check.  `--n 3 --degree 12` (797 160 words) is
-# refused.  It is the only bound of an axioms run, which builds no table
-# per ordered morphism.  The largest runs it admits, measured once each:
-# `--n 66 --degree 3` (291 918 words) passes in 11.6 s and 191 MB, `--n 23
-# --degree 4` in 7.8 s and 168 MB, and `--relations knuth --n 255 --degree
-# 2` in 1.5 s and 44 MB.
+# and that one `schur` or `lr` run lists (one word per tableau of the shape,
+# counted in closed form by `tableaux.ssyt_count` or `shifted_ssyt_count`,
+# or the products of the reading words of the two shapes; `lr --nu 3,2 --mu
+# 2,1 --n 8`, 282 240 words, takes 3.9 s and 130 MB).  Peak RSS of the
+# whole process, about 16 MB at start, grows by about 650 bytes per word
+# for section5 (`--n 16`, 69 632 words: 61 MB in 1.4 s; `--n 23`, the
+# largest accepted, 292 008 words: 205 MB in 6.9 s).  An axioms run with a
+# failing axiom walks the classes degree by degree, only until it has
+# listed its violations: the Chinese set `cba~bca, cba~cab` fails `--n 3
+# --degree 11`, `--n 5 --degree 7` and `--n 6 --degree 6` in 0.13 s each,
+# at 16 MB.  A listing that needs every level grows it by about 440 bytes
+# per word: the Chinese set fails `--n 66 --degree 3` (291 918 words) in
+# 7.0 s and 146 MB.  A passing axioms run walks only to the degree it looks
+# up, 3 or 4 or its longest relation (`--n 3 --degree 11`: 16 MB in
+# 0.08 s), but the bound stays: whether an axiom fails is known only after
+# the check.  `--n 3 --degree 12` (797 160 words) is refused.  It is the
+# only bound of an axioms run, which builds no table per ordered morphism.
+# The largest runs it admits: `--n 66 --degree 3` (291 918 words) passes in
+# 9.7 s and 161 MB, `--n 23 --degree 4` in 7.0 s and 167 MB, and
+# `--relations knuth --n 255 --degree 2` in 1.3 s and 43 MB.  These are
+# single runs of the whole process, Python 3.11, one core of a 2-core
+# x86-64 machine.
 _MAX_SWEEP = 300_000
 
-# Most letters that one sweep holds.  Only n = 1 reaches it, where a sweep of
-# d words holds d(d + 1)/2 letters and the time grows quadratically
-# (`verify axioms --n 1 --degree 3000`, 4 501 500 letters: 0.87 s and 25 MB
-# peak RSS, in-process).  Every sweep over n >= 2 within `_MAX_SWEEP` stays
-# below it; the largest, `--n 2 --degree 17`, holds 4 194 306 letters.
-# `schur --shifted` lists one word of |shape| letters per tableau, so it
-# lists at most `_MAX_SWEEP_LETTERS // |shape|` of them: `--shape 116,107,23
-# --n 3` (281 232 tableaux of 246 cells) is refused after counting 20 326,
-# in 0.05 s, where listing them took 41 s.
+# Most letters that the words of one sweep or one `schur` listing hold.
+# Within `_MAX_SWEEP` a sweep reaches it only at n = 1, where d words hold
+# d(d + 1)/2 letters; `verify axioms --n 1 --degree 3000` (4 501 500
+# letters) passes in 0.11 s and 15 MB, since it walks only to degree 4.
+# Over n >= 2 the largest, `--n 2 --degree 17`, holds 4 194 306 letters.
+# A `schur` listing holds its count times |shape| letters, so a shape of
+# many cells over few letters reaches it: `--shape 120,60 --n 3` (226 981
+# tableaux, 40 856 580 letters) is refused at once, where listing it took
+# 17 s and 611 MB.  Near the limit, `--shape 214 --n 3` takes 2.1 s and
+# 65 MB, and `--shifted --shape 43,20 --n 3` (79 120 words, 4 984 560
+# letters) 37 s and 74 MB, most of it in the check of each hook word.
 _MAX_SWEEP_LETTERS = 5_000_000
 
 
@@ -166,18 +166,21 @@ def _check_sweep(command: str, n: int, degrees: range) -> None:
         _refuse_words(command, f"more than {2**64}")  # not worth counting exactly
     count = len(degrees) if n == 1 else sum(n**k for k in degrees)
     _check_words(command, count)
-    letters = sum(degrees) if n == 1 else sum(k * n**k for k in degrees)
-    if letters > _MAX_SWEEP_LETTERS:
-        raise ValueError(
-            f"{command} would hold {letters} letters, "
-            f"more than the limit of {_MAX_SWEEP_LETTERS}"
-        )
+    _check_letters(command, sum(degrees) if n == 1 else sum(k * n**k for k in degrees))
 
 
 def _check_words(command: str, count: int) -> None:
     """Refuse a run that would list more than `_MAX_SWEEP` words."""
     if count > _MAX_SWEEP:
         _refuse_words(command, count)
+
+
+def _check_letters(command: str, letters: int) -> None:
+    """Refuse a run whose words hold more than `_MAX_SWEEP_LETTERS` letters."""
+    if letters > _MAX_SWEEP_LETTERS:
+        raise ValueError(
+            f"{command} would hold {letters} letters, more than the limit of {_MAX_SWEEP_LETTERS}"
+        )
 
 
 def _refuse_words(command: str, count) -> None:
@@ -289,15 +292,14 @@ def _shape_text(shape: tuple[int, ...]) -> str:
 def _cmd_schur(args: argparse.Namespace) -> int:
     shape = _parse_shape(args.shape, "shape")
     n = _size_option(args.n, None, "n", _MAX_LETTER)
-    _check_cells(sum(shape), "--shape")
-    if args.shifted:
-        # no closed count is used: the tableaux are counted before any is
-        # listed, and each holds one word of |shape| letters
-        cap = min(_MAX_SWEEP, _MAX_SWEEP_LETTERS // max(sum(shape), 1))
-        poly = shifted_free_schur(shape, n, sum(shape), cap=cap)
-    else:
-        _check_words(f"schur --shape {_shape_text(shape)} --n {n}", ssyt_count(shape, n))
-        poly = free_schur(shape, n, sum(shape))
+    cells = sum(shape)
+    _check_cells(cells, "--shape")
+    command = f"schur --shape {_shape_text(shape)} --n {n}{' --shifted' if args.shifted else ''}"
+    # one word of |shape| letters per tableau
+    count = (shifted_ssyt_count if args.shifted else ssyt_count)(shape, n)
+    _check_words(command, count)
+    _check_letters(command, count * cells)
+    poly = (shifted_free_schur if args.shifted else free_schur)(shape, n, cells)
     print(json.dumps(poly.to_json(), sort_keys=True))
     return 0
 

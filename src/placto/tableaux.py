@@ -11,18 +11,18 @@ fibers are the Knuth classes) and mixed insertion building a shifted tableau
 finds the least word of a Knuth class from its tableau, reverse row and
 reverse mixed insertion list a whole class from its tableau
 (`insertion_fiber`), and the hook length formulas count the members of a
-class from the shape of its tableau.  Hook
-words - strictly decreasing prefix followed by weakly increasing suffix -
-provide canonical representatives for the shifted classes; reverse mixed
-insertion reads the one of a class off its mixed tableau (`hook_word`),
-without listing the class.
+class from the shape of its tableau.  Hook words - strictly decreasing
+prefix followed by weakly increasing suffix - provide canonical
+representatives for the shifted classes; reverse mixed insertion reads the
+one of a class off its mixed tableau (`hook_word`), without listing it.
 
 The insertion and hook functions take any letter sequence: a byte word (the
-internal word type), a tuple or a `Word`.  The enumerations list tableaux as
-row tuples (`_ssyt_rows`, `_shssyt_rows`) and hook words as byte words
-(`_hook_words`, the hook word of each shifted tableau of the shape); the
-public `enumerate_*` functions wrap them in validated `Tableau`,
-`ShiftedTableau` and `Word` objects.
+internal word type), a tuple or a `Word`.  The tableaux of a shape are
+counted in closed form (`ssyt_count`, `shifted_ssyt_count`) and listed as
+row tuples by one cell-by-cell filler (`_fillings`, under `_ssyt_rows` and
+`_shssyt_rows`), and hook words as byte words (`_hook_words`, the hook word
+of each shifted tableau of the shape); the public `enumerate_*` functions
+wrap them in validated `Tableau`, `ShiftedTableau` and `Word` objects.
 """
 
 from __future__ import annotations
@@ -315,6 +315,47 @@ def shifted_standard_count(shape: tuple[int, ...]) -> int:
     return math.factorial(sum(shape)) // hooks
 
 
+def shifted_ssyt_count(shape: tuple[int, ...], n: int) -> int:
+    """Shifted semistandard tableaux of a strict shape with letters <= n,
+    P_shape(1^n), by Schur's Pfaffian (Macdonald, *Symmetric Functions and
+    Hall Polynomials*, III.8; Stembridge 1989), without listing them.  With
+    the shape padded by a part 0 to an even number of rows, and q_0 = 1,
+
+        q_r = sum over j of C(n, j) C(r - j + n - 1, n - 1),
+        Q_(r,s) = q_r q_s + 2 sum_{k=1..s} (-1)^k q_(r+k) q_(s-k),
+        P_shape = 2^-rows Pf[Q_(shape_i, shape_j)].
+
+    The Pfaffian counts the tableaux with primes allowed on the diagonal,
+    so it is the nonnegative square root of the determinant, which
+    fraction-free (Bareiss) elimination finds exactly."""
+    if not (shape == () or is_strict_partition(shape)):
+        raise ValueError(f"{shape} is not a strict partition")
+    q = [
+        sum(math.comb(n, j) * math.comb(r - j + n - 1, n - 1) for j in range(min(r, n) + 1))
+        for r in range(2 * max(shape, default=0) + 1)
+    ]
+    parts = shape + (0,) * (len(shape) % 2)
+    m = [[0] * len(parts) for _ in parts]
+    for i, r in enumerate(parts):
+        for j in range(i + 1, len(parts)):
+            s = parts[j]
+            tail = sum((-1) ** k * q[r + k] * q[s - k] for k in range(1, s + 1))
+            m[i][j] = q[r] * q[s] + 2 * tail
+            m[j][i] = -m[i][j]
+    sign, last = 1, 1
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // last
+        last = m[k][k]
+    return math.isqrt(sign * last) >> len(shape)
+
+
 def p_tableau(w: Word) -> Tableau:
     """Insertion tableau of a word: left fold of Schensted insertion."""
     return Tableau(schensted_rows(w))
@@ -335,30 +376,39 @@ def enumerate_ssyt(shape: tuple[int, ...], n: int) -> list[Tableau]:
 
 def _ssyt_rows(shape: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], ...]]:
     """The rows of every semistandard tableau of the given shape with
-    entries <= n, as tuples, filled cell by cell in row order."""
+    entries <= n, as tuples (`_fillings`)."""
     if not is_partition(shape):
         raise ValueError(f"{shape} is not a partition")
-    cells = [(i, j) for i, length in enumerate(shape) for j in range(length)]
-    grid = [[0] * length for length in shape]
-    out: list[tuple[tuple[int, ...], ...]] = []
 
-    def fill(k: int) -> None:
-        if k == len(cells):
-            out.append(tuple(map(tuple, grid)))
-            return
-        i, j = cells[k]
-        lo = 1
-        if j > 0:
-            lo = max(lo, grid[i][j - 1])
-        if i > 0:
+    def entries(grid: list[list[int]], i: int, j: int) -> range:
+        lo = grid[i][j - 1] if j else 1
+        if i:
             lo = max(lo, grid[i - 1][j] + 1)
-        for a in range(lo, n + 1):
-            grid[i][j] = a
-            fill(k + 1)
-        grid[i][j] = 0
+        return range(lo, n + 1)
 
-    fill(0)
+    return _fillings(shape, entries)
+
+
+def _fillings(shape: tuple[int, ...], entries) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of every filling of the shape, as tuples, filled cell by
+    cell in row order: `entries(grid, i, j)` gives the entries cell (i, j)
+    can take after the cells before it in `grid`."""
+    cells = [(i, j) for i, length in enumerate(shape) for j in range(length)]
+    out: list[tuple[tuple[int, ...], ...]] = []
+    _fill(cells, 0, [[0] * length for length in shape], entries, out)
     return out
+
+
+def _fill(cells: list[tuple[int, int]], k: int, grid: list[list[int]], entries, out: list) -> None:
+    """Fill the cells from the k-th on into `out`.  Not a closure that refers
+    to itself, so that a listing is freed as soon as its caller drops it."""
+    if k == len(cells):
+        out.append(tuple(map(tuple, grid)))
+        return
+    i, j = cells[k]
+    for x in entries(grid, i, j):
+        grid[i][j] = x
+        _fill(cells, k + 1, grid, entries, out)
 
 
 # ---------------------------------------------------------------------------
@@ -561,28 +611,19 @@ def enumerate_shssyt(shape: tuple[int, ...], n: int) -> list[ShiftedTableau]:
     return [ShiftedTableau(rows) for rows in _shssyt_rows(shape, n)]
 
 
-def _shssyt_rows(
-    shape: tuple[int, ...], n: int, cap: int | None = None
-) -> list[tuple[tuple[int, ...], ...]]:
+def _shssyt_rows(shape: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], ...]]:
     """The rows, in the doubled encoding, of every shifted semistandard
-    tableau of the given strict shape with letters <= n, filled cell by
-    cell in row order.  With a `cap`, raises ValueError, before any is
-    listed, if there are more than `cap` of them.
+    tableau of the given strict shape with letters <= n (`_fillings`).
 
     No cell is filled above its entry in the largest tableau of the shape
     (the entrywise maximum of two tableaux is one), so every partial
-    filling extends to a tableau and no branch dies.  The tableaux are
-    counted first by the same filling, with the count of each partial
-    filling memoized on what the cells after it see of it."""
+    filling extends to a tableau and no branch dies."""
     if not is_strict_partition(shape):
         raise ValueError(f"{shape} is not a strict partition")
-    cells = [(i, j) for i, length in enumerate(shape) for j in range(length)]
-    grid = [[0] * length for length in shape]
-    out: list[tuple[tuple[int, ...], ...]] = []
     # hi: the largest tableau, filled from the last cell back; with more rows
     # than letters there is none, and hi leaves the first cell no entry
     hi = [[unprimed(n)] * length for length in shape]
-    for i, j in reversed(cells):
+    for i, j in reversed([(i, j) for i, length in enumerate(shape) for j in range(length)]):
         if j + 1 < shape[i]:
             right = hi[i][j + 1]
             hi[i][j] = min(hi[i][j], right - 1 if is_primed(right) else right)
@@ -592,8 +633,7 @@ def _shssyt_rows(
         if j == 0 and is_primed(hi[i][j]):
             hi[i][j] -= 1
 
-    def entries(i: int, j: int) -> range:
-        """The entries cell (i, j) can take after the cells before it."""
+    def entries(grid: list[list[int]], i: int, j: int) -> range:
         lo = 1
         if j > 0:
             left = grid[i][j - 1]
@@ -605,45 +645,7 @@ def _shssyt_rows(
             return range(lo + lo % 2, hi[i][j] + 1, 2)  # unprimed on the diagonal
         return range(lo, hi[i][j] + 1)
 
-    counts: dict[tuple, int] = {}
-
-    def count(k: int) -> int:
-        if k == len(cells):
-            return 1
-        i, j = cells[k]
-        # the cells from k on see the entry left of k, the entries of row i
-        # above row i + 1, and row i - 1 from column j + 1 on
-        under = shape[i + 1] + 1 if i + 1 < len(shape) else 1
-        above = tuple(grid[i - 1][j + 1 :]) if i else ()
-        key = (k, grid[i][j - 1] if j else 0, tuple(grid[i][1 : min(j, under)]), above)
-        if key not in counts:
-            total = 0
-            for x in entries(i, j):
-                grid[i][j] = x
-                total += count(k + 1)
-                if total > cap:
-                    raise ValueError(
-                        f"listing the hook words holds at least {cap + 1} words, "
-                        f"more than the limit of {cap}"
-                    )
-            grid[i][j] = 0
-            counts[key] = total
-        return counts[key]
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            out.append(tuple(map(tuple, grid)))
-            return
-        i, j = cells[k]
-        for x in entries(i, j):
-            grid[i][j] = x
-            fill(k + 1)
-        grid[i][j] = 0
-
-    if cap is not None:
-        count(0)
-    fill(0)
-    return out
+    return _fillings(shape, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -831,15 +833,14 @@ def enumerate_hook(nu: tuple[int, ...], n: int) -> set[Word]:
     return {Word(tuple(w), n) for w in _hook_words(nu, n)}
 
 
-def _hook_words(nu: tuple[int, ...], n: int, cap: int | None = None) -> list[bytes]:
+def _hook_words(nu: tuple[int, ...], n: int) -> list[bytes]:
     """The words of `enumerate_hook` as byte words, in lexicographic order:
     the hook word of each shifted tableau of the shape (`hook_word`), one
     per shifted class (Serrano 2010), as `free_schur` takes the reading
     word of each tableau.  Each word is checked at nu, and ValueError is
-    raised if one fails, or, with a `cap`, if the shape has more than
-    `cap` tableaux (before any word is read)."""
+    raised if one fails."""
     cells = _hook_recording_rows(nu)  # the same for every tableau of the shape
-    words = sorted(_uninsert_along(rows, cells) for rows in _shssyt_rows(nu, n, cap))
+    words = sorted(_uninsert_along(rows, cells) for rows in _shssyt_rows(nu, n))
     for w in words:
         if not hook_factorization_check(w, nu):
             raise ValueError(f"word {list(w)} read off a tableau of shape {nu} is no hook word")

@@ -694,39 +694,58 @@ def test_products_at_the_limit_accepted(capsys, monkeypatch, argv, words):
 
 
 def test_shifted_schur_above_the_limit_rejected(capsys):
-    """The shifted tableaux of the shape are counted before any is listed,
-    so a listing above the limit is refused within seconds, also for shapes
-    of many rows whose fillings could die cell by cell.  The limit is
-    `_MAX_SWEEP` words, or fewer when those would hold more than
-    `_MAX_SWEEP_LETTERS` letters."""
-    shapes = [("20", "255"), ("5,4", "10"), ("11,10,9,8,7,6,5,4,3,2", "10")]
-    shapes.append(("20,19,18,17,16,15,14,13,12,11", "10"))
-    for shape, n in shapes:
-        limit = min(cli._MAX_SWEEP, cli._MAX_SWEEP_LETTERS // sum(map(int, shape.split(","))))
+    """The shifted tableaux of the shape are counted in closed form
+    (`tableaux.shifted_ssyt_count`), so a listing above the limit is refused
+    at once, also for shapes of many rows whose fillings could die cell by
+    cell.  The two shapes of ten rows over ten letters have 2^45 tableaux
+    each."""
+    shapes = [
+        ("20", "255", 293799828493861828192040497225164801),
+        ("5,4", "10", 4798090),
+        ("11,10,9,8,7,6,5,4,3,2", "10", 2**45),
+        ("20,19,18,17,16,15,14,13,12,11", "10", 2**45),
+    ]
+    for shape, n, count in shapes:
         start = time.perf_counter()
         code = main(["schur", "--shape", shape, "--n", n, "--shifted"])
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == (
-            f"placto: error: listing the hook words holds at least {limit + 1} words, "
-            f"more than the limit of {limit}\n"
+            f"placto: error: schur --shape {shape} --n {n} --shifted would enumerate "
+            f"{count} words, more than the limit of {cli._MAX_SWEEP}\n"
         )
-        assert elapsed < 5.0
+        assert elapsed < 1.0
 
 
 def test_shifted_schur_of_many_cells_is_bounded_by_letters(capsys):
     """(116, 107, 23) has 281 232 shifted tableaux over 3 letters, fewer
-    than `_MAX_SWEEP`, but their hook words would hold about 69 million
-    letters: the count stops at the letter bound, 5 000 000 // 246 words."""
+    than `_MAX_SWEEP`, but their hook words would hold 281 232 x 246
+    letters."""
     start = time.perf_counter()
     code = main(["schur", "--shape", "116,107,23", "--n", "3", "--shifted"])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == (
-        "placto: error: listing the hook words holds at least 20326 words, "
-        "more than the limit of 20325\n"
+        "placto: error: schur --shape 116,107,23 --n 3 --shifted would hold 69183072 "
+        "letters, more than the limit of 5000000\n"
+    )
+    assert elapsed < 1.0
+
+
+def test_schur_of_many_cells_is_bounded_by_letters(capsys):
+    """(120, 60) has 226 981 semistandard tableaux over 3 letters, fewer
+    than `_MAX_SWEEP`, but their reading words would hold 226 981 x 180
+    letters; listing them takes about 17 s and 600 MB."""
+    start = time.perf_counter()
+    code = main(["schur", "--shape", "120,60", "--n", "3"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "placto: error: schur --shape 120,60 --n 3 would hold 40856580 "
+        "letters, more than the limit of 5000000\n"
     )
     assert elapsed < 1.0
 
@@ -740,7 +759,28 @@ def test_shifted_schur_at_the_limit_accepted(capsys, monkeypatch):
     assert len(json.loads(capsys.readouterr().out)["terms"]) == 24
     monkeypatch.setattr(cli, "_MAX_SWEEP", 23)
     assert main(argv) == 2
-    assert "holds at least 24 words" in capsys.readouterr().err
+    assert "would enumerate 24 words" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, letters",
+    [
+        # 8 tableaux of shape (2, 1) over {1, 2, 3}, 3 letters each
+        (["schur", "--shape", "2,1", "--n", "3"], 8 * 3),
+        # 24 shifted tableaux of shape (3, 1) over {1, 2, 3}, 4 letters each
+        (["schur", "--shape", "3,1", "--shifted", "--n", "3"], 24 * 4),
+    ],
+    ids=["schur", "shifted"],
+)
+def test_schur_at_the_letter_limit_accepted(capsys, monkeypatch, argv, letters):
+    monkeypatch.setattr(cli, "_MAX_SWEEP_LETTERS", letters)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_MAX_SWEEP_LETTERS", letters - 1)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"would hold {letters} letters" in captured.err
 
 
 def test_shifted_schur_with_more_rows_than_letters_is_zero(capsys):

@@ -5,6 +5,7 @@ are defined here first, or in `oracles.py`, and the library answers are
 checked against them.
 """
 
+import gc
 import itertools
 import random
 
@@ -12,17 +13,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from placto import _kernels
+from placto.algebra import free_schur, p_schur_poly
 from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, class_size, equiv_class, equivalent
 from placto.tableaux import (
     EMPTY_TABLEAU,
     ShiftedTableau,
     Tableau,
     _hook_recording_rows,
+    _hook_words,
     _mixed_insert_encoded,
     _mixed_uninsert_encoded,
     _row_insert,
     _row_uninsert,
     _shssyt_rows,
+    _ssyt_rows,
     enumerate_hook,
     enumerate_shssyt,
     enumerate_ssyt,
@@ -40,6 +44,7 @@ from placto.tableaux import (
     schensted_fiber,
     schensted_insert,
     schensted_rows,
+    shifted_ssyt_count,
     ssyt_count,
     strict_partitions,
 )
@@ -463,15 +468,48 @@ class TestEnumerations:
                         valid.append(rows)
                     assert _shssyt_rows(shape, n) == valid, (shape, n)
 
-    def test_shssyt_cap_refuses_exactly_above_the_count(self):
-        for size in range(1, 9):
+    def test_shifted_count_is_the_listing_and_the_coefficient_sum(self):
+        for size in range(11):
             for shape in strict_partitions(size):
-                for n in range(1, 5):
-                    listed = _shssyt_rows(shape, n)
-                    assert _shssyt_rows(shape, n, cap=len(listed)) == listed
-                    if listed:
-                        with pytest.raises(ValueError, match=f"at least {len(listed)} words"):
-                            _shssyt_rows(shape, n, cap=len(listed) - 1)
+                for n in range(1, 6):
+                    count = shifted_ssyt_count(shape, n)
+                    assert count == len(_shssyt_rows(shape, n)), (shape, n)
+                    assert count == sum(p_schur_poly(shape, n).terms.values()), (shape, n)
+
+    def test_shifted_count_pins(self):
+        assert shifted_ssyt_count((116, 107, 23), 3) == 281232
+        assert shifted_ssyt_count((84, 83, 82, 6), 4) == 4868864
+        assert shifted_ssyt_count((5, 4, 3), 5) == 14360
+        # the diagonal 1 < 2 < ... needs a letter for each row
+        assert shifted_ssyt_count((4, 3, 2, 1), 3) == 0
+        assert shifted_ssyt_count(tuple(range(22, 0, -1)), 21) == 0
+        assert shifted_ssyt_count((), 3) == 1
+
+    def test_shifted_count_rejects_a_shape_that_is_not_strict(self):
+        for shape in ((2, 2), (1, 2), (3, 0)):
+            with pytest.raises(ValueError, match="is not a strict partition"):
+                shifted_ssyt_count(shape, 3)
+
+    @pytest.mark.parametrize(
+        "listing, args",
+        [
+            (_ssyt_rows, ((3, 2), 4)),
+            (_shssyt_rows, ((3, 1), 3)),
+            (_hook_words, ((3, 1), 3)),
+            (free_schur, ((2, 1), 3)),
+        ],
+        ids=["ssyt", "shssyt", "hook", "free_schur"],
+    )
+    def test_listings_leave_no_reference_cycles(self, listing, args):
+        """A listing is freed as soon as its caller drops it, with no wait
+        for a cyclic collection."""
+        gc.disable()
+        try:
+            gc.collect()
+            assert listing(*args)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_partitions_order(self):
         assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
