@@ -15,7 +15,6 @@ from .words import (
     all_words,
     concat,
     content,
-    restrict,
 )
 from .rewrite import (
     KNUTH,
@@ -26,8 +25,6 @@ from .rewrite import (
     class_dump,
     equiv_class,
     equivalent,
-    instantiate,
-    neighbors,
     relation_set_by_name,
     verify_factorization,
 )
@@ -35,7 +32,6 @@ from .tableaux import (
     ShiftedTableau,
     Tableau,
     enumerate_hook,
-    enumerate_shssyt,
     enumerate_ssyt,
     hook_factorization_check,
     is_hook_word,
@@ -45,7 +41,6 @@ from .tableaux import (
     p_tableau,
     partitions,
     reading_word,
-    schensted_insert,
     strict_partitions,
 )
 from .algebra import (
@@ -94,13 +89,11 @@ __all__ = [
     "concat",
     "content",
     "enumerate_hook",
-    "enumerate_shssyt",
     "enumerate_ssyt",
     "equiv_class",
     "equivalent",
     "free_schur",
     "hook_factorization_check",
-    "instantiate",
     "is_hook_word",
     "kernel_backend",
     "longest_hook_subword",
@@ -108,16 +101,13 @@ __all__ = [
     "mixed_insert",
     "mixed_insert_word",
     "nc_mul",
-    "neighbors",
     "p_schur_poly",
     "p_tableau",
     "partitions",
     "project_quotient",
     "reading_word",
     "relation_set_by_name",
-    "restrict",
     "restriction_surprise",
-    "schensted_insert",
     "schur_poly",
     "shifted_free_schur",
     "strict_partitions",

@@ -124,9 +124,11 @@ _MAX_CLASS = 10_000
 # counted in closed form by `tableaux.ssyt_count` or `shifted_ssyt_count`,
 # or the products of the reading words of the two shapes; `lr --nu 3,2 --mu
 # 2,1 --n 8`, 282 240 words, takes 3.9 s and 130 MB).  Peak RSS of the
-# whole process, about 16 MB at start, grows by about 650 bytes per word
-# for section5 (`--n 16`, 69 632 words: 61 MB in 1.4 s; `--n 23`, the
-# largest accepted, 292 008 words: 205 MB in 6.9 s).  An axioms run with a
+# whole process is about 16 MB at start.  Section5 is bounded by the words
+# of degree 3 and 4 although it walks none of them: it counts their
+# classes in closed form and keys only the words of its products (`--n 16`,
+# 69 632 words: 37 MB, and 1.3 s inside `main`; `--n 23`, the largest
+# accepted, 292 008 words: 112 MB and 5.3 s).  An axioms run with a
 # failing axiom walks the classes degree by degree, only until it has
 # listed its violations: the Chinese set `cba~bca, cba~cab` fails `--n 3
 # --degree 11`, `--n 5 --degree 7` and `--n 6 --degree 6` in 0.13 s each,
@@ -144,7 +146,8 @@ _MAX_CLASS = 10_000
 # x86-64 machine.
 _MAX_SWEEP = 300_000
 
-# Most letters that the words of one sweep or one `schur` listing hold.
+# Most letters that the words of one sweep, one `schur` listing or one `lr`
+# expansion hold.
 # Within `_MAX_SWEEP` a sweep reaches it only at n = 1, where d words hold
 # d(d + 1)/2 letters; `verify axioms --n 1 --degree 3000` (4 501 500
 # letters) passes in 0.11 s and 15 MB, since it walks only to degree 4.
@@ -308,11 +311,15 @@ def _cmd_lr(args: argparse.Namespace) -> int:
     nu = _parse_shape(args.nu, "nu")
     mu = _parse_shape(args.mu, "mu")
     n = _size_option(args.n, None, "n", _MAX_LETTER)
-    _check_cells(sum(nu) + sum(mu), "--nu plus --mu")
-    _check_words(
-        f"lr --nu {_shape_text(nu)} --mu {_shape_text(mu)} --n {n}",
-        ssyt_count(nu, n) * ssyt_count(mu, n),
-    )
+    cells = sum(nu) + sum(mu)
+    _check_cells(cells, "--nu plus --mu")
+    command = f"lr --nu {_shape_text(nu)} --mu {_shape_text(mu)} --n {n}"
+    # the product lists one word of |nu| + |mu| letters per pair of
+    # tableaux, and the basis sums subtracted from it hold at most as many
+    # words, since s_nu s_mu(1^n) is the sum of c^lambda s_lambda(1^n)
+    words = ssyt_count(nu, n) * ssyt_count(mu, n)
+    _check_words(command, words)
+    _check_letters(command, 2 * words * cells)
     coeffs = lr_expand(nu, mu, n)
     payload = {
         "nu": list(nu),

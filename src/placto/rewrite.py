@@ -107,12 +107,6 @@ class Relation:
     def strict_flags(self) -> tuple[bool, ...]:
         return _parse_chain(self.constraints)[1]
 
-    def instantiate_pattern(self, assignment: dict[str, int], n: int) -> tuple[Word, Word]:
-        """Both sides of the relation with concrete letters substituted."""
-        left = Word(tuple(assignment[v] for v in self.left), n)
-        right = Word(tuple(assignment[v] for v in self.right), n)
-        return left, right
-
 
 @dataclass(frozen=True)
 class RelationSet:
@@ -353,45 +347,8 @@ def closure_bytes(rels: RelationSet, word: bytes, cap: int | None = None) -> fro
     return frozenset(_kernels.closure(word, congruence(rels).table, cap))
 
 
-def class_size(rels: RelationSet, word: bytes) -> int | None:
-    """Size of the class of `word`, from the shape of its class key, for
-    the two shipped relation sets; None for every other set."""
-    cong = congruence(rels)
-    if cong.count is None:
-        return None
-    return cong.count(tuple(map(len, cong.key(word))))
-
-
 def canonical_bytes(rels: RelationSet, word: bytes) -> bytes:
     return congruence(rels).canonical(word)
-
-
-def instantiate(rel: Relation, window: Word) -> Word | None:
-    """Rewrite of `window` by `rel` read left-to-right, or None when no match."""
-    left, right, strict = rel.compiled()
-    if len(window) != len(left):
-        return None
-    nvars = len(strict) + 1
-    vals = [0] * nvars
-    for k, v in enumerate(left):
-        a = window.letters[k]
-        if vals[v] == 0:
-            vals[v] = a
-        elif vals[v] != a:
-            return None
-    for i in range(nvars - 1):
-        if strict[i]:
-            if vals[i] >= vals[i + 1]:
-                return None
-        elif vals[i] > vals[i + 1]:
-            return None
-    return Word(tuple(vals[v] for v in right), window.n)
-
-
-def neighbors(word: Word, rels: RelationSet) -> frozenset[Word]:
-    """All words one relation application away (either direction, any window)."""
-    out = _kernels.neighbors(word.to_bytes(), congruence(rels).table)
-    return frozenset(Word.from_bytes(b, word.n) for b in out)
 
 
 def equiv_class(word: Word, rels: RelationSet) -> frozenset[Word]:
@@ -422,35 +379,31 @@ def canonical_word(word: Word, rels: RelationSet) -> Word:
 
 
 def relation_instances(rel: Relation, n: int):
-    """All concrete (left, right) word pairs of a relation schema over {1..n}."""
-    variables, strict = _parse_chain(rel.constraints)
+    """All concrete (left, right) pairs of a relation schema over {1..n}, as
+    byte words, in lexicographic order of the letters assigned to the chain.
 
-    # first variable ranges freely; successors respect the chain
-    def walk(i: int, floor: int, current: dict[str, int]):
-        if i == len(variables):
-            yield dict(current)
-            return
-        for a in range(floor, n + 1):
-            current[variables[i]] = a
-            if i < len(strict):
-                yield from walk(i + 1, a + 1 if strict[i] else a, current)
-            else:
-                yield from walk(i + 1, a, current)
-
-    for assignment in walk(0, 1, {}):
-        yield rel.instantiate_pattern(assignment, n)
+    Taking from each variable the number of strict steps before it maps the
+    assignments that obey the chain one to one onto the weakly increasing
+    sequences over {1..n - s}, s the number of strict steps."""
+    left, right, strict = rel.compiled()
+    offsets = (0, *itertools.accumulate(map(int, strict)))
+    letters = range(1, n + 1 - offsets[-1])
+    for weak in itertools.combinations_with_replacement(letters, len(offsets)):
+        values = [a + k for a, k in zip(weak, offsets)]
+        yield bytes(values[v] for v in left), bytes(values[v] for v in right)
 
 
 def verify_factorization(n: int, degree_bound: int) -> bool:
     """True iff every shifted Knuth relation instance over {1..n} with degree
-    up to the bound is an ordinary Knuth equivalence (the quotient maps factor)."""
-    for rel in SHIFTED_KNUTH.relations:
-        if len(rel.left) > degree_bound:
-            continue
-        for left, right in relation_instances(rel, n):
-            if not equivalent(left, right, KNUTH):
-                return False
-    return True
+    up to the bound is an ordinary Knuth equivalence (the quotient maps
+    factor): its two sides have one Schensted tableau."""
+    key = congruence(KNUTH).key
+    return all(
+        key(left) == key(right)
+        for rel in SHIFTED_KNUTH.relations
+        if len(rel.left) <= degree_bound
+        for left, right in relation_instances(rel, n)
+    )
 
 
 def class_dump(word: Word, rels: RelationSet, cap: int | None = None) -> dict:

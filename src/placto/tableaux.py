@@ -21,8 +21,8 @@ internal word type), a tuple or a `Word`.  The tableaux of a shape are
 counted in closed form (`ssyt_count`, `shifted_ssyt_count`) and listed as
 row tuples by one cell-by-cell filler (`_fillings`, under `_ssyt_rows` and
 `_shssyt_rows`), and hook words as byte words (`_hook_words`, the hook word
-of each shifted tableau of the shape); the public `enumerate_*` functions
-wrap them in validated `Tableau`, `ShiftedTableau` and `Word` objects.
+of each shifted tableau of the shape); the public `enumerate_ssyt` and
+`enumerate_hook` wrap them in validated `Tableau` and `Word` objects.
 """
 
 from __future__ import annotations
@@ -164,9 +164,6 @@ class Tableau:
         return "/".join("".join(str(a) for a in row) for row in self.rows) or "-"
 
 
-EMPTY_TABLEAU = Tableau(())
-
-
 def _row_insert(rows: list[list[int]], x: int) -> None:
     """Row-insert x into mutable rows: bump the leftmost strictly greater
     entry, recurse below."""
@@ -202,11 +199,6 @@ def schensted_step(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int
     out = [list(r) for r in rows]
     _row_insert(out, a)
     return tuple(map(tuple, out))
-
-
-def schensted_insert(tableau: Tableau, z: int) -> Tableau:
-    """Row-insert z: bump the leftmost strictly greater entry, recurse below."""
-    return Tableau(schensted_step(tableau.rows, z))
 
 
 def schensted_rows(letters) -> tuple[tuple[int, ...], ...]:
@@ -604,11 +596,6 @@ def mixed_insertion_rows(letters) -> tuple[tuple[int, ...], ...]:
 def mixed_insert_word(w: Word) -> ShiftedTableau:
     """Mixed insertion tableau of a word without primed entries."""
     return ShiftedTableau(mixed_insertion_rows(w))
-
-
-def enumerate_shssyt(shape: tuple[int, ...], n: int) -> list[ShiftedTableau]:
-    """All shifted semistandard tableaux of the given strict shape, letters <= n."""
-    return [ShiftedTableau(rows) for rows in _shssyt_rows(shape, n)]
 
 
 def _shssyt_rows(shape: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -9,9 +9,10 @@ three-cell hook sum for the three-cell row sum).
 Every check returns JSON-ready dicts with a "pass" flag; identical inputs
 produce identical output.  Words are byte words throughout, one letter per
 byte, as the polynomials and congruences hold them; `words.word_text` gives
-the reports their text.  Every Knuth-class question the checks ask is
-answered by `congruence(KNUTH).canonical`, from the seeded memo or, on a
-miss, from the word's tableau.
+the reports their text.  The axiom checks ask their Knuth-class questions
+of `congruence(KNUTH).canonical`, from the seeded memo or, on a miss, from
+the word's tableau; the case analyses and the replacement propositions
+compare class keys, the insertion tableaux, and walk no class.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .rewrite import (
     congruence,
     relation_instances,
 )
+from .tableaux import partitions, shifted_ssyt_count, ssyt_count, strict_partitions
 from .words import (
     all_intervals,
     content,
@@ -189,11 +191,11 @@ def _forced_matching(U: set[bytes], V: set[bytes], class_key):
     elementary Knuth relation to an equality or to the same relation, (2) so
     the restriction keys of congruent words agree, and (3) [1, n] restricts a
     word over {1..n} to itself, so equal restriction keys mean equal
-    whole-word keys.  So `class_key` (least Knuth words, or Schensted rows in
-    the tests) keys each word once, and the compatibility graph is one
-    complete bipartite block per key.  A block of a left and b right words
-    has a! perfect matchings when a = b and none otherwise, so the matching
-    is forced exactly when every block holds one word of each side.
+    whole-word keys.  So `class_key` (the Schensted rows) keys each word
+    once, and the compatibility graph is one complete bipartite block per
+    key.  A block of a left and b right words has a! perfect matchings when
+    a = b and none otherwise, so the matching is forced exactly when every
+    block holds one word of each side.
     """
     match: dict[bytes, bytes] = {w: w for w in U & V}
     left, right = sorted(U - V), sorted(V - U)
@@ -215,8 +217,8 @@ def _forced_matching(U: set[bytes], V: set[bytes], class_key):
 
 def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
     """Forced matchings of single*big against big*single, content by content,
-    keying each word by its least Knuth word from the seeded memo: one memo
-    lookup per word left after cancellation.
+    keying each word by its Schensted tableau (`congruence(KNUTH).key`): one
+    insertion per word left after cancellation, and no class walked.
 
     Returns {content: (right monomials, match, ok, note)} in content order,
     with (match, ok, note) from `_forced_matching`.
@@ -228,10 +230,9 @@ def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
     for side, prod in enumerate(products):
         for w in prod.terms:
             groups.setdefault(content(w, n), (set(), set()))[side].add(w)
-    knuth = congruence(KNUTH)
-    knuth.seed(n, big.degree_bound)
+    knuth_key = congruence(KNUTH).key
     return {
-        vec: (V, *_forced_matching(U, V, knuth.canonical))
+        vec: (V, *_forced_matching(U, V, knuth_key))
         for vec, (U, V) in sorted(groups.items())
     }
 
@@ -289,7 +290,7 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     """
     rels, n, single, big = _case_products(relations)
     matchings = _forced_matchings(single, big, n)
-    knuth_canon = congruence(KNUTH).canonical
+    knuth_key = congruence(KNUTH).key
     intervals = _intervals(n)
     reports = []
     for rel in rels.relations:
@@ -300,7 +301,7 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
             for v in sorted(V):
                 if v == survivor:
                     continue
-                witness = _interval_witness(left, v, knuth_canon, intervals)
+                witness = _interval_witness(left, v, knuth_key, intervals)
                 if witness is not None:
                     lo, hi = witness
                     if set(left + v) <= set(range(lo, hi + 1)):
@@ -415,7 +416,7 @@ def verify_axioms(
     def classes():
         # one that fails lists its violations over the classes, degree by degree
         for degree in range(1, degree_bound + 1):
-            yield from cong.partitions(n, degree)[-1]
+            yield from _partition_degree(rels, n, degree)
 
     # axiom 2: the two designated sums commute in the quotient
     if system == "Plac":
@@ -443,10 +444,10 @@ def verify_axioms(
         (_restrictions(n), target_canon),
     ]
     instances = [
-        (left.to_bytes(), right.to_bytes())
+        pair
         for rel in rels.relations
         if len(rel.left) <= degree_bound
-        for left, right in relation_instances(rel, n)
+        for pair in relation_instances(rel, n)
     ]
     # Each map counts one instance per member of a class its source holds.
     # Relations keep content, so the members of the classes with a given
@@ -672,6 +673,18 @@ def _joins(pairs) -> int:
     return joins
 
 
+def _class_count(rels: RelationSet, n: int, degree: int) -> int:
+    """The number of classes of the degree-d words over {1..n} under a
+    shipped relation set, in closed form: one per insertion tableau, so the
+    semistandard tableaux of the partitions of d for `KNUTH` and the shifted
+    ones of the strict partitions of d for `SHIFTED_KNUTH`."""
+    if rels == KNUTH:
+        return sum(ssyt_count(shape, n) for shape in partitions(degree))
+    if rels == SHIFTED_KNUTH:
+        return sum(shifted_ssyt_count(shape, n) for shape in strict_partitions(degree))
+    raise ValueError(f"no closed class count for the relation set {rels.name!r}")
+
+
 def section5_free_commutation(n: int = 5) -> dict:
     """The single-letter sum commutes with the all-pairs sum before any quotient."""
     p1 = shifted_free_schur((1,), n, 3)
@@ -692,7 +705,8 @@ def _section5_comparison(part: str, description: str, schur, other, rels, n: int
     and with `schur(other)` forces identifications that generate the same
     partition of the degree-d words, the partition into `rels` classes.
     Congruent pairs generate a finer partition, the same one exactly when
-    their joins leave as many parts as there are classes."""
+    their joins leave as many parts as there are classes (`_class_count`).
+    Pairs are compared by class key, so no class is walked."""
     degree = sum(other) + 1
     single = schur((1,), n, degree)
     report = {"check": "section5", "part": part, "n": n, "description": description}
@@ -711,11 +725,10 @@ def _section5_comparison(part: str, description: str, schur, other, rels, n: int
         report["failures"] = failures
         report["pass"] = False
         return report
-    # the walk seeds the memo that `canonical` reads
-    joins = n**degree - len(_partition_degree(rels, n, degree))
-    canonical = congruence(rels).canonical
+    joins = n**degree - _class_count(rels, n, degree)
+    key = congruence(rels).key
     report["pass"] = all(
-        all(canonical(u) == canonical(v) for u, v in pairs) and _joins(pairs) == joins
+        all(key(u) == key(v) for u, v in pairs) and _joins(pairs) == joins
         for pairs in pair_lists
     )
     return report

@@ -160,11 +160,6 @@ def word_text(letters, n: int) -> str:
     return ",".join(map(str, letters))
 
 
-def restrict(w: Word, interval: Interval) -> Word:
-    """Delete all letters outside the interval, preserving order."""
-    return Word(tuple(a for a in w.letters if a in interval), w.n)
-
-
 def outside_letters(interval: Interval, n: int) -> bytes:
     """The letters of {1..n} outside the interval, as a byte string.
 

@@ -1,15 +1,16 @@
 """Brute-force oracles that the tests check the library's routes against:
 each filters every word of one degree by a condition read off the
-definition, with no generation shared with `placto`, or lists every map of
-a family that the library decides without listing."""
+definition, with no generation shared with `placto`, lists every map of a
+family that the library decides without listing, or applies a relation or
+a restriction letter by letter, sharing no code with the byte kernels."""
 
 import itertools
 from typing import Iterator
 
 from placto.algebra import NcPoly
-from placto.rewrite import SHIFTED_KNUTH, closure_bytes
+from placto.rewrite import SHIFTED_KNUTH, Relation, closure_bytes
 from placto.tableaux import hook_factorization_check, is_partition, mixed_insertion_rows
-from placto.words import OrderedMorphism, Word
+from placto.words import Interval, OrderedMorphism, Word
 
 
 def longest_weakly_increasing_subword(letters) -> int:
@@ -95,3 +96,33 @@ def all_ordered_morphisms(source_n: int, target_n: int) -> Iterator[OrderedMorph
         for src in itertools.combinations(source_letters, k):
             for img in itertools.combinations(target_letters, k):
                 yield OrderedMorphism(tuple(zip(src, img)), target_n)
+
+
+def instantiate(rel: Relation, window: Word) -> Word | None:
+    """Rewrite of `window` by `rel` read left-to-right, or None when no match:
+    the matcher `_kernels.neighbors` is checked against, one window and one
+    relation at a time."""
+    left, right, strict = rel.compiled()
+    if len(window) != len(left):
+        return None
+    nvars = len(strict) + 1
+    vals = [0] * nvars
+    for k, v in enumerate(left):
+        a = window.letters[k]
+        if vals[v] == 0:
+            vals[v] = a
+        elif vals[v] != a:
+            return None
+    for i in range(nvars - 1):
+        if strict[i]:
+            if vals[i] >= vals[i + 1]:
+                return None
+        elif vals[i] > vals[i + 1]:
+            return None
+    return Word(tuple(vals[v] for v in right), window.n)
+
+
+def restrict(w: Word, interval: Interval) -> Word:
+    """Delete all letters outside the interval, preserving order: the
+    reference for `words.outside_letters`."""
+    return Word(tuple(a for a in w.letters if a in interval), w.n)

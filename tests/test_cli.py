@@ -769,8 +769,10 @@ def test_shifted_schur_at_the_limit_accepted(capsys, monkeypatch):
         (["schur", "--shape", "2,1", "--n", "3"], 8 * 3),
         # 24 shifted tableaux of shape (3, 1) over {1, 2, 3}, 4 letters each
         (["schur", "--shape", "3,1", "--shifted", "--n", "3"], 24 * 4),
+        # 8 x 3 products of 4 letters, and at most as many in the basis sums
+        (["lr", "--nu", "2,1", "--mu", "1", "--n", "3"], 2 * 8 * 3 * 4),
     ],
-    ids=["schur", "shifted"],
+    ids=["schur", "shifted", "lr"],
 )
 def test_schur_at_the_letter_limit_accepted(capsys, monkeypatch, argv, letters):
     monkeypatch.setattr(cli, "_MAX_SWEEP_LETTERS", letters)
@@ -781,6 +783,23 @@ def test_schur_at_the_letter_limit_accepted(capsys, monkeypatch, argv, letters):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"would hold {letters} letters" in captured.err
+
+
+def test_lr_of_many_cells_is_bounded_by_letters(capsys):
+    """7 381 x 3 pairs of tableaux, within the word limit, but their 22 143
+    products and the basis sums subtracted from them would hold 2 x 22 143
+    words of 241 letters; expanding took about 70 s and 100 MB."""
+    argv = ["lr", "--nu", "120,120", "--mu", "1", "--n", "3"]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "placto: error: lr --nu 120,120 --mu 1 --n 3 would hold 10672926 "
+        "letters, more than the limit of 5000000\n"
+    )
+    assert elapsed < 1.0
 
 
 def test_shifted_schur_with_more_rows_than_letters_is_zero(capsys):

@@ -14,9 +14,10 @@ from placto.rewrite import (
     Relation,
     RelationSet,
     congruence,
-    instantiate,
 )
 from placto.words import Word
+
+from oracles import instantiate
 
 
 def test_pure_closure_of_empty_word():
@@ -66,7 +67,7 @@ def test_rule_table_groups_rules_by_pattern_length():
 
 
 def _reference_neighbors(word: bytes, n: int, rels: RelationSet) -> set[bytes]:
-    """One-step rewrites by `rewrite.instantiate`, relation by relation, in
+    """One-step rewrites by `oracles.instantiate`, relation by relation, in
     both directions, at every window of the word."""
     out = set()
     for rel in rels.relations:

@@ -7,8 +7,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_ordered_morphisms, apply_morphism
-from placto import rewrite
+from oracles import all_ordered_morphisms, apply_morphism, instantiate, restrict
+from placto import _kernels, rewrite
 from placto.rewrite import (
     KNUTH,
     SHIFTED_KNUTH,
@@ -18,18 +18,16 @@ from placto.rewrite import (
     canonical_bytes,
     canonical_word,
     class_dump,
-    class_size,
     closure_bytes,
     congruence,
     equiv_class,
     equivalent,
-    instantiate,
-    neighbors,
     relation_instances,
     verify_factorization,
 )
 from placto.tableaux import (
-    enumerate_shssyt,
+    ShiftedTableau,
+    _shssyt_rows,
     enumerate_ssyt,
     is_primed,
     least_plactic_word,
@@ -47,7 +45,6 @@ from placto.words import (
     concat,
     content,
     outside_letters,
-    restrict,
 )
 
 K1, K2 = KNUTH.relations
@@ -75,6 +72,12 @@ class TestInstantiate:
         # K.1 allows a = b but not b = c
         assert instantiate(K1, W("121")) == W("211")
         assert instantiate(K1, W("122")) is None
+
+
+def neighbors(word: Word, rels: RelationSet) -> frozenset[Word]:
+    """The words one relation application away, by the byte kernel."""
+    out = _kernels.neighbors(word.to_bytes(), congruence(rels).table)
+    return frozenset(Word.from_bytes(b, word.n) for b in out)
 
 
 class TestNeighborsAndClasses:
@@ -131,6 +134,25 @@ class TestFactorization:
     def test_relation_instance_counts(self):
         # chain a<=b<c over {1..3}: (a,b,c) in {112, 113, 123, 223} -> 4
         assert sum(1 for _ in relation_instances(K1, 3)) == 4
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_relation_instances_are_byte_pairs(self, n):
+        """Each instance is a (left, right) pair of byte words over {1..n},
+        one per assignment that obeys the chain, found by filtering every
+        assignment of letters to the variables."""
+        for rel in KNUTH.relations + SHIFTED_KNUTH.relations:
+            variables, strict = rel.variables(), rel.strict_flags()
+            expected = []
+            for values in itertools.product(range(1, n + 1), repeat=len(variables)):
+                steps = zip(values, values[1:], strict)
+                if all(a < b if s else a <= b for a, b, s in steps):
+                    value = dict(zip(variables, values))
+                    expected.append(
+                        (bytes(map(value.get, rel.left)), bytes(map(value.get, rel.right)))
+                    )
+            got = list(relation_instances(rel, n))
+            assert all(type(left) is type(right) is bytes for left, right in got)
+            assert got == expected
 
 
 def _classes(rels, n, max_degree):
@@ -437,7 +459,7 @@ def test_hook_formulas_count_standard_tableaux(size):
     for shape in strict_partitions(size):
         standard = [
             t
-            for t in enumerate_shssyt(shape, size)
+            for t in map(ShiftedTableau, _shssyt_rows(shape, size))
             if len({x for row in t.rows for x in row if not is_primed(x)}) == size
         ]
         assert len(standard) == _shifted_standard_count(shape)
@@ -577,7 +599,8 @@ def test_least_plactic_word_of_long_words(letters):
 
 def test_class_size_from_the_insertion_shape():
     for rels in (KNUTH, SHIFTED_KNUTH):
+        cong = congruence(rels)
         for letters in itertools.product(range(1, 4), repeat=5):
             w = bytes(letters)
-            assert class_size(rels, w) == len(closure_bytes(rels, w))
-    assert class_size(RelationSet.custom(KNUTH.relations), b"\x01\x02") is None
+            assert cong.count(tuple(map(len, cong.key(w)))) == len(closure_bytes(rels, w))
+    assert congruence(RelationSet.custom(KNUTH.relations)).count is None

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import all_ordered_morphisms, apply_morphism
+from oracles import all_ordered_morphisms, apply_morphism, restrict
 from placto.words import (
     Interval,
     OrderedMorphism,
@@ -14,7 +14,6 @@ from placto.words import (
     all_words,
     concat,
     content,
-    restrict,
     word_text,
 )
 
