@@ -922,11 +922,16 @@ def test_forced_matching_keys_each_remaining_word_once(capsys, monkeypatch, comm
 @pytest.mark.parametrize(
     "command",
     [
+        "verify cases",
+        "verify section5 --n 5",
         "verify axioms --n 4 --degree 5 --relations shifted-knuth",
         "verify axioms --n 4 --degree 5",
     ],
 )
 def test_verifier_reads_knuth_classes_from_the_seeded_memo(capsys, monkeypatch, command):
+    """`verify axioms` reads the Knuth classes from the memo its walks
+    seeded, never by a least-word search; `verify cases` and `verify
+    section5` compare insertion tableaux and walk nothing at all."""
     monkeypatch.setattr(rewrite, "_congruences", {})
     monkeypatch.setattr(rewrite, "_canonical_memo", {})
     knuth = congruence(KNUTH)
@@ -937,7 +942,7 @@ def test_verifier_reads_knuth_classes_from_the_seeded_memo(capsys, monkeypatch, 
     capsys.readouterr()
 
     walked = dict(knuth.walked)
-    assert walked
+    assert bool(walked) == command.startswith("verify axioms")
     assert all(
         w == b"" or any(len(w) <= d and max(w) <= m for m, d in walked.items())
         for w in knuth.memo
@@ -952,7 +957,7 @@ def test_verifier_reads_knuth_classes_from_the_seeded_memo(capsys, monkeypatch, 
         knuth.seed(m, d - 1)
         knuth.seed(m - 1, d)  # words over a smaller alphabet are seeded too
     assert steps == []
-    m, d = max(walked.items())
+    m, d = max(walked.items(), default=(1, 0))
     knuth.seed(m, d + 1)
     assert steps  # the counter sees a walk
 
@@ -962,13 +967,19 @@ def test_verifier_reads_knuth_classes_from_the_seeded_memo(capsys, monkeypatch, 
     [
         "verify axioms --n 4 --degree 5",
         "verify axioms --n 4 --degree 5 --relations shifted-knuth",
+        "verify section5 --n 5",
+        "verify section5 --n 7",
+        "verify cases",
         "verify axioms --n 3 --degree 5 --relations custom:{custom}",
     ],
 )
 def test_every_memo_holds_only_walked_words(capsys, monkeypatch, tmp_path, command):
     """After a `verify` family, the memo of every congruence it used holds
     only the empty word and words that one of that congruence's walks
-    reached; a Plac run on a custom set makes no Knuth congruence."""
+    reached; a Plac run on a custom set makes no Knuth congruence. The
+    case analyses and the replacement propositions compare class keys, the
+    insertion tableaux, and count classes in closed form: no congruence
+    walks, so every memo holds at most the empty word."""
     monkeypatch.setattr(rewrite, "_congruences", {})
     monkeypatch.setattr(rewrite, "_canonical_memo", {})
     path = tmp_path / "commutative.json"
@@ -978,7 +989,7 @@ def test_every_memo_holds_only_walked_words(capsys, monkeypatch, tmp_path, comma
 
     assert rewrite._congruences
     for cong in rewrite._congruences.values():
-        assert cong.walked
+        assert bool(cong.walked) == command.startswith("verify axioms")
         assert all(
             w == b"" or any(len(w) <= d and max(w) <= m for m, d in cong.walked.items())
             for w in cong.memo
@@ -988,24 +999,6 @@ def test_every_memo_holds_only_walked_words(capsys, monkeypatch, tmp_path, comma
         (cong,) = rewrite._congruences.values()
         # the axioms pass, so the seeded degree is axiom 2's 3: degrees 1..3 and b""
         assert len(cong.memo) == 3 + 9 + 27 + 1
-
-
-@pytest.mark.parametrize(
-    "command", ["verify cases", "verify section5 --n 5", "verify section5 --n 7"]
-)
-def test_cases_and_section5_walk_nothing(capsys, monkeypatch, command):
-    """The case analyses and the replacement propositions compare class
-    keys, the insertion tableaux, and count classes in closed form: no
-    congruence walks, and every memo holds at most the empty word."""
-    monkeypatch.setattr(rewrite, "_congruences", {})
-    monkeypatch.setattr(rewrite, "_canonical_memo", {})
-    assert main(command.split()) == 0
-    capsys.readouterr()
-
-    assert rewrite._congruences
-    for cong in rewrite._congruences.values():
-        assert cong.walked == {}
-        assert set(cong.memo) <= {b""}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
