@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .rewrite import KNUTH, RelationSet, canonical_bytes, congruence
+from .rewrite import KNUTH, RelationSet
 from .tableaux import (
     _hook_words,
     _shssyt_rows,
@@ -210,7 +210,7 @@ class QuotientPoly:
         self.relation_set = relation_set
 
     def coefficient(self, word: Word | bytes) -> int:
-        return self.terms.get(canonical_bytes(self.relation_set, _byte_key(word, self.n)), 0)
+        return self.terms.get(self.relation_set.congruence.canonical(_byte_key(word, self.n)), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -234,9 +234,10 @@ class QuotientPoly:
 
 def project_quotient(p: NcPoly, rels: RelationSet) -> QuotientPoly:
     """Replace every word by its canonical class representative, merging terms."""
+    canonical = rels.congruence.canonical
     out: dict[bytes, int] = {}
     for w, c in p.terms.items():
-        key = canonical_bytes(rels, w)
+        key = canonical(w)
         out[key] = out.get(key, 0) + c
     return QuotientPoly(p.n, p.degree_bound, rels, out)
 
@@ -305,7 +306,7 @@ def lr_expand(nu: tuple[int, ...], mu: tuple[int, ...], n: int) -> dict[tuple[in
 
     Knuth classes are the fibers of Schensted insertion, so the image counts
     the product's words by the rows of their insertion tableaux
-    (`congruence(KNUTH).key`); no least class member is computed.  Greedy
+    (`KNUTH.congruence.key`); no least class member is computed.  Greedy
     subtraction over shapes in decreasing lexicographic order; the
     coefficient of each shape is read off the class of its highest-weight
     tableau, and each reading word of the shape's basis sum is subtracted
@@ -313,7 +314,7 @@ def lr_expand(nu: tuple[int, ...], mu: tuple[int, ...], n: int) -> dict[tuple[in
     negative coefficient raises, since either signals an implementation bug.
     """
     size = sum(nu) + sum(mu)
-    key = congruence(KNUTH).key
+    key = KNUTH.congruence.key
     product = nc_mul(free_schur(nu, n, size), free_schur(mu, n, size))
     remaining: dict[tuple, int] = {}
     for w, c in product.terms.items():

@@ -12,10 +12,11 @@ one-step rewrites (both directions, every window); `class_dump` lists the
 class of a word under a shipped set from its insertion tableau instead, by
 reverse insertion (`tableaux.insertion_fiber`), and the tests keep the
 closure as its reference.  Everything computed for one relation set lives
-on its `Congruence`, one per relation set for the whole process (see
-`congruence`): the kernel rule table, the canonical memo that maps a byte
-word to the lexicographically least member of its class, a class key, the
-key's one-letter step and, where known, the class count.
+on its `Congruence`, which the set owns (`RelationSet.congruence`) and which
+lives as long as the set: the shipped sets for the whole process, a custom
+set until it is dropped.  It holds the kernel rule table, the canonical memo
+that maps a byte word to the lexicographically least member of its class, a
+class key, the key's one-letter step and, where known, the class count.
 A congruence is closed under right multiplication, so the class of w a
 depends only on the class of w and the letter a.  `Congruence.partitions`
 uses this for every relation set: one walk builds the classes of each
@@ -36,6 +37,7 @@ least word off the Schensted tableau by reverse column insertion
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -140,6 +142,12 @@ class RelationSet:
             )
         return cls(name, tuple(relations))
 
+    @functools.cached_property
+    def congruence(self) -> "Congruence":
+        """The congruence the set generates, built on first use and kept,
+        memo included, for as long as the set itself."""
+        return Congruence(self)
+
 
 KNUTH = RelationSet(
     "knuth",
@@ -201,10 +209,10 @@ def _expand(rels: RelationSet):
 
 
 class Congruence:
-    """The congruence one relation set generates, with its per-process state.
+    """The congruence one relation set generates, with its memo.
 
     Words are byte strings, one letter per byte.  Obtain instances through
-    `congruence(rels)`, so that every caller shares one memo per relation set.
+    `rels.congruence`, so that every caller shares the set's one memo.
     `key` maps a word to the key of its class, so two words are congruent
     exactly when their keys are equal, and `step(k, a)` is the key of w a
     for a word w of key k.  The two shipped relation sets key a class by its
@@ -219,12 +227,11 @@ class Congruence:
     over {1..n} reached.
     """
 
-    __slots__ = ("rules", "table", "memo", "walked", "key", "step", "count", "least", "fiber")
+    __slots__ = ("table", "memo", "walked", "key", "step", "count", "least", "fiber")
 
-    def __init__(self, rels: RelationSet, memo: dict[bytes, bytes]) -> None:
-        self.rules = _expand(rels)
-        self.table = _kernels.RuleTable(self.rules)
-        self.memo = memo  # byte word -> least member of its class
+    def __init__(self, rels: RelationSet) -> None:
+        self.table = _kernels.RuleTable(_expand(rels))
+        self.memo: dict[bytes, bytes] = {}  # byte word -> least member of its class
         self.walked: dict[int, int] = {}  # n -> highest degree `partitions` walked
         self.key, self.step, self.count, self.least, self.fiber = next(
             (row[1:] for row in _INSERTION if row[0] == rels),
@@ -327,28 +334,14 @@ def _insertion_walk(step, start, n: int, degree: int) -> tuple[tuple[tuple[bytes
     return tuple(levels)
 
 
-_congruences: dict[RelationSet, Congruence] = {}
-
-# canonical memo of each relation set: the dict its Congruence owns
-_canonical_memo: dict[RelationSet, dict[bytes, bytes]] = {}
-
-
-def congruence(rels: RelationSet) -> Congruence:
-    """The one `Congruence` of `rels` in this process, created on first use."""
-    cong = _congruences.get(rels)
-    if cong is None:
-        cong = _congruences[rels] = Congruence(rels, _canonical_memo.setdefault(rels, {}))
-    return cong
-
-
 def closure_bytes(rels: RelationSet, word: bytes, cap: int | None = None) -> frozenset[bytes]:
     """The class of `word`; with a `cap`, ValueError on a class of more
     members (see `_kernels.closure`)."""
-    return frozenset(_kernels.closure(word, congruence(rels).table, cap))
+    return frozenset(_kernels.closure(word, rels.congruence.table, cap))
 
 
 def canonical_bytes(rels: RelationSet, word: bytes) -> bytes:
-    return congruence(rels).canonical(word)
+    return rels.congruence.canonical(word)
 
 
 def equiv_class(word: Word, rels: RelationSet) -> frozenset[Word]:
@@ -369,7 +362,7 @@ def equivalent(w1: Word, w2: Word, rels: RelationSet) -> bool:
     wb1, wb2 = w1.to_bytes(), w2.to_bytes()
     if wb1 == wb2:
         return True
-    key = congruence(rels).key
+    key = rels.congruence.key
     return key(wb1) == key(wb2)
 
 
@@ -397,7 +390,7 @@ def verify_factorization(n: int, degree_bound: int) -> bool:
     """True iff every shifted Knuth relation instance over {1..n} with degree
     up to the bound is an ordinary Knuth equivalence (the quotient maps
     factor): its two sides have one Schensted tableau."""
-    key = congruence(KNUTH).key
+    key = KNUTH.congruence.key
     return all(
         key(left) == key(right)
         for rel in SHIFTED_KNUTH.relations
@@ -418,7 +411,7 @@ def class_dump(word: Word, rels: RelationSet, cap: int | None = None) -> dict:
     leaves more than `cap` members.  Members stay byte words up to their
     text (`word_text`)."""
     wb = word.to_bytes()
-    cong = congruence(rels)
+    cong = rels.congruence
     if cong.fiber is None:
         members = sorted(closure_bytes(rels, wb, cap))
     else:

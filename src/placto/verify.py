@@ -10,7 +10,7 @@ Every check returns JSON-ready dicts with a "pass" flag; identical inputs
 produce identical output.  Words are byte words throughout, one letter per
 byte, as the polynomials and congruences hold them; `words.word_text` gives
 the reports their text.  The axiom checks ask their Knuth-class questions
-of `congruence(KNUTH).canonical`, from the seeded memo or, on a miss, from
+of `KNUTH.congruence.canonical`, from the seeded memo or, on a miss, from
 the word's tableau; the case analyses and the replacement propositions
 compare class keys, the insertion tableaux, and walk no class.
 """
@@ -35,7 +35,6 @@ from .rewrite import (
     SHIFTED_KNUTH,
     Relation,
     RelationSet,
-    congruence,
     relation_instances,
 )
 from .tableaux import partitions, shifted_ssyt_count, ssyt_count, strict_partitions
@@ -217,7 +216,7 @@ def _forced_matching(U: set[bytes], V: set[bytes], class_key):
 
 def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
     """Forced matchings of single*big against big*single, content by content,
-    keying each word by its Schensted tableau (`congruence(KNUTH).key`): one
+    keying each word by its Schensted tableau (`KNUTH.congruence.key`): one
     insertion per word left after cancellation, and no class walked.
 
     Returns {content: (right monomials, match, ok, note)} in content order,
@@ -230,7 +229,7 @@ def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
     for side, prod in enumerate(products):
         for w in prod.terms:
             groups.setdefault(content(w, n), (set(), set()))[side].add(w)
-    knuth_key = congruence(KNUTH).key
+    knuth_key = KNUTH.congruence.key
     return {
         vec: (V, *_forced_matching(U, V, knuth_key))
         for vec, (U, V) in sorted(groups.items())
@@ -290,7 +289,7 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     """
     rels, n, single, big = _case_products(relations)
     matchings = _forced_matchings(single, big, n)
-    knuth_key = congruence(KNUTH).key
+    knuth_key = KNUTH.congruence.key
     intervals = _intervals(n)
     reports = []
     for rel in rels.relations:
@@ -337,7 +336,7 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
 def _partition_degree(rels: RelationSet, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
     """Equivalence classes of all degree-d words over {1..n}, as sorted
     tuples: the last level of `Congruence.partitions`."""
-    return congruence(rels).partitions(n, degree)[-1]
+    return rels.congruence.partitions(n, degree)[-1]
 
 
 # the violations a failing axiom's report lists
@@ -394,14 +393,14 @@ def verify_axioms(
             f"degree bound must be at least {least} for the {system} axioms, got {degree_bound}"
         )
 
-    cong = congruence(rels)
+    cong = rels.congruence
     # the targets of axioms 1 and 4: content and the congruence itself for
     # the plactic system, ordinary Knuth for both in the shifted system
     if system == "Plac":
         reference = _sorted_letters
         target_canon = cong.canonical
     else:
-        knuth = congruence(KNUTH)
+        knuth = KNUTH.congruence
         reference = target_canon = knuth.canonical
 
     # A check that passes looks up only the words of axiom 2's products and
@@ -618,11 +617,11 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
     member, are the classes of `Congruence.partitions` in its order.  So no
     class is walked twice.
     """
-    shifted = congruence(SHIFTED_KNUTH)
+    shifted = SHIFTED_KNUTH.congruence
     shifted.seed(n, degree_bound)
     least = shifted.memo
     canon = shifted.canonical
-    knuth_canon = congruence(KNUTH).canonical
+    knuth_canon = KNUTH.congruence.canonical
     intervals = _intervals(n)
     for degree in range(2, degree_bound + 1):
         level: dict[bytes, list[bytes]] = {}
@@ -726,7 +725,7 @@ def _section5_comparison(part: str, description: str, schur, other, rels, n: int
         report["pass"] = False
         return report
     joins = n**degree - _class_count(rels, n, degree)
-    key = congruence(rels).key
+    key = rels.congruence.key
     report["pass"] = all(
         all(key(u) == key(v) for u, v in pairs) and _joins(pairs) == joins
         for pairs in pair_lists
@@ -760,10 +759,8 @@ def section5_degree4_comparison(n: int = 4) -> dict:
     )
 
 
-def verify_section5(n: int = 4, degree_bound: int = 4) -> list[dict]:
+def verify_section5(n: int = 4) -> list[dict]:
     """All three replacement checks at one truncation size."""
-    if degree_bound < 4:
-        raise ValueError("degree bound must be at least 4")
     return [
         section5_free_commutation(n),
         section5_degree3_comparison(n),

@@ -18,7 +18,7 @@ from placto.algebra import (
     schur_poly,
     shifted_free_schur,
 )
-from placto.rewrite import KNUTH, SHIFTED_KNUTH, congruence, verify_factorization
+from placto.rewrite import KNUTH, SHIFTED_KNUTH, verify_factorization
 from placto.tableaux import (
     ShiftedTableau,
     hook_factorization_check,
@@ -113,7 +113,7 @@ def test_criterion_05_plactic_fibers():
     """
     t0 = time.perf_counter()
     for degree in range(1, 7):
-        classes = {frozenset(c) for c in congruence(KNUTH).closure_partition(3, degree)}
+        classes = {frozenset(c) for c in KNUTH.congruence.closure_partition(3, degree)}
         assert classes == _fiber_partition(p_tableau, 3, degree)
     elapsed = time.perf_counter() - t0
     _report(5, "plactic fiber equality", elapsed, 30.0)
@@ -125,7 +125,7 @@ def test_criterion_06_shifted_fibers():
     t0 = time.perf_counter()
     for degree in range(1, 7):
         classes = {
-            frozenset(c) for c in congruence(SHIFTED_KNUTH).closure_partition(3, degree)
+            frozenset(c) for c in SHIFTED_KNUTH.congruence.closure_partition(3, degree)
         }
         assert classes == _fiber_partition(mixed_insert_word, 3, degree)
     elapsed = time.perf_counter() - t0

@@ -13,7 +13,7 @@ from placto.rewrite import (
     SHIFTED_KNUTH,
     Relation,
     RelationSet,
-    congruence,
+    _expand,
 )
 from placto.words import Word
 
@@ -21,12 +21,12 @@ from oracles import instantiate
 
 
 def test_pure_closure_of_empty_word():
-    table = _kernels.RuleTable(congruence(KNUTH).rules)
+    table = _kernels.RuleTable(_expand(KNUTH))
     assert _kernels.closure(b"", table) == {b""}
 
 
 def test_words_over_255_letters_rejected():
-    table = _kernels.RuleTable(congruence(SHIFTED_KNUTH).rules)
+    table = _kernels.RuleTable(_expand(SHIFTED_KNUTH))
     longest = bytes([1]) * 255
     assert _kernels.closure(longest, table) == {longest}
     assert _kernels.neighbors(longest, table) == set()
@@ -38,9 +38,7 @@ def test_words_over_255_letters_rejected():
 def test_closure_cap_is_checked_per_layer():
     # ab ~ ba (a < b): the class of 1234 is all 24 orders, in layers of
     # 1, 3, 5, 6, 5, 3, 1 words by their number of inversions
-    table = _kernels.RuleTable(
-        congruence(RelationSet.custom([Relation("C", "ab", "ba", "a<b")])).rules
-    )
+    table = _kernels.RuleTable(_expand(RelationSet.custom([Relation("C", "ab", "ba", "a<b")])))
     assert len(_kernels.closure(b"\x01\x02\x03\x04", table, 24)) == 24
     with pytest.raises(ValueError, match="^the class has at least 24 members, more than"):
         _kernels.closure(b"\x01\x02\x03\x04", table, 23)
@@ -62,7 +60,7 @@ MIXED_LENGTHS = RelationSet.custom(
 
 
 def test_rule_table_groups_rules_by_pattern_length():
-    groups = congruence(MIXED_LENGTHS).table.groups
+    groups = MIXED_LENGTHS.congruence.table.groups
     assert [(plen, len(rules)) for plen, rules in groups] == [(3, 4), (4, 4)]
 
 
@@ -89,7 +87,7 @@ def test_neighbors_match_independent_matcher(data):
     n = data.draw(st.integers(min_value=1, max_value=6))
     letters = data.draw(st.lists(st.integers(min_value=1, max_value=n), max_size=9))
     word = bytes(letters)
-    got = _kernels.neighbors(word, congruence(rels).table)
+    got = _kernels.neighbors(word, rels.congruence.table)
     assert got == _reference_neighbors(word, n, rels)
 
 
@@ -116,7 +114,7 @@ def test_sparse_letters_match_independent_matcher(data):
     rels = data.draw(st.sampled_from([KNUTH, SHIFTED_KNUTH, MIXED_LENGTHS]))
     letters = data.draw(st.lists(st.sampled_from(SPARSE_LETTERS), max_size=10))
     word = bytes(letters)
-    table = congruence(rels).table
+    table = rels.congruence.table
     assert _kernels.neighbors(word, table) == _reference_neighbors(word, 255, rels)
     # closed on at most 6 letters: the mixed-lengths classes grow fast (1 344
     # words for 8 distinct letters) and the reference is slow
@@ -132,7 +130,7 @@ def test_sparse_letters_match_independent_matcher(data):
     ids=["knuth", "shifted-knuth", "mixed-lengths"],
 )
 def test_order_type_table_is_bounded(rels, most, longest):
-    table = _kernels.RuleTable(congruence(rels).rules)
+    table = _kernels.RuleTable(_expand(rels))
     rng = random.Random(9)
     for _ in range(300):
         # a few letters from 1..255 per word, so that windows repeat letters

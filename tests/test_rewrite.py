@@ -19,7 +19,6 @@ from placto.rewrite import (
     canonical_word,
     class_dump,
     closure_bytes,
-    congruence,
     equiv_class,
     equivalent,
     relation_instances,
@@ -76,7 +75,7 @@ class TestInstantiate:
 
 def neighbors(word: Word, rels: RelationSet) -> frozenset[Word]:
     """The words one relation application away, by the byte kernel."""
-    out = _kernels.neighbors(word.to_bytes(), congruence(rels).table)
+    out = _kernels.neighbors(word.to_bytes(), rels.congruence.table)
     return frozenset(Word.from_bytes(b, word.n) for b in out)
 
 
@@ -278,17 +277,17 @@ class TestCongruence:
     @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
     def test_partition_complete_after_canonical_lookups(self, rels):
         words = self._words(3, 5)
-        cong = Congruence(rels, {})
+        cong = Congruence(rels)
         for w in words[::7]:
             cong.canonical(w)
         classes = cong.partitions(3, 5)[-1]
         assert sorted(m for cls in classes for m in cls) == words
-        assert classes == Congruence(rels, {}).partitions(3, 5)[-1]
+        assert classes == Congruence(rels).partitions(3, 5)[-1]
         for cls in classes:
             assert all(cong.memo[m] == cls[0] for m in cls)
 
     def test_partition_seeds_the_memo(self, monkeypatch):
-        cong = Congruence(SHIFTED_KNUTH, {})
+        cong = Congruence(SHIFTED_KNUTH)
         cong.partitions(3, 5)
         calls = []
         real = rewrite._kernels.closure
@@ -310,7 +309,7 @@ class TestCongruence:
         )
         for degree in range(1, 6):
             bfs = {closure_bytes(rels, w) for w in self._words(3, degree)}
-            classes = congruence(rels).partitions(3, degree)[-1]
+            classes = rels.congruence.partitions(3, degree)[-1]
             assert {frozenset(cls) for cls in classes} == bfs
             assert all(list(cls) == sorted(cls) for cls in classes)
 
@@ -318,7 +317,7 @@ class TestCongruence:
     @pytest.mark.parametrize("n, top", [(3, 9), (5, 6), (7, 4)])
     @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
     def test_keyed_partition_equals_closure_partition(self, rels, n, top):
-        cong = Congruence(rels, {})
+        cong = Congruence(rels)
         for degree in range(top + 1):
             assert cong.partitions(n, degree)[-1] == cong.closure_partition(n, degree)
 
@@ -331,28 +330,34 @@ class TestCongruence:
             return real(word, table)
 
         monkeypatch.setattr(rewrite._kernels, "closure", counting)
-        Congruence(KNUTH, {}).partitions(3, 4)
-        Congruence(SHIFTED_KNUTH, {}).partitions(3, 4)
+        Congruence(KNUTH).partitions(3, 4)
+        Congruence(SHIFTED_KNUTH).partitions(3, 4)
         assert calls == []
         # the Knuth relations under another name are a custom set: it keys a
         # class by its least member and closes each class of degree 0..4 once
         custom = RelationSet.custom(KNUTH.relations)
-        cong = Congruence(custom, {})
+        cong = Congruence(custom)
         assert (cong.key, cong.step, cong.count) == (cong.canonical, cong._least_step, None)
         levels = cong.partitions(3, 4)
-        assert levels[-1] == Congruence(KNUTH, {}).partitions(3, 4)[-1]
+        assert levels[-1] == Congruence(KNUTH).partitions(3, 4)[-1]
         assert len(calls) == sum(len(classes) for classes in levels)
 
     def test_one_congruence_per_relation_set(self):
-        cong = congruence(KNUTH)
-        assert congruence(RelationSet("knuth", KNUTH.relations)) is cong
-        assert rewrite._canonical_memo[KNUTH] is cong.memo
+        assert KNUTH.congruence is KNUTH.congruence
+
+    def test_an_equal_relation_set_owns_another_congruence(self):
+        # an equal copy shares no memo, yet a copy of a shipped set still
+        # keys its classes by insertion
+        copy = RelationSet("knuth", KNUTH.relations).congruence
+        assert copy is not KNUTH.congruence
+        assert copy.memo is not KNUTH.congruence.memo
+        assert copy.count is not None
 
     # the scales the benchmark runs: axioms n=3 d=9, n=5 d=6, section5 n=7 d=4
     @pytest.mark.parametrize("n, top", [(3, 9), (5, 6), (7, 4)])
     @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
     def test_walk_equals_closure_partitions(self, rels, n, top):
-        cong = Congruence(rels, {})
+        cong = Congruence(rels)
         levels = cong.partitions(n, top)
         assert levels == tuple(cong.closure_partition(n, d) for d in range(top + 1))
         assert cong.partitions(n, top)[-1] == levels[-1]
@@ -370,9 +375,9 @@ class TestCongruence:
 
         monkeypatch.setattr(rewrite._kernels, "closure", counting)
         rels = RelationSet.custom(KNUTH.relations)
-        cong = Congruence(rels, {})
+        cong = Congruence(rels)
         levels = cong.partitions(3, 5)
-        assert levels == Congruence(KNUTH, {}).partitions(3, 5)
+        assert levels == Congruence(KNUTH).partitions(3, 5)
         # one closure per class of each degree 0..5, the empty word's included
         assert sorted(calls) == [d for d, classes in enumerate(levels) for _ in classes]
         assert len(cong.memo) == sum(3**d for d in range(6))
@@ -386,7 +391,7 @@ class TestCongruence:
         """One step per (class, letter) pair: per tableau for the shipped
         sets, per least member for a custom set."""
         n, top = 3, 7
-        cong = Congruence(rels, {})
+        cong = Congruence(rels)
         calls = []
         real = cong.step
 
@@ -426,8 +431,8 @@ def _custom_relation_sets(draw):
 def test_custom_walk_equals_closure_partitions(rels, n, degree):
     """The walk keyed by least members gives, level for level, the classes
     that breadth-first closure of each word gives."""
-    levels = Congruence(rels, {}).partitions(n, degree)
-    reference = Congruence(rels, {})
+    levels = Congruence(rels).partitions(n, degree)
+    reference = Congruence(rels)
     assert levels == tuple(reference.closure_partition(n, k) for k in range(degree + 1))
 
 
@@ -479,7 +484,7 @@ def test_closure_is_insertion_fiber(rels, count, data):
     representative is the least member, and canonicalizing it again is a no-op."""
     n = data.draw(st.integers(1, 6))
     w = bytes(data.draw(st.lists(st.integers(1, n), max_size=9)))
-    key = congruence(rels).key
+    key = rels.congruence.key
     target = key(w)
     members = closure_bytes(rels, w)
     assert all(key(m) == target for m in members)
@@ -494,12 +499,12 @@ def test_closure_is_insertion_fiber(rels, count, data):
 
 
 def _closure_least(w):
-    return min(rewrite._kernels.closure(w, congruence(KNUTH).table))
+    return min(rewrite._kernels.closure(w, KNUTH.congruence.table))
 
 
 def test_knuth_canonical_equals_closure_minimum_exhaustive():
     """Every word over {1..4} of length at most 6 (which covers n <= 4)."""
-    cong = Congruence(KNUTH, {})  # an empty memo, so every lookup is a miss
+    cong = Congruence(KNUTH)  # an empty memo, so every lookup is a miss
     for degree in range(7):
         for letters in itertools.product(range(1, 5), repeat=degree):
             w = bytes(letters)
@@ -511,14 +516,14 @@ def test_knuth_canonical_equals_closure_minimum_exhaustive():
 def test_knuth_canonical_equals_closure_minimum(data):
     n = data.draw(st.integers(1, 8))
     w = bytes(data.draw(st.lists(st.integers(1, n), max_size=10)))
-    assert Congruence(KNUTH, {}).canonical(w) == _closure_least(w)
+    assert Congruence(KNUTH).canonical(w) == _closure_least(w)
 
 
 @settings(deadline=None)
 @given(st.integers(0, 8).flatmap(lambda k: st.permutations(range(1, k + 1))))
 def test_knuth_canonical_of_permutation_equals_closure_minimum(perm):
     w = bytes(perm)
-    assert Congruence(KNUTH, {}).canonical(w) == _closure_least(w)
+    assert Congruence(KNUTH).canonical(w) == _closure_least(w)
 
 
 def test_only_knuth_canonical_skips_the_kernel(monkeypatch):
@@ -531,13 +536,13 @@ def test_only_knuth_canonical_skips_the_kernel(monkeypatch):
 
     monkeypatch.setattr(rewrite._kernels, "closure", counting)
     words = [bytes(ls) for ls in itertools.product(range(1, 4), repeat=4)]
-    cong = Congruence(KNUTH, {})
+    cong = Congruence(KNUTH)
     for w in words:
         cong.canonical(w)
     assert calls == []
     assert len(cong.memo) == len(words)  # each miss records only its word
     for rels in (SHIFTED_KNUTH, RelationSet.custom(KNUTH.relations)):
-        cong = Congruence(rels, {})
+        cong = Congruence(rels)
         assert cong.least is None
         for w in words:
             cong.canonical(w)
@@ -561,7 +566,7 @@ def test_equivalent_needs_no_least_word_or_closure(monkeypatch, rels):
     def refuse(*args):
         raise AssertionError("equivalent computed a class member")
 
-    monkeypatch.setattr(congruence(KNUTH), "least", refuse)
+    monkeypatch.setattr(KNUTH.congruence, "least", refuse)
     monkeypatch.setattr(rewrite._kernels, "closure", refuse)
     monkeypatch.setattr(Congruence, "canonical", refuse)
     for w1 in words:
@@ -599,8 +604,8 @@ def test_least_plactic_word_of_long_words(letters):
 
 def test_class_size_from_the_insertion_shape():
     for rels in (KNUTH, SHIFTED_KNUTH):
-        cong = congruence(rels)
+        cong = rels.congruence
         for letters in itertools.product(range(1, 4), repeat=5):
             w = bytes(letters)
             assert cong.count(tuple(map(len, cong.key(w)))) == len(closure_bytes(rels, w))
-    assert congruence(RelationSet.custom(KNUTH.relations)).count is None
+    assert RelationSet.custom(KNUTH.relations).congruence.count is None

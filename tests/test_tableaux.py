@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from placto import _kernels
 from placto.algebra import free_schur, p_schur_poly
-from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, congruence, equiv_class, equivalent
+from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, equiv_class, equivalent
 from placto.tableaux import (
     ShiftedTableau,
     Tableau,
@@ -330,7 +330,7 @@ class TestHookWordByReverseInsertion:
     def test_equals_the_closure_scan_on_every_class(self, n, top):
         # the oracle returns None unless the class holds exactly one hook
         # word, so equality also checks that it does
-        for level in Congruence(SHIFTED_KNUTH, {}).partitions(n, top):
+        for level in Congruence(SHIFTED_KNUTH).partitions(n, top):
             for cls in level:
                 assert hook_word(mixed_insertion_rows(cls[0])) == hook_word_by_closure(cls[0])
 
@@ -338,7 +338,7 @@ class TestHookWordByReverseInsertion:
     @given(st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(1, n), max_size=12)))
     def test_equals_the_closure_scan_on_random_words(self, letters):
         word = bytes(letters)
-        shifted = congruence(SHIFTED_KNUTH)
+        shifted = SHIFTED_KNUTH.congruence
         assume(shifted.count(tuple(map(len, shifted.key(word)))) <= 4000)
         assert hook_word(mixed_insertion_rows(word)) == hook_word_by_closure(word)
 
@@ -372,7 +372,7 @@ class TestInsertionFiber:
     @pytest.mark.parametrize("n, top", [(3, 9), (5, 6), (7, 4)])
     @pytest.mark.parametrize("rels, rows, fiber", _FIBERS, ids=["knuth", "shifted-knuth"])
     def test_equals_the_closure_on_every_class(self, rels, rows, fiber, n, top):
-        cong = Congruence(rels, {})
+        cong = Congruence(rels)
         for degree in range(top + 1):
             for cls in cong.closure_partition(n, degree):
                 assert sorted(fiber(rows(cls[0]))) == list(cls), cls[0]
@@ -385,17 +385,17 @@ class TestInsertionFiber:
     def test_equals_the_closure_on_random_words(self, letters, route):
         rels, rows, fiber = route
         word = bytes(letters)
-        cong = congruence(rels)
+        cong = rels.congruence
         assume(cong.count(tuple(map(len, cong.key(word)))) <= 4000)
         listed = fiber(rows(word))
         assert len(listed) == len(set(listed))  # one word per recording tableau
-        assert set(listed) == _kernels.closure(word, Congruence(rels, {}).table)
+        assert set(listed) == _kernels.closure(word, Congruence(rels).table)
 
     def test_shifted_class_of_9856_members(self):
         word = bytes(map(int, "7762845173753216"))
         listed = mixed_fiber(mixed_insertion_rows(word))
         assert len(listed) == 9856
-        assert set(listed) == _kernels.closure(word, Congruence(SHIFTED_KNUTH, {}).table)
+        assert set(listed) == _kernels.closure(word, Congruence(SHIFTED_KNUTH).table)
 
     @pytest.mark.parametrize(
         "letters", [[1] * 200 + [2] * 55, list(range(1, 256))], ids=["1-2", "1-255"]
@@ -405,7 +405,7 @@ class TestInsertionFiber:
         # one row of 255 cells: the walk is 255 levels deep with one corner each
         word = bytes(letters)
         assert fiber(rows(word)) == [word]
-        assert _kernels.closure(word, Congruence(rels, {}).table) == {word}
+        assert _kernels.closure(word, Congruence(rels).table) == {word}
 
     def test_row_uninsertion_along_the_recording_cells_gives_back_the_word(self):
         for degree in range(7):

@@ -2,8 +2,10 @@
 
 import collections
 import contextlib
+import gc
 import itertools
 import json
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +21,6 @@ from placto.rewrite import (
     Relation,
     RelationSet,
     closure_bytes,
-    congruence,
 )
 from placto.tableaux import mixed_step, schensted_rows
 from placto.verify import (
@@ -190,15 +191,15 @@ def test_axioms_3_and_4_beyond_exhaustive_scale(rels, data):
     (axiom 4, whose target is the Knuth quotient for both shipped sets)."""
     n = data.draw(st.integers(2, 8))
     w = bytes(data.draw(st.lists(st.integers(1, n), min_size=7, max_size=12)))
-    cong = congruence(rels)
+    cong = rels.congruence
     assume(cong.count(tuple(map(len, cong.key(w)))) <= 3000)
     members = closure_bytes(rels, w)
     support = sorted(set(w))
     images = data.draw(st.sets(st.integers(1, 255), min_size=len(support), max_size=len(support)))
     table = bytes.maketrans(bytes(support), bytes(sorted(images)))
-    key = congruence(rels).key
+    key = cong.key
     assert len({key(m.translate(table)) for m in members}) == 1
-    knuth_key = congruence(KNUTH).key
+    knuth_key = KNUTH.congruence.key
     for _, _, outside in _intervals(n):
         assert len({knuth_key(m.translate(None, outside)) for m in members}) == 1
 
@@ -208,9 +209,9 @@ def _reference_axioms(target, n, degree_bound, rels):
     by degree, and axioms 3 and 4 checked morphism by morphism and interval
     by interval."""
     system = "Plac" if target == "plactic" else "SPlac"
-    cong = congruence(rels)
+    cong = rels.congruence
     canon = cong.canonical
-    knuth_canon = congruence(KNUTH).canonical
+    knuth_canon = KNUTH.congruence.canonical
     classes = [cls for d in range(1, degree_bound + 1) for cls in cong.closure_partition(n, d)]
 
     def report(axiom, checked, violations):
@@ -303,7 +304,7 @@ def test_random_sets_are_morphism_stable(rels, scale):
     pass it member by member and morphism by morphism, and both systems
     report it passing with the same instance count."""
     n, degree = scale
-    cong = congruence(rels)
+    cong = rels.congruence
     classes = [cls for level in cong.partitions(n, degree)[1:] for cls in level]
     checked, violations = _morphism_violations(classes, cong.canonical, n)
     assert violations == []
@@ -372,7 +373,7 @@ class TestAxiomViolations:
         # Axiom 3 is decided by the lemma, which rests on the relations and
         # not on the key, so the broken key fails the run at axioms 2 and 4
         rels = RelationSet.custom(_COMMUTATIVE.relations, name="unstable")
-        cong = congruence(rels)
+        cong = rels.congruence
         real = Congruence.canonical
 
         def unstable(self, word):
@@ -636,7 +637,7 @@ def test_counted_members_are_the_walked_members(n):
     """Per support, the count of the words of degree 1..d with exactly its
     letters is the walk's sum of class sizes, at every accepted degree."""
     degrees = _accepted_degrees(n)
-    levels = Congruence(KNUTH, {}).partitions(n, degrees[-1])
+    levels = Congruence(KNUTH).partitions(n, degrees[-1])
     walked = {}
     for degree in degrees:
         for cls in levels[degree]:
@@ -645,11 +646,17 @@ def test_counted_members_are_the_walked_members(n):
         assert verify._words_by_support(n, degree) == walked
 
 
+def _fresh_congruences(monkeypatch):
+    """Drop the congruences that the shipped sets and this module's custom
+    sets own, so that the test builds each one afresh."""
+    for rels in (KNUTH, SHIFTED_KNUTH, _COMMUTATIVE, _CHINESE, _HYPOPLACTIC):
+        monkeypatch.delitem(vars(rels), "congruence", raising=False)
+
+
 def _count_walks(monkeypatch):
     """Record (step, n, degree) per `rewrite._insertion_walk` call, on fresh
     congruences."""
-    monkeypatch.setattr(rewrite, "_congruences", {})
-    monkeypatch.setattr(rewrite, "_canonical_memo", {})
+    _fresh_congruences(monkeypatch)
     walks = []
     real = rewrite._insertion_walk
 
@@ -695,7 +702,7 @@ def test_failing_axioms_walk_only_to_their_last_listed_degree(
     reports = verify_axioms(target, n, degree, relations=_CHINESE)
     failing = [r for r in reports if not r["pass"] and r["axiom"][-1] in "14"]
     assert [len(r["violations"][-1]["class_of"]) for r in failing] == reached
-    chinese = congruence(_CHINESE)._least_step
+    chinese = _CHINESE.congruence._least_step
     seed = 3 if target == "plactic" else 4
     listed = [(n, d) for top in reached for d in range(1, top + 1)]
     assert [(m, d) for step, m, d in walks if step == chinese] == [(n, seed)] + listed
@@ -727,13 +734,9 @@ class TestSection5:
         assert section5_degree4_comparison(4)["pass"]
 
     def test_bundle(self):
-        reports = verify_section5(4, 4)
+        reports = verify_section5(4)
         assert [r["part"] for r in reports] == ["a", "b", "c"]
         assert all(r["pass"] for r in reports)
-
-    def test_degree_bound_validated(self):
-        with pytest.raises(ValueError):
-            verify_section5(4, 3)
 
     @pytest.mark.parametrize("call", [0, 1], ids=["row", "hook"])
     @pytest.mark.parametrize("change", ["drop", "add", "move"])
@@ -742,7 +745,7 @@ class TestSection5:
         (call 0) or the hook sum's (call 1), over {1..4} lose a pair, gain a
         pair of words in different classes, or have a pair moved to such a
         word, which joins as many parts as before."""
-        canonical = congruence(SHIFTED_KNUTH).canonical
+        canonical = SHIFTED_KNUTH.congruence.canonical
         words = list(map(bytes, itertools.permutations(range(1, 5))))
 
         def edit(match):
@@ -893,7 +896,7 @@ def test_restriction_keys_partition_words_as_the_knuth_class_does(n, degree):
     by_intervals = _partition(words, lambda w: _restriction_rows(w, n))
     assert by_intervals == _partition(words, schensted_rows)
     if n <= 3 and degree <= 4:
-        closure = {frozenset(cls) for cls in congruence(KNUTH).closure_partition(n, degree)}
+        closure = {frozenset(cls) for cls in KNUTH.congruence.closure_partition(n, degree)}
         assert by_intervals == closure
 
 
@@ -932,9 +935,8 @@ def test_verifier_reads_knuth_classes_from_the_seeded_memo(capsys, monkeypatch, 
     """`verify axioms` reads the Knuth classes from the memo its walks
     seeded, never by a least-word search; `verify cases` and `verify
     section5` compare insertion tableaux and walk nothing at all."""
-    monkeypatch.setattr(rewrite, "_congruences", {})
-    monkeypatch.setattr(rewrite, "_canonical_memo", {})
-    knuth = congruence(KNUTH)
+    _fresh_congruences(monkeypatch)
+    knuth = KNUTH.congruence
     searched = []
     least = knuth.least
     knuth.least = lambda w: searched.append(w) or least(w)
@@ -980,23 +982,30 @@ def test_every_memo_holds_only_walked_words(capsys, monkeypatch, tmp_path, comma
     case analyses and the replacement propositions compare class keys, the
     insertion tableaux, and count classes in closed form: no congruence
     walks, so every memo holds at most the empty word."""
-    monkeypatch.setattr(rewrite, "_congruences", {})
-    monkeypatch.setattr(rewrite, "_canonical_memo", {})
+    _fresh_congruences(monkeypatch)
+    made = []
+    init = Congruence.__init__
+
+    def recorded(self, rels):
+        init(self, rels)
+        made.append((rels, self))
+
+    monkeypatch.setattr(Congruence, "__init__", recorded)
     path = tmp_path / "commutative.json"
     path.write_text(json.dumps([{"left": "ab", "right": "ba", "constraints": "a<b"}]))
     assert main(command.format(custom=path).split()) == 0
     capsys.readouterr()
 
-    assert rewrite._congruences
-    for cong in rewrite._congruences.values():
+    assert made
+    for _, cong in made:
         assert bool(cong.walked) == command.startswith("verify axioms")
         assert all(
             w == b"" or any(len(w) <= d and max(w) <= m for m, d in cong.walked.items())
             for w in cong.memo
         )
     if "custom" in command:
-        assert KNUTH not in rewrite._congruences
-        (cong,) = rewrite._congruences.values()
+        assert all(rels != KNUTH for rels, _ in made)
+        ((_, cong),) = made
         # the axioms pass, so the seeded degree is axiom 2's 3: degrees 1..3 and b""
         assert len(cong.memo) == 3 + 9 + 27 + 1
 
@@ -1006,8 +1015,7 @@ def test_class_counts_in_closed_form_match_the_walk(monkeypatch, n):
     """One class per insertion tableau: the tableaux of the partitions of 3
     count the Knuth classes of degree 3, and the shifted tableaux of the
     strict partitions of 4 the shifted Knuth classes of degree 4."""
-    monkeypatch.setattr(rewrite, "_congruences", {})
-    monkeypatch.setattr(rewrite, "_canonical_memo", {})
+    _fresh_congruences(monkeypatch)
     for rels, degree in ((KNUTH, 3), (SHIFTED_KNUTH, 4)):
         assert verify._class_count(rels, n, degree) == len(
             verify._partition_degree(rels, n, degree)
@@ -1016,13 +1024,49 @@ def test_class_counts_in_closed_form_match_the_walk(monkeypatch, n):
         verify._class_count(RelationSet.custom(KNUTH.relations), n, 3)
 
 
+def test_a_verified_custom_set_is_freed_with_its_congruence():
+    rels = RelationSet.custom(_CHINESE.relations, name="freed")
+    ref = weakref.ref(rels)
+    verify_axioms("plactic", 4, 5, relations=rels)
+    del rels
+    gc.collect()
+    assert ref() is None
+
+
+def test_the_cli_frees_the_custom_set_it_parses(capsys, monkeypatch, tmp_path):
+    """A custom set is parsed on every call, and its congruence goes with it."""
+    parsed = []
+    parse = cli._parse_relations
+
+    def recorded(selector):
+        rels = parse(selector)
+        parsed.append(weakref.ref(rels))
+        return rels
+
+    monkeypatch.setattr(cli, "_parse_relations", recorded)
+    path = tmp_path / "chinese.json"
+    path.write_text(
+        json.dumps(
+            [
+                {"name": f"freed.{i}", "left": "cba", "right": right, "constraints": "a<=b<=c"}
+                for i, right in enumerate(("bca", "cab"))
+            ]
+        )
+    )
+    assert main(f"verify axioms --relations custom:{path} --n 4 --degree 5".split()) == 1
+    capsys.readouterr()
+    gc.collect()
+    assert len(parsed) == 1
+    assert parsed[0]() is None
+
+
 def test_reports_are_deterministic():
     first = json.dumps(
-        verify_tables() + verify_case_analysis("shifted-knuth") + verify_section5(4, 4),
+        verify_tables() + verify_case_analysis("shifted-knuth") + verify_section5(4),
         sort_keys=True,
     )
     second = json.dumps(
-        verify_tables() + verify_case_analysis("shifted-knuth") + verify_section5(4, 4),
+        verify_tables() + verify_case_analysis("shifted-knuth") + verify_section5(4),
         sort_keys=True,
     )
     assert first == second
