@@ -1,21 +1,46 @@
-"""Command-line interface.
+"""placto: the plactic and shifted plactic monoid verifier.
 
-Subcommands:
-  placto verify tables|cases|axioms|section5  -- run a verification family,
-      emitting one JSON object per check (JSON lines) plus a summary object.
-  placto insert --mode plactic|mixed WORD     -- insertion tableau + canonical word.
-  placto class --relations R WORD             -- equivalence class listing.
-  placto schur --shape 2,1 [--shifted] --n N  -- Schur-type word sum as JSON.
-  placto lr --nu 2,1 --mu 1 --n N             -- product expansion coefficients.
+usage: placto COMMAND [ARGUMENT] [OPTIONS]
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error.
+  placto verify tables|cases|axioms|section5 [--n N] [--degree D]
+                [--relations R] [--json FILE]
+      Run a verification family, printing one JSON object per check (JSON
+      lines) and a summary object, and also writing them to FILE with
+      --json.  `tables` takes none of --n, --degree and --relations,
+      `cases` only --relations (default: knuth and shifted-knuth),
+      `section5` only --n (default 4).  `axioms` defaults to --n 3
+      --degree 5; it checks the Plac axioms for knuth and for a custom
+      R, the SPlac axioms for shifted-knuth, and both without --relations.
+  placto insert --mode plactic|mixed [--n N] WORD
+      Insertion tableau of WORD and the canonical word of its class.
+  placto class [--relations R] [--n N] WORD
+      Listing of the class of WORD (R defaults to knuth).
+  placto schur --shape 2,1 [--shifted] --n N
+      Schur-type word sum over {1..N} as JSON.
+  placto lr --nu 2,1 --mu 1 --n N
+      Coefficients of the product of two Schur sums over {1..N}.
+
+R is knuth, shifted-knuth or custom:<file.json>, a file holding a JSON
+list of {"left": "ab", "right": "ba", "constraints": "a<b"} objects.  A
+WORD is a digit string over at most 9 letters, or comma-separated integers
+(10,2,11); N defaults to its largest letter.  A shape is comma-separated
+parts; empty or 0 is the empty shape.
+
+Options and the argument may come in any order, `--opt=value` is the same
+as `--opt value`, and a repeated option keeps its last value.  Option
+names are given in full.  -h or --help prints this text.
+
+Exit codes: 0 pass, 1 verification failure, 2 usage error, printed as
+"placto: error: ..." on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from collections.abc import Callable
+from types import SimpleNamespace
+from typing import NamedTuple, NoReturn
 
 from . import verify as verify_mod
 from .algebra import free_schur, lr_expand, shifted_free_schur
@@ -202,7 +227,7 @@ _VERIFY_OPTIONS = {
 }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     what = args.what
     for option in ("n", "degree", "relations"):
         if getattr(args, option) is not None and option not in _VERIFY_OPTIONS[what]:
@@ -239,7 +264,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n = _size_option(args.n, 4, "n", _MAX_LETTER)
         _check_sweep(f"verify section5 --n {n}", n, range(3, 5))
         reports = verify_mod.verify_section5(n)
-    else:  # pragma: no cover - argparse restricts choices
+    else:  # pragma: no cover - `_COMMANDS` admits only the families above
         raise ValueError(what)
     return _emit(reports, args.json)
 
@@ -257,7 +282,7 @@ def _canonical_hook_word(tab: ShiftedTableau, n: int) -> Word | None:
     return Word.from_bytes(hook, n) if hook_factorization_check(hook, tab.shape) else None
 
 
-def _cmd_insert(args: argparse.Namespace) -> int:
+def _cmd_insert(args: SimpleNamespace) -> int:
     w = _parse_word(args.word, args.n)
     if args.mode == "plactic":
         tab = p_tableau(w)
@@ -281,7 +306,7 @@ def _cmd_insert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_class(args: argparse.Namespace) -> int:
+def _cmd_class(args: SimpleNamespace) -> int:
     rels = _parse_relations(args.relations)
     w = _parse_word(args.word, args.n)
     print(json.dumps(class_dump(w, rels, _MAX_CLASS), sort_keys=True))
@@ -292,7 +317,7 @@ def _shape_text(shape: tuple[int, ...]) -> str:
     return ",".join(map(str, shape))
 
 
-def _cmd_schur(args: argparse.Namespace) -> int:
+def _cmd_schur(args: SimpleNamespace) -> int:
     shape = _parse_shape(args.shape, "shape")
     n = _size_option(args.n, None, "n", _MAX_LETTER)
     cells = sum(shape)
@@ -307,7 +332,7 @@ def _cmd_schur(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lr(args: argparse.Namespace) -> int:
+def _cmd_lr(args: SimpleNamespace) -> int:
     nu = _parse_shape(args.nu, "nu")
     mu = _parse_shape(args.mu, "mu")
     n = _size_option(args.n, None, "n", _MAX_LETTER)
@@ -333,63 +358,114 @@ def _cmd_lr(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="placto",
-        description="Plactic and shifted plactic monoid toolkit and verifier.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Option(NamedTuple):
+    """One option of a command: the converter of its value (None for a
+    flag, which takes no value and is True when given), the values it
+    accepts (None for any), its value when absent and whether it must be
+    given."""
 
-    p_verify = sub.add_parser("verify", help="run a verification family")
-    p_verify.add_argument("what", choices=["tables", "cases", "axioms", "section5"])
-    p_verify.add_argument("--n", type=int, default=None, help="alphabet truncation size")
-    p_verify.add_argument("--degree", type=int, default=None, help="degree bound")
-    p_verify.add_argument(
-        "--relations",
-        default=None,
-        help="knuth | shifted-knuth | custom:<file.json>",
-    )
-    p_verify.add_argument("--json", default=None, help="also write the report here")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_insert = sub.add_parser("insert", help="insertion tableau of a word")
-    p_insert.add_argument("--mode", choices=["plactic", "mixed"], required=True)
-    p_insert.add_argument("--n", type=int, default=None)
-    p_insert.add_argument("word")
-    p_insert.set_defaults(func=_cmd_insert)
-
-    p_class = sub.add_parser("class", help="equivalence class of a word")
-    p_class.add_argument("--relations", default="knuth")
-    p_class.add_argument("--n", type=int, default=None)
-    p_class.add_argument("word")
-    p_class.set_defaults(func=_cmd_class)
-
-    p_schur = sub.add_parser("schur", help="Schur-type word sum")
-    p_schur.add_argument("--shape", required=True, help="partition, e.g. 2,1")
-    p_schur.add_argument("--shifted", action="store_true")
-    p_schur.add_argument("--n", type=int, required=True)
-    p_schur.set_defaults(func=_cmd_schur)
-
-    p_lr = sub.add_parser("lr", help="expand a product of Schur sums in the quotient")
-    p_lr.add_argument("--nu", required=True)
-    p_lr.add_argument("--mu", required=True)
-    p_lr.add_argument("--n", type=int, required=True)
-    p_lr.set_defaults(func=_cmd_lr)
-
-    return parser
+    convert: Callable[[str], object] | None = str
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
 
 
-# built on the first call of `main` and reused by every later call
-_parser: argparse.ArgumentParser | None = None
+_TEXT = _Option()
+_TEXT_REQUIRED = _Option(required=True)
+_INT = _Option(int)
+_INT_REQUIRED = _Option(int, required=True)
+
+# The argument grammar: each command's handler, its positional arguments
+# (name and accepted values, None for any) and its options by name.
+_COMMANDS = {
+    "verify": (
+        _cmd_verify,
+        (("what", tuple(_VERIFY_OPTIONS)),),
+        {"n": _INT, "degree": _INT, "relations": _TEXT, "json": _TEXT},
+    ),
+    "insert": (
+        _cmd_insert,
+        (("word", None),),
+        {"mode": _Option(choices=("plactic", "mixed"), required=True), "n": _INT},
+    ),
+    "class": (_cmd_class, (("word", None),), {"relations": _Option(default="knuth"), "n": _INT}),
+    "schur": (
+        _cmd_schur,
+        (),
+        {"shape": _TEXT_REQUIRED, "shifted": _Option(None, default=False), "n": _INT_REQUIRED},
+    ),
+    "lr": (_cmd_lr, (), {"nu": _TEXT_REQUIRED, "mu": _TEXT_REQUIRED, "n": _INT_REQUIRED}),
+}
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"placto: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _check_choice(label: str, choices: tuple[str, ...] | None, value: str) -> None:
+    if choices is not None and value not in choices:
+        _usage_error(f"{label} takes one of {', '.join(choices)}, got {value!r}")
+
+
+def _parse_args(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The handler of the command that `argv` names, and its arguments read
+    through `_COMMANDS`.  Options and positionals come in any order, an
+    option's value follows it or is joined to it by `=`, and a repeated
+    option keeps its last value.  `-h` or `--help` anywhere prints the
+    module docstring and exits 0; a usage error exits 2."""
+    if "-h" in argv or "--help" in argv:
+        # `python -OO` strips the docstring: name the commands at least
+        sys.stdout.write(__doc__ or f"usage: placto {'|'.join(_COMMANDS)} ...\n")
+        raise SystemExit(0)
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command given"
+        _usage_error(f"{given}; choose from {', '.join(_COMMANDS)}")
+    command = argv[0]
+    handler, positionals, options = _COMMANDS[command]
+    values = {name: option.default for name, option in options.items()}
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("--"):
+            if len(words) == len(positionals):
+                _usage_error(f"{command} takes no further argument, got {token!r}")
+            _check_choice(command, positionals[len(words)][1], token)
+            words.append(token)
+            continue
+        name, joined, value = token[2:].partition("=")
+        option = options.get(name)
+        if option is None:
+            _usage_error(f"{command} has no option --{name}")
+        if option.convert is None:
+            if joined:
+                _usage_error(f"--{name} takes no value, got {token!r}")
+            values[name] = True
+            continue
+        if not joined:
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(f"--{name} needs a value")
+        try:
+            values[name] = option.convert(value)
+        except ValueError:
+            _usage_error(f"--{name} takes {option.convert.__name__} values, got {value!r}")
+        _check_choice(f"--{name}", option.choices, value)
+    if len(words) < len(positionals):
+        name, choices = positionals[len(words)]
+        needed = f"one of {', '.join(choices)}" if choices else f"a {name}"
+        _usage_error(f"{command} needs {needed}")
+    for name, option in options.items():
+        if option.required and values[name] is None:
+            _usage_error(f"{command} needs --{name}")
+    values.update(zip((name for name, _ in positionals), words))
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    handler, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, OSError) as exc:
         print(f"placto: error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,8 @@ class Word:
         """Parse the word text format: digits for n <= 9, comma-separated otherwise.
 
         The empty string is the identity.  When `n` is omitted it defaults to
-        the largest letter present (1 for the empty word).
+        the largest letter present, and to 1 when there is none or it is
+        below 1, so that a letter below 1 is the one named as out of range.
         """
         text = text.strip()
         if not text:
@@ -48,7 +49,7 @@ class Word:
         except ValueError:
             raise ValueError(f"cannot parse word {text!r}") from None
         if n is None:
-            n = max(letters)
+            n = max(1, *letters)
         return cls(letters, n)
 
     def __len__(self) -> int:

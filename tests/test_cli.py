@@ -181,17 +181,21 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
-def test_parser_built_once_per_process(capsys, monkeypatch):
-    built = []
-    build = cli.build_parser
+def _python_m_placto(argv, *flags):
+    """`python [flags] -m placto argv` run to completion in a new interpreter."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "placto", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
-    def counting_build():
-        built.append(1)
-        return build()
 
-    monkeypatch.setattr(cli, "build_parser", counting_build)
+def test_calls_share_no_parse_state(capsys):
     # the later calls differ in options and fall back on defaults, so state
-    # left in a reused parser would change their output
+    # left by an earlier parse would change their output
     commands = [
         ["class", "--relations", "shifted-knuth", "--n", "5", "1243"],
         ["class", "1243"],
@@ -200,12 +204,10 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     ]
     fresh = []
     for argv in commands:
-        monkeypatch.setattr(cli, "_parser", None)
-        fresh.append(run_cli(capsys, *argv))
-    assert len(built) == len(commands)
+        result = _python_m_placto(argv)
+        fresh.append((result.returncode, result.stdout))
 
-    built.clear()
-    monkeypatch.setattr(cli, "_parser", None)
+    grammar = repr(cli._COMMANDS)
     reused = [run_cli(capsys, *commands[0])]
     with pytest.raises(SystemExit) as exc:
         main(["class", "--relations"])
@@ -213,7 +215,111 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     capsys.readouterr()
     reused.extend(run_cli(capsys, *argv) for argv in commands[1:])
     assert reused == fresh
-    assert built == [1]
+    assert repr(cli._COMMANDS) == grammar
+
+
+def test_help_without_docstrings_names_the_commands():
+    # `python -OO` strips the docstring that --help prints
+    result = _python_m_placto(["--help"], "-OO")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert all(command in result.stdout for command in cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        ([], "no command"),
+        (["nonesuch", "12"], "'nonesuch'"),
+        (["class", "--rel", "knuth", "12"], "--rel"),
+        (["insert", "--mode", "plactic", "12", "--n"], "--n"),
+        (["verify", "axioms", "--n", "x"], "'x'"),
+        (["verify", "nonesuch"], "'nonesuch'"),
+        (["insert", "--mode", "foo", "12"], "'foo'"),
+        (["insert", "--mode", "plactic"], "word"),
+        (["verify"], "tables"),
+        (["class", "12", "21"], "'21'"),
+        (["schur", "--shape", "2,1"], "--n"),
+        (["lr", "--nu", "2,1", "--n", "3"], "--mu"),
+        (["insert", "12"], "--mode"),
+        (["schur", "--shape", "2,1", "--n", "2", "--shifted=1"], "--shifted=1"),
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "unknown-option",
+        "option-without-value",
+        "n-not-an-int",
+        "verify-bad-family",
+        "insert-bad-mode",
+        "missing-word",
+        "missing-family",
+        "extra-positional",
+        "schur-without-n",
+        "lr-without-mu",
+        "insert-without-mode",
+        "flag-with-value",
+    ],
+)
+def test_usage_errors_name_the_token(capsys, argv, token):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("placto: error:")
+    assert token in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, same",
+    [
+        ("verify axioms --n=2 --degree=4", "verify axioms --n 2 --degree 4"),
+        ("insert --mode=mixed --n=5 1243", "insert --mode mixed --n 5 1243"),
+        ("class --relations=shifted-knuth 1243", "class --relations shifted-knuth 1243"),
+        ("insert 312 --mode plactic", "insert --mode plactic 312"),
+        (
+            "class --relations knuth --relations shifted-knuth 1243",
+            "class --relations shifted-knuth 1243",
+        ),
+        ("schur --n 2 --shape 1 --shifted --n 3 --shape 2,1", "schur --shape 2,1 --shifted --n 3"),
+        ("verify section5 --n -1 --n 3", "verify section5 --n 3"),
+    ],
+    ids=[
+        "joined-ints",
+        "joined-choice",
+        "joined-text",
+        "any-order",
+        "repeated",
+        "repeated-two",
+        "repeated-negative",
+    ],
+)
+def test_equivalent_spellings(capsys, argv, same):
+    expected = run_cli(capsys, *same.split())
+    assert expected[0] == 0
+    assert run_cli(capsys, *argv.split()) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["class", "-h"], ["schur", "--shape", "2,1", "--help"]],
+    ids=["long", "short", "after-command", "after-option"],
+)
+def test_help_names_every_command_and_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # one block per command, from its usage line to the next
+    blocks = re.split(r"\n  (?=placto )", captured.out)
+    for command, (_, positionals, options) in cli._COMMANDS.items():
+        (block,) = [b for b in blocks if b.startswith(f"placto {command} ")]
+        for name in options:
+            assert f"--{name}" in block, (command, name)
+        for _, choices in positionals:
+            for choice in choices or ():
+                assert choice in block, (command, choice)
 
 
 class TestUsageErrors:
@@ -332,6 +438,8 @@ class TestUsageErrors:
             ("class " + "12" * 128, "word must have at most 255 letters, got 256"),
             ("insert --mode plactic 1,,2", "cannot parse word '1,,2'"),
             ("class 1,,2", "cannot parse word '1,,2'"),
+            ("insert --mode plactic 0", "letter 0 outside alphabet 1..1"),
+            ("class 00", "letter 0 outside alphabet 1..1"),
         ],
         ids=[
             "plactic-n-300",
@@ -346,6 +454,8 @@ class TestUsageErrors:
             "class-256-letters",
             "plactic-empty-letter",
             "class-empty-letter",
+            "plactic-letter-0",
+            "class-letter-0",
         ],
     )
     def test_insert_and_class_words_bounded(self, capsys, command, message):
@@ -1018,14 +1128,7 @@ def test_class_dump_equals_the_word_route():
 )
 def test_python_m_placto_runs_the_cli(argv, code):
     """`python -m placto` runs the command line with its exit codes."""
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "placto", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    result = _python_m_placto(argv)
     assert result.returncode == code
     assert bool(result.stdout) == (code == 0)
     assert result.stderr.startswith("placto: error:") == (code == 2)

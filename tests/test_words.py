@@ -64,6 +64,22 @@ class TestWordBasics:
         with pytest.raises(ValueError, match=f"^cannot parse word '{text}'$"):
             Word.parse(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0", "letter 0 outside alphabet 1..1"),
+            ("00", "letter 0 outside alphabet 1..1"),
+            ("0,0", "letter 0 outside alphabet 1..1"),
+            ("102", "letter 0 outside alphabet 1..2"),
+            ("0,-3", "letter 0 outside alphabet 1..1"),
+        ],
+    )
+    def test_parse_names_a_letter_below_one(self, text, message):
+        # the alphabet defaults to at least {1}, so the letter is named,
+        # not the bound taken from it
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Word.parse(text)
+
 
 @pytest.mark.parametrize(
     "letters, n",
