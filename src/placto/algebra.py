@@ -8,6 +8,11 @@ constructors and `coefficient` also accept `Word` keys, and `to_json` and
 `repr` print the text of `str(Word)`.  Projections go two ways: to a quotient algebra (words
 replaced by canonical class representatives) and to the commutative image
 (words replaced by content vectors).
+
+`lr_expand` expands a product of two plactic Schur sums without building
+it: the image of S_lambda holds each tableau of shape lambda once, so each
+coefficient is the one multiplicity shared by all `ssyt_count(lambda, n)`
+tableaux of the shape among the insertion tableaux of the product words.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .tableaux import (
     _ssyt_rows,
     base_letter,
     is_partition,
-    partitions,
+    ssyt_count,
 )
 from .words import Word, content, word_text
 
@@ -305,38 +310,28 @@ def lr_expand(nu: tuple[int, ...], mu: tuple[int, ...], n: int) -> dict[tuple[in
     """Expand the quotient image of S_nu * S_mu in the plactic Schur basis.
 
     Knuth classes are the fibers of Schensted insertion, so the image counts
-    the product's words by the rows of their insertion tableaux
-    (`KNUTH.congruence.key`); no least class member is computed.  Greedy
-    subtraction over shapes in decreasing lexicographic order; the
-    coefficient of each shape is read off the class of its highest-weight
-    tableau, and each reading word of the shape's basis sum is subtracted
-    from the class its own insertion gives.  A nonzero remainder or a
-    negative coefficient raises, since either signals an implementation bug.
+    the product words u + v by their insertion tableaux
+    (`KNUTH.congruence.key`).  The image of S_lambda holds each tableau of
+    shape lambda once and no other, so the image is the sum of c_lambda
+    S_lambda exactly when, for each shape lambda, all `ssyt_count(lambda, n)`
+    of its tableaux occur, each c_lambda times (Lascoux and Schützenberger
+    1981).  The coefficients are read off those counts; a shape that misses
+    a tableau or counts two of them differently raises ValueError.
     """
-    size = sum(nu) + sum(mu)
     key = KNUTH.congruence.key
-    product = nc_mul(free_schur(nu, n, size), free_schur(mu, n, size))
-    remaining: dict[tuple, int] = {}
-    for w, c in product.terms.items():
-        rows = key(w)
-        remaining[rows] = remaining.get(rows, 0) + c
+    right = free_schur(mu, n).terms
+    tableaux = Counter(key(u + v) for u in free_schur(nu, n).terms for v in right)
+    # shape -> {multiplicity: tableaux of the shape that occur that often}
+    by_shape: dict[tuple[int, ...], Counter] = {}
+    for rows, count in tableaux.items():
+        by_shape.setdefault(tuple(map(len, rows)), Counter())[count] += 1
     out: dict[tuple[int, ...], int] = {}
-    for shape in partitions(size, max_rows=n):
-        # row i of the highest-weight tableau holds only the letter i + 1,
-        # and a tableau is the insertion tableau of its reading word
-        coeff = remaining.get(tuple((i + 1,) * length for i, length in enumerate(shape)), 0)
-        if coeff == 0:
-            continue
-        if coeff < 0:
-            raise ValueError(f"negative coefficient {coeff} for shape {shape}")
-        for w, c in free_schur(shape, n, size).terms.items():
-            rows = key(w)
-            newc = remaining.get(rows, 0) - coeff * c
-            if newc:
-                remaining[rows] = newc
-            else:
-                remaining.pop(rows, None)
-        out[shape] = coeff
-    if remaining:
-        raise ValueError(f"nonzero remainder after exhausting shapes: {remaining}")
+    for shape, multiplicities in sorted(by_shape.items(), reverse=True):
+        expected = ssyt_count(shape, n)
+        if len(multiplicities) != 1 or sum(multiplicities.values()) != expected:
+            raise ValueError(
+                f"shape {shape} is not a multiple of its Schur sum: tableaux by "
+                f"multiplicity {dict(multiplicities)}, of {expected} tableaux of the shape"
+            )
+        (out[shape],) = multiplicities
     return out

@@ -148,7 +148,7 @@ _MAX_CLASS = 10_000
 # and that one `schur` or `lr` run lists (one word per tableau of the shape,
 # counted in closed form by `tableaux.ssyt_count` or `shifted_ssyt_count`,
 # or the products of the reading words of the two shapes; `lr --nu 3,2 --mu
-# 2,1 --n 8`, 282 240 words, takes 3.9 s and 130 MB).  Peak RSS of the
+# 2,1 --n 8`, 282 240 words, takes 1.5-2.3 s and 87 MB).  Peak RSS of the
 # whole process is about 16 MB at start.  Section5 is bounded by the words
 # of degree 3 and 4 although it walks none of them: it counts their
 # classes in closed form and keys only the words of its products (`--n 16`,
@@ -339,12 +339,11 @@ def _cmd_lr(args: SimpleNamespace) -> int:
     cells = sum(nu) + sum(mu)
     _check_cells(cells, "--nu plus --mu")
     command = f"lr --nu {_shape_text(nu)} --mu {_shape_text(mu)} --n {n}"
-    # the product lists one word of |nu| + |mu| letters per pair of
-    # tableaux, and the basis sums subtracted from it hold at most as many
-    # words, since s_nu s_mu(1^n) is the sum of c^lambda s_lambda(1^n)
+    # the expansion inserts one product word of |nu| + |mu| letters per
+    # pair of tableaux, and lists no other word
     words = ssyt_count(nu, n) * ssyt_count(mu, n)
     _check_words(command, words)
-    _check_letters(command, 2 * words * cells)
+    _check_letters(command, words * cells)
     coeffs = lr_expand(nu, mu, n)
     payload = {
         "nu": list(nu),

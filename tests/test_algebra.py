@@ -295,6 +295,25 @@ def test_lr_expand_matches_least_word_route():
     assert cases == 996
 
 
+def test_lr_expand_is_stable_in_n():
+    """Every c^lambda of nu and mu is nonzero only when lambda has at most
+    l(nu) + l(mu) rows, and does not depend on n: the expansion over {1..n}
+    is the one over l(nu) + l(mu) letters restricted to shapes of at most n
+    rows, for every (nu, mu) with |nu| + |mu| <= 5."""
+    cases = 0
+    for size in range(6):
+        for left in range(size + 1):
+            for nu in partitions(left):
+                for mu in partitions(size - left):
+                    rows = len(nu) + len(mu)
+                    full = lr_expand(nu, mu, max(rows, 1))
+                    for n in range(1, rows + 3):
+                        fitting = {shape: c for shape, c in full.items() if len(shape) <= n}
+                        assert lr_expand(nu, mu, n) == fitting, (nu, mu, n)
+                        cases += 1
+    assert cases == 350
+
+
 words_strategy = st.lists(
     st.tuples(
         st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=4),

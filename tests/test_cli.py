@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from placto import cli
+from placto import algebra, cli
 from placto.cli import main
 from placto.rewrite import KNUTH, SHIFTED_KNUTH, RelationSet, class_dump, equiv_class
 from placto.tableaux import hook_factorization_check, mixed_insert_word, strict_partitions
@@ -879,8 +879,8 @@ def test_shifted_schur_at_the_limit_accepted(capsys, monkeypatch):
         (["schur", "--shape", "2,1", "--n", "3"], 8 * 3),
         # 24 shifted tableaux of shape (3, 1) over {1, 2, 3}, 4 letters each
         (["schur", "--shape", "3,1", "--shifted", "--n", "3"], 24 * 4),
-        # 8 x 3 products of 4 letters, and at most as many in the basis sums
-        (["lr", "--nu", "2,1", "--mu", "1", "--n", "3"], 2 * 8 * 3 * 4),
+        # 8 x 3 products of 4 letters
+        (["lr", "--nu", "2,1", "--mu", "1", "--n", "3"], 8 * 3 * 4),
     ],
     ids=["schur", "shifted", "lr"],
 )
@@ -897,8 +897,7 @@ def test_schur_at_the_letter_limit_accepted(capsys, monkeypatch, argv, letters):
 
 def test_lr_of_many_cells_is_bounded_by_letters(capsys):
     """7 381 x 3 pairs of tableaux, within the word limit, but their 22 143
-    products and the basis sums subtracted from them would hold 2 x 22 143
-    words of 241 letters; expanding took about 70 s and 100 MB."""
+    products would hold 22 143 words of 241 letters."""
     argv = ["lr", "--nu", "120,120", "--mu", "1", "--n", "3"]
     start = time.perf_counter()
     code = main(argv)
@@ -906,10 +905,26 @@ def test_lr_of_many_cells_is_bounded_by_letters(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == (
-        "placto: error: lr --nu 120,120 --mu 1 --n 3 would hold 10672926 "
+        "placto: error: lr --nu 120,120 --mu 1 --n 3 would hold 5336463 "
         "letters, more than the limit of 5000000\n"
     )
     assert elapsed < 1.0
+
+
+def test_lr_refuses_a_shape_whose_tableaux_are_not_counted_alike(capsys, monkeypatch):
+    """With `ssyt_count` one too high for (2, 2), the product of (2, 1) and
+    (1) over four letters misses a tableau of that shape: `lr_expand` names
+    the shape, and `lr` exits 2 with nothing on stdout."""
+    count = algebra.ssyt_count
+    monkeypatch.setattr(
+        algebra, "ssyt_count", lambda shape, n: count(shape, n) + (shape == (2, 2))
+    )
+    with pytest.raises(ValueError, match=re.escape("shape (2, 2) ")):
+        algebra.lr_expand((2, 1), (1,), 4)
+    assert main(["lr", "--nu", "2,1", "--mu", "1", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("placto: error: shape (2, 2) ")
 
 
 def test_shifted_schur_with_more_rows_than_letters_is_zero(capsys):
