@@ -188,6 +188,9 @@ class CPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CPoly):
             return NotImplemented
@@ -219,6 +222,9 @@ class QuotientPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuotientPoly):

@@ -188,33 +188,27 @@ _MAX_SWEEP_LETTERS = 5_000_000
 
 def _check_sweep(command: str, n: int, degrees: range) -> None:
     """Refuse, before enumerating any, a sweep over the words of `degrees`
-    over {1..n} when there are more than `_MAX_SWEEP` of them, or when they
-    hold more than `_MAX_SWEEP_LETTERS` letters."""
-    if n > 1 and len(degrees) > 64:
-        _refuse_words(command, f"more than {2**64}")  # not worth counting exactly
-    count = len(degrees) if n == 1 else sum(n**k for k in degrees)
-    _check_words(command, count)
-    _check_letters(command, sum(degrees) if n == 1 else sum(k * n**k for k in degrees))
+    over {1..n} (`_check_size`)."""
+    if n == 1:  # one word of each degree; `sum` would step through a long range
+        _check_size(command, len(degrees), (degrees[0] + degrees[-1]) * len(degrees) // 2)
+    elif len(degrees) > 64:  # not worth counting exactly
+        _check_size(command, f"more than {2**64}", 0)
+    else:
+        _check_size(command, sum(n**k for k in degrees), sum(k * n**k for k in degrees))
 
 
-def _check_words(command: str, count: int) -> None:
-    """Refuse a run that would list more than `_MAX_SWEEP` words."""
-    if count > _MAX_SWEEP:
-        _refuse_words(command, count)
-
-
-def _check_letters(command: str, letters: int) -> None:
-    """Refuse a run whose words hold more than `_MAX_SWEEP_LETTERS` letters."""
+def _check_size(command: str, words: int | str, letters: int) -> None:
+    """Refuse a run that would list more than `_MAX_SWEEP` words, or words
+    that hold more than `_MAX_SWEEP_LETTERS` letters.  `words` is their
+    count, or a text that puts it above the limit."""
+    if isinstance(words, str) or words > _MAX_SWEEP:
+        raise ValueError(
+            f"{command} would enumerate {words} words, more than the limit of {_MAX_SWEEP}"
+        )
     if letters > _MAX_SWEEP_LETTERS:
         raise ValueError(
             f"{command} would hold {letters} letters, more than the limit of {_MAX_SWEEP_LETTERS}"
         )
-
-
-def _refuse_words(command: str, count) -> None:
-    raise ValueError(
-        f"{command} would enumerate {count} words, more than the limit of {_MAX_SWEEP}"
-    )
 
 
 # The options each `verify` family reads.  Any other option given is refused,
@@ -325,8 +319,7 @@ def _cmd_schur(args: SimpleNamespace) -> int:
     command = f"schur --shape {_shape_text(shape)} --n {n}{' --shifted' if args.shifted else ''}"
     # one word of |shape| letters per tableau
     count = (shifted_ssyt_count if args.shifted else ssyt_count)(shape, n)
-    _check_words(command, count)
-    _check_letters(command, count * cells)
+    _check_size(command, count, count * cells)
     poly = (shifted_free_schur if args.shifted else free_schur)(shape, n, cells)
     print(json.dumps(poly.to_json(), sort_keys=True))
     return 0
@@ -342,8 +335,7 @@ def _cmd_lr(args: SimpleNamespace) -> int:
     # the expansion inserts one product word of |nu| + |mu| letters per
     # pair of tableaux, and lists no other word
     words = ssyt_count(nu, n) * ssyt_count(mu, n)
-    _check_words(command, words)
-    _check_letters(command, words * cells)
+    _check_size(command, words, words * cells)
     coeffs = lr_expand(nu, mu, n)
     payload = {
         "nu": list(nu),

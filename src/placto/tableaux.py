@@ -7,11 +7,13 @@ order coincides with doubled-alphabet order.
 
 Two insertion algorithms live here: classical Schensted row insertion (whose
 fibers are the Knuth classes) and mixed insertion building a shifted tableau
-(whose fibers are the shifted Knuth classes).  Reverse column insertion
-finds the least word of a Knuth class from its tableau, reverse row and
-reverse mixed insertion list a whole class from its tableau
-(`insertion_fiber`), and the hook length formulas count the members of a
-class from the shape of its tableau.  Hook words - strictly decreasing
+(whose fibers are the shifted Knuth classes).  Both take plain letters, and
+their reverses give plain letters back.  Reverse column insertion finds the
+least word of a Knuth class from its tableau, reverse row and reverse mixed
+insertion list a whole class from its tableau (`insertion_fiber`), and the
+members of a class are counted from the shape of its tableau: by the hook
+length formula (`standard_count`) and by Schur's product for shifted
+shapes (`shifted_standard_count`).  Hook words - strictly decreasing
 prefix followed by weakly increasing suffix - provide canonical
 representatives for the shifted classes; reverse mixed insertion reads the
 one of a class off its mixed tableau (`hook_word`), without listing it.
@@ -293,18 +295,17 @@ def ssyt_count(shape: tuple[int, ...], n: int) -> int:
 
 
 def shifted_standard_count(shape: tuple[int, ...]) -> int:
-    """Standard shifted tableaux of a strict shape, by the shifted hook
-    formula: the size of each shifted Knuth class whose mixed insertion
-    tableau has this shape.  Row i starts in column i; the hook of cell
-    (i, c) is the rest of row i from c, the cells below it in column c, and
-    all of row c + 1."""
-    hooks = 1
-    for i, length in enumerate(shape):
-        for c in range(i, i + length):
-            right = i + length - c
-            below = sum(1 for k in range(i + 1, len(shape)) if k <= c < k + shape[k])
-            hooks *= right + below + (shape[c + 1] if c + 1 < len(shape) else 0)
-    return math.factorial(sum(shape)) // hooks
+    """Standard shifted tableaux of a strict shape, by Schur's product
+    |shape|! / prod shape_i! * prod_{i<j} (shape_i - shape_j) / (shape_i +
+    shape_j) (Thrall 1952): the size of each shifted Knuth class whose
+    mixed insertion tableau has this shape."""
+    top, bottom = math.factorial(sum(shape)), 1
+    for i, p in enumerate(shape):
+        bottom *= math.factorial(p)
+        for q in shape[i + 1 :]:
+            top *= p - q
+            bottom *= p + q
+    return top // bottom
 
 
 def shifted_ssyt_count(shape: tuple[int, ...], n: int) -> int:
@@ -470,70 +471,44 @@ class ShiftedTableau:
         return "/".join(" ".join(format_entry(x) for x in row) for row in self.rows) or "-"
 
 
-def _mixed_insert_encoded(rows: list[list[int]], entry: int) -> None:
-    """One mixed insertion into mutable shifted rows (doubled encoding).
+def _mixed_insert_encoded(rows: list[list[int]], a: int) -> None:
+    """Mixed-insert the plain letter a into mutable shifted rows (doubled
+    encoding), as the unprimed entry a.
 
-    Row insertion bumps the leftmost entry strictly greater; a bumped entry
-    that is unprimed and off the main diagonal row-inserts into the row below
-    the bump, while a bumped entry that is primed (or unprimed on the
-    diagonal, which gets primed) column-inserts into the column right of the
-    bump.  Column insertion bumps the topmost strictly greater entry and
-    appends at the bottom of the column otherwise.
+    A value row-inserts into a row by bumping the leftmost entry strictly
+    greater, and column-inserts into a column by bumping the topmost one;
+    with none, it takes the cell at the end.  A bumped entry that is
+    unprimed and off the main diagonal row-inserts into the row below,
+    while one that is primed, or unprimed on the diagonal, which primes it,
+    column-inserts into the column to the right.  The rows holding a cell of
+    column c are rows 0, 1, ... in turn, so one scan down finds its bump.
     """
-    by_rows = True
-    idx = 0
-    v = entry
+    v, r, c = 2 * a, 0, -1  # c < 0: v row-inserts into row r; else into column c
     while True:
-        if by_rows:
-            r = idx
-            if r == len(rows):
-                rows.append([v])
-                return
-            row = rows[r]
-            j = bisect_right(row, v)
-            if j == len(row):
-                row.append(v)
-                return
-            x, row[j] = row[j], v
-            col = r + j
-        else:
-            c = idx
-            target = None
-            for r in range(min(c + 1, len(rows))):
-                j = c - r
-                if 0 <= j < len(rows[r]) and rows[r][j] > v:
-                    target = (r, j)
-                    break
-            if target is None:
-                last = -1
-                for r in range(min(c + 1, len(rows))):
-                    if 0 <= c - r < len(rows[r]):
-                        last = r
-                r_new = last + 1
-                if r_new == len(rows):
-                    if c != r_new:
-                        raise ValueError("mixed insertion broke the shifted shape")
-                    rows.append([v])
-                else:
-                    if r_new + len(rows[r_new]) != c:
-                        raise ValueError("mixed insertion broke the shifted shape")
-                    rows[r_new].append(v)
-                return
-            r, j = target
-            x, rows[r][j] = rows[r][j], v
-            col = c
-        if not is_primed(x) and col != r:
-            by_rows, idx, v = True, r + 1, x
-        else:
-            if not is_primed(x):
-                x -= 1  # diagonal bump gets primed
-            by_rows, idx, v = False, col + 1, x
+        if c >= 0:
+            r = 0
+            while r < len(rows) and r <= c < r + len(rows[r]) and rows[r][c - r] <= v:
+                r += 1
+        if r == len(rows):
+            rows.append([])
+        row = rows[r]
+        j = bisect_right(row, v) if c < 0 else c - r
+        if not 0 <= j <= len(row):
+            raise ValueError("mixed insertion broke the shifted shape")
+        if j == len(row):
+            row.append(v)
+            return
+        x, row[j] = row[j], v
+        if x % 2 == 0 and j:  # unprimed off the diagonal: into the row below
+            v, r, c = x, r + 1, -1
+        else:  # primed, or primed now on the diagonal: into the next column
+            v, c = x - 1 + x % 2, r + j + 1
 
 
 def _mixed_uninsert_encoded(rows: list[list[int]], r: int) -> int:
     """Undo the mixed insertion that ended in the last cell of row r of
-    mutable shifted rows (doubled encoding); returns the letter inserted,
-    encoded (unprimed).
+    mutable shifted rows (doubled encoding); returns the plain letter
+    inserted.
 
     Row insertion carries only unprimed values and column insertion only
     primed ones, so the value leaving a cell tells how it got there.  An
@@ -551,7 +526,7 @@ def _mixed_uninsert_encoded(rows: list[list[int]], r: int) -> int:
     while True:
         if not is_primed(v):
             if r == 0:
-                return v
+                return v // 2
             r -= 1
             above = rows[r]
             j = bisect_left(above, v) - 1
@@ -572,7 +547,7 @@ def mixed_step(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ..
     from those of w, for a plain letter a: mixed insertion is a right
     action of letters too.  The rows given are not changed."""
     out = [list(r) for r in rows]
-    _mixed_insert_encoded(out, unprimed(a))
+    _mixed_insert_encoded(out, a)
     return tuple(map(tuple, out))
 
 
@@ -589,7 +564,7 @@ def mixed_insertion_rows(letters) -> tuple[tuple[int, ...], ...]:
     shifted Knuth classes (Serrano 2010)."""
     rows: list[list[int]] = []
     for a in letters:
-        _mixed_insert_encoded(rows, unprimed(a))
+        _mixed_insert_encoded(rows, a)
     return tuple(map(tuple, rows))
 
 
@@ -639,14 +614,13 @@ def _shssyt_rows(shape: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], 
 # insertion fibers
 
 
-def insertion_fiber(rows, uninsert, gap: int, decode=None) -> list[bytes]:
+def insertion_fiber(rows, uninsert, gap: int) -> list[bytes]:
     """Every word whose insertion tableau has these rows, unsorted, for an
     insertion that is one step of a bijection onto (tableau, standard
     recording tableau) pairs.
 
     `uninsert(rows, r)` undoes, on mutable rows, the insertion that ended in
-    the last cell of row r and returns the letter inserted (`decode` turns
-    it into a plain letter).  Row r holds a corner when the row below it is
+    the last cell of row r and returns the plain letter inserted.  Row r holds a corner when the row below it is
     shorter by more than `gap`: 0 for ordinary shapes, 1 for shifted ones.
     The last letter of a word of P is the letter that reverse insertion
     from the corner its recording tableau ends in ejects, so
@@ -668,8 +642,7 @@ def insertion_fiber(rows, uninsert, gap: int, decode=None) -> list[bytes]:
             for r in range(last + 1):
                 if r == last or len(rows[r + 1]) + gap < len(rows[r]):
                     out = list(map(list, rows))
-                    y = uninsert(out, r)
-                    suffix = bytes((y if decode is None else decode(y),))
+                    suffix = bytes((uninsert(out, r),))
                     got.extend([w + suffix for w in words(tuple(map(tuple, out)))])
             memo[rows] = got
         return got
@@ -689,7 +662,7 @@ def mixed_fiber(rows: tuple[tuple[int, ...], ...]) -> list[bytes]:
     """The shifted Knuth class whose mixed insertion tableau has these rows
     (doubled encoding), unsorted, by reverse mixed insertion
     (`insertion_fiber`)."""
-    return insertion_fiber(rows, _mixed_uninsert_encoded, 1, base_letter)
+    return insertion_fiber(rows, _mixed_uninsert_encoded, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +780,7 @@ def _uninsert_along(rows: tuple[tuple[int, ...], ...], cells: list[int]) -> byte
     letters add their cells to the rows `cells`, in order: the cells are
     removed in reverse order by `_mixed_uninsert_encoded`."""
     out = [list(row) for row in rows]
-    letters = [base_letter(_mixed_uninsert_encoded(out, r)) for r in reversed(cells)]
+    letters = [_mixed_uninsert_encoded(out, r) for r in reversed(cells)]
     return bytes(reversed(letters))
 
 

@@ -611,22 +611,21 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
     A witness documents why the shifted interval axiom lands in the ordinary
     Knuth quotient rather than the shifted one.
 
-    The classes are read from the memo, which `seed` fills unless a walk
-    (the SPlac half of `verify axioms`) already reached this degree: the
-    words of each degree in lexicographic order, grouped by their least
-    member, are the classes of `Congruence.partitions` in its order.  So no
-    class is walked twice.
+    The words of each degree in lexicographic order, grouped by their
+    least member, are the classes of `Congruence.partitions` in its order.
+    `seed` fills the memo with those least members unless a walk (the SPlac
+    half of `verify axioms`) already reached this degree, so every
+    `canonical` lookup is a memo hit and no class is walked twice.
     """
     shifted = SHIFTED_KNUTH.congruence
     shifted.seed(n, degree_bound)
-    least = shifted.memo
     canon = shifted.canonical
     knuth_canon = KNUTH.congruence.canonical
     intervals = _intervals(n)
     for degree in range(2, degree_bound + 1):
         level: dict[bytes, list[bytes]] = {}
         for w in map(bytes, itertools.product(range(1, n + 1), repeat=degree)):
-            level.setdefault(least[w], []).append(w)
+            level.setdefault(canon(w), []).append(w)
         for cls in level.values():
             if len(cls) == 1:
                 continue

@@ -2,9 +2,12 @@
 each filters every word of one degree by a condition read off the
 definition, with no generation shared with `placto`, lists every map of a
 family that the library decides without listing, or applies a relation or
-a restriction letter by letter, sharing no code with the byte kernels."""
+a restriction letter by letter, sharing no code with the byte kernels.
+Mixed insertion and the shifted hook length formula are written out from
+their definitions, with no `placto` code."""
 
 import itertools
+import math
 from typing import Iterator
 
 from placto.algebra import NcPoly
@@ -73,6 +76,56 @@ def hook_word_by_closure(word: bytes) -> bytes | None:
     members = sorted(closure_bytes(SHIFTED_KNUTH, word))
     hits = [m for m in members if hook_factorization_check(m, shape)]
     return hits[0] if len(hits) == 1 else None
+
+
+def mixed_insertion_by_cells(letters) -> tuple[tuple[int, ...], ...]:
+    """Haiman's (1989) mixed insertion tableau of a sequence of plain
+    letters, the reference for `tableaux.mixed_insertion_rows`: its rows in
+    the same doubled encoding, a' as 2a - 1 and a as 2a.
+
+    The tableau is a dict from (row, column) to entry, row i starting in
+    column i.  Each letter enters row 0 unprimed.  A value entering a row
+    (a column) bumps the leftmost (topmost) entry strictly greater, or else
+    takes the next cell of the row (the column).  A bumped entry goes on
+    into the next row if it is unprimed and off the diagonal, and otherwise
+    into the next column, primed if it was on the diagonal."""
+    cells: dict[tuple[int, int], int] = {}
+    for letter in letters:
+        value, into_row, line = 2 * letter, True, 0
+        while True:
+            if into_row:
+                spots = ((line, c) for c in itertools.count(line))
+            else:
+                spots = ((r, line) for r in range(line + 1))
+            path = list(itertools.takewhile(cells.__contains__, spots))
+            hit = next((cell for cell in path if cells[cell] > value), None)
+            if hit is None:
+                cells[(line, line + len(path)) if into_row else (len(path), line)] = value
+                break
+            cells[hit], value = value, cells[hit]
+            r, c = hit
+            if value % 2 == 0 and c != r:
+                into_row, line = True, r + 1
+            else:
+                if value % 2 == 0:
+                    value -= 1
+                into_row, line = False, c + 1
+    by_row = itertools.groupby(sorted(cells.items()), key=lambda item: item[0][0])
+    return tuple(tuple(entry for _, entry in row) for _, row in by_row)
+
+
+def shifted_standard_count_by_hooks(shape: tuple[int, ...]) -> int:
+    """Standard shifted tableaux of a strict shape by the shifted hook length
+    formula, the reference for `tableaux.shifted_standard_count`.  Row i
+    starts in column i; the hook of cell (i, c) is the rest of row i from c,
+    the cells below it in column c, and all of row c + 1."""
+    hooks = 1
+    for i, length in enumerate(shape):
+        for c in range(i, i + length):
+            right = i + length - c
+            below = sum(1 for k in range(i + 1, len(shape)) if k <= c < k + shape[k])
+            hooks *= right + below + (shape[c + 1] if c + 1 < len(shape) else 0)
+    return math.factorial(sum(shape)) // hooks
 
 
 def apply_morphism(w: Word, morphism: OrderedMorphism) -> Word:

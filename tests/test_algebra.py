@@ -178,6 +178,25 @@ class TestProjections:
         )
 
 
+@pytest.mark.parametrize(
+    "p, nonzero",
+    [
+        (NcPoly(2, 2), False),
+        (poly(2, 2, ("12", 1)), True),
+        (CPoly(2), False),
+        (CPoly(2, {(1, 1): 2}), True),
+        (abelianize(poly(2, 2, ("12", 1), ("21", -1))), False),
+        (QuotientPoly(2, 2, KNUTH), False),
+        (project_quotient(poly(2, 2, ("12", 1)), KNUTH), True),
+        (project_quotient(poly(4, 4, ("1243", 1), ("1423", -1)), SHIFTED_KNUTH), False),
+    ],
+    ids=["nc-0", "nc", "c-0", "c", "c-cancelled", "quotient-0", "quotient", "quotient-cancelled"],
+)
+def test_a_polynomial_is_true_iff_it_is_nonzero(p, nonzero):
+    assert bool(p) is nonzero
+    assert p.is_zero() is not nonzero
+
+
 class TestSchurPolynomials:
     def test_schur_single_cell(self):
         assert schur_poly((1,), 2) == CPoly(2, {(1, 0): 1, (0, 1): 1})

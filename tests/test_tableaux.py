@@ -36,6 +36,7 @@ from placto.tableaux import (
     mixed_insert,
     mixed_insert_word,
     mixed_insertion_rows,
+    mixed_step,
     p_tableau,
     partitions,
     reading_word,
@@ -43,6 +44,7 @@ from placto.tableaux import (
     schensted_rows,
     schensted_step,
     shifted_ssyt_count,
+    shifted_standard_count,
     ssyt_count,
     strict_partitions,
 )
@@ -52,6 +54,8 @@ from oracles import (
     enumerate_hook_by_filter,
     hook_word_by_closure,
     longest_weakly_increasing_subword,
+    mixed_insertion_by_cells,
+    shifted_standard_count_by_hooks,
 )
 
 
@@ -157,6 +161,23 @@ class TestMixedInsertion:
     def test_rejects_bad_letter(self):
         with pytest.raises(ValueError):
             mixed_insert(ShiftedTableau(()), 0)
+
+    def test_rows_that_are_no_shifted_tableau_can_break_the_shape(self):
+        with pytest.raises(ValueError, match="broke the shifted shape"):
+            mixed_step(((5, 3, 2), (5, 3), (5,)), 1)
+
+    @pytest.mark.parametrize("n, top", [(2, 10), (3, 7), (4, 6), (5, 5)])
+    def test_equals_the_oracle_on_every_word(self, n, top):
+        for degree in range(top + 1):
+            for letters in itertools.product(range(1, n + 1), repeat=degree):
+                assert mixed_insertion_rows(letters) == mixed_insertion_by_cells(letters), letters
+
+    def test_equals_the_oracle_on_random_words_of_up_to_255_letters(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            n = rng.randint(1, 255)
+            word = bytes(rng.randint(1, n) for _ in range(rng.randint(0, 255)))
+            assert mixed_insertion_rows(word) == mixed_insertion_by_cells(word), list(word)
 
     def test_output_always_valid(self):
         # ShiftedTableau validates all four structural invariants on
@@ -315,7 +336,7 @@ def _recording(letters) -> tuple[list[list[int]], list[int]]:
     cells = []
     for a in letters:
         before = list(map(len, rows)) + [0]
-        _mixed_insert_encoded(rows, 2 * a)
+        _mixed_insert_encoded(rows, a)
         cells.append(next(r for r, row in enumerate(rows) if len(row) != before[r]))
     return rows, cells
 
@@ -352,7 +373,7 @@ class TestHookWordByReverseInsertion:
         for degree in range(7):
             for letters in itertools.product(range(1, 5), repeat=degree):
                 rows, cells = _recording(letters)
-                back = [_mixed_uninsert_encoded(rows, r) // 2 for r in reversed(cells)]
+                back = [_mixed_uninsert_encoded(rows, r) for r in reversed(cells)]
                 assert tuple(reversed(back)) == letters
                 assert rows == []
 
@@ -484,6 +505,11 @@ class TestEnumerations:
         assert shifted_ssyt_count((4, 3, 2, 1), 3) == 0
         assert shifted_ssyt_count(tuple(range(22, 0, -1)), 21) == 0
         assert shifted_ssyt_count((), 3) == 1
+
+    def test_schurs_product_is_the_shifted_hook_formula(self):
+        for size in range(31):
+            for shape in strict_partitions(size):
+                assert shifted_standard_count(shape) == shifted_standard_count_by_hooks(shape), shape
 
     def test_shifted_count_rejects_a_shape_that_is_not_strict(self):
         for shape in ((2, 2), (1, 2), (3, 0)):
