@@ -41,7 +41,6 @@ import functools
 import itertools
 import json
 import re
-from dataclasses import dataclass
 
 from . import _kernels
 from .tableaux import (
@@ -55,7 +54,7 @@ from .tableaux import (
     shifted_standard_count,
     standard_count,
 )
-from .words import Word, content, word_text
+from .words import _DIGITS, Frozen, Word, content, word_text
 
 _CHAIN_RE = re.compile(r"^\s*([a-z])\s*((?:(?:<=|<)\s*[a-z]\s*)+)$")
 _STEP_RE = re.compile(r"(<=|<)\s*([a-z])\s*")
@@ -76,24 +75,51 @@ def _parse_chain(chain: str) -> tuple[tuple[str, ...], tuple[bool, ...]]:
     return tuple(variables), tuple(strict)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Frozen):
     """Homogeneous pattern relation, e.g. Relation('K.1', 'acb', 'cab', 'a<=b<c')."""
+
+    __slots__ = ("name", "left", "right", "constraints")
 
     name: str
     left: str
     right: str
     constraints: str
 
-    def __post_init__(self) -> None:
-        variables, _ = _parse_chain(self.constraints)
-        if sorted(self.left) != sorted(self.right):
-            raise ValueError(f"{self.name}: sides must use the same variable multiset")
-        if not set(self.left) <= set(variables):
-            raise ValueError(f"{self.name}: pattern variable missing from chain")
-        unused = [v for v in variables if v not in self.left]
+    def __init__(self, name: str, left: str, right: str, constraints: str) -> None:
+        variables, _ = _parse_chain(constraints)
+        if sorted(left) != sorted(right):
+            raise ValueError(f"{name}: sides must use the same variable multiset")
+        if not set(left) <= set(variables):
+            raise ValueError(f"{name}: pattern variable missing from chain")
+        unused = [v for v in variables if v not in left]
         if unused:
-            raise ValueError(f"{self.name}: chain variable {unused[0]!r} is in neither pattern")
+            raise ValueError(f"{name}: chain variable {unused[0]!r} is in neither pattern")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "constraints", constraints)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.left, self.right, self.constraints) == (
+                other.name,
+                other.left,
+                other.right,
+                other.constraints,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.left, self.right, self.constraints))
+
+    def __repr__(self) -> str:
+        return (
+            f"Relation(name={self.name!r}, left={self.left!r}, "
+            f"right={self.right!r}, constraints={self.constraints!r})"
+        )
+
+    def __reduce__(self):
+        return Relation, (self.name, self.left, self.right, self.constraints)
 
     def compiled(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[bool, ...]]:
         """Patterns as variable-index tuples plus the strict flags of the chain."""
@@ -110,12 +136,33 @@ class Relation:
         return _parse_chain(self.constraints)[1]
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    """Named collection of pattern relations defining a monoid congruence."""
+class RelationSet(Frozen):
+    """Named collection of pattern relations defining a monoid congruence.
+
+    Without `__slots__`, a set has the `__dict__` that holds its cached
+    `congruence` and the `__weakref__` by which the tests see a custom set
+    freed with its congruence."""
 
     name: str
     relations: tuple[Relation, ...]
+
+    def __init__(self, name: str, relations: tuple[Relation, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "relations", relations)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.relations) == (other.name, other.relations)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.relations))
+
+    def __repr__(self) -> str:
+        return f"RelationSet(name={self.name!r}, relations={self.relations!r})"
+
+    def __reduce__(self):
+        return RelationSet, (self.name, self.relations)
 
     @classmethod
     def custom(cls, relations, name: str = "custom") -> "RelationSet":
@@ -399,6 +446,13 @@ def verify_factorization(n: int, degree_bound: int) -> bool:
     )
 
 
+def _members_text(members: list[bytes], n: int) -> list[str]:
+    """`word_text` of each of the (at least one) members over {1..n}."""
+    if n <= 9:  # letters are the bytes 1..9, none a comma: one pass spells them all
+        return b",".join(members).translate(_DIGITS).decode("ascii").split(",")
+    return [word_text(m, n) for m in members]
+
+
 def class_dump(word: Word, rels: RelationSet, cap: int | None = None) -> dict:
     """JSON-ready class listing: sorted members plus the class size; with a
     `cap`, ValueError on a class of more members.
@@ -409,7 +463,8 @@ def class_dump(word: Word, rels: RelationSet, cap: int | None = None) -> dict:
     class of one member is the word).  Every other set closes the class
     (`closure_bytes`), and the closure stops once a layer of its search
     leaves more than `cap` members.  Members stay byte words up to their
-    text (`word_text`)."""
+    text: below ten letters one translation of the comma-joined members,
+    above it `word_text` of each."""
     wb = word.to_bytes()
     cong = rels.congruence
     if cong.fiber is None:
@@ -430,6 +485,6 @@ def class_dump(word: Word, rels: RelationSet, cap: int | None = None) -> dict:
     return {
         "word": str(word),
         "relation_set": rels.name,
-        "class": [word_text(m, word.n) for m in members],
+        "class": _members_text(members, word.n),
         "size": len(members),
     }

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterator
 
-from .words import Word
+from .words import Frozen, Word
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -122,24 +121,40 @@ def parse_entry(text: str) -> int:
 # ordinary semistandard tableaux
 
 
-@dataclass(frozen=True, slots=True)
-class Tableau:
+class Tableau(Frozen):
     """Semistandard Young tableau: rows weakly increase, columns strictly increase."""
+
+    __slots__ = ("rows",)
 
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        shape = tuple(len(r) for r in self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        shape = tuple(len(r) for r in rows)
         if not (shape == () or is_partition(shape)):
             raise ValueError(f"row lengths {shape} do not form a partition")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             for j, a in enumerate(row):
                 if a < 1:
                     raise ValueError(f"bad entry {a}")
                 if j > 0 and row[j - 1] > a:
                     raise ValueError(f"row {i + 1} not weakly increasing")
-                if i > 0 and self.rows[i - 1][j] >= a:
+                if i > 0 and rows[i - 1][j] >= a:
                     raise ValueError(f"column {j + 1} not strictly increasing")
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"Tableau(rows={self.rows!r})"
+
+    def __reduce__(self):
+        return Tableau, (self.rows,)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -408,8 +423,7 @@ def _fill(cells: list[tuple[int, int]], k: int, grid: list[list[int]], entries, 
 # shifted semistandard tableaux
 
 
-@dataclass(frozen=True, slots=True)
-class ShiftedTableau:
+class ShiftedTableau(Frozen):
     """Shifted semistandard tableau over the doubled alphabet.
 
     Row i (0-based) is indented i cells, so its leftmost entry sits on the
@@ -419,13 +433,15 @@ class ShiftedTableau:
     diagonal entry is unprimed.
     """
 
+    __slots__ = ("rows",)
+
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        shape = tuple(len(r) for r in self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        shape = tuple(len(r) for r in rows)
         if not (shape == () or is_strict_partition(shape)):
             raise ValueError(f"row lengths {shape} do not form a strict partition")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if is_primed(row[0]):
                 raise ValueError(f"diagonal entry of row {i + 1} is primed")
             for j, x in enumerate(row):
@@ -436,7 +452,7 @@ class ShiftedTableau:
                 if j > 0 and row[j - 1] == x and is_primed(x):
                     raise ValueError(f"primed {format_entry(x)} repeated in row {i + 1}")
             if i > 0:
-                above = self.rows[i - 1]
+                above = rows[i - 1]
                 # cell (i, j) sits in absolute column i + j; above it is
                 # (i - 1, i + j - (i - 1)) = (i - 1, j + 1)
                 for j, x in enumerate(row):
@@ -447,6 +463,21 @@ class ShiftedTableau:
                         raise ValueError(
                             f"unprimed {format_entry(x)} repeated in a column"
                         )
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"ShiftedTableau(rows={self.rows!r})"
+
+    def __reduce__(self):
+        return ShiftedTableau, (self.rows,)
 
     @classmethod
     def from_strings(cls, rows) -> "ShiftedTableau":

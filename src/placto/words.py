@@ -9,28 +9,59 @@ parsed or printed; `word_text` gives a byte word the text of `str(Word)`.
 The maps provided here (concatenation, content, interval restriction) and
 the ordered morphisms are the pieces the rewrite engine and the
 verification harness quantify over.
+
+The value classes of the package (`Word`, `Interval`, `OrderedMorphism`
+here, the tableaux and the relations) are plain classes on the `Frozen`
+base: each checks and sets its fields in `__init__`, compares and hashes
+over the tuple of its fields, and refuses a later assignment.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Frozen:
+    """Base of the value classes: `__init__` sets each field once, through
+    `object.__setattr__`, and a field is then neither assigned nor deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(Frozen):
     """Immutable word over {1..n}; structural equality, usable as a dict key."""
+
+    __slots__ = ("letters", "n")
 
     letters: tuple[int, ...]
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"alphabet bound must be >= 1, got {self.n}")
-        for a in self.letters:
-            if not 1 <= a <= self.n:
-                raise ValueError(f"letter {a} outside alphabet 1..{self.n}")
+    def __init__(self, letters: tuple[int, ...], n: int) -> None:
+        if n < 1:
+            raise ValueError(f"alphabet bound must be >= 1, got {n}")
+        for a in letters:
+            if not 1 <= a <= n:
+                raise ValueError(f"letter {a} outside alphabet 1..{n}")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.letters, self.n) == (other.letters, other.n)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.n))
+
+    def __reduce__(self):
+        return Word, (self.letters, self.n)
 
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> "Word":
@@ -77,42 +108,76 @@ class Word:
         return cls(tuple(data), n)
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(Frozen):
     """The alphabet interval {k : lo <= k <= hi}."""
+
+    __slots__ = ("lo", "hi")
 
     lo: int
     hi: int
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo},{self.hi}]")
+    def __init__(self, lo: int, hi: int) -> None:
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo},{hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __reduce__(self):
+        return Interval, (self.lo, self.hi)
 
     def __contains__(self, a: int) -> bool:
         return self.lo <= a <= self.hi
 
 
-@dataclass(frozen=True, slots=True)
-class OrderedMorphism:
+class OrderedMorphism(Frozen):
     """Strictly increasing partial map from source letters to target letters.
 
     `pairs` lists (source, image) with strictly increasing sources and images;
     applying the morphism to a word maps it letterwise.
     """
 
+    __slots__ = ("pairs", "target_n")
+
     pairs: tuple[tuple[int, int], ...]
     target_n: int
 
-    def __post_init__(self) -> None:
-        if self.target_n < 1:
+    def __init__(self, pairs: tuple[tuple[int, int], ...], target_n: int) -> None:
+        if target_n < 1:
             raise ValueError("target alphabet bound must be >= 1")
         prev = None
-        for src, img in self.pairs:
-            if src < 1 or not 1 <= img <= self.target_n:
+        for src, img in pairs:
+            if src < 1 or not 1 <= img <= target_n:
                 raise ValueError(f"morphism pair ({src},{img}) out of range")
             if prev is not None and (src <= prev[0] or img <= prev[1]):
                 raise ValueError("ordered morphism must be strictly increasing")
             prev = (src, img)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "target_n", target_n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pairs, self.target_n) == (other.pairs, other.target_n)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pairs, self.target_n))
+
+    def __repr__(self) -> str:
+        return f"OrderedMorphism(pairs={self.pairs!r}, target_n={self.target_n!r})"
+
+    def __reduce__(self):
+        return OrderedMorphism, (self.pairs, self.target_n)
 
     @classmethod
     def from_dict(cls, mapping: dict[int, int], target_n: int) -> "OrderedMorphism":

@@ -193,6 +193,29 @@ def _python_m_placto(argv, *flags):
     )
 
 
+def test_the_command_line_loads_no_dataclasses():
+    # the value classes are plain classes, so importing the command line
+    # loads neither dataclasses nor what dataclasses imports; argparse gave
+    # way to the command table
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse")
+    code = (
+        "import sys, placto.cli; "
+        f"print(placto.cli.__file__); print(sorted(set({unwanted!r}) & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    where, loaded = result.stdout.splitlines()
+    assert pathlib.Path(where).resolve().is_relative_to(src)
+    assert loaded == "[]"
+
+
 def test_calls_share_no_parse_state(capsys):
     # the later calls differ in options and fall back on defaults, so state
     # left by an earlier parse would change their output

@@ -44,6 +44,7 @@ from placto.words import (
     concat,
     content,
     outside_letters,
+    word_text,
 )
 
 K1, K2 = KNUTH.relations
@@ -609,3 +610,31 @@ def test_class_size_from_the_insertion_shape():
             w = bytes(letters)
             assert cong.count(tuple(map(len, cong.key(w)))) == len(closure_bytes(rels, w))
     assert RelationSet.custom(KNUTH.relations).congruence.count is None
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_members_text_equals_word_text_of_each(data):
+    # below ten letters one translation spells every member; from ten up
+    # each member is spelled by word_text
+    n = data.draw(st.sampled_from(list(range(1, 10)) + [10, 12]))
+    member = st.lists(st.integers(1, n), max_size=8).map(bytes)
+    members = data.draw(st.lists(member, min_size=1, max_size=6))
+    assert rewrite._members_text(members, n) == [word_text(m, n) for m in members]
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 10, 12])
+def test_members_text_of_the_empty_word(n):
+    assert rewrite._members_text([b""], n) == [""]
+    assert rewrite._members_text([b"", b"\x01"], n) == ["", "1"]
+    assert class_dump(Word((), n), KNUTH)["class"] == [""]
+
+
+@pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
+@pytest.mark.parametrize("text, n", [("3142", 4), ("231231", 9), ("10,2,11,1", 12)])
+def test_class_dump_spells_each_member_by_word_text(rels, text, n):
+    word = Word.parse(text, n)
+    dump = class_dump(word, rels)
+    members = sorted(closure_bytes(rels, word.to_bytes()))
+    assert dump["class"] == [word_text(m, n) for m in members]
+    assert dump["size"] == len(members) > 1
