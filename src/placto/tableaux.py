@@ -714,30 +714,37 @@ def longest_hook_subword(letters) -> int:
     """Length of the longest hook subword (as a subsequence) of a letter
     sequence (a byte word, a tuple or a `Word`).
 
-    Quadratic dynamic program: the best strictly decreasing subsequence
-    ending at each position, the best weakly increasing subsequence starting
-    at each position, and the best join of the two across a split point.
+    A hook subword is a strictly decreasing subsequence of the letters
+    before some split point followed by a weakly increasing one of the
+    letters after it, so the length is the best sum over split points.
+    Patience sorting finds both parts in O(len log len): one pass from the
+    right records the longest weakly increasing subsequence of each suffix,
+    and one pass from the left grows the longest strictly decreasing
+    subsequence of each prefix and adds the two.  Letters are negated so
+    that both piles stay in increasing order for `bisect`.
     """
     length = len(letters)
-    if length == 0:
-        return 0
-    dec = [1] * length
-    for i in range(length):
-        for j in range(i):
-            if letters[j] > letters[i] and dec[j] + 1 > dec[i]:
-                dec[i] = dec[j] + 1
-    inc = [1] * length
-    for i in range(length - 1, -1, -1):
-        for j in range(i + 1, length):
-            if letters[j] >= letters[i] and inc[j] + 1 > inc[i]:
-                inc[i] = inc[j] + 1
-    best_inc_from = [0] * (length + 1)
-    for i in range(length - 1, -1, -1):
-        best_inc_from[i] = max(best_inc_from[i + 1], inc[i])
-    best = max(max(dec), max(inc))
-    for i in range(length - 1):
-        if dec[i] + best_inc_from[i + 1] > best:
-            best = dec[i] + best_inc_from[i + 1]
+    suffix = [0] * (length + 1)
+    piles: list[int] = []  # piles[k]: minus the largest first letter of k + 1 weakly increasing
+    for p in range(length - 1, -1, -1):
+        x = -letters[p]
+        k = bisect_right(piles, x)
+        if k == len(piles):
+            piles.append(x)
+        else:
+            piles[k] = x
+        suffix[p] = len(piles)
+    best = suffix[0]
+    piles = []  # piles[k]: minus the largest last letter of k + 1 strictly decreasing
+    for p, letter in enumerate(letters, 1):
+        x = -letter
+        k = bisect_left(piles, x)
+        if k == len(piles):
+            piles.append(x)
+        else:
+            piles[k] = x
+        if len(piles) + suffix[p] > best:
+            best = len(piles) + suffix[p]
     return best
 
 

@@ -113,19 +113,31 @@ _TABLE_DATA: dict[tuple[str, str], dict] = {
 TABLE_FAMILIES = ("unshifted-1", "shifted-2", "unshifted-3x1-table3", "bcc-table4")
 
 
-def _family_factors(family: str, n: int) -> tuple[NcPoly, NcPoly, str]:
-    """(big factor, single-letter factor, product label) for a table family."""
+def _family_factors(family: str, n: int, shifted) -> tuple[NcPoly, NcPoly, str]:
+    """(big factor, single-letter factor, product label) for a table family,
+    the hook sums built by `shifted`, `shifted_free_schur` or a cache of it."""
     if family == "unshifted-1":
         return free_schur((1, 1), n, 3), free_schur((1,), n, 3), "S(1,1)*S(1)"
     if family == "shifted-2":
-        return shifted_free_schur((2, 1), n, 4), shifted_free_schur((1,), n, 4), "P(2,1)*P(1)"
+        return shifted((2, 1), n, 4), shifted((1,), n, 4), "P(2,1)*P(1)"
     if family in ("unshifted-3x1-table3", "bcc-table4"):
-        return shifted_free_schur((3,), n, 4), shifted_free_schur((1,), n, 4), "P(3)*P(1)"
+        return shifted((3,), n, 4), shifted((1,), n, 4), "P(3)*P(1)"
     raise ValueError(f"unknown table family {family!r}")
 
 
 def verify_tables(family: str | None = None, pattern: str | None = None) -> list[dict]:
-    """Compare product monomial sets against the expected listings."""
+    """Compare product monomial sets against the expected listings.  One
+    call builds each hook sum once per (shape, n) and each family's
+    products once."""
+    shifted = functools.cache(shifted_free_schur)
+
+    @functools.cache
+    def product(fam: str, n: int, left: bool) -> tuple[str, NcPoly]:
+        big, single, label = _family_factors(fam, n, shifted)
+        if left:
+            return "*".join(reversed(label.split("*"))), nc_mul(single, big)
+        return label, nc_mul(big, single)
+
     reports = []
     for (fam, pat), data in sorted(_TABLE_DATA.items()):
         if family is not None and fam != family:
@@ -133,11 +145,9 @@ def verify_tables(family: str | None = None, pattern: str | None = None) -> list
         if pattern is not None and pat != pattern:
             continue
         n = 3 if fam == "unshifted-1" else 4
-        big, single, label = _family_factors(fam, n)
-        comparisons = [(label, nc_mul(big, single), data["words"])]
+        comparisons = [(*product(fam, n, False), data["words"])]
         if "left_words" in data:
-            left_label = "*".join(reversed(label.split("*")))
-            comparisons.append((left_label, nc_mul(single, big), data["left_words"]))
+            comparisons.append((*product(fam, n, True), data["left_words"]))
         for prod_label, prod, expected_words in comparisons:
             expected = {bytes(map(data["assign"].get, w)) for w in expected_words}
             vec = content(next(iter(expected)), n)
@@ -289,7 +299,8 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     """
     rels, n, single, big = _case_products(relations)
     matchings = _forced_matchings(single, big, n)
-    knuth_key = KNUTH.congruence.key
+    # the restrictions of the left sides and candidates repeat across patterns
+    knuth_key = functools.cache(KNUTH.congruence.key)
     intervals = _intervals(n)
     reports = []
     for rel in rels.relations:
@@ -704,31 +715,53 @@ def _section5_comparison(part: str, description: str, schur, other, rels, n: int
     partition of the degree-d words, the partition into `rels` classes.
     Congruent pairs generate a finer partition, the same one exactly when
     their joins leave as many parts as there are classes (`_class_count`).
-    Pairs are compared by class key, so no class is walked."""
+    Pairs are compared by class key, so no class is walked.
+
+    The four products are grouped by content in one pass, each word held
+    once with a bit per product that holds it, and both shapes are matched
+    content by content: a forced pair never leaves its content, so the joins
+    of each content's pairs add up to those of all pairs.  Each word is
+    keyed once per congruence, in caches that live for one content.
+    """
     degree = sum(other) + 1
     single = schur((1,), n, degree)
     report = {"check": "section5", "part": part, "n": n, "description": description}
-    pair_lists = []
-    failures = []
-    for shape in ((degree - 1,), other):
-        pairs = []
-        matchings = _forced_matchings(single, schur(shape, n, degree), n)
-        for vec, (_, match, ok, note) in matchings.items():
-            if ok:
-                pairs.extend((u, v) for u, v in match.items() if u != v)
-            else:
-                failures.append({"content": list(vec), "note": note})
-        pair_lists.append(pairs)
-    if failures:
-        report["failures"] = failures
+    shapes = ((degree - 1,), other)
+    # content -> word -> bitmask: bit 2s (single*big) and 2s+1 (big*single) of shape s
+    groups: dict[tuple[int, ...], dict[bytes, int]] = {}
+    for s, shape in enumerate(shapes):
+        big = schur(shape, n, degree)
+        for side, prod in enumerate((nc_mul(single, big), nc_mul(big, single))):
+            if any(c != 1 for c in prod.terms.values()):
+                raise ValueError("product expansions must be multiplicity-free")
+            bit = 1 << (2 * s + side)
+            for w in prod.terms:
+                words = groups.setdefault(content(w, n), {})
+                words[w] = words.get(w, 0) | bit
+    failures: list[list[dict]] = [[] for _ in shapes]
+    joins = [0] * len(shapes)
+    congruent = True
+    for vec, words in sorted(groups.items()):
+        knuth = functools.cache(KNUTH.congruence.key)
+        keys = knuth if rels == KNUTH else functools.cache(rels.congruence.key)
+        for s in range(len(shapes)):
+            U = {w for w, bits in words.items() if bits >> 2 * s & 1}
+            V = {w for w, bits in words.items() if bits >> 2 * s & 2}
+            if not U and not V:
+                continue
+            match, ok, note = _forced_matching(U, V, knuth)
+            if not ok:
+                failures[s].append({"content": list(vec), "note": note})
+            elif not any(failures):
+                pairs = [(u, v) for u, v in match.items() if u != v]
+                congruent = congruent and all(keys(u) == keys(v) for u, v in pairs)
+                joins[s] += _joins(pairs)
+    if any(failures):
+        report["failures"] = [f for shape_failures in failures for f in shape_failures]
         report["pass"] = False
         return report
-    joins = n**degree - _class_count(rels, n, degree)
-    key = rels.congruence.key
-    report["pass"] = all(
-        all(key(u) == key(v) for u, v in pairs) and _joins(pairs) == joins
-        for pairs in pair_lists
-    )
+    expected = n**degree - _class_count(rels, n, degree)
+    report["pass"] = congruent and joins == [expected] * len(shapes)
     return report
 
 

@@ -86,6 +86,25 @@ def _longest_hook_oracle(seq):
     return best
 
 
+def _longest_hook_by_splits(seq):
+    """Longest hook subword as the best, over every split point, of the
+    longest strictly decreasing subsequence before it plus the longest
+    weakly increasing one after it, each by the quadratic dynamic program:
+    cubic in the length, so usable on words too long for
+    `_longest_hook_oracle`."""
+
+    def longest(part, follows):
+        ends = []
+        for i, x in enumerate(part):
+            ends.append(1 + max([ends[j] for j in range(i) if follows(part[j], x)], default=0))
+        return max(ends, default=0)
+
+    return max(
+        longest(seq[:k], lambda a, b: a > b) + longest(seq[k:], lambda a, b: a <= b)
+        for k in range(len(seq) + 1)
+    )
+
+
 # --- Schensted insertion ------------------------------------------------
 
 
@@ -259,6 +278,25 @@ class TestHookWords:
             letters = tuple(rng.randint(1, 5) for _ in range(rng.randint(8, 12)))
             w = Word(letters, 5)
             assert longest_hook_subword(w) == _longest_hook_oracle(letters)
+
+    def test_split_oracle_matches_oracle(self):
+        rng = random.Random(34)
+        for degree in range(0, 7):
+            for w in all_words(3, degree):
+                assert _longest_hook_by_splits(w.letters) == _longest_hook_oracle(w.letters)
+        for _ in range(40):
+            letters = tuple(rng.randint(1, 6) for _ in range(rng.randint(8, 12)))
+            assert _longest_hook_by_splits(letters) == _longest_hook_oracle(letters)
+
+    def test_longest_hook_subword_matches_oracle_on_words_of_40_letters_and_more(self):
+        rng = random.Random(40)
+        for _ in range(60):
+            n = rng.randint(1, 30)
+            letters = tuple(rng.randint(1, n) for _ in range(rng.randint(40, 80)))
+            expected = _longest_hook_by_splits(letters)
+            assert longest_hook_subword(letters) == expected
+            assert longest_hook_subword(bytes(letters)) == expected
+            assert longest_hook_subword(Word(letters, n)) == expected
 
 
 class TestHookFactorization:

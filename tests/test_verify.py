@@ -97,6 +97,19 @@ class TestTables:
         vec = content(next(iter(expected)))
         assert product.monomials_of_content(vec) == {w.to_bytes() for w in expected}
 
+    def test_each_hook_sum_is_built_once(self, monkeypatch):
+        """One call lists the hook words of each (shape, n) once, though
+        P(1) over {1..4} is a factor of three families."""
+        from placto import algebra
+
+        built = collections.Counter()
+        real = algebra._hook_words
+        monkeypatch.setattr(
+            algebra, "_hook_words", lambda nu, n: built.update([(nu, n)]) or real(nu, n)
+        )
+        assert all(r["pass"] for r in verify_tables())
+        assert built == {((2, 1), 4): 1, ((1,), 4): 1, ((3,), 4): 1}
+
     def test_family_list_is_stable(self):
         assert TABLE_FAMILIES == (
             "unshifted-1",
@@ -768,20 +781,106 @@ class TestSection5:
                 u = next(w for w in words if w not in match)
             match[u] = next(w for w in words if canonical(w) != canonical(u))
 
-        real = verify._forced_matchings
+        real = verify._forced_matching
         calls = []
 
-        def tampered(single, big, n):
-            matchings = real(single, big, n)
-            if len(calls) == call:
-                _, match, ok, _ = matchings[(1, 1, 1, 1)]
-                assert ok  # part c passes untampered
-                edit(match)
-            calls.append(big)
-            return matchings
+        def tampered(U, V, class_key):
+            match, ok, note = real(U, V, class_key)
+            if content(min(U | V), 4) == (1, 1, 1, 1):
+                if len(calls) == call:
+                    assert ok  # part c passes untampered
+                    edit(match)
+                calls.append(U)
+            return match, ok, note
 
-        monkeypatch.setattr(verify, "_forced_matchings", tampered)
+        monkeypatch.setattr(verify, "_forced_matching", tampered)
         assert not section5_degree4_comparison(4)["pass"]
+
+    @pytest.mark.parametrize(
+        "comparison", [section5_degree3_comparison, section5_degree4_comparison], ids=["b", "c"]
+    )
+    def test_each_word_is_keyed_once_per_congruence(self, monkeypatch, comparison):
+        """Parts b and c key each word at most once per congruence: the
+        matchings of both shapes and the pair check share the keys."""
+        keyed = {}
+        for rels in (KNUTH, SHIFTED_KNUTH):
+            cong = rels.congruence
+            counts = keyed[rels.name] = collections.Counter()
+            monkeypatch.setattr(
+                cong, "key", lambda w, key=cong.key, counts=counts: counts.update([w]) or key(w)
+            )
+        assert comparison(5)["pass"]
+        assert keyed["knuth"]
+        assert all(c == 1 for counts in keyed.values() for c in counts.values())
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_join_totals_by_content_equal_the_joins_of_all_pairs(self, monkeypatch, n):
+        """A forced pair never leaves its content, so the joins that part b
+        and part c add up content by content are those of all the pairs of
+        each product, from the products' `_forced_matchings`."""
+        joined = []
+        real = verify._joins
+
+        def recorded(pairs):
+            joined.append((list(pairs), real(pairs)))
+            return joined[-1][1]
+
+        monkeypatch.setattr(verify, "_joins", recorded)
+        for comparison, schur, shapes in (
+            (section5_degree3_comparison, free_schur, ((2,), (1, 1))),
+            (section5_degree4_comparison, shifted_free_schur, ((3,), (2, 1))),
+        ):
+            joined.clear()
+            assert comparison(n)["pass"]
+            degree = sum(shapes[0]) + 1
+            everything = []
+            total = 0
+            for shape in shapes:
+                matchings = _forced_matchings(schur((1,), n, degree), schur(shape, n, degree), n)
+                matches = [m for _, m, _, _ in matchings.values()]
+                pairs = [(u, v) for m in matches for u, v in m.items() if u != v]
+                everything += pairs
+                total += real(pairs)
+            assert sum(j for _, j in joined) == total
+            assert sorted(p for pairs, _ in joined for p in pairs) == sorted(everything)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize(
+        "comparison, schur, shapes",
+        [
+            (section5_degree3_comparison, free_schur, ((2,), (1, 1))),
+            (section5_degree4_comparison, shifted_free_schur, ((3,), (2, 1))),
+        ],
+        ids=["b", "c"],
+    )
+    def test_failures_are_listed_shape_by_shape_in_content_order(
+        self, monkeypatch, comparison, schur, shapes, n
+    ):
+        """With every matching of a content that holds a repeated letter
+        failing, the report lists the row sum's failures, then the other
+        shape's, each in content order."""
+        real = verify._forced_matching
+
+        def failing(U, V, class_key):
+            match, ok, note = real(U, V, class_key)
+            if max(content(min(U | V), n)) > 1:
+                return match, False, f"tampered {len(U)} {len(V)}"
+            return match, ok, note
+
+        degree = sum(shapes[0]) + 1
+        single = schur((1,), n, degree)
+        expected = []
+        for shape in shapes:
+            big = schur(shape, n, degree)
+            left, right = (_by_content(p, n) for p in (nc_mul(single, big), nc_mul(big, single)))
+            for vec in sorted(left.keys() | right.keys()):
+                if max(vec) > 1:
+                    sizes = f"{len(left.get(vec, ()))} {len(right.get(vec, ()))}"
+                    expected.append({"content": list(vec), "note": f"tampered {sizes}"})
+        monkeypatch.setattr(verify, "_forced_matching", failing)
+        report = comparison(n)
+        assert not report["pass"]
+        assert report["failures"] == expected
 
 
 def _forced_matching_products():
