@@ -479,7 +479,7 @@ def class_dump(word: Word, rels: RelationSet, cap: int | None = None) -> dict:
             )
         # a class of one member is the word itself; listing it would still
         # uninsert every letter, along bumping paths as long as a row or a
-        # column: 32 ms for 255,...,1 under KNUTH and 16 ms under
+        # column: about 25 ms for 255,...,1 under KNUTH and 100 ms under
         # SHIFTED_KNUTH, where its closure takes under 1 ms
         members = [wb] if size == 1 else sorted(cong.fiber(rows))
     return {

@@ -193,19 +193,23 @@ def _row_insert(rows: list[list[int]], x: int) -> None:
     rows.append([x])
 
 
-def _row_uninsert(rows: list[list[int]], r: int) -> int:
-    """Undo the row insertion that ended in the last cell of row r of
-    mutable rows, the inverse of `_row_insert`: pop that entry, then in each
-    row above swap it with the rightmost entry strictly smaller.  Returns
-    the letter inserted."""
+def _row_uninsert(rows: list[tuple[int, ...]], r: int) -> int:
+    """Undo the row insertion that ended in the last cell of row r of a list
+    of row tuples, the inverse of `_row_insert`: drop that entry, then in
+    each row above swap it with the rightmost entry strictly smaller.
+    Returns the letter inserted.  Only the rows it changes are replaced, by
+    new tuples, in the list; the others stay the same objects."""
     row = rows[r]
-    y = row.pop()
-    if not row:
+    y = row[-1]
+    if len(row) == 1:
         rows.pop()  # a row of one cell is the last row
+    else:
+        rows[r] = row[:-1]
     for k in range(r - 1, -1, -1):
         above = rows[k]
         j = bisect_left(above, y) - 1
-        y, above[j] = above[j], y
+        rows[k] = (*above[:j], y, *above[j + 1 :])
+        y = above[j]
     return y
 
 
@@ -536,10 +540,11 @@ def _mixed_insert_encoded(rows: list[list[int]], a: int) -> None:
             v, c = x - 1 + x % 2, r + j + 1
 
 
-def _mixed_uninsert_encoded(rows: list[list[int]], r: int) -> int:
-    """Undo the mixed insertion that ended in the last cell of row r of
-    mutable shifted rows (doubled encoding); returns the plain letter
-    inserted.
+def _mixed_uninsert_encoded(rows: list[tuple[int, ...]], r: int) -> int:
+    """Undo the mixed insertion that ended in the last cell of row r of a
+    list of shifted row tuples (doubled encoding); returns the plain letter
+    inserted.  Only the rows it changes are replaced, by new tuples, in the
+    list; the others stay the same objects.
 
     Row insertion carries only unprimed values and column insertion only
     primed ones, so the value leaving a cell tells how it got there.  An
@@ -550,10 +555,12 @@ def _mixed_uninsert_encoded(rows: list[list[int]], r: int) -> int:
     unprimed value that its bump primed.
     """
     row = rows[r]
-    v = row.pop()
-    c = r + len(row)  # absolute column of the cell v leaves
-    if not row:
+    v = row[-1]
+    c = r + len(row) - 1  # absolute column of the cell v leaves
+    if len(row) == 1:
         rows.pop()  # a row of one cell is the last row
+    else:
+        rows[r] = row[:-1]
     while True:
         if not is_primed(v):
             if r == 0:
@@ -561,7 +568,8 @@ def _mixed_uninsert_encoded(rows: list[list[int]], r: int) -> int:
             r -= 1
             above = rows[r]
             j = bisect_left(above, v) - 1
-            v, above[j] = above[j], v
+            rows[r] = (*above[:j], v, *above[j + 1 :])
+            v = above[j]
             c = r + j
             continue
         c -= 1
@@ -570,7 +578,9 @@ def _mixed_uninsert_encoded(rows: list[list[int]], r: int) -> int:
         while c - r >= len(rows[r]) or rows[r][c - r] >= v:
             r -= 1
         j = c - r
-        v, rows[r][j] = rows[r][j], (v + 1 if j == 0 else v)
+        row = rows[r]
+        rows[r] = (*row[:j], v + 1 if j == 0 else v, *row[j + 1 :])
+        v = row[j]
 
 
 def mixed_step(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ...], ...]:
@@ -650,35 +660,39 @@ def insertion_fiber(rows, uninsert, gap: int) -> list[bytes]:
     insertion that is one step of a bijection onto (tableau, standard
     recording tableau) pairs.
 
-    `uninsert(rows, r)` undoes, on mutable rows, the insertion that ended in
-    the last cell of row r and returns the plain letter inserted.  Row r holds a corner when the row below it is
-    shorter by more than `gap`: 0 for ordinary shapes, 1 for shifted ones.
-    The last letter of a word of P is the letter that reverse insertion
-    from the corner its recording tableau ends in ejects, so
+    `uninsert(rows, r)` undoes, on a list of row tuples, the insertion that
+    ended in the last cell of row r and returns the plain letter inserted.
+    Row r holds a corner when the row below it is shorter by more than
+    `gap`: 0 for ordinary shapes, 1 for shifted ones.  The last letter of a
+    word of P is the letter that reverse insertion from the corner its
+    recording tableau ends in ejects, so
 
         words(P) = union over the corners c of P of words(P - c) . y_c,
 
     with words(empty) = {empty word}.  Each recording tableau gives exactly
     one word, so the union is disjoint.  The rule is memoized on the
     sub-tableau, for this call only: the words of a class share most of
-    their prefixes' tableaux.
+    their prefixes' tableaux.  A sub-tableau's words are held as one byte
+    string, each word followed by a 0 byte, which no letter (1..255) is; so
+    appending y_c to every word of P - c is one `replace` of 0 by y_c 0,
+    and joining the corners' strings is the union.
     """
-    memo: dict[tuple, list[bytes]] = {(): [b""]}
+    memo: dict[tuple, bytes] = {(): b"\0"}
 
-    def words(rows: tuple[tuple[int, ...], ...]) -> list[bytes]:
+    def words(rows: tuple[tuple[int, ...], ...]) -> bytes:
         got = memo.get(rows)
         if got is None:
-            got = []
+            parts = []
             last = len(rows) - 1
             for r in range(last + 1):
                 if r == last or len(rows[r + 1]) + gap < len(rows[r]):
-                    out = list(map(list, rows))
-                    suffix = bytes((uninsert(out, r),))
-                    got.extend([w + suffix for w in words(tuple(map(tuple, out)))])
-            memo[rows] = got
+                    out = list(rows)
+                    y = uninsert(out, r)
+                    parts.append(words(tuple(out)).replace(b"\0", bytes((y, 0))))
+            got = memo[rows] = b"".join(parts)
         return got
 
-    fiber = words(tuple(map(tuple, rows)))
+    fiber = words(tuple(map(tuple, rows)))[:-1].split(b"\0")
     memo.clear()  # `words` refers to itself, so the memo would live until a collection
     return fiber
 
@@ -817,7 +831,7 @@ def _uninsert_along(rows: tuple[tuple[int, ...], ...], cells: list[int]) -> byte
     """The word whose mixed insertion tableau has these rows and whose
     letters add their cells to the rows `cells`, in order: the cells are
     removed in reverse order by `_mixed_uninsert_encoded`."""
-    out = [list(row) for row in rows]
+    out = list(rows)
     letters = [_mixed_uninsert_encoded(out, r) for r in reversed(cells)]
     return bytes(reversed(letters))
 

@@ -224,10 +224,11 @@ def _forced_matching(U: set[bytes], V: set[bytes], class_key):
     return match, True, ""
 
 
-def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
+def _forced_matchings(single: NcPoly, big: NcPoly, n: int, class_key):
     """Forced matchings of single*big against big*single, content by content,
-    keying each word by its Schensted tableau (`KNUTH.congruence.key`): one
-    insertion per word left after cancellation, and no class walked.
+    keying each word by `class_key`, its Schensted tableau
+    (`KNUTH.congruence.key` or a cache of it): one insertion per word left
+    after cancellation, and no class walked.
 
     Returns {content: (right monomials, match, ok, note)} in content order,
     with (match, ok, note) from `_forced_matching`.
@@ -239,9 +240,8 @@ def _forced_matchings(single: NcPoly, big: NcPoly, n: int):
     for side, prod in enumerate(products):
         for w in prod.terms:
             groups.setdefault(content(w, n), (set(), set()))[side].add(w)
-    knuth_key = KNUTH.congruence.key
     return {
-        vec: (V, *_forced_matching(U, V, knuth_key))
+        vec: (V, *_forced_matching(U, V, class_key))
         for vec, (U, V) in sorted(groups.items())
     }
 
@@ -298,9 +298,10 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     products cancels and is matched to itself.
     """
     rels, n, single, big = _case_products(relations)
-    matchings = _forced_matchings(single, big, n)
-    # the restrictions of the left sides and candidates repeat across patterns
+    # one cache serves the matchings and the witnesses, which key the same
+    # words again and restrictions that repeat across patterns
     knuth_key = functools.cache(KNUTH.congruence.key)
+    matchings = _forced_matchings(single, big, n, knuth_key)
     intervals = _intervals(n)
     reports = []
     for rel in rels.relations:
@@ -721,7 +722,8 @@ def _section5_comparison(part: str, description: str, schur, other, rels, n: int
     once with a bit per product that holds it, and both shapes are matched
     content by content: a forced pair never leaves its content, so the joins
     of each content's pairs add up to those of all pairs.  Each word is
-    keyed once per congruence, in caches that live for one content.
+    keyed once per congruence, in one cache per congruence that is cleared
+    at each content, so it holds one content's keys.
     """
     degree = sum(other) + 1
     single = schur((1,), n, degree)
@@ -741,9 +743,11 @@ def _section5_comparison(part: str, description: str, schur, other, rels, n: int
     failures: list[list[dict]] = [[] for _ in shapes]
     joins = [0] * len(shapes)
     congruent = True
+    knuth = functools.cache(KNUTH.congruence.key)
+    keys = knuth if rels == KNUTH else functools.cache(rels.congruence.key)
     for vec, words in sorted(groups.items()):
-        knuth = functools.cache(KNUTH.congruence.key)
-        keys = knuth if rels == KNUTH else functools.cache(rels.congruence.key)
+        knuth.cache_clear()
+        keys.cache_clear()
         for s in range(len(shapes)):
             U = {w for w, bits in words.items() if bits >> 2 * s & 1}
             V = {w for w, bits in words.items() if bits >> 2 * s & 2}

@@ -367,14 +367,15 @@ class TestHookFactorization:
             assert tableaux == {ShiftedTableau(rows) for rows in _shssyt_rows(nu, 3)}
 
 
-def _recording(letters) -> tuple[list[list[int]], list[int]]:
-    """Mixed insertion rows of a letter sequence and, for each letter, the
-    row of the cell its insertion added (the recording tableau, by rows)."""
+def _recording(letters, insert=_mixed_insert_encoded) -> tuple[list[list[int]], list[int]]:
+    """Insertion rows of a letter sequence, mixed by default, and, for each
+    letter, the row of the cell its insertion added (the recording tableau,
+    by rows)."""
     rows: list[list[int]] = []
     cells = []
     for a in letters:
         before = list(map(len, rows)) + [0]
-        _mixed_insert_encoded(rows, a)
+        insert(rows, a)
         cells.append(next(r for r, row in enumerate(rows) if len(row) != before[r]))
     return rows, cells
 
@@ -469,15 +470,55 @@ class TestInsertionFiber:
     def test_row_uninsertion_along_the_recording_cells_gives_back_the_word(self):
         for degree in range(7):
             for letters in itertools.product(range(1, 5), repeat=degree):
-                rows: list[list[int]] = []
-                cells = []
-                for a in letters:
-                    before = list(map(len, rows)) + [0]
-                    _row_insert(rows, a)
-                    cells.append(next(r for r, row in enumerate(rows) if len(row) != before[r]))
+                rows, cells = _recording(letters, _row_insert)
                 back = [_row_uninsert(rows, r) for r in reversed(cells)]
                 assert tuple(reversed(back)) == letters
                 assert rows == []
+
+    @pytest.mark.parametrize(
+        "insert, uninsert",
+        [(_row_insert, _row_uninsert), (_mixed_insert_encoded, _mixed_uninsert_encoded)],
+        ids=["row", "mixed"],
+    )
+    def test_uninsertion_replaces_only_the_rows_it_changes(self, insert, uninsert):
+        """On `list(rows)` of a tableau's row tuples, each uninsertion gives
+        back the word's letters, leaves the tableau's tuple as it was and
+        keeps every row it does not change as the same object: under row
+        uninsertion, every row below r.  Reverse mixed insertion moves left
+        along columns, which can reach rows below r."""
+        for degree in range(7):
+            for letters in itertools.product(range(1, 5), repeat=degree):
+                rows, cells = _recording(letters, insert)
+                tab = tuple(map(tuple, rows))
+                back = []
+                for r in reversed(cells):
+                    before = [list(row) for row in tab]
+                    out = list(tab)
+                    back.append(uninsert(out, r))
+                    assert [list(row) for row in tab] == before
+                    kept = [k for k, row in enumerate(out) if row == tab[k]]
+                    assert all(out[k] is tab[k] for k in kept)
+                    if uninsert is _row_uninsert:
+                        assert set(range(r + 1, len(out))) <= set(kept)
+                    tab = tuple(out)
+                assert tuple(reversed(back)) == letters
+                assert tab == ()
+
+    @pytest.mark.parametrize(
+        "fiber", [schensted_fiber, mixed_fiber], ids=["knuth", "shifted-knuth"]
+    )
+    def test_the_empty_tableau_holds_the_empty_word(self, fiber):
+        assert fiber(()) == [b""]
+
+    @pytest.mark.parametrize("rels, rows, fiber", _FIBERS, ids=["knuth", "shifted-knuth"])
+    def test_letters_1_and_255_at_n_255(self, rels, rows, fiber):
+        # each word of a sub-tableau is held followed by a 0 byte, which no
+        # letter is: a class of the least and the greatest letter lists intact
+        word = bytes((255, 1, 255, 1, 1, 255, 1, 255))
+        listed = fiber(rows(word))
+        assert len(listed) > 1 and len(listed) == len(set(listed))
+        assert all(len(w) == len(word) for w in listed)
+        assert set(listed) == _kernels.closure(word, Congruence(rels).table)
 
 
 # --- enumerations -------------------------------------------------------

@@ -138,6 +138,17 @@ class TestCaseAnalysis:
         assert len(reports) == 4
         assert all(r["pass"] for r in reports)
 
+    @pytest.mark.parametrize("relations", ["knuth", "shifted-knuth"])
+    def test_each_word_is_keyed_once(self, monkeypatch, relations):
+        """The forced matchings and the interval witnesses share one cache
+        of Knuth keys."""
+        cong = KNUTH.congruence
+        counts = collections.Counter()
+        monkeypatch.setattr(cong, "key", lambda w, key=cong.key: counts.update([w]) or key(w))
+        assert all(r["pass"] for r in verify_case_analysis(relations))
+        assert counts
+        assert all(c == 1 for c in counts.values())
+
     def test_survivors_regenerate_relation_right_sides(self):
         for name, rels in (("knuth", KNUTH), ("shifted-knuth", SHIFTED_KNUTH)):
             reports = verify_case_analysis(name)
@@ -836,7 +847,8 @@ class TestSection5:
             everything = []
             total = 0
             for shape in shapes:
-                matchings = _forced_matchings(schur((1,), n, degree), schur(shape, n, degree), n)
+                single, big = schur((1,), n, degree), schur(shape, n, degree)
+                matchings = _forced_matchings(single, big, n, KNUTH.congruence.key)
                 matches = [m for _, m, _, _ in matchings.values()]
                 pairs = [(u, v) for m in matches for u, v in m.items() if u != v]
                 everything += pairs
@@ -913,7 +925,7 @@ def test_forced_matchings_match_those_by_schensted_rows():
         for vec in sorted(left.keys() | right.keys()):
             U, V = left.get(vec, set()), right.get(vec, set())
             reference[vec] = (V, *_forced_matching(U, V, lambda w: _restriction_rows(w, n)))
-        matchings = _forced_matchings(single, big, n)
+        matchings = _forced_matchings(single, big, n, KNUTH.congruence.key)
         assert matchings == reference
         forced += sum(u != v for _, match, _, _ in matchings.values() for u, v in match.items())
     assert forced > 0  # pairs that only the restriction keys match
