@@ -54,7 +54,7 @@ from .tableaux import (
     shifted_standard_count,
     standard_count,
 )
-from .words import _DIGITS, Frozen, Word, content, word_text
+from .words import Frozen, Word, content, word_text
 
 _CHAIN_RE = re.compile(r"^\s*([a-z])\s*((?:(?:<=|<)\s*[a-z]\s*)+)$")
 _STEP_RE = re.compile(r"(<=|<)\s*([a-z])\s*")
@@ -99,28 +99,6 @@ class Relation(Frozen):
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "constraints", constraints)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.left, self.right, self.constraints) == (
-                other.name,
-                other.left,
-                other.right,
-                other.constraints,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.left, self.right, self.constraints))
-
-    def __repr__(self) -> str:
-        return (
-            f"Relation(name={self.name!r}, left={self.left!r}, "
-            f"right={self.right!r}, constraints={self.constraints!r})"
-        )
-
-    def __reduce__(self):
-        return Relation, (self.name, self.left, self.right, self.constraints)
-
     def compiled(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[bool, ...]]:
         """Patterns as variable-index tuples plus the strict flags of the chain."""
         variables, strict = _parse_chain(self.constraints)
@@ -141,7 +119,9 @@ class RelationSet(Frozen):
 
     Without `__slots__`, a set has the `__dict__` that holds its cached
     `congruence` and the `__weakref__` by which the tests see a custom set
-    freed with its congruence."""
+    freed with its congruence; so it names its fields in `_fields`."""
+
+    _fields = ("name", "relations")
 
     name: str
     relations: tuple[Relation, ...]
@@ -149,20 +129,6 @@ class RelationSet(Frozen):
     def __init__(self, name: str, relations: tuple[Relation, ...]) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "relations", relations)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.relations) == (other.name, other.relations)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.relations))
-
-    def __repr__(self) -> str:
-        return f"RelationSet(name={self.name!r}, relations={self.relations!r})"
-
-    def __reduce__(self):
-        return RelationSet, (self.name, self.relations)
 
     @classmethod
     def custom(cls, relations, name: str = "custom") -> "RelationSet":
@@ -449,7 +415,7 @@ def verify_factorization(n: int, degree_bound: int) -> bool:
 def _members_text(members: list[bytes], n: int) -> list[str]:
     """`word_text` of each of the (at least one) members over {1..n}."""
     if n <= 9:  # letters are the bytes 1..9, none a comma: one pass spells them all
-        return b",".join(members).translate(_DIGITS).decode("ascii").split(",")
+        return word_text(b",".join(members), n).split(",")
     return [word_text(m, n) for m in members]
 
 

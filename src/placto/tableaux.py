@@ -142,20 +142,6 @@ class Tableau(Frozen):
                     raise ValueError(f"column {j + 1} not strictly increasing")
         object.__setattr__(self, "rows", rows)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
-    def __repr__(self) -> str:
-        return f"Tableau(rows={self.rows!r})"
-
-    def __reduce__(self):
-        return Tableau, (self.rows,)
-
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
@@ -468,20 +454,6 @@ class ShiftedTableau(Frozen):
                             f"unprimed {format_entry(x)} repeated in a column"
                         )
         object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
-    def __repr__(self) -> str:
-        return f"ShiftedTableau(rows={self.rows!r})"
-
-    def __reduce__(self):
-        return ShiftedTableau, (self.rows,)
 
     @classmethod
     def from_strings(cls, rows) -> "ShiftedTableau":

@@ -12,27 +12,67 @@ verification harness quantify over.
 
 The value classes of the package (`Word`, `Interval`, `OrderedMorphism`
 here, the tableaux and the relations) are plain classes on the `Frozen`
-base: each checks and sets its fields in `__init__`, compares and hashes
-over the tuple of its fields, and refuses a later assignment.
+base: each names its fields once, in its `__slots__`, and checks and sets
+them in `__init__`.  The base derives the rest from those names: equality
+and hashing over the tuple of the fields, the repr, the copy and the
+pickle; and it refuses a later assignment.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Iterator
 
 
 class Frozen:
     """Base of the value classes: `__init__` sets each field once, through
-    `object.__setattr__`, and a field is then neither assigned nor deleted."""
+    `object.__setattr__`, and a field is then neither assigned nor deleted.
+
+    A subclass names its fields in its `__slots__`, after those of its
+    parent, or, if it keeps an instance dict, all of them in `_fields`; a
+    subclass whose `__slots__` is empty keeps its parent's fields.  From
+    the names the base builds one `attrgetter`, `_values`, which gives the
+    tuple of the fields, and it compares (within one exact class), hashes,
+    prints as `Name(field=value, ...)`, copies and pickles by that tuple,
+    which `__init__` takes positionally."""
 
     __slots__ = ()
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in vars(cls):
+            cls._fields += tuple(vars(cls).get("__slots__", ()))
+        if cls._fields:
+            # one C call per hash or comparison, where a getattr loop over
+            # the names would run a Python loop each time
+            get = attrgetter(*cls._fields)
+            # one field: wrap its value, so that the hash is that of the 1-tuple
+            one = len(cls._fields) == 1
+            cls._values = staticmethod((lambda obj: (get(obj),)) if one else get)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
 
 class Word(Frozen):
@@ -51,17 +91,6 @@ class Word(Frozen):
                 raise ValueError(f"letter {a} outside alphabet 1..{n}")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.letters, self.n) == (other.letters, other.n)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters, self.n))
-
-    def __reduce__(self):
-        return Word, (self.letters, self.n)
 
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> "Word":
@@ -122,20 +151,6 @@ class Interval(Frozen):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lo, self.hi) == (other.lo, other.hi)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
-    def __repr__(self) -> str:
-        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
-
-    def __reduce__(self):
-        return Interval, (self.lo, self.hi)
-
     def __contains__(self, a: int) -> bool:
         return self.lo <= a <= self.hi
 
@@ -164,20 +179,6 @@ class OrderedMorphism(Frozen):
             prev = (src, img)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "target_n", target_n)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pairs, self.target_n) == (other.pairs, other.target_n)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.pairs, self.target_n))
-
-    def __repr__(self) -> str:
-        return f"OrderedMorphism(pairs={self.pairs!r}, target_n={self.target_n!r})"
-
-    def __reduce__(self):
-        return OrderedMorphism, (self.pairs, self.target_n)
 
     @classmethod
     def from_dict(cls, mapping: dict[int, int], target_n: int) -> "OrderedMorphism":

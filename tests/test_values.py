@@ -17,7 +17,7 @@ import pytest
 from placto import rewrite
 from placto.rewrite import KNUTH, SHIFTED_KNUTH, Relation, RelationSet
 from placto.tableaux import ShiftedTableau, Tableau
-from placto.words import Interval, OrderedMorphism, Word
+from placto.words import Frozen, Interval, OrderedMorphism, Word
 
 K1 = ("K.1", "acb", "cab", "a<=b<c")
 
@@ -201,3 +201,71 @@ def test_a_set_builds_its_congruence_once(monkeypatch):
     twin = RelationSet.custom(rels.relations, name="commutative")
     assert twin == rels and twin.congruence is not first
     assert built == [rels, twin] and built[1] is twin
+
+
+class Pair(Frozen):
+    """A value class of this module: its fields are its slots."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+class Triple(Pair):
+    """A value class that adds a field to those of its parent."""
+
+    __slots__ = ("third",)
+
+    def __init__(self, left, right, third) -> None:
+        super().__init__(left, right)
+        object.__setattr__(self, "third", third)
+
+
+class SkewTableau(Tableau):
+    """A tableau subclass that adds no field."""
+
+    __slots__ = ()
+
+
+def test_a_frozen_subclass_derives_the_protocol_from_its_slots():
+    a, b = Pair(1, (2, 3)), Pair(1, (2, 3))
+    assert Pair._fields == ("left", "right")
+    assert a == b and a is not b and a != Pair(1, (2,))
+    assert hash(a) == hash(b) == hash((1, (2, 3)))
+    assert a.__eq__((1, (2, 3))) is NotImplemented
+    assert repr(a) == "Pair(left=1, right=(2, 3))"
+    for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert clone == a and type(clone) is Pair
+    with pytest.raises(AttributeError, match="cannot assign to field 'left'"):
+        a.left = 2
+
+
+def test_a_subclass_with_slots_adds_its_fields_after_its_parents():
+    a = Triple(1, 2, 3)
+    assert Triple._fields == ("left", "right", "third") and Pair._fields == ("left", "right")
+    assert a == Triple(1, 2, 3) and a != Triple(1, 2, 4) and a != Pair(1, 2)
+    assert hash(a) == hash((1, 2, 3))
+    assert repr(a) == "Triple(left=1, right=2, third=3)"
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_a_subclass_with_empty_slots_keeps_its_parents_fields():
+    rows = ((1, 2), (3,))
+    skew = SkewTableau(rows)
+    assert skew.rows == rows and SkewTableau._fields == ("rows",)
+    assert not hasattr(skew, "__dict__")
+    assert skew == SkewTableau(rows) and hash(skew) == hash((rows,))
+    assert skew != Tableau(rows) and Tableau(rows) != skew
+    assert skew.__eq__(Tableau(rows)) is NotImplemented
+    assert repr(skew) == "SkewTableau(rows=((1, 2), (3,)))"
+    assert pickle.loads(pickle.dumps(skew)) == skew
+
+
+def test_the_value_classes_inherit_the_protocol():
+    for cls in FIELDS:
+        assert cls._fields == FIELDS[cls]
+        for name in ("__eq__", "__hash__", "__reduce__"):
+            assert name not in vars(cls), (cls, name)
+        assert ("__repr__" in vars(cls)) == (cls is Word)

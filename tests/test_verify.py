@@ -757,6 +757,17 @@ class TestReportOnlyChecks:
         report = restriction_surprise(4, 3)
         assert not report["witness_found"]
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_restriction_surprise_looks_nothing_up_below_degree_4(self, monkeypatch, degree):
+        """Below the degree of the shortest shifted Knuth relation every
+        class is a single word: the report is the absent one, and no class
+        is walked or looked up."""
+        walks = _count_walks(monkeypatch)
+        calls, _ = _count_lookups(monkeypatch)
+        report = restriction_surprise(5, degree)
+        assert report == {"check": "restriction-surprise", "witness_found": False, "pass": True}
+        assert walks == [] and calls == []
+
 
 class TestSection5:
     def test_free_commutation(self):
