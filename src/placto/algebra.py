@@ -5,9 +5,15 @@ truncated at a degree bound: products silently drop terms above the bound,
 so per-degree comparisons below the bound are exact.  Terms are keyed by
 byte words, one letter per byte, with n kept by the polynomial; the
 constructors and `coefficient` also accept `Word` keys, and `to_json` and
-`repr` print the text of `str(Word)`.  Projections go two ways: to a quotient algebra (words
-replaced by canonical class representatives) and to the commutative image
-(words replaced by content vectors).
+`repr` print the text of `str(Word)`.  Projections go two ways: to a
+quotient algebra (words replaced by canonical class representatives) and
+to the commutative image (words replaced by content vectors).
+
+`NcPoly`, `CPoly` and `QuotientPoly` are value classes on `words.Frozen`,
+through `_Poly`: they compare, copy and pickle by their fields and refuse
+assignment.  Terms are checked only where they enter, by the public
+constructors; a sum, product, projection or free Schur sum is built from
+terms already checked, by `_Poly._of`, which checks nothing again.
 
 `lr_expand` expands a product of two plactic Schur sums without building
 it: the image of S_lambda holds each tableau of shape lambda once, so each
@@ -29,7 +35,7 @@ from .tableaux import (
     is_partition,
     ssyt_count,
 )
-from .words import Word, content, word_text
+from .words import Frozen, Word, content, word_text
 
 
 def _byte_key(word: Word | bytes, n: int) -> bytes:
@@ -42,12 +48,16 @@ def _byte_key(word: Word | bytes, n: int) -> bytes:
     return word
 
 
-def _byte_terms(terms, n: int, degree_bound: int) -> dict[bytes, int]:
-    """The nonzero terms of a polynomial over {1..n}, keyed by byte words
-    (`_byte_key`); ValueError for a key that is longer than the degree bound
-    or holds a letter outside {1..n}."""
+def _check_context(n: int, degree_bound: int) -> None:
     if not 1 <= n <= 255 or degree_bound < 0:
         raise ValueError(f"bad context: n={n} must lie in 1..255, D={degree_bound} >= 0")
+
+
+def _byte_terms(terms, n: int, degree_bound: int) -> dict[bytes, int]:
+    """The nonzero terms of a polynomial over {1..n}, keyed by byte words
+    (`_byte_key`); ValueError for a bad context (`_check_context`), or for a
+    key that is longer than the degree bound or holds a letter outside {1..n}."""
+    _check_context(n, degree_bound)
     alphabet = bytes(range(1, n + 1))
     clean: dict[bytes, int] = {}
     for word, coeff in (terms or {}).items():
@@ -61,15 +71,52 @@ def _byte_terms(terms, n: int, degree_bound: int) -> dict[bytes, int]:
     return {w: c for w, c in clean.items() if c}
 
 
-class NcPoly:
+class _Poly(Frozen):
+    """Base of the three polynomial classes, on `Frozen`: each names its
+    fields in its `__slots__` in the order of its `__init__` parameters, the
+    context, then `terms`.  Equality holds within one exact class; the hash
+    is over the context and `frozenset(terms.items())`, and the repr lists
+    the terms in order, each as the class's `_term_text` gives it.
+
+    A public constructor checks its terms, which come from outside; a
+    result computed from checked polynomials is built by `_of`, which
+    checks nothing again."""
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> "_Poly":
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)
+        return self
+
+    @classmethod
+    def _of(cls, terms: dict, *context) -> "_Poly":
+        """The polynomial of the nonzero `terms`, computed from checked
+        polynomials in the given context."""
+        return cls.__new__(cls)._fill(*context, {w: c for w, c in terms.items() if c})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __hash__(self) -> int:
+        *context, terms = self._values(self)
+        return hash((*context, frozenset(terms.items())))
+
+    def __repr__(self) -> str:
+        bits = " + ".join(self._term_text(w, c) for w, c in sorted(self.terms.items()))
+        return f"{self.__class__.__name__}({bits or 0})"
+
+
+class NcPoly(_Poly):
     """Integer polynomial over words, graded by word length."""
 
     __slots__ = ("n", "degree_bound", "terms")
 
     def __init__(self, n: int, degree_bound: int, terms=None):
-        self.terms = _byte_terms(terms, n, degree_bound)
-        self.n = n
-        self.degree_bound = degree_bound
+        self._fill(n, degree_bound, _byte_terms(terms, n, degree_bound))
 
     @classmethod
     def unit(cls, n: int, degree_bound: int) -> "NcPoly":
@@ -89,33 +136,15 @@ class NcPoly:
     def coefficient(self, word: Word | bytes) -> int:
         return self.terms.get(_byte_key(word, self.n), 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.degree_bound == other.degree_bound
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.degree_bound, frozenset(self.terms.items())))
-
     def __add__(self, other: "NcPoly") -> "NcPoly":
         self._require_context(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) + c
-        return NcPoly(self.n, self.degree_bound, out)
+        return NcPoly._of(out, self.n, self.degree_bound)
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly(self.n, self.degree_bound, {w: -c for w, c in self.terms.items()})
+        return NcPoly._of({w: -c for w, c in self.terms.items()}, self.n, self.degree_bound)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         return self + (-other)
@@ -123,7 +152,8 @@ class NcPoly:
     def __rmul__(self, scalar: int) -> "NcPoly":
         if not isinstance(scalar, int):
             return NotImplemented
-        return NcPoly(self.n, self.degree_bound, {w: scalar * c for w, c in self.terms.items()})
+        scaled = {w: scalar * c for w, c in self.terms.items()}
+        return NcPoly._of(scaled, self.n, self.degree_bound)
 
     def __mul__(self, other: "NcPoly") -> "NcPoly":
         return nc_mul(self, other)
@@ -142,11 +172,8 @@ class NcPoly:
             ],
         }
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "NcPoly(0)"
-        bits = [f"{c}*{word_text(w, self.n)}" for w, c in sorted(self.terms.items())]
-        return "NcPoly(" + " + ".join(bits) + ")"
+    def _term_text(self, word: bytes, coeff: int) -> str:
+        return f"{coeff}*{word_text(word, self.n)}"
 
 
 def nc_mul(p: NcPoly, q: NcPoly) -> NcPoly:
@@ -160,87 +187,46 @@ def nc_mul(p: NcPoly, q: NcPoly) -> NcPoly:
             if len(v) <= room:
                 w = u + v
                 out[w] = out.get(w, 0) + cu * cv
-    # concatenations of valid terms within the bound are valid: no second check
-    product = NcPoly.__new__(NcPoly)
-    product.n, product.degree_bound = p.n, bound
-    product.terms = {w: c for w, c in out.items() if c}
-    return product
+    return NcPoly._of(out, p.n, bound)
 
 
-class CPoly:
+class CPoly(_Poly):
     """Commutative image: integer combination of content vectors."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        self.n = n
-        clean: dict[tuple[int, ...], int] = {}
-        for vec, coeff in (terms or {}).items():
+        terms = terms or {}
+        for vec in terms:
             if len(vec) != n:
                 raise ValueError(f"content vector {vec} has length != {n}")
-            if coeff:
-                clean[vec] = clean.get(vec, 0) + coeff
-        self.terms = {v: c for v, c in clean.items() if c}
+        self._fill(n, {v: c for v, c in terms.items() if c})
 
     def coefficient(self, vector: tuple[int, ...]) -> int:
         return self.terms.get(vector, 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "CPoly(0)"
-        bits = [f"{c}*x^{v}" for v, c in sorted(self.terms.items())]
-        return "CPoly(" + " + ".join(bits) + ")"
+    def _term_text(self, vector: tuple[int, ...], coeff: int) -> str:
+        return f"{coeff}*x^{vector}"
 
 
-class QuotientPoly:
+class QuotientPoly(_Poly):
     """Polynomial over a quotient monoid; keys are canonical class members."""
 
     __slots__ = ("n", "degree_bound", "relation_set", "terms")
 
+    __hash__ = None
+
     def __init__(self, n: int, degree_bound: int, relation_set: RelationSet, terms=None):
-        self.terms = _byte_terms(terms, n, degree_bound)
-        self.n = n
-        self.degree_bound = degree_bound
-        self.relation_set = relation_set
+        self._fill(n, degree_bound, relation_set, _byte_terms(terms, n, degree_bound))
 
     def coefficient(self, word: Word | bytes) -> int:
         return self.terms.get(self.relation_set.congruence.canonical(_byte_key(word, self.n)), 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuotientPoly):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.degree_bound == other.degree_bound
-            and self.relation_set == other.relation_set
-            and self.terms == other.terms
-        )
+    def _term_text(self, word: bytes, coeff: int) -> str:
+        return f"{coeff}*[{word_text(word, self.n)}]"
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return f"QuotientPoly(0; {self.relation_set.name})"
-        bits = [f"{c}*[{word_text(w, self.n)}]" for w, c in sorted(self.terms.items())]
-        return f"QuotientPoly({' + '.join(bits)}; {self.relation_set.name})"
+        return f"{super().__repr__()[:-1]}; {self.relation_set.name})"
 
 
 def project_quotient(p: NcPoly, rels: RelationSet) -> QuotientPoly:
@@ -250,7 +236,7 @@ def project_quotient(p: NcPoly, rels: RelationSet) -> QuotientPoly:
     for w, c in p.terms.items():
         key = canonical(w)
         out[key] = out.get(key, 0) + c
-    return QuotientPoly(p.n, p.degree_bound, rels, out)
+    return QuotientPoly._of(out, p.n, p.degree_bound, rels)
 
 
 def abelianize(p: NcPoly) -> CPoly:
@@ -259,7 +245,7 @@ def abelianize(p: NcPoly) -> CPoly:
     for w, c in p.terms.items():
         vec = content(w, p.n)
         out[vec] = out.get(vec, 0) + c
-    return CPoly(p.n, out)
+    return CPoly._of(out, p.n)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +260,11 @@ def free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> 
     bound = size if degree_bound is None else degree_bound
     if size > bound:
         raise ValueError(f"|{nu}| exceeds degree bound {bound}")
-    # reading words: rows bottom to top, each left to right
-    words = [bytes(itertools.chain.from_iterable(reversed(rows))) for rows in _ssyt_rows(nu, n)]
-    return NcPoly.from_words(words, n, bound)
+    _check_context(n, bound)
+    # reading words: rows bottom to top, each left to right, over {1..n} and
+    # of length |nu| <= bound, so not checked again
+    words = (bytes(itertools.chain.from_iterable(reversed(rows))) for rows in _ssyt_rows(nu, n))
+    return NcPoly._of(Counter(words), n, bound)
 
 
 def shifted_free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> NcPoly:
@@ -286,7 +274,8 @@ def shifted_free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = N
     bound = size if degree_bound is None else degree_bound
     if size > bound:
         raise ValueError(f"|{nu}| exceeds degree bound {bound}")
-    return NcPoly.from_words(_hook_words(nu, n), n, bound)
+    _check_context(n, bound)
+    return NcPoly._of(Counter(_hook_words(nu, n)), n, bound)
 
 
 def schur_poly(nu: tuple[int, ...], n: int) -> CPoly:

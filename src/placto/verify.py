@@ -184,10 +184,10 @@ def _intervals(n: int) -> list[tuple[int, int, bytes]]:
 
 def _interval_witness(u: bytes, v: bytes, class_key, intervals):
     """First interval whose restrictions of u and v have different class
-    keys under `class_key`, from `_intervals`."""
+    keys under `class_key`, as (lo, hi, outside) from `_intervals`."""
     for lo, hi, outside in intervals:
         if class_key(u.translate(None, outside)) != class_key(v.translate(None, outside)):
-            return (lo, hi)
+            return lo, hi, outside
     return None
 
 
@@ -314,7 +314,7 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
                     continue
                 witness = _interval_witness(left, v, knuth_key, intervals)
                 if witness is not None:
-                    lo, hi = witness
+                    lo, hi, _ = witness
                     if set(left + v) <= set(range(lo, hi + 1)):
                         reason = f"plactic inequality (restriction to [{lo},{hi}] is trivial)"
                     else:
@@ -387,8 +387,9 @@ def verify_axioms(
     morphisms, in the congruence itself, and holds for every relation set by
     the lemma that docstring states: its report counts the instances and
     lists no violation.  Each congruence the check reads is seeded only to
-    the highest degree a passing check looks up; an axiom that fails walks
-    the classes degree by degree, only until it has listed its violations.
+    the highest degree a passing check looks up, and not at all when it
+    looks nothing up; an axiom that fails walks the classes degree by
+    degree, only until it has listed its violations.
     """
     if target == "plactic":
         system = "Plac"
@@ -415,14 +416,20 @@ def verify_axioms(
         knuth = KNUTH.congruence
         reference = target_canon = knuth.canonical
 
+    instances = [
+        pair
+        for rel in rels.relations
+        if len(rel.left) <= degree_bound
+        for pair in relation_instances(rel, n)
+    ]
     # A check that passes looks up only the words of axiom 2's products and
-    # the relation instances with their images, none longer than `top`.
-    top = min(
-        degree_bound,
-        max([least + 1] + [len(r.left) for r in rels.relations if len(r.left) <= degree_bound]),
-    )
-    for read in (cong,) if system == "Plac" else (knuth, cong):
-        read.seed(n, top)
+    # the relation instances with their images, none longer than `top`.  At
+    # the least bound the products lie wholly above it, so they are not built.
+    sums = least < degree_bound
+    top = max([len(left) for left, _ in instances] + [least + 1 if sums else 0])
+    if top:
+        for read in (cong,) if system == "Plac" else (knuth, cong):
+            read.seed(n, top)
 
     def classes():
         # one that fails lists its violations over the classes, degree by degree
@@ -430,14 +437,16 @@ def verify_axioms(
             yield from _partition_degree(rels, n, degree)
 
     # axiom 2: the two designated sums commute in the quotient
-    if system == "Plac":
-        pa = free_schur((1,), n, degree_bound)
-        pb = free_schur((1, 1), n, degree_bound)
-    else:
-        pa = shifted_free_schur((1,), n, degree_bound)
-        pb = shifted_free_schur((2, 1), n, degree_bound)
-    com = commutator_in_quotient(pa, pb, rels)
-    nonzero = sorted(word_text(w, n) for w in com.terms)[:10]
+    nonzero = []
+    if sums:
+        if system == "Plac":
+            pa = free_schur((1,), n, degree_bound)
+            pb = free_schur((1, 1), n, degree_bound)
+        else:
+            pa = shifted_free_schur((1,), n, degree_bound)
+            pb = shifted_free_schur((2, 1), n, degree_bound)
+        com = commutator_in_quotient(pa, pb, rels)
+        nonzero = sorted(word_text(w, n) for w in com.terms)[:10]
     commutes = _axiom_report(
         f"{system}.2", n, degree_bound, 1, [{"nonzero_terms": nonzero}] if nonzero else []
     )
@@ -453,12 +462,6 @@ def verify_axioms(
         (_identity, reference),
         # axiom 4: interval restrictions agree in the target congruence
         (_restrictions(n), target_canon),
-    ]
-    instances = [
-        pair
-        for rel in rels.relations
-        if len(rel.left) <= degree_bound
-        for pair in relation_instances(rel, n)
     ]
     # Each map counts one instance per member of a class its source holds.
     # Relations keep content, so the members of the classes with a given
@@ -648,21 +651,20 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
                 continue
             base = cls[0]
             for other in cls[1:]:
-                for lo, hi, outside in intervals:
-                    ru = base.translate(None, outside)
-                    rv = other.translate(None, outside)
-                    if canon(ru) != canon(rv):
-                        return {
-                            "check": "restriction-surprise",
-                            "witness_found": True,
-                            "w1": word_text(base, n),
-                            "w2": word_text(other, n),
-                            "interval": [lo, hi],
-                            "restrictions": [word_text(ru, n), word_text(rv, n)],
-                            "restrictions_knuth_equivalent": knuth_canon(ru)
-                            == knuth_canon(rv),
-                            "pass": True,
-                        }
+                witness = _interval_witness(base, other, canon, intervals)
+                if witness is not None:
+                    lo, hi, outside = witness
+                    ru, rv = base.translate(None, outside), other.translate(None, outside)
+                    return {
+                        "check": "restriction-surprise",
+                        "witness_found": True,
+                        "w1": word_text(base, n),
+                        "w2": word_text(other, n),
+                        "interval": [lo, hi],
+                        "restrictions": [word_text(ru, n), word_text(rv, n)],
+                        "restrictions_knuth_equivalent": knuth_canon(ru) == knuth_canon(rv),
+                        "pass": True,
+                    }
     return absent
 
 

@@ -1,5 +1,8 @@
 """Noncommutative polynomials, Schur-type sums, projections, expansion."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -375,3 +378,97 @@ def test_projections_are_linear(terms_a, terms_b):
     assert project_quotient(2 * pa, KNUTH).terms == {
         w: 2 * c for w, c in qa.terms.items()
     }
+
+
+class TestComputedResults:
+    """A result computed from checked polynomials is built without checking
+    its terms again; only the public constructors check."""
+
+    @staticmethod
+    def operands():
+        p = poly(3, 3, ("1", 1), ("21", -2), ("132", 1), ("312", 1))
+        q = poly(3, 3, ("1", -1), ("22", 3), ("312", 2))
+        return p, q
+
+    @pytest.mark.parametrize(
+        "compute, terms",
+        [
+            (lambda p, q: p + q, [("21", -2), ("22", 3), ("132", 1), ("312", 3)]),
+            (lambda p, q: p - q, [("1", 2), ("21", -2), ("22", -3), ("132", 1), ("312", -1)]),
+            (lambda p, q: -p, [("1", -1), ("21", 2), ("132", -1), ("312", -1)]),
+            (lambda p, q: 3 * p, [("1", 3), ("21", -6), ("132", 3), ("312", 3)]),
+            (lambda p, q: free_schur((2, 1), 3), "211 212 213 311 312 313 322 323"),
+            (lambda p, q: shifted_free_schur((2, 1), 3), "121 131 132 221 231 232 331 332"),
+        ],
+        ids=["add", "sub", "neg", "scalar", "free-schur", "shifted-free-schur"],
+    )
+    def test_nc_results_are_not_checked_again(self, monkeypatch, compute, terms):
+        if isinstance(terms, str):
+            terms = [(w, 1) for w in terms.split()]
+        expected = poly(3, 3, *terms)
+        p, q = self.operands()
+
+        def refuse(*args):
+            raise AssertionError("a computed result was checked again")
+
+        monkeypatch.setattr(algebra, "_byte_terms", refuse)
+        result = compute(p, q)
+        assert result == expected
+        assert (result.n, result.degree_bound) == (3, 3)
+
+    def test_projections_are_not_checked_again(self, monkeypatch):
+        p, _ = self.operands()
+        merged = {W(t, 3): c for t, c in [("1", 1), ("21", -2), ("132", 2)]}
+        quotient = QuotientPoly(3, 3, KNUTH, merged)
+
+        def refuse(*args):
+            raise AssertionError("a projection was checked again")
+
+        monkeypatch.setattr(algebra, "_byte_terms", refuse)
+        assert project_quotient(p, KNUTH) == quotient
+        assert abelianize(p) == CPoly(3, {(1, 0, 0): 1, (1, 1, 0): -2, (1, 1, 1): 2})
+
+
+@pytest.mark.parametrize(
+    "build", [free_schur, shifted_free_schur], ids=["free-schur", "shifted-free-schur"]
+)
+@pytest.mark.parametrize("n", [0, 256])
+def test_a_free_sum_refuses_a_bad_alphabet(build, n):
+    """The free sums build their terms unchecked, but still refuse an
+    alphabet bound outside 1..255."""
+    with pytest.raises(ValueError):
+        build((1,), n)
+
+
+_POLYNOMIALS = [
+    poly(2, 3, ("1", 1), ("21", -2)),
+    CPoly(2, {(1, 1): 2, (0, 1): -1}),
+    QuotientPoly(3, 3, KNUTH, {W("132"): 2}),
+]
+
+
+@pytest.mark.parametrize("p", _POLYNOMIALS, ids=["nc", "c", "quotient"])
+def test_a_polynomial_refuses_assignment(p):
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    with pytest.raises(AttributeError):
+        p.n = 4
+    assert p.n in (2, 3)
+
+
+@pytest.mark.parametrize("p", _POLYNOMIALS, ids=["nc", "c", "quotient"])
+def test_a_polynomial_copies_and_pickles_equal(p):
+    for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert clone == p
+        assert repr(clone) == repr(p)
+
+
+def test_equal_polynomials_hash_equal_and_quotients_are_unhashable():
+    a, b = poly(2, 3, ("1", 1), ("21", -2)), poly(2, 3, ("21", -2), ("1", 1))
+    assert a is not b and hash(a) == hash(b)
+    assert hash(a) == hash((2, 3, frozenset(a.terms.items())))
+    c = CPoly(2, {(1, 1): 2, (0, 1): -1})
+    assert hash(c) == hash(CPoly(2, {(0, 1): -1, (1, 1): 2}))
+    assert hash(c) == hash((2, frozenset(c.terms.items())))
+    with pytest.raises(TypeError):
+        hash(QuotientPoly(3, 3, KNUTH))

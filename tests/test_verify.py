@@ -746,6 +746,26 @@ def test_failing_axioms_walk_only_to_their_last_listed_degree(
     )
 
 
+@pytest.mark.parametrize("target, degree", [("shifted-plactic", 3), ("plactic", 2)])
+def test_axioms_at_the_least_bound_walk_and_multiply_nothing(monkeypatch, target, degree):
+    """At the least bound axiom 2's products lie wholly above it and no
+    shipped relation fits within it: the check builds no sum, seeds no
+    congruence and walks no class."""
+    walks = _count_walks(monkeypatch)
+    sums = []
+    for name in ("free_schur", "shifted_free_schur"):
+        real = getattr(verify, name)
+
+        def counted(*args, real=real, name=name):
+            sums.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    reports = verify_axioms(target, 5, degree)
+    assert [r["pass"] for r in reports] == [True] * 4
+    assert walks == [] and sums == []
+
+
 class TestReportOnlyChecks:
     def test_restriction_surprise_finds_witness(self):
         report = restriction_surprise(4, 4)
