@@ -151,24 +151,25 @@ _MAX_CLASS = 10_000
 # 2,1 --n 8`, 282 240 words, takes 1.5-2.3 s and 87 MB).  Peak RSS of the
 # whole process is about 16 MB at start.  Section5 is bounded by the words
 # of degree 3 and 4 although it walks none of them: it counts their
-# classes in closed form and keys only the words of its products (`--n 16`,
-# 69 632 words: 37 MB, and 1.3 s inside `main`; `--n 23`, the largest
-# accepted, 292 008 words: 112 MB and 5.3 s).  An axioms run with a
-# failing axiom walks the classes degree by degree, only until it has
-# listed its violations: the Chinese set `cba~bca, cba~cab` fails `--n 3
-# --degree 11`, `--n 5 --degree 7` and `--n 6 --degree 6` in 0.13 s each,
-# at 16 MB.  A listing that needs every level grows it by about 440 bytes
-# per word: the Chinese set fails `--n 66 --degree 3` (291 918 words) in
-# 7.0 s and 146 MB.  A passing axioms run walks only to the degree it looks
-# up, 3 or 4 or its longest relation (`--n 3 --degree 11`: 16 MB in
-# 0.08 s), but the bound stays: whether an axiom fails is known only after
-# the check.  `--n 3 --degree 12` (797 160 words) is refused.  It is the
-# only bound of an axioms run, which builds no table per ordered morphism.
-# The largest runs it admits: `--n 66 --degree 3` (291 918 words) passes in
-# 9.7 s and 161 MB, `--n 23 --degree 4` in 7.0 s and 167 MB, and
-# `--relations knuth --n 255 --degree 2` in 1.3 s and 43 MB.  These are
-# single runs of the whole process, Python 3.11, one core of a 2-core
-# x86-64 machine.
+# classes in closed form, and a passing run matches its products over
+# min(n, 4) letters only, one content per order type, so it costs the same
+# at every n (`--n 23`, the largest accepted, 292 008 words: 0.07 s and
+# 16 MB for the whole process).  The bound guards a run with a failed
+# matching, which matches the products over all n letters to list every
+# failed content.  An axioms run with a failing axiom walks the classes degree
+# by degree, only until it has listed its violations: the Chinese set
+# `cba~bca, cba~cab` fails `--n 3 --degree 11`, `--n 5 --degree 7` and `--n 6
+# --degree 6` in 0.13 s each, at 16 MB.  A listing that needs every level
+# grows it by about 440 bytes per word: the Chinese set fails `--n 66 --degree
+# 3` (291 918 words) in 7.0 s and 146 MB.  A passing axioms run walks only to
+# the degree it looks up, 3 or 4 or its longest relation (`--n 3 --degree 11`:
+# 16 MB in 0.08 s), but the bound stays: whether an axiom fails is known only
+# after the check.  `--n 3 --degree 12` (797 160 words) is refused.  It is the
+# only bound of an axioms run, which builds no table per ordered morphism. The
+# largest runs it admits: `--n 66 --degree 3` (291 918 words) passes in 9.7 s
+# and 161 MB, `--n 23 --degree 4` in 7.0 s and 167 MB, and `--relations knuth
+# --n 255 --degree 2` in 1.3 s and 43 MB.  These are single runs of the whole
+# process, Python 3.11, one core of a 2-core x86-64 machine.
 _MAX_SWEEP = 300_000
 
 # Most letters that the words of one sweep, one `schur` listing or one `lr`

@@ -703,9 +703,16 @@ def _class_count(rels: RelationSet, n: int, degree: int) -> int:
 
 
 def section5_free_commutation(n: int = 5) -> dict:
-    """The single-letter sum commutes with the all-pairs sum before any quotient."""
-    p1 = shifted_free_schur((1,), n, 3)
-    p2 = shifted_free_schur((2,), n, 3)
+    """The single-letter sum commutes with the all-pairs sum before any quotient.
+
+    Every term of both products has degree 3, so they are equal exactly
+    when they agree content by content, and a content's terms, relabelled
+    in order onto {1..k}, are those of the packed content of its order type
+    (see `_section5_comparison`).  So they are compared over min(n, 3)
+    letters, which hold every packed content of degree 3."""
+    m = min(n, 3)
+    p1 = shifted_free_schur((1,), m, 3)
+    p2 = shifted_free_schur((2,), m, 3)
     equal = nc_mul(p1, p2) == nc_mul(p2, p1)
     return {
         "check": "section5",
@@ -716,36 +723,43 @@ def section5_free_commutation(n: int = 5) -> dict:
     }
 
 
-def _section5_comparison(part: str, description: str, schur, other, rels, n: int) -> dict:
-    """Shared body of parts b and c.  In degree d = |other| + 1, commuting
-    the single-letter sum `schur((1,))` with the row sum `schur((d-1,))`
-    and with `schur(other)` forces identifications that generate the same
-    partition of the degree-d words, the partition into `rels` classes.
-    Congruent pairs generate a finer partition, the same one exactly when
-    their joins leave as many parts as there are classes (`_class_count`).
-    Pairs are compared by class key, so no class is walked.
+def _packed_weight(n: int, vec: tuple[int, ...]) -> int:
+    """C(n, k) for a packed content vec, one whose support is exactly
+    {1..k}: the number of contents over {1..n} of its order type.  0 for
+    any other content."""
+    k = len(vec) - vec.count(0)
+    return math.comb(n, k) if 0 not in vec[:k] else 0
 
-    The four products are grouped by content in one pass, each word held
-    once with a bit per product that holds it, and both shapes are matched
-    content by content: a forced pair never leaves its content, so the joins
-    of each content's pairs add up to those of all pairs.  Each word is
-    keyed once per congruence, in one cache per congruence that is cleared
-    at each content, so it holds one content's keys.
+
+def _section5_matchings(schur, shapes, rels, m: int, weight):
+    """Match both shapes of a replacement comparison over {1..m}.
+
+    The four products single*big and big*single of each shape are grouped
+    by content in one pass, each word held once with a bit per product that
+    holds it, and both shapes are matched content by content, in content
+    order, skipping each content of weight 0: a forced pair never leaves its
+    content, so each shape's joins are a sum over the contents, here each
+    content's joins times `weight(content)`.  Each word is keyed once per
+    congruence, in one cache per congruence that is cleared at each
+    content, so it holds one content's keys.
+
+    Returns (failures, joins, congruent): each shape's list of failed
+    contents with `_forced_matching`'s note, each shape's weighted joins,
+    and whether every forced pair lies in one `rels` class.  After the first
+    failure no pair is joined or checked.
     """
-    degree = sum(other) + 1
-    single = schur((1,), n, degree)
-    report = {"check": "section5", "part": part, "n": n, "description": description}
-    shapes = ((degree - 1,), other)
+    degree = sum(shapes[0]) + 1
+    single = schur((1,), m, degree)
     # content -> word -> bitmask: bit 2s (single*big) and 2s+1 (big*single) of shape s
     groups: dict[tuple[int, ...], dict[bytes, int]] = {}
     for s, shape in enumerate(shapes):
-        big = schur(shape, n, degree)
+        big = schur(shape, m, degree)
         for side, prod in enumerate((nc_mul(single, big), nc_mul(big, single))):
             if any(c != 1 for c in prod.terms.values()):
                 raise ValueError("product expansions must be multiplicity-free")
             bit = 1 << (2 * s + side)
             for w in prod.terms:
-                words = groups.setdefault(content(w, n), {})
+                words = groups.setdefault(content(w, m), {})
                 words[w] = words.get(w, 0) | bit
     failures: list[list[dict]] = [[] for _ in shapes]
     joins = [0] * len(shapes)
@@ -753,6 +767,9 @@ def _section5_comparison(part: str, description: str, schur, other, rels, n: int
     knuth = functools.cache(KNUTH.congruence.key)
     keys = knuth if rels == KNUTH else functools.cache(rels.congruence.key)
     for vec, words in sorted(groups.items()):
+        times = weight(vec)
+        if not times:
+            continue
         knuth.cache_clear()
         keys.cache_clear()
         for s in range(len(shapes)):
@@ -766,8 +783,41 @@ def _section5_comparison(part: str, description: str, schur, other, rels, n: int
             elif not any(failures):
                 pairs = [(u, v) for u, v in match.items() if u != v]
                 congruent = congruent and all(keys(u) == keys(v) for u, v in pairs)
-                joins[s] += _joins(pairs)
+                joins[s] += times * _joins(pairs)
+    return failures, joins, congruent
+
+
+def _section5_comparison(part: str, description: str, schur, other, rels, n: int) -> dict:
+    """Shared body of parts b and c.  In degree d = |other| + 1, commuting
+    the single-letter sum `schur((1,))` with the row sum `schur((d-1,))`
+    and with `schur(other)` forces identifications that generate the same
+    partition of the degree-d words, the partition into `rels` classes.
+    Congruent pairs generate a finer partition, the same one exactly when
+    their joins leave as many parts as there are classes (`_class_count`).
+    Pairs are compared by class key, so no class is walked.
+
+    Order types.  Relabelling the letters of {1..n} by an order-preserving
+    map leaves every step unchanged: the free and hook sums (a tableau stays
+    a tableau), `nc_mul`, the Schensted and mixed-insertion keys (insertion
+    only compares letters), and `_forced_matching`, whose sorted words keep
+    their order.  So a content's matchings, pair checks and joins depend
+    only on its order type, and each order type over {1..n} has one packed
+    representative, a content of support exactly {1..k}, which is a content
+    over {1..m} for m = min(n, d), since k <= d; C(n, k) contents share it.
+    A pass is therefore decided over {1..m}, on the packed contents only,
+    each weighted by C(n, k).  When a matching fails, the contents over
+    {1..n} are matched once more, each with weight 1, to list every failed
+    content as it is and with its own words in the notes.
+    """
+    degree = sum(other) + 1
+    shapes = ((degree - 1,), other)
+    report = {"check": "section5", "part": part, "n": n, "description": description}
+    m = min(n, degree)
+    failures, joins, congruent = _section5_matchings(
+        schur, shapes, rels, m, functools.partial(_packed_weight, n)
+    )
     if any(failures):
+        failures, _, _ = _section5_matchings(schur, shapes, rels, n, lambda vec: 1)
         report["failures"] = [f for shape_failures in failures for f in shape_failures]
         report["pass"] = False
         return report

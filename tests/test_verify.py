@@ -2,9 +2,11 @@
 
 import collections
 import contextlib
+import functools
 import gc
 import itertools
 import json
+import math
 import weakref
 
 import pytest
@@ -789,6 +791,12 @@ class TestReportOnlyChecks:
         assert walks == [] and calls == []
 
 
+_SECTION5_COMPARISONS = [
+    (section5_degree3_comparison, free_schur, ((2,), (1, 1)), KNUTH),
+    (section5_degree4_comparison, shifted_free_schur, ((3,), (2, 1)), SHIFTED_KNUTH),
+]
+
+
 class TestSection5:
     def test_free_commutation(self):
         assert section5_free_commutation(5)["pass"]
@@ -857,9 +865,12 @@ class TestSection5:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_join_totals_by_content_equal_the_joins_of_all_pairs(self, monkeypatch, n):
-        """A forced pair never leaves its content, so the joins that part b
-        and part c add up content by content are those of all the pairs of
-        each product, from the products' `_forced_matchings`."""
+        """A forced pair never leaves its content, and a content's joins
+        depend only on its order type, so the joins that part b and part c
+        add up over the packed contents (support {1..k}), each times
+        C(n, k), are those of all the pairs of each product at n, from the
+        products' `_forced_matchings`; the pairs joined are those of the
+        packed contents."""
         joined = []
         real = verify._joins
 
@@ -875,17 +886,18 @@ class TestSection5:
             joined.clear()
             assert comparison(n)["pass"]
             degree = sum(shapes[0]) + 1
-            everything = []
+            packed = []
             total = 0
             for shape in shapes:
                 single, big = schur((1,), n, degree), schur(shape, n, degree)
                 matchings = _forced_matchings(single, big, n, KNUTH.congruence.key)
                 matches = [m for _, m, _, _ in matchings.values()]
                 pairs = [(u, v) for m in matches for u, v in m.items() if u != v]
-                everything += pairs
+                packed += [(u, v) for u, v in pairs if set(u) == set(range(1, len(set(u)) + 1))]
                 total += real(pairs)
-            assert sum(j for _, j in joined) == total
-            assert sorted(p for pairs, _ in joined for p in pairs) == sorted(everything)
+            weighted = sum(math.comb(n, len(set(pairs[0][0]))) * j for pairs, j in joined if pairs)
+            assert weighted == total
+            assert sorted(p for pairs, _ in joined for p in pairs) == sorted(packed)
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize(
@@ -924,6 +936,82 @@ class TestSection5:
         report = comparison(n)
         assert not report["pass"]
         assert report["failures"] == expected
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_reports_equal_those_of_the_walk_over_every_content(self, n):
+        """Decided over min(n, d) letters, parts a, b and c report what the
+        walk over every content of {1..n} decides: the free products
+        compared whole, and each comparison matched with weight 1 on every
+        content."""
+        p1, p2 = shifted_free_schur((1,), n, 3), shifted_free_schur((2,), n, 3)
+        walked = nc_mul(p1, p2) == nc_mul(p2, p1)
+        assert section5_free_commutation(n)["pass"] == walked
+        for comparison, schur, shapes, rels in _SECTION5_COMPARISONS:
+            degree = sum(shapes[0]) + 1
+            failures, joins, congruent = verify._section5_matchings(
+                schur, shapes, rels, n, lambda vec: 1
+            )
+            expected = n**degree - verify._class_count(rels, n, degree)
+            walked = not any(failures) and congruent and joins == [expected] * len(shapes)
+            report = comparison(n)
+            assert report["pass"] == walked
+            assert ("failures" in report) == any(failures)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_weighted_joins_equal_the_joins_of_all_pairs(self, n):
+        """Over min(n, d) letters, the packed contents' joins, each times
+        C(n, k), equal the joins of all the pairs of `_forced_matchings` at
+        n, shape by shape."""
+        for _, schur, shapes, rels in _SECTION5_COMPARISONS:
+            degree = sum(shapes[0]) + 1
+            weight = functools.partial(verify._packed_weight, n)
+            decided = verify._section5_matchings(schur, shapes, rels, min(n, degree), weight)
+            joins = []
+            for shape in shapes:
+                single, big = schur((1,), n, degree), schur(shape, n, degree)
+                matchings = _forced_matchings(single, big, n, KNUTH.congruence.key)
+                matches = [m for _, m, _, _ in matchings.values()]
+                pairs = [(u, v) for m in matches for u, v in m.items() if u != v]
+                joins.append(verify._joins(pairs))
+            assert decided == ([[], []], joins, True)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    @pytest.mark.parametrize(
+        "comparison, schur, shapes, rels", _SECTION5_COMPARISONS, ids=["b", "c"]
+    )
+    def test_a_failed_packed_content_lists_the_failures_of_the_walk(
+        self, monkeypatch, comparison, schur, shapes, rels, n
+    ):
+        """A matching failed on a packed content sends the comparison to
+        the walk over {1..n}, which lists each failed content of {1..n} in
+        content order, with a note naming its own words."""
+        degree = sum(shapes[0]) + 1
+        failing_type = (2,) + (1,) * (degree - 2)  # one repeated letter, the least
+        real = verify._forced_matching
+
+        def failing(U, V, class_key):
+            match, ok, note = real(U, V, class_key)
+            word = min(U | V)
+            if tuple(collections.Counter(sorted(word)).values()) == failing_type:
+                return match, False, f"tampered {word!r}"
+            return match, ok, note
+
+        single = schur((1,), n, degree)
+        expected = []
+        for shape in shapes:
+            big = schur(shape, n, degree)
+            left, right = (_by_content(p, n) for p in (nc_mul(single, big), nc_mul(big, single)))
+            for vec in sorted(left.keys() | right.keys()):
+                if tuple(c for c in vec if c) == failing_type:
+                    word = min(left.get(vec, set()) | right.get(vec, set()))
+                    expected.append({"content": list(vec), "note": f"tampered {word!r}"})
+        monkeypatch.setattr(verify, "_forced_matching", failing)
+        report = comparison(n)
+        assert report["pass"] is False
+        assert report["failures"] == expected
+        assert any(f["content"][0] == 0 for f in expected)  # contents a pass skips
+        walked, _, _ = verify._section5_matchings(schur, shapes, rels, n, lambda vec: 1)
+        assert report["failures"] == walked[0] + walked[1]
 
 
 def _forced_matching_products():
@@ -1055,8 +1143,13 @@ def test_restriction_keys_partition_words_as_the_knuth_class_does(n, degree):
 
 @pytest.mark.parametrize(
     "command, keyed",
-    [("verify cases", 176), ("verify section5 --n 5", 960)],
-    ids=["cases", "section5-n5"],
+    [
+        ("verify cases", 176),
+        ("verify section5 --n 5", 112),
+        ("verify section5 --n 7", 112),
+        ("verify section5 --n 20", 112),
+    ],
+    ids=["cases", "section5-n5", "section5-n7", "section5-n20"],
 )
 def test_forced_matching_keys_each_remaining_word_once(capsys, monkeypatch, command, keyed):
     """One class key per word left after cancellation, not one per interval."""
