@@ -161,15 +161,16 @@ _MAX_CLASS = 10_000
 # `cba~bca, cba~cab` fails `--n 3 --degree 11`, `--n 5 --degree 7` and `--n 6
 # --degree 6` in 0.13 s each, at 16 MB.  A listing that needs every level
 # grows it by about 440 bytes per word: the Chinese set fails `--n 66 --degree
-# 3` (291 918 words) in 7.0 s and 146 MB.  A passing axioms run walks only to
-# the degree it looks up, 3 or 4 or its longest relation (`--n 3 --degree 11`:
-# 16 MB in 0.08 s), but the bound stays: whether an axiom fails is known only
-# after the check.  `--n 3 --degree 12` (797 160 words) is refused.  It is the
-# only bound of an axioms run, which builds no table per ordered morphism. The
-# largest runs it admits: `--n 66 --degree 3` (291 918 words) passes in 9.7 s
-# and 161 MB, `--n 23 --degree 4` in 7.0 s and 167 MB, and `--relations knuth
-# --n 255 --degree 2` in 1.3 s and 43 MB.  These are single runs of the whole
-# process, Python 3.11, one core of a 2-core x86-64 machine.
+# 3` (291 918 words) in 3.6-4.7 s and 146 MB.  A passing axioms run walks
+# only to the degree it looks up, 3 or 4 or its longest relation (`--n 3
+# --degree 11`: 16 MB in 0.08 s), but the bound stays: whether an axiom fails
+# is known only after the check.  `--n 3 --degree 12` (797 160 words) is
+# refused.  It is the only bound of an axioms run, which builds no table per
+# ordered morphism.  The largest runs it admits: `--n 66 --degree 3` (291 918
+# words) passes in 4.1-4.3 s and 151 MB, `--n 23 --degree 4` in 5.1-6.0 s and
+# 171 MB, and `--relations knuth --n 255 --degree 2` in 0.07 s at the RSS of a
+# run that walks nothing.  These are runs of the whole process, Python 3.11,
+# one core of a 2-core x86-64 machine.
 _MAX_SWEEP = 300_000
 
 # Most letters that the words of one sweep, one `schur` listing or one `lr`

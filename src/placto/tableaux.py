@@ -51,24 +51,14 @@ def is_strict_partition(parts: tuple[int, ...]) -> bool:
     )
 
 
-def partitions(
-    size: int, max_part: int | None = None, max_rows: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Partitions of `size` in decreasing lexicographic order, with parts of
-    at most `max_part` and at most `max_rows` parts when these are given."""
+def partitions(size: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of `size` in decreasing lexicographic order."""
     if size == 0:
         yield ()
         return
     cap = size if max_part is None else min(max_part, size)
-    if max_rows is None:
-        least, rest_rows = 1, None
-    elif max_rows < 1:
-        return
-    else:
-        # the first part is the largest, so it is at least size / max_rows
-        least, rest_rows = -(-size // max_rows), max_rows - 1
-    for first in range(cap, least - 1, -1):
-        for rest in partitions(size - first, first, rest_rows):
+    for first in range(cap, 0, -1):
+        for rest in partitions(size - first, first):
             yield (first,) + rest
 
 

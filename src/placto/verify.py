@@ -18,7 +18,6 @@ compare class keys, the insertion tableaux, and walk no class.
 from __future__ import annotations
 
 import bisect
-import collections
 import functools
 import itertools
 import math
@@ -466,9 +465,7 @@ def verify_axioms(
     # Each map counts one instance per member of a class its source holds.
     # Relations keep content, so the members of the classes with a given
     # support are the words with exactly its letters, counted, not walked.
-    sizes = collections.Counter()
-    for support, count in _words_by_support(n, degree_bound).items():
-        sizes[len(support)] += count
+    sizes = _members_by_size(n, degree_bound)
     words = sum(sizes.values())
     checked = {
         1: words,
@@ -594,29 +591,28 @@ def _stable_under(classes, instances, checks, n: int) -> list[list[dict]]:
     return results
 
 
-def _words_by_support(n: int, degree: int) -> dict[bytes, int]:
-    """support -> the number of words of degree 1..d over {1..n} whose
-    letters are exactly the support: relations keep content, so these are
-    the members of the classes with that support.
+def _members_by_size(n: int, degree: int) -> dict[int, int]:
+    """k -> the number of words of degree 1..d over {1..n} with exactly k
+    distinct letters: relations keep content, so these are the members of
+    the classes whose support has k letters.
 
-    A support of j letters has sum over k = j..d of j! S(k, j) of them.  By
-    inclusion-exclusion j! S(k, j), the words of degree k onto j letters,
-    is the sum over i of (-1)^i C(j, i) (j - i)^k, and the sum over k of
-    each power is geometric.
+    Each of the C(n, k) supports of k letters has sum over j = k..d of
+    k! S(j, k) of them.  By inclusion-exclusion k! S(j, k), the words of
+    degree j onto k letters, is the sum over i of (-1)^i C(k, i) (k - i)^j,
+    and the sum over j of each power is geometric.
     """
 
-    def powers(m: int, j: int) -> int:
-        """m^j + m^(j+1) + ... + m^d."""
+    def powers(m: int, k: int) -> int:
+        """m^k + m^(k+1) + ... + m^d."""
         if m < 2:
-            return m * (degree - j + 1)
-        return (m ** (degree + 1) - m**j) // (m - 1)
+            return m * (degree - k + 1)
+        return (m ** (degree + 1) - m**k) // (m - 1)
 
-    letters = range(1, n + 1)
-    members = {}
-    for j in range(1, min(n, degree) + 1):
-        count = sum((-1) ** i * math.comb(j, i) * powers(j - i, j) for i in range(j + 1))
-        members.update(dict.fromkeys(map(bytes, itertools.combinations(letters, j)), count))
-    return members
+    return {
+        k: math.comb(n, k)
+        * sum((-1) ** i * math.comb(k, i) * powers(k - i, k) for i in range(k + 1))
+        for k in range(1, min(n, degree) + 1)
+    }
 
 
 def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
@@ -632,17 +628,19 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
     half of `verify axioms`) already reached this degree, so every
     `canonical` lookup is a memo hit and no class is walked twice.  Below
     the degree of the shortest relation every class is a single word, so
-    such a bound finds no witness and looks nothing up.
+    the grouping starts there, and a lower bound finds no witness and looks
+    nothing up.
     """
     absent = {"check": "restriction-surprise", "witness_found": False, "pass": True}
-    if degree_bound < min(len(rel.left) for rel in SHIFTED_KNUTH.relations):
+    shortest = min(len(rel.left) for rel in SHIFTED_KNUTH.relations)
+    if degree_bound < shortest:
         return absent
     shifted = SHIFTED_KNUTH.congruence
     shifted.seed(n, degree_bound)
     canon = shifted.canonical
     knuth_canon = KNUTH.congruence.canonical
     intervals = _intervals(n)
-    for degree in range(2, degree_bound + 1):
+    for degree in range(shortest, degree_bound + 1):
         level: dict[bytes, list[bytes]] = {}
         for w in map(bytes, itertools.product(range(1, n + 1), repeat=degree)):
             level.setdefault(canon(w), []).append(w)

@@ -293,7 +293,9 @@ def _lr_by_least_words(nu, mu, n):
     product = nc_mul(free_schur(nu, n, size), free_schur(mu, n, size))
     remaining = dict(project_quotient(product, KNUTH).terms)
     out = {}
-    for shape in partitions(size, max_rows=n):
+    for shape in partitions(size):
+        if len(shape) > n:
+            continue
         yamanouchi = Tableau(tuple((i + 1,) * length for i, length in enumerate(shape)))
         coeff = remaining.get(canonical_word(reading_word(yamanouchi, n), KNUTH).to_bytes(), 0)
         if coeff:

@@ -1017,6 +1017,10 @@ PINNED_DIGESTS = {
     "verify axioms --n 4 --degree 5 --relations shifted-knuth": "647066a5f6e59f174497297cf1302d8523fec756194d8b813de51e73da68e3a1",
     "lr --nu 3,2 --mu 2,1 --n 6": "36d694a35cc7a77e3df10ce84c8eba66d469ef0e75a8ab586097d810b5df76d3",
     "lr --nu 2,2 --mu 2,1,1 --n 5": "6f666cef5d5c78af30384cc91f70d23d317a15191b56847e3073d500f0b38cde",
+    # the restriction-surprise witness prints comma-separated words
+    "verify axioms --n 10 --degree 4": "12f8c2fb500b03f648fba1a82cc159509b95b9e8a25cc30c23db0907c9d461f7",
+    # the largest n that section 5 accepts
+    "verify section5 --n 23": "0dbacfe3fe104fac922dedfa79b3b3be8e7e26378efaf0830c4aee6d14d43302",
 }
 
 

@@ -619,11 +619,3 @@ class TestEnumerations:
     def test_partitions_order(self):
         assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
         assert list(strict_partitions(5)) == [(5,), (4, 1), (3, 2)]
-
-    def test_partitions_row_bound(self):
-        assert list(partitions(4, max_rows=2)) == [(4,), (3, 1), (2, 2)]
-        for size in range(10):
-            for rows in range(size + 2):
-                assert list(partitions(size, max_rows=rows)) == [
-                    p for p in partitions(size) if len(p) <= rows
-                ]
