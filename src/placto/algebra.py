@@ -230,12 +230,18 @@ class QuotientPoly(_Poly):
 
 
 def project_quotient(p: NcPoly, rels: RelationSet) -> QuotientPoly:
-    """Replace every word by its canonical class representative, merging terms."""
-    canonical = rels.congruence.canonical
-    out: dict[bytes, int] = {}
+    """Replace every word by its canonical class representative, merging terms.
+
+    Terms are merged by class key (`Congruence.key`), and the least member
+    is looked up only for a class whose coefficients do not cancel: under
+    the shipped sets, keyed by insertion tableau, a projection to zero
+    reads no canonical word."""
+    cong = rels.congruence
+    groups: dict[object, list] = {}  # class key -> [a member, summed coefficient]
     for w, c in p.terms.items():
-        key = canonical(w)
-        out[key] = out.get(key, 0) + c
+        group = groups.setdefault(cong.key(w), [w, 0])
+        group[1] += c
+    out = {cong.canonical(w): c for w, c in groups.values() if c}
     return QuotientPoly._of(out, p.n, p.degree_bound, rels)
 
 

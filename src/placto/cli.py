@@ -149,35 +149,32 @@ _MAX_CLASS = 10_000
 # counted in closed form by `tableaux.ssyt_count` or `shifted_ssyt_count`,
 # or the products of the reading words of the two shapes; `lr --nu 3,2 --mu
 # 2,1 --n 8`, 282 240 words, takes 1.5-2.3 s and 87 MB).  Peak RSS of the
-# whole process is about 16 MB at start.  Section5 is bounded by the words
-# of degree 3 and 4 although it walks none of them: it counts their
-# classes in closed form, and a passing run matches its products over
-# min(n, 4) letters only, one content per order type, so it costs the same
-# at every n (`--n 23`, the largest accepted, 292 008 words: 0.07 s and
-# 16 MB for the whole process).  The bound guards a run with a failed
-# matching, which matches the products over all n letters to list every
-# failed content.  An axioms run with a failing axiom walks the classes degree
-# by degree, only until it has listed its violations: the Chinese set
-# `cba~bca, cba~cab` fails `--n 3 --degree 11`, `--n 5 --degree 7` and `--n 6
-# --degree 6` in 0.13 s each, at 16 MB.  A listing that needs every level
-# grows it by about 440 bytes per word: the Chinese set fails `--n 66 --degree
-# 3` (291 918 words) in 3.6-4.7 s and 146 MB.  A passing axioms run walks
-# only to the degree it looks up, 3 or 4 or its longest relation (`--n 3
-# --degree 11`: 16 MB in 0.08 s), but the bound stays: whether an axiom fails
-# is known only after the check.  `--n 3 --degree 12` (797 160 words) is
-# refused.  It is the only bound of an axioms run, which builds no table per
-# ordered morphism.  The largest runs it admits: `--n 66 --degree 3` (291 918
-# words) passes in 4.1-4.3 s and 151 MB, `--n 23 --degree 4` in 5.1-6.0 s and
-# 171 MB, and `--relations knuth --n 255 --degree 2` in 0.07 s at the RSS of a
-# run that walks nothing.  These are runs of the whole process, Python 3.11,
-# one core of a 2-core x86-64 machine.
+# whole process is about 16 MB at start.  A passing axioms or section5 run
+# walks none of these words: each decides its checks on one word or
+# content per order type, over at most 4 letters, so it costs the same at
+# every n (`verify axioms --n 66 --degree 3` and `--n 23 --degree 4`, the
+# largest degree-3 and degree-4 sweeps accepted, and `verify section5
+# --n 23`: 0.1-0.2 s and 16 MB each).  The bound guards a failing run, which
+# lists its failures over all n letters: a section5 run with a failed
+# matching matches the products over {1..n}, and an axioms run with a
+# failing axiom walks the classes degree by degree, only until it has
+# listed its violations.  The Chinese set `cba~bca, cba~cab` fails `--n 3
+# --degree 11`, `--n 5 --degree 7` and `--n 6 --degree 6` from the classes
+# of degree at most 5, in about 0.1 s each at 16 MB.  A listing that needs
+# every level grows by about 390 bytes per word: the Chinese set fails
+# `--n 66 --degree 3` (291 918 words) in 2.2-3.2 s and 125 MB.  Whether an
+# axiom fails is known only after the check, so the bound holds for every
+# run: `--n 3 --degree 12` (797 160 words) is refused.  It is the only
+# bound of an axioms run, which builds no table per ordered morphism.
+# These are runs of the whole process, Python 3.11, one core of a 2-core
+# x86-64 machine.
 _MAX_SWEEP = 300_000
 
 # Most letters that the words of one sweep, one `schur` listing or one `lr`
 # expansion hold.
 # Within `_MAX_SWEEP` a sweep reaches it only at n = 1, where d words hold
 # d(d + 1)/2 letters; `verify axioms --n 1 --degree 3000` (4 501 500
-# letters) passes in 0.11 s and 15 MB, since it walks only to degree 4.
+# letters) passes in 0.11 s and 16 MB, since it walks none of them.
 # Over n >= 2 the largest, `--n 2 --degree 17`, holds 4 194 306 letters.
 # A `schur` listing holds its count times |shape| letters, so a shape of
 # many cells over few letters reaches it: `--shape 120,60 --n 3` (226 981
@@ -190,10 +187,12 @@ _MAX_SWEEP_LETTERS = 5_000_000
 
 def _check_sweep(command: str, n: int, degrees: range) -> None:
     """Refuse, before enumerating any, a sweep over the words of `degrees`
-    over {1..n} (`_check_size`)."""
+    over {1..n} (`_check_size`).  The count is `stop - start`, since
+    `len` refuses a range longer than the largest C ssize_t."""
+    count = degrees.stop - degrees.start
     if n == 1:  # one word of each degree; `sum` would step through a long range
-        _check_size(command, len(degrees), (degrees[0] + degrees[-1]) * len(degrees) // 2)
-    elif len(degrees) > 64:  # not worth counting exactly
+        _check_size(command, count, (degrees[0] + degrees[-1]) * count // 2)
+    elif count > 64:  # not worth counting exactly
         _check_size(command, f"more than {2**64}", 0)
     else:
         _check_size(command, sum(n**k for k in degrees), sum(k * n**k for k in degrees))

@@ -27,12 +27,12 @@ insertion, so their key is the insertion tableau and their step inserts a
 letter.  Every other relation set keys a class by its least member, and its
 step closes the class of that member with the letter appended, once per
 class.  `closure_partition` closes each class of one degree breadth-first,
-and the tests keep it as the reference for the walk.  A partition records
-every member's least word in the memo, so a later canonical lookup of any
-word of those degrees needs no closure; `Congruence.seed` walks only when
-no earlier walk reached the degree.  On a memo miss, `KNUTH` reads the
-least word off the Schensted tableau by reverse column insertion
-(`tableaux.least_plactic_word`); every other relation set closes the class.
+and the tests keep it as the reference for the walk.  Only `canonical`
+fills the memo, the lookups of a custom set's step included: a walk of a
+shipped set records nothing, and the verifier decides its checks by class
+keys.  On a memo miss, `KNUTH` reads the least word off the Schensted
+tableau by reverse column insertion (`tableaux.least_plactic_word`); every
+other relation set closes the class.
 """
 
 from __future__ import annotations
@@ -236,16 +236,14 @@ class Congruence:
     least member of its class without closing it, for `KNUTH`, and is None
     for every other set.  `fiber` lists the class of a key (its members,
     unsorted) without closing it, for the two shipped sets, and is None for
-    every other set.  `walked` maps each n to the highest degree a walk
-    over {1..n} reached.
+    every other set.
     """
 
-    __slots__ = ("table", "memo", "walked", "key", "step", "count", "least", "fiber")
+    __slots__ = ("table", "memo", "key", "step", "count", "least", "fiber")
 
     def __init__(self, rels: RelationSet) -> None:
         self.table = _kernels.RuleTable(_expand(rels))
         self.memo: dict[bytes, bytes] = {}  # byte word -> least member of its class
-        self.walked: dict[int, int] = {}  # n -> highest degree `partitions` walked
         self.key, self.step, self.count, self.least, self.fiber = next(
             (row[1:] for row in _INSERTION if row[0] == rels),
             (self.canonical, self._least_step, None, None, None),
@@ -278,26 +276,10 @@ class Congruence:
         Level k lists the classes of degree k, each a sorted tuple, in the
         order of their first member in lexicographic order of all words.
         One walk (`_insertion_walk`) builds each degree from the one below
-        by `step`, for every relation set.  Seeds the memo with every member
-        of positive degree; the empty word is its own class, which
-        `canonical` finds without the memo.  The partitions are not kept
-        (only the degree reached, in `walked`), so a second call walks again.
+        by `step`, for every relation set.  Nothing is kept, so a second
+        call walks again.
         """
-        levels = _insertion_walk(self.step, self.key(b""), n, degree)
-        self.walked[n] = max(self.walked.get(n, 0), degree)
-        memo = self.memo
-        for classes in levels[1:]:
-            for members in classes:
-                least = members[0]
-                for m in members:
-                    memo[m] = least
-        return levels
-
-    def seed(self, n: int, degree: int) -> None:
-        """Make sure the memo holds every word of degree 1..`degree` over
-        {1..n}: walk unless a walk over {1..m}, m >= n, reached `degree`."""
-        if all(d < degree for m, d in self.walked.items() if m >= n):
-            self.partitions(n, degree)
+        return _insertion_walk(self.step, self.key(b""), n, degree)
 
     def closure_partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
         """The classes of the degree-d words, as in `partitions`, by

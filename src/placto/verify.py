@@ -9,10 +9,11 @@ three-cell hook sum for the three-cell row sum).
 Every check returns JSON-ready dicts with a "pass" flag; identical inputs
 produce identical output.  Words are byte words throughout, one letter per
 byte, as the polynomials and congruences hold them; `words.word_text` gives
-the reports their text.  The axiom checks ask their Knuth-class questions
-of `KNUTH.congruence.canonical`, from the seeded memo or, on a miss, from
-the word's tableau; the case analyses and the replacement propositions
-compare class keys, the insertion tableaux, and walk no class.
+the reports their text.  Every family compares class keys
+(`Congruence.key`: the insertion tableaux for the shipped sets) and walks
+no class to pass.  `verify axioms` and `verify section5` decide a pass
+over the few letters that hold every order type their checks depend on;
+only a failing axiom walks the classes, to list its violations.
 """
 
 from __future__ import annotations
@@ -382,13 +383,26 @@ def verify_axioms(
     That holds on every class of degree at most the bound exactly when it
     holds on every relation instance (l, r) of that degree, so
     `_stable_under`, whose docstring gives the argument, decides each axiom
-    from the instances alone.  Axiom 3 says the same of the ordered
-    morphisms, in the congruence itself, and holds for every relation set by
-    the lemma that docstring states: its report counts the instances and
-    lists no violation.  Each congruence the check reads is seeded only to
-    the highest degree a passing check looks up, and not at all when it
-    looks nothing up; an axiom that fails walks the classes degree by
-    degree, only until it has listed its violations.
+    from the instances alone, comparing class keys.  Axiom 3 says the same
+    of the ordered morphisms, in the congruence itself, and holds for every
+    relation set by the lemma that docstring states: its report counts the
+    instances and lists no violation.
+
+    Order types.  An order-preserving injection f of {1..m} into {1..n}
+    keeps `<=` and `<`, so it sends instances of a relation to instances,
+    and each instance over {1..n} is the image of one over {1..k}, k its
+    number of letters.  So f(u) and f(v) are congruent exactly when u and v
+    are (a rewrite path between f(u) and f(v) keeps their content, so it
+    pulls back step by step), and so of content and Knuth classes.  f sends
+    an interval restriction of a support to one that keeps the same run of
+    its sorted letters, and each content's free and hook sums to its
+    image's.  So each check depends only on the order type of an instance
+    or a product word, which fits in m letters, m the larger of axiom 2's
+    degree and the variables of a relation within the bound: a pass is
+    decided over {1..min(n, m)}, and reported with the counts over {1..n}.
+    A nonzero commutator is built again over {1..n}, to list its terms, and
+    a failing axiom walks the classes over {1..n}, degree by degree, until
+    it has listed its violations.
     """
     if target == "plactic":
         system = "Plac"
@@ -405,46 +419,38 @@ def verify_axioms(
             f"degree bound must be at least {least} for the {system} axioms, got {degree_bound}"
         )
 
-    cong = rels.congruence
-    # the targets of axioms 1 and 4: content and the congruence itself for
-    # the plactic system, ordinary Knuth for both in the shifted system
+    # the targets of axioms 1 and 4, by class key: content and the
+    # congruence itself for the plactic system, ordinary Knuth for both in
+    # the shifted system
     if system == "Plac":
         reference = _sorted_letters
-        target_canon = cong.canonical
+        target_key = functools.cache(rels.congruence.key)
     else:
-        knuth = KNUTH.congruence
-        reference = target_canon = knuth.canonical
+        reference = target_key = functools.cache(KNUTH.congruence.key)
 
-    instances = [
-        pair
-        for rel in rels.relations
-        if len(rel.left) <= degree_bound
-        for pair in relation_instances(rel, n)
-    ]
-    # A check that passes looks up only the words of axiom 2's products and
-    # the relation instances with their images, none longer than `top`.  At
-    # the least bound the products lie wholly above it, so they are not built.
-    sums = least < degree_bound
-    top = max([len(left) for left, _ in instances] + [least + 1 if sums else 0])
-    if top:
-        for read in (cong,) if system == "Plac" else (knuth, cong):
-            read.seed(n, top)
+    fitting = [rel for rel in rels.relations if len(rel.left) <= degree_bound]
+    # the letters that every order type of an instance or a product word fits in
+    m = min(n, max([least + 1] + [len(rel.variables()) for rel in fitting]))
+    instances = [pair for rel in fitting for pair in relation_instances(rel, m)]
 
     def classes():
         # one that fails lists its violations over the classes, degree by degree
         for degree in range(1, degree_bound + 1):
             yield from _partition_degree(rels, n, degree)
 
-    # axiom 2: the two designated sums commute in the quotient
+    # axiom 2: the two designated sums commute in the quotient; at the least
+    # bound their products lie wholly above it, so they are not built
     nonzero = []
-    if sums:
-        if system == "Plac":
-            pa = free_schur((1,), n, degree_bound)
-            pb = free_schur((1, 1), n, degree_bound)
-        else:
-            pa = shifted_free_schur((1,), n, degree_bound)
-            pb = shifted_free_schur((2, 1), n, degree_bound)
-        com = commutator_in_quotient(pa, pb, rels)
+    if least < degree_bound:
+        schur, big = (free_schur, (1, 1)) if system == "Plac" else (shifted_free_schur, (2, 1))
+
+        def commutator(k: int):
+            pa, pb = schur((1,), k, degree_bound), schur(big, k, degree_bound)
+            return commutator_in_quotient(pa, pb, rels)
+
+        com = commutator(m)
+        if com and m < n:
+            com = commutator(n)
         nonzero = sorted(word_text(w, n) for w in com.terms)[:10]
     commutes = _axiom_report(
         f"{system}.2", n, degree_bound, 1, [{"nonzero_terms": nonzero}] if nonzero else []
@@ -460,7 +466,7 @@ def verify_axioms(
         # axiom 1: classes lie in one class of the reference map's target
         (_identity, reference),
         # axiom 4: interval restrictions agree in the target congruence
-        (_restrictions(n), target_canon),
+        (_restrictions(n), target_key),
     ]
     # Each map counts one instance per member of a class its source holds.
     # Relations keep content, so the members of the classes with a given
@@ -533,12 +539,14 @@ def _stable_under(classes, instances, checks, n: int) -> list[list[dict]]:
     """The violations of each stability axiom in `checks`, the first
     `_LISTED` of each.
 
-    `classes()` yields the classes of degree 1..d, in order, from
-    `Congruence.partitions`, `instances` the (left, right) byte words of
-    every relation instance over {1..n} of degree at most d, and `checks`
-    lists (family, target canonical map) per axiom, a family as described
-    above.  A violation is a class, in order, with the label of a map whose
-    action sends the class into more than one target class.
+    `classes()` yields the classes of degree 1..d over {1..n}, in order,
+    from `Congruence.partitions`, `instances` the (left, right) byte words
+    of every relation instance of degree at most d over {1..n}, or over
+    {1..m} for m at least every instance's number of letters (the
+    order-type lemma of `verify_axioms`), and `checks` lists (family,
+    target class key) per axiom, a family as described above.  A violation
+    is a class, in order, with the label of a map whose action sends the
+    class into more than one target class.
 
     An axiom holds on every class iff, for every instance (l, r) and every
     action of its family on the support of l, the images of l and r have one
@@ -622,34 +630,38 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
     A witness documents why the shifted interval axiom lands in the ordinary
     Knuth quotient rather than the shifted one.
 
-    The words of each degree in lexicographic order, grouped by their
-    least member, are the classes of `Congruence.partitions` in its order.
-    `seed` fills the memo with those least members unless a walk (the SPlac
-    half of `verify axioms`) already reached this degree, so every
-    `canonical` lookup is a memo hit and no class is walked twice.  Below
-    the degree of the shortest relation every class is a single word, so
-    the grouping starts there, and a lower bound finds no witness and looks
-    nothing up.
+    The witness is the first pair (base, other) of one class, in the order
+    of the least members and then of the members, whose restrictions to an
+    interval have different shifted keys.  Moving a class onto its packed
+    support keeps a witness a witness (the order-type lemma of
+    `verify_axioms`) and makes each member lexicographically no larger, so
+    the first witness lies over {1..min(n, d)}.  The search scans those
+    words in lexicographic order and lists the class of each new key
+    (`Congruence.fiber`), whose least member is the word that found it.
+    Below the degree of the shortest relation every class is a single
+    word, so the scan starts there, and a lower bound looks nothing up.
     """
     absent = {"check": "restriction-surprise", "witness_found": False, "pass": True}
     shortest = min(len(rel.left) for rel in SHIFTED_KNUTH.relations)
     if degree_bound < shortest:
         return absent
     shifted = SHIFTED_KNUTH.congruence
-    shifted.seed(n, degree_bound)
-    canon = shifted.canonical
-    knuth_canon = KNUTH.congruence.canonical
-    intervals = _intervals(n)
+    key = functools.cache(shifted.key)
+    knuth_key = KNUTH.congruence.key
+    k = min(n, degree_bound)
+    # the first interval over {1..n} that separates two words over {1..k}
+    # ends at k at the latest, since [lo, hi] and [lo, k] restrict them alike
+    intervals = _intervals(k)
     for degree in range(shortest, degree_bound + 1):
-        level: dict[bytes, list[bytes]] = {}
-        for w in map(bytes, itertools.product(range(1, n + 1), repeat=degree)):
-            level.setdefault(canon(w), []).append(w)
-        for cls in level.values():
-            if len(cls) == 1:
+        seen = set()
+        for w in map(bytes, itertools.product(range(1, k + 1), repeat=degree)):
+            rows = key(w)
+            if rows in seen:
                 continue
-            base = cls[0]
-            for other in cls[1:]:
-                witness = _interval_witness(base, other, canon, intervals)
+            seen.add(rows)
+            base, *others = sorted(shifted.fiber(rows))
+            for other in others:
+                witness = _interval_witness(base, other, key, intervals)
                 if witness is not None:
                     lo, hi, outside = witness
                     ru, rv = base.translate(None, outside), other.translate(None, outside)
@@ -660,7 +672,7 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
                         "w2": word_text(other, n),
                         "interval": [lo, hi],
                         "restrictions": [word_text(ru, n), word_text(rv, n)],
-                        "restrictions_knuth_equivalent": knuth_canon(ru) == knuth_canon(rv),
+                        "restrictions_knuth_equivalent": knuth_key(ru) == knuth_key(rv),
                         "pass": True,
                     }
     return absent

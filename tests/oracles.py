@@ -3,17 +3,19 @@ each filters every word of one degree by a condition read off the
 definition, with no generation shared with `placto`, lists every map of a
 family that the library decides without listing, or applies a relation or
 a restriction letter by letter, sharing no code with the byte kernels.
-Mixed insertion and the shifted hook length formula are written out from
-their definitions, with no `placto` code."""
+The restriction-surprise search is kept as it grouped every word over
+{1..n} into classes by closure.  Mixed insertion and the shifted hook
+length formula are written out from their definitions, with no `placto`
+code."""
 
 import itertools
 import math
 from typing import Iterator
 
 from placto.algebra import NcPoly
-from placto.rewrite import SHIFTED_KNUTH, Relation, closure_bytes
+from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, Relation, closure_bytes
 from placto.tableaux import hook_factorization_check, is_partition, mixed_insertion_rows
-from placto.words import Interval, OrderedMorphism, Word
+from placto.words import Interval, OrderedMorphism, Word, all_intervals
 
 
 def longest_weakly_increasing_subword(letters) -> int:
@@ -179,3 +181,32 @@ def restrict(w: Word, interval: Interval) -> Word:
     """Delete all letters outside the interval, preserving order: the
     reference for `words.outside_letters`."""
     return Word(tuple(a for a in w.letters if a in interval), w.n)
+
+
+def restriction_surprise_by_grouping(n: int, degree_bound: int) -> dict:
+    """`verify.restriction_surprise` over every word of {1..n}: the shifted
+    classes of each degree from 4, the length of every shifted Knuth
+    relation, closed breadth-first and taken in order of their least
+    member, and the first member whose restriction to an interval, in
+    `all_intervals` order, leaves the class of the least member's.  Keys
+    come from congruences of its own, so no shipped memo grows."""
+    shifted, knuth = Congruence(SHIFTED_KNUTH), Congruence(KNUTH)
+    for degree in range(4, degree_bound + 1):
+        for base, *others in shifted.closure_partition(n, degree):
+            for other in others:
+                for iv in all_intervals(n):
+                    ru, rv = (restrict(Word.from_bytes(w, n), iv) for w in (base, other))
+                    rb, rvb = ru.to_bytes(), rv.to_bytes()
+                    if shifted.canonical(rb) != shifted.canonical(rvb):
+                        return {
+                            "check": "restriction-surprise",
+                            "witness_found": True,
+                            "w1": str(Word.from_bytes(base, n)),
+                            "w2": str(Word.from_bytes(other, n)),
+                            "interval": [iv.lo, iv.hi],
+                            "restrictions": [str(ru), str(rv)],
+                            "restrictions_knuth_equivalent": knuth.canonical(rb)
+                            == knuth.canonical(rvb),
+                            "pass": True,
+                        }
+    return {"check": "restriction-surprise", "witness_found": False, "pass": True}

@@ -741,6 +741,33 @@ def test_sweep_over_the_letter_limit_rejected(capsys, argv, letters):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (
+            "verify axioms --degree 99999999999999999999",
+            f"verify axioms --n 3 --degree 99999999999999999999 would enumerate more than {2**64}",
+        ),
+        (
+            "verify axioms --n 1 --degree 99999999999999999999",
+            "verify axioms --n 1 --degree 99999999999999999999 would enumerate 99999999999999999999",
+        ),
+    ],
+    ids=["n3", "n1"],
+)
+def test_sweep_past_the_largest_range_length_rejected(capsys, argv, refused):
+    """`len` of a range longer than the largest C ssize_t raises
+    OverflowError; the sweep counts its degrees from the range's ends and
+    refuses the run as a usage error."""
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"placto: error: {refused} words, more than the limit of {cli._MAX_SWEEP}\n"
+    )
+
+
 def test_sweep_at_the_letter_limit_accepted(capsys, monkeypatch):
     argv = ["verify", "axioms", "--n", "1", "--degree", "4"]
     monkeypatch.setattr(cli, "_MAX_SWEEP_LETTERS", 1 + 2 + 3 + 4)

@@ -7,12 +7,18 @@ import gc
 import itertools
 import json
 import math
+import re
 import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import all_ordered_morphisms, apply_morphism, restrict
+from oracles import (
+    all_ordered_morphisms,
+    apply_morphism,
+    restrict,
+    restriction_surprise_by_grouping,
+)
 from placto import cli, rewrite, verify
 from placto.algebra import commutator_in_quotient, free_schur, nc_mul, shifted_free_schur
 from placto.cli import main
@@ -24,7 +30,7 @@ from placto.rewrite import (
     RelationSet,
     closure_bytes,
 )
-from placto.tableaux import mixed_step, schensted_rows
+from placto.tableaux import schensted_rows
 from placto.verify import (
     TABLE_FAMILIES,
     _case_products,
@@ -349,6 +355,9 @@ _HYPOPLACTIC = RelationSet.custom(
     + (Relation("H.1", "cadb", "acbd", "a<=b<c<=d"), Relation("H.2", "bdac", "dbca", "a<b<=c<d")),
     name="hypoplactic",
 )
+_K1 = RelationSet.custom(KNUTH.relations[:1], name="K.1")
+_K2 = RelationSet.custom(KNUTH.relations[1:], name="K.2")
+_CATALOGUE = [KNUTH, SHIFTED_KNUTH, _CHINESE, _HYPOPLACTIC, _COMMUTATIVE, _K1, _K2]
 
 
 class TestAxiomViolations:
@@ -381,8 +390,8 @@ class TestAxiomViolations:
             (_HYPOPLACTIC, "PPPP", "-PP-"),
             (_COMMUTATIVE, "PPPP", "-PP-"),
             (_CHINESE, "P-P-", "--P-"),
-            (RelationSet.custom(KNUTH.relations[:1], name="K.1"), "P-PP", "P-PP"),
-            (RelationSet.custom(KNUTH.relations[1:], name="K.2"), "P-PP", "P-PP"),
+            (_K1, "P-PP", "P-PP"),
+            (_K2, "P-PP", "P-PP"),
         ],
         ids=["hypoplactic", "commutative", "chinese", "K.1", "K.2"],
     )
@@ -394,19 +403,25 @@ class TestAxiomViolations:
         self._check("shifted-plactic", 3, 5, _COMMUTATIVE, {"SPlac.1": 20, "SPlac.4": 20})
 
     def test_canonical_that_is_not_morphism_stable(self, monkeypatch):
-        # each word holding a 3 is its own canonical form: classes with a 3
-        # split, and so do their images under morphisms and restrictions.
-        # Axiom 3 is decided by the lemma, which rests on the relations and
-        # not on the key, so the broken key fails the run at axioms 2 and 4
+        # each word holding a 3 is its own class key and canonical form:
+        # classes with a 3 split, and so do their images under morphisms and
+        # restrictions.  The verifier reads the key, the reference the
+        # canonical form, and both walk the true classes.  Axiom 3 is
+        # decided by the lemma, which rests on the relations and not on the
+        # key, so the broken key fails the run at axioms 2 and 4
         rels = RelationSet.custom(_COMMUTATIVE.relations, name="unstable")
         cong = rels.congruence
         real = Congruence.canonical
 
-        def unstable(self, word):
-            least = real(self, word)
-            return word if self is cong and 3 in word else least
+        def unstable(word):
+            least = real(cong, word)
+            return word if 3 in word else least
 
-        monkeypatch.setattr(Congruence, "canonical", unstable)
+        monkeypatch.setattr(cong, "key", unstable)
+        monkeypatch.setattr(cong, "step", lambda least, a: real(cong, least + bytes((a,))))
+        monkeypatch.setattr(
+            Congruence, "canonical", lambda self, w: unstable(w) if self is cong else real(self, w)
+        )
         reports = verify_axioms("plactic", 3, 4, relations=rels)
         expected = _reference_axioms("plactic", 3, 4, rels)
         assert [r["pass"] for r in expected] == [True, False, False, False]
@@ -477,6 +492,96 @@ def _per_member_oracle():
         yield reached
 
 
+@contextlib.contextmanager
+def _over_every_letter(n):
+    """`verify_axioms` with its relation instances and axiom 2's sums over
+    all of {1..n}, whatever alphabet it asks for: the oracle for the
+    order-type lemma, by which it asks only for the letters that every
+    order type fits in."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("relation_instances", "free_schur", "shifted_free_schur"):
+            real = getattr(verify, name)
+            mp.setattr(verify, name, lambda first, m, *rest, real=real: real(first, n, *rest))
+        yield
+
+
+def _decided_over_every_letter(target, n, degree, rels):
+    """Assert that `verify_axioms` reports what it reports with its
+    instances and sums over all n letters, at an n above the letters that
+    it decides over."""
+    assert n > max([4] + [len(rel.variables()) for rel in rels.relations])
+    reports = verify_axioms(target, n, degree, relations=rels)
+    with _over_every_letter(n):
+        expected = verify_axioms(target, n, degree, relations=rels)
+    assert json.dumps(reports, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def _collapsed(rels, name):
+    """The relations of `rels` with two variables of a weak step made one:
+    their instances are those of `rels` with fewer distinct letters than
+    variables."""
+    relations = []
+    for rel in rels.relations:
+        variables, strict = rel.variables(), rel.strict_flags()
+        for i in (i for i, s in enumerate(strict) if not s):
+            keep, gone = variables[i : i + 2]
+            left, right = rel.left.replace(gone, keep), rel.right.replace(gone, keep)
+            ops = ["<" if s else "<=" for s in strict[:i] + strict[i + 1 :]]
+            rest = [v for v in variables if v != gone]
+            chain = rest[0] + "".join(op + v for op, v in zip(ops, rest[1:]))
+            relations.append(Relation(f"{rel.name}.{keep}={gone}", left, right, chain))
+    return RelationSet.custom(relations, name=name)
+
+
+# Sets whose verdict changes when fewer letters than their order types need
+# are read: the Knuth relations on two letters pass Plac.2 over two letters
+# only, the shifted Knuth relations on at most three pass SPlac.2 over three
+# only, and SP.1 on four distinct letters passes Plac.4 over three only.
+_ORDER_TYPE_SETS = [
+    _collapsed(KNUTH, "knuth-on-two-letters"),
+    _collapsed(SHIFTED_KNUTH, "shifted-knuth-on-three-letters"),
+    RelationSet.custom((Relation("SP.1", "abdc", "adbc", "a<b<c<d"),), name="SP.1-strict"),
+]
+
+
+class TestOrderTypes:
+    """A pass decided over the letters that hold every order type of a
+    relation instance and of an axiom-2 word reports what the instances
+    and sums over all n letters report."""
+
+    @pytest.mark.parametrize("n, degree", [(5, 5), (6, 4), (7, 4)])
+    @pytest.mark.parametrize("target", ["plactic", "shifted-plactic"])
+    @pytest.mark.parametrize("rels", _CATALOGUE + _ORDER_TYPE_SETS, ids=lambda r: r.name)
+    def test_catalogue_sets(self, rels, target, n, degree):
+        _decided_over_every_letter(target, n, degree, rels)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        target=st.sampled_from(["plactic", "shifted-plactic"]),
+        scale=st.sampled_from([(5, 5), (6, 4), (7, 4)]),
+    )
+    def test_sets_near_the_catalogue(self, data, target, scale):
+        """A catalogue set with relations dropped, relations of another
+        catalogue set added, or one step of a chain flipped between < and
+        <=."""
+        base = data.draw(st.sampled_from(_CATALOGUE))
+        relations = list(data.draw(st.lists(st.sampled_from(base.relations), unique=True)))
+        other = data.draw(st.sampled_from(_CATALOGUE))
+        relations += data.draw(st.lists(st.sampled_from(other.relations), max_size=2))
+        if relations and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(relations) - 1))
+            rel = relations[i]
+            steps = re.findall(r"<=|<", rel.constraints)
+            j = data.draw(st.integers(0, len(steps) - 1))
+            steps[j] = "<" if steps[j] == "<=" else "<="
+            variables = rel.variables()
+            chain = variables[0] + "".join(op + v for op, v in zip(steps, variables[1:]))
+            relations[i] = Relation(rel.name, rel.left, rel.right, chain)
+        rels = RelationSet.custom(relations, name="near")
+        _decided_over_every_letter(target, *scale, rels)
+
+
 class TestOneWordPerBlock:
     """Axioms 1 and 4 decided from the relation instances, against one
     lookup per member; the flags say which axioms failed and had their
@@ -525,12 +630,14 @@ class TestOneWordPerBlock:
 
 
 def _count_lookups(monkeypatch):
-    """Count `Congruence.canonical` calls: (all calls, calls made by each
-    `_stable_under` call)."""
+    """Count the class keys that the shipped congruences, made afresh,
+    compute: (all keys, keys computed by each `_stable_under` call)."""
+    _fresh_congruences(monkeypatch)
     calls = []
+    for rels in (KNUTH, SHIFTED_KNUTH):
+        cong = rels.congruence
+        monkeypatch.setattr(cong, "key", lambda w, key=cong.key: calls.append(w) or key(w))
     per_sweep = []
-    real = Congruence.canonical
-    monkeypatch.setattr(Congruence, "canonical", lambda self, w: calls.append(w) or real(self, w))
     stable_under = verify._stable_under
 
     def counted(*args):
@@ -543,26 +650,21 @@ def _count_lookups(monkeypatch):
     return calls, per_sweep
 
 
-def _grouping_lookups(n):
-    """The lookups by which `restriction_surprise` groups the words of
-    degree 4 over {1..n} into classes, one per word, all memo hits: below
-    the shortest shifted Knuth relation every class is one word."""
-    return n**4
-
-
 def test_axioms_look_up_one_word_per_block(capsys, monkeypatch):
-    """The per-member check made 442 873 lookups in this run, finding each
-    block by a prefix lookup per member 128 677, and one lookup per right
-    block C'·a 44 774; one per group of blocks joined by left blocks made
-    632, as did two per relation instance and action of axioms 1, 3 and 4.
-    With axiom 3 decided by its lemma, and no action for a restriction that
-    empties the support, two per instance and action of axioms 1 and 4
-    make 460, besides the lookups that group the classes of
-    `restriction_surprise`."""
+    """The per-member check made 442 873 canonical lookups in this run,
+    finding each block by a prefix lookup per member 128 677, and one
+    lookup per right block C'·a 44 774; one per group of blocks joined by
+    left blocks made 632, as did two per relation instance and action of
+    axioms 1, 3 and 4.  With axiom 3 decided by its lemma, and no action
+    for a restriction that empties the support, two per instance and
+    action of axioms 1 and 4 made 460, besides the lookups that grouped
+    the classes of `restriction_surprise`.  Keying each word once per
+    run, and `restriction_surprise` only the words of degree 4, computes
+    199 keys in all."""
     calls, per_sweep = _count_lookups(monkeypatch)
     assert main("verify axioms --n 3 --degree 9".split()) == 0
     capsys.readouterr()
-    assert len(calls) - _grouping_lookups(3) == 460 < 44_774 / 2
+    assert len(calls) == 199 < 460
     assert len(per_sweep) == 2
 
 
@@ -575,14 +677,15 @@ def test_axioms_look_up_one_word_per_joined_group(
     """Canonical lookups of the run with one lookup per right block, and
     with one per group of joined blocks, which two per relation instance
     and action of axioms 1, 3 and 4 matched.  Two per instance and action
-    of axioms 1 and 4 make fewer, besides the lookups that group the
-    classes of `restriction_surprise`."""
+    of axioms 1 and 4 made fewer, besides the lookups that grouped the
+    classes of `restriction_surprise`.  Deciding over the letters that hold
+    every order type, 3 for Plac and 4 for SPlac, computes the same 480
+    keys at both scales, `restriction_surprise`'s included."""
     calls_per_instance = {(5, 6): 4_156, (4, 7): 1_602}[n, degree]
     calls, per_sweep = _count_lookups(monkeypatch)
     assert main(f"verify axioms --n {n} --degree {degree}".split()) == 0
     capsys.readouterr()
-    lookups = len(calls) - _grouping_lookups(n)
-    assert lookups == calls_per_instance < calls_per_group < calls_per_block / 20
+    assert len(calls) == 480 < calls_per_instance < calls_per_group < calls_per_block / 20
     assert len(per_sweep) == 2
 
 
@@ -655,7 +758,7 @@ def test_singleton_classes_need_no_image_lookup(capsys, monkeypatch):
     capsys.readouterr()
     assert per_sweep == [0, 0]
     # axiom 2's sums are zero over one letter; `restriction_surprise`
-    # groups the words of degree 4
+    # keys the one word of degree 4
     assert calls == [b"\x01" * 4]
 
 
@@ -721,19 +824,48 @@ def _count_walks(monkeypatch):
 
 @pytest.mark.parametrize("n, degree", [(5, 6), (3, 9)])
 def test_passing_axioms_walk_only_to_the_lookup_degree(capsys, monkeypatch, n, degree):
+    """A passing run decides every axiom by class keys, so there is no
+    degree that it looks up in a memo: it walks no class, makes no
+    canonical lookup, and leaves both shipped memos empty."""
     walks = _count_walks(monkeypatch)
+    canonical = []
+    real = Congruence.canonical
+    monkeypatch.setattr(
+        Congruence, "canonical", lambda self, w: canonical.append(w) or real(self, w)
+    )
     assert main(f"verify axioms --n {n} --degree {degree}".split()) == 0
     capsys.readouterr()
-    assert {(m, d) for _, m, d in walks} == {(n, 3), (n, 4)}
+    assert walks == [] and canonical == []
+    assert KNUTH.congruence.memo == SHIFTED_KNUTH.congruence.memo == {}
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_passing_axioms_key_as_many_words_at_every_n(capsys, degree):
+    """Every check of a passing run depends only on order types, which fit
+    in 4 letters: the run computes as many class keys at n = 5 as at the
+    largest n that the sweep limit admits at its degree."""
+    keyed = []
+    for n in (5, max(n for n in range(1, 256) if degree in _accepted_degrees(n))):
+        with pytest.MonkeyPatch.context() as mp:
+            calls, _ = _count_lookups(mp)
+            assert main(f"verify axioms --n {n} --degree {degree}".split()) == 0
+        capsys.readouterr()
+        keyed.append(len(calls))
+    assert keyed[0] == keyed[1] > 0
 
 
 def test_passing_axioms_walk_the_shifted_classes_once(capsys, monkeypatch):
-    """`restriction_surprise` reads the shifted classes from the memo that
-    the SPlac half of `verify axioms` seeded, instead of walking them again."""
+    """`restriction_surprise` lists each shifted class it reads once, from
+    its key (`Congruence.fiber`), and walks no class."""
     walks = _count_walks(monkeypatch)
+    cong = SHIFTED_KNUTH.congruence
+    listed = []
+    fiber = cong.fiber
+    monkeypatch.setattr(cong, "fiber", lambda rows: listed.append(rows) or fiber(rows))
     assert main("verify axioms --n 5 --degree 6".split()) == 0
     capsys.readouterr()
-    assert [(n, d) for step, n, d in walks if step is mixed_step] == [(5, 4)]
+    assert walks == []
+    assert listed and len(set(listed)) == len(listed)
 
 
 @pytest.mark.parametrize(
@@ -745,28 +877,24 @@ def test_failing_axioms_walk_only_to_their_last_listed_degree(
     monkeypatch, target, n, degree, reached
 ):
     """The Chinese set fails Plac.4 at (4, 5) and (3, 11), and SPlac.1 and
-    SPlac.4 at (3, 5).  After the seed to the lookup degree, each failing
-    axiom walks its classes degree by degree, 1, 2, ..., and stops at the
-    degree of its last listed violation; the Knuth classes are not walked
-    beyond the seed."""
+    SPlac.4 at (3, 5).  Each failing axiom walks its classes degree by
+    degree, 1, 2, ..., and stops at the degree of its last listed
+    violation; the Knuth classes are not walked."""
     walks = _count_walks(monkeypatch)
     reports = verify_axioms(target, n, degree, relations=_CHINESE)
     failing = [r for r in reports if not r["pass"] and r["axiom"][-1] in "14"]
     assert [len(r["violations"][-1]["class_of"]) for r in failing] == reached
     chinese = _CHINESE.congruence._least_step
-    seed = 3 if target == "plactic" else 4
     listed = [(n, d) for top in reached for d in range(1, top + 1)]
-    assert [(m, d) for step, m, d in walks if step == chinese] == [(n, seed)] + listed
-    assert [(m, d) for step, m, d in walks if step != chinese] == (
-        [] if target == "plactic" else [(n, seed)]
-    )
+    assert [(m, d) for step, m, d in walks if step == chinese] == listed
+    assert [(m, d) for step, m, d in walks if step != chinese] == []
 
 
 @pytest.mark.parametrize("target, degree", [("shifted-plactic", 3), ("plactic", 2)])
 def test_axioms_at_the_least_bound_walk_and_multiply_nothing(monkeypatch, target, degree):
     """At the least bound axiom 2's products lie wholly above it and no
-    shipped relation fits within it: the check builds no sum, seeds no
-    congruence and walks no class."""
+    shipped relation fits within it: the check builds no sum and walks no
+    class."""
     walks = _count_walks(monkeypatch)
     sums = []
     for name in ("free_schur", "shifted_free_schur"):
@@ -788,6 +916,14 @@ class TestReportOnlyChecks:
         assert report["witness_found"]
         assert report["restrictions_knuth_equivalent"]
         assert report["pass"]
+
+    @pytest.mark.parametrize(
+        "n, degree", [(2, 4), (3, 4), (4, 4), (5, 4), (6, 4), (7, 4), (5, 5), (10, 4)]
+    )
+    def test_restriction_surprise_equals_the_grouping_of_every_word(self, n, degree):
+        """The scan of the words over {1..min(n, d)} finds the witness that
+        grouping every word over {1..n} into closed classes finds."""
+        assert restriction_surprise(n, degree) == restriction_surprise_by_grouping(n, degree)
 
     def test_restriction_surprise_absent_below_degree_4(self):
         report = restriction_surprise(4, 3)
@@ -1191,37 +1327,18 @@ def test_forced_matching_keys_each_remaining_word_once(capsys, monkeypatch, comm
         "verify axioms --n 4 --degree 5",
     ],
 )
-def test_verifier_reads_knuth_classes_from_the_seeded_memo(capsys, monkeypatch, command):
-    """`verify axioms` reads the Knuth classes from the memo its walks
-    seeded, never by a least-word search; `verify cases` and `verify
-    section5` compare insertion tableaux and walk nothing at all."""
-    _fresh_congruences(monkeypatch)
+def test_verifier_reads_no_knuth_memo(capsys, monkeypatch, command):
+    """Every verify family asks its Knuth-class questions of the class key,
+    the Schensted tableau: a passing run walks no class, searches no least
+    word and leaves the Knuth memo empty."""
+    walks = _count_walks(monkeypatch)
     knuth = KNUTH.congruence
     searched = []
     least = knuth.least
     knuth.least = lambda w: searched.append(w) or least(w)
     assert main(command.split()) == 0
     capsys.readouterr()
-
-    walked = dict(knuth.walked)
-    assert bool(walked) == command.startswith("verify axioms")
-    assert all(
-        w == b"" or any(len(w) <= d and max(w) <= m for m, d in walked.items())
-        for w in knuth.memo
-    )
-    assert set(searched) <= {b""}
-
-    steps = []
-    step = knuth.step
-    knuth.step = lambda key, a: steps.append(a) or step(key, a)
-    for m, d in walked.items():
-        knuth.seed(m, d)
-        knuth.seed(m, d - 1)
-        knuth.seed(m - 1, d)  # words over a smaller alphabet are seeded too
-    assert steps == []
-    m, d = max(walked.items(), default=(1, 0))
-    knuth.seed(m, d + 1)
-    assert steps  # the counter sees a walk
+    assert walks == [] and searched == [] and knuth.memo == {}
 
 
 @pytest.mark.parametrize(
@@ -1236,13 +1353,14 @@ def test_verifier_reads_knuth_classes_from_the_seeded_memo(capsys, monkeypatch, 
     ],
 )
 def test_every_memo_holds_only_walked_words(capsys, monkeypatch, tmp_path, command):
-    """After a `verify` family, the memo of every congruence it used holds
-    only the empty word and words that one of that congruence's walks
-    reached; a Plac run on a custom set makes no Knuth congruence. The
-    case analyses and the replacement propositions compare class keys, the
-    insertion tableaux, and count classes in closed form: no congruence
-    walks, so every memo holds at most the empty word."""
-    _fresh_congruences(monkeypatch)
+    """After a passing `verify` family no congruence has walked, and the
+    memo of every congruence it used holds only the words that its own
+    key lookups reached.  The shipped sets key by insertion tableau, so
+    their memos stay empty.  A custom set keys by least member, so its memo
+    holds the classes of the words that its passing checks keyed: words of
+    degree at most 3 over {1..3}, axiom 2's degree and the letters of its
+    order types.  A Plac run on a custom set makes no Knuth congruence."""
+    walks = _count_walks(monkeypatch)
     made = []
     init = Congruence.__init__
 
@@ -1256,18 +1374,15 @@ def test_every_memo_holds_only_walked_words(capsys, monkeypatch, tmp_path, comma
     assert main(command.format(custom=path).split()) == 0
     capsys.readouterr()
 
-    assert made
-    for _, cong in made:
-        assert bool(cong.walked) == command.startswith("verify axioms")
-        assert all(
-            w == b"" or any(len(w) <= d and max(w) <= m for m, d in cong.walked.items())
-            for w in cong.memo
-        )
+    assert made and walks == []
+    for rels, cong in made:
+        if rels in (KNUTH, SHIFTED_KNUTH):
+            assert cong.memo == {}
     if "custom" in command:
         assert all(rels != KNUTH for rels, _ in made)
         ((_, cong),) = made
-        # the axioms pass, so the seeded degree is axiom 2's 3: degrees 1..3 and b""
-        assert len(cong.memo) == 3 + 9 + 27 + 1
+        assert cong.memo
+        assert all(len(w) <= 3 and max(w) <= 3 for w in cong.memo)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
