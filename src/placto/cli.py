@@ -150,21 +150,22 @@ _MAX_CLASS = 10_000
 # or the products of the reading words of the two shapes; `lr --nu 3,2 --mu
 # 2,1 --n 8`, 282 240 words, takes 1.5-2.3 s and 87 MB).  Peak RSS of the
 # whole process is about 16 MB at start.  A passing axioms or section5 run
-# walks none of these words: each decides its checks on one word or
+# reads none of these words: each decides its checks on one word or
 # content per order type, over at most 4 letters, so it costs the same at
 # every n (`verify axioms --n 66 --degree 3` and `--n 23 --degree 4`, the
 # largest degree-3 and degree-4 sweeps accepted, and `verify section5
 # --n 23`: 0.1-0.2 s and 16 MB each).  The bound guards a failing run, which
 # lists its failures over all n letters: a section5 run with a failed
 # matching matches the products over {1..n}, and an axioms run with a
-# failing axiom walks the classes degree by degree, only until it has
+# failing axiom scans the classes degree by degree, only until it has
 # listed its violations.  The Chinese set `cba~bca, cba~cab` fails `--n 3
 # --degree 11`, `--n 5 --degree 7` and `--n 6 --degree 6` from the classes
-# of degree at most 5, in about 0.1 s each at 16 MB.  A listing that needs
-# every level grows by about 390 bytes per word: the Chinese set fails
-# `--n 66 --degree 3` (291 918 words) in 2.2-3.2 s and 125 MB.  Whether an
-# axiom fails is known only after the check, so the bound holds for every
-# run: `--n 3 --degree 12` (797 160 words) is refused.  It is the only
+# of degree at most 5, in about 0.1 s each at 16 MB, and `--n 66 --degree
+# 3` (291 918 words) after reading 8 977 of them, in 1.8-2.6 s and 83 MB,
+# most of both in its commutator over n.  A scan that reads every word
+# holds about 66 bytes per word: all 291 918 take 2.2 s and 37 MB.  Whether
+# an axiom fails is known only after the check, so the bound holds for
+# every run: `--n 3 --degree 12` (797 160 words) is refused.  It is the only
 # bound of an axioms run, which builds no table per ordered morphism.
 # These are runs of the whole process, Python 3.11, one core of a 2-core
 # x86-64 machine.

@@ -16,20 +16,16 @@ on its `Congruence`, which the set owns (`RelationSet.congruence`) and which
 lives as long as the set: the shipped sets for the whole process, a custom
 set until it is dropped.  It holds the kernel rule table, the canonical memo
 that maps a byte word to the lexicographically least member of its class, a
-class key, the key's one-letter step and, where known, the class count.
-A congruence is closed under right multiplication, so the class of w a
-depends only on the class of w and the letter a.  `Congruence.partitions`
-uses this for every relation set: one walk builds the classes of each
-degree from those of the degree below, with one step per (class, letter)
-pair, not one per word and letter.  For `KNUTH` the classes are exactly the
-fibers of Schensted insertion and for `SHIFTED_KNUTH` those of mixed
-insertion, so their key is the insertion tableau and their step inserts a
-letter.  Every other relation set keys a class by its least member, and its
-step closes the class of that member with the letter appended, once per
-class.  `closure_partition` closes each class of one degree breadth-first,
-and the tests keep it as the reference for the walk.  Only `canonical`
-fills the memo, the lookups of a custom set's step included: a walk of a
-shipped set records nothing, and the verifier decides its checks by class
+class key and, where known, the class count.  For `KNUTH` the classes are
+exactly the fibers of Schensted insertion and for `SHIFTED_KNUTH` those of
+mixed insertion, so their key is the insertion tableau; every other
+relation set keys a class by its least member.  `Congruence.classes` lists
+the classes of one degree by one lexicographic scan of its words: each word
+not seen yet is the least member of a new class, listed as the fiber of its
+tableau for the two shipped sets and by closure for every other set.
+`closure_partition` closes each class of one degree breadth-first, and the
+tests keep it as the reference for the scan.  Only `canonical` fills the
+memo: a scan records nothing, and the verifier decides its checks by class
 keys.  On a memo miss, `KNUTH` reads the least word off the Schensted
 tableau by reverse column insertion (`tableaux.least_plactic_word`); every
 other relation set closes the class.
@@ -41,16 +37,15 @@ import functools
 import itertools
 import json
 import re
+from collections.abc import Iterator
 
 from . import _kernels
 from .tableaux import (
     least_plactic_word,
     mixed_fiber,
     mixed_insertion_rows,
-    mixed_step,
     schensted_fiber,
     schensted_rows,
-    schensted_step,
     shifted_standard_count,
     standard_count,
 )
@@ -188,14 +183,13 @@ SHIFTED_KNUTH = RelationSet(
 # What a shipped relation set knows of a class without closing it, one row
 # per set: the insertion map whose fibers are the classes (Knuth classes are
 # the fibers of Schensted insertion, Knuth 1970; shifted Knuth classes those
-# of Haiman's mixed insertion, Serrano 2010), the same map one letter at a
-# time (the rows of w a from the rows of w), the class size from the shape of
-# the tableau (one member per standard recording tableau), for `KNUTH` the
+# of Haiman's mixed insertion, Serrano 2010), the class size from the shape
+# of the tableau (one member per standard recording tableau), for `KNUTH` the
 # least member computed from the word alone, and the class listed from the
 # tableau by reverse insertion (`tableaux.insertion_fiber`).
 _INSERTION = (
-    (KNUTH, schensted_rows, schensted_step, standard_count, least_plactic_word, schensted_fiber),
-    (SHIFTED_KNUTH, mixed_insertion_rows, mixed_step, shifted_standard_count, None, mixed_fiber),
+    (KNUTH, schensted_rows, standard_count, least_plactic_word, schensted_fiber),
+    (SHIFTED_KNUTH, mixed_insertion_rows, shifted_standard_count, None, mixed_fiber),
 )
 
 
@@ -227,26 +221,24 @@ class Congruence:
     Words are byte strings, one letter per byte.  Obtain instances through
     `rels.congruence`, so that every caller shares the set's one memo.
     `key` maps a word to the key of its class, so two words are congruent
-    exactly when their keys are equal, and `step(k, a)` is the key of w a
-    for a word w of key k.  The two shipped relation sets key a class by its
-    insertion tableau (rows) and step by inserting a letter, and their
-    `count` gives the size of a class from the shape of its key.  Every
-    other set keys a class by its least member (`canonical`), steps with
-    `_least_step`, and has no `count` (None).  `least` maps a word to the
-    least member of its class without closing it, for `KNUTH`, and is None
-    for every other set.  `fiber` lists the class of a key (its members,
-    unsorted) without closing it, for the two shipped sets, and is None for
-    every other set.
+    exactly when their keys are equal.  The two shipped relation sets key a
+    class by its insertion tableau (rows), and their `count` gives the size
+    of a class from the shape of its key.  Every other set keys a class by
+    its least member (`canonical`) and has no `count` (None).  `least` maps
+    a word to the least member of its class without closing it, for
+    `KNUTH`, and is None for every other set.  `fiber` lists the class of a
+    key (its members, unsorted) without closing it, for the two shipped
+    sets, and is None for every other set.
     """
 
-    __slots__ = ("table", "memo", "key", "step", "count", "least", "fiber")
+    __slots__ = ("table", "memo", "key", "count", "least", "fiber")
 
     def __init__(self, rels: RelationSet) -> None:
         self.table = _kernels.RuleTable(_expand(rels))
         self.memo: dict[bytes, bytes] = {}  # byte word -> least member of its class
-        self.key, self.step, self.count, self.least, self.fiber = next(
+        self.key, self.count, self.least, self.fiber = next(
             (row[1:] for row in _INSERTION if row[0] == rels),
-            (self.canonical, self._least_step, None, None, None),
+            (self.canonical, None, None, None),
         )
 
     def canonical(self, word: bytes) -> bytes:
@@ -265,24 +257,33 @@ class Congruence:
                     memo[m] = got
         return got
 
-    def _least_step(self, least: bytes, a: int) -> bytes:
-        """The key of w a from the key of w, for a set keyed by least
-        members: w a and least a are congruent, so they share a key."""
-        return self.key(least + bytes((a,)))
+    def classes(self, n: int, degree: int) -> Iterator[tuple[bytes, ...]]:
+        """The classes of the degree-d words over {1..n}, each a sorted
+        tuple, in the order of their least members, as they are found.
 
-    def partitions(self, n: int, degree: int) -> tuple[tuple[tuple[bytes, ...], ...], ...]:
-        """The classes of the words of each degree 0..`degree` over {1..n}.
-
-        Level k lists the classes of degree k, each a sorted tuple, in the
-        order of their first member in lexicographic order of all words.
-        One walk (`_insertion_walk`) builds each degree from the one below
-        by `step`, for every relation set.  Nothing is kept, so a second
-        call walks again.
+        One scan reads the words in lexicographic order: each word that no
+        class listed so far holds is the least member of a new class.  The
+        shipped sets list it as the fiber of its tableau, except that a
+        weakly increasing word (one row, one member) is listed as itself,
+        since its fiber would recurse once per letter; every other set
+        closes it.  The memo records nothing, and the scan reads no word
+        past the class its caller stops at.
         """
-        return _insertion_walk(self.step, self.key(b""), n, degree)
+        fiber, key, table = self.fiber, self.key, self.table
+        seen: set[bytes] = set()
+        for letters in itertools.product(range(1, n + 1), repeat=degree):
+            w = bytes(letters)
+            if w in seen:
+                continue
+            if fiber is None:
+                members = sorted(_kernels.closure(w, table))
+            else:
+                members = [w] if w == bytes(sorted(w)) else sorted(fiber(key(w)))
+            seen.update(members)
+            yield tuple(members)
 
     def closure_partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
-        """The classes of the degree-d words, as in `partitions`, by
+        """The classes of the degree-d words, as in `classes`, by
         breadth-first closure of each class; not recorded in the memo.
 
         Words are skipped through this call's own `seen` set, never through
@@ -300,33 +301,6 @@ class Congruence:
             seen.update(members)
             found.append(tuple(members))
         return tuple(found)
-
-
-def _insertion_walk(step, start, n: int, degree: int) -> tuple[tuple[tuple[bytes, ...], ...], ...]:
-    """The classes of the words of each degree 0..d over {1..n}, where
-    `start` is the class key of the empty word and `step(k, a)` the key of
-    w a for a word w of key k.
-
-    Each level maps a class key to its class; the classes of degree k + 1
-    take one step per (class, letter) pair, since every word w a of the
-    class of key k has the key step(k, a).  Each class is sorted and the
-    classes come in the order of their first member, the order
-    `closure_partition` gives.
-    """
-    level: dict[object, tuple[bytes, ...]] = {start: (b"",)}
-    levels = [((b"",),)]
-    letters = [(a, bytes((a,))) for a in range(1, n + 1)]
-    for _ in range(degree):
-        grown: dict[object, list[bytes]] = {}
-        for key, members in level.items():
-            for a, suffix in letters:
-                words = [m + suffix for m in members]
-                fiber = grown.setdefault(step(key, a), words)
-                if fiber is not words:
-                    fiber.extend(words)
-        level = {key: tuple(sorted(fiber)) for key, fiber in grown.items()}
-        levels.append(tuple(sorted(level.values())))
-    return tuple(levels)
 
 
 def closure_bytes(rels: RelationSet, word: bytes, cap: int | None = None) -> frozenset[bytes]:

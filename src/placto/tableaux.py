@@ -189,15 +189,6 @@ def _row_uninsert(rows: list[tuple[int, ...]], r: int) -> int:
     return y
 
 
-def schensted_step(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of P(w a) from the rows of P(w): insertion is a right action of
-    letters on tableaux, so P(w a) = P(w) <- a.  The rows given are not
-    changed."""
-    out = [list(r) for r in rows]
-    _row_insert(out, a)
-    return tuple(map(tuple, out))
-
-
 def schensted_rows(letters) -> tuple[tuple[int, ...], ...]:
     """Rows of the Schensted insertion tableau of a letter sequence (a tuple
     or a byte word).  Its fibers are the Knuth classes (Knuth 1970)."""
@@ -545,20 +536,13 @@ def _mixed_uninsert_encoded(rows: list[tuple[int, ...]], r: int) -> int:
         v = row[j]
 
 
-def mixed_step(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ...], ...]:
-    """Rows, in the doubled encoding, of the mixed insertion tableau of w a
-    from those of w, for a plain letter a: mixed insertion is a right
-    action of letters too.  The rows given are not changed."""
-    out = [list(r) for r in rows]
-    _mixed_insert_encoded(out, a)
-    return tuple(map(tuple, out))
-
-
 def mixed_insert(tableau: ShiftedTableau, z: int) -> ShiftedTableau:
     """Mixed-insert the plain (unprimed) letter z into a shifted tableau."""
     if z < 1:
         raise ValueError(f"bad letter {z}")
-    return ShiftedTableau(mixed_step(tableau.rows, z))
+    rows = [list(r) for r in tableau.rows]
+    _mixed_insert_encoded(rows, z)
+    return ShiftedTableau(tuple(map(tuple, rows)))
 
 
 def mixed_insertion_rows(letters) -> tuple[tuple[int, ...], ...]:

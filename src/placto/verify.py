@@ -10,10 +10,10 @@ Every check returns JSON-ready dicts with a "pass" flag; identical inputs
 produce identical output.  Words are byte words throughout, one letter per
 byte, as the polynomials and congruences hold them; `words.word_text` gives
 the reports their text.  Every family compares class keys
-(`Congruence.key`: the insertion tableaux for the shipped sets) and walks
+(`Congruence.key`: the insertion tableaux for the shipped sets) and lists
 no class to pass.  `verify axioms` and `verify section5` decide a pass
 over the few letters that hold every order type their checks depend on;
-only a failing axiom walks the classes, to list its violations.
+only a failing axiom scans the classes, to list its violations.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import bisect
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 
 from .algebra import (
     NcPoly,
@@ -345,10 +346,10 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
 # axiom systems
 
 
-def _partition_degree(rels: RelationSet, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
+def _partition_degree(rels: RelationSet, n: int, degree: int) -> Iterator[tuple[bytes, ...]]:
     """Equivalence classes of all degree-d words over {1..n}, as sorted
-    tuples: the last level of `Congruence.partitions`."""
-    return rels.congruence.partitions(n, degree)[-1]
+    tuples, in the order of their least members (`Congruence.classes`)."""
+    return rels.congruence.classes(n, degree)
 
 
 # the violations a failing axiom's report lists
@@ -401,7 +402,7 @@ def verify_axioms(
     degree and the variables of a relation within the bound: a pass is
     decided over {1..min(n, m)}, and reported with the counts over {1..n}.
     A nonzero commutator is built again over {1..n}, to list its terms, and
-    a failing axiom walks the classes over {1..n}, degree by degree, until
+    a failing axiom scans the classes over {1..n}, degree by degree, until
     it has listed its violations.
     """
     if target == "plactic":
@@ -540,7 +541,7 @@ def _stable_under(classes, instances, checks, n: int) -> list[list[dict]]:
     `_LISTED` of each.
 
     `classes()` yields the classes of degree 1..d over {1..n}, in order,
-    from `Congruence.partitions`, `instances` the (left, right) byte words
+    from `Congruence.classes`, `instances` the (left, right) byte words
     of every relation instance of degree at most d over {1..n}, or over
     {1..m} for m at least every instance's number of letters (the
     order-type lemma of `verify_axioms`), and `checks` lists (family,
@@ -563,9 +564,9 @@ def _stable_under(classes, instances, checks, n: int) -> list[list[dict]]:
 
     So an axiom that holds makes no lookup per class.  Each axiom that
     fails reads its own `classes()`, one lookup per member and action,
-    until it has `_LISTED` violations, so it walks no degree above that of
-    the last.  Each degree walks again from 0: a listing that reads every
-    level costs at most about n/(n - 1) times one walk to d.
+    until it has `_LISTED` violations, so it lists no class past the one
+    that gives the last: each degree is one lexicographic scan of its
+    words, which stops there.
 
     Axiom 3, stability under ordered morphisms in the congruence itself, is
     not checked: it holds for every relation set.  A relation is a pair of

@@ -281,16 +281,16 @@ class TestCongruence:
         cong = Congruence(rels)
         for w in words[::7]:
             cong.canonical(w)
-        classes = cong.partitions(3, 5)[-1]
+        classes = tuple(cong.classes(3, 5))
         assert sorted(m for cls in classes for m in cls) == words
-        assert classes == Congruence(rels).partitions(3, 5)[-1]
+        assert classes == tuple(Congruence(rels).classes(3, 5))
         for cls in classes:
             assert all(cong.canonical(m) == cls[0] for m in cls)
 
     @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
     def test_partition_records_nothing_in_the_memo(self, monkeypatch, rels):
-        """A walk of a shipped set steps by insertion: it closes no class
-        and leaves the memo as it found it."""
+        """A scan of a shipped set lists insertion fibers: it closes no
+        class and leaves the memo as it found it."""
         cong = Congruence(rels)
         calls = []
         real = rewrite._kernels.closure
@@ -300,7 +300,7 @@ class TestCongruence:
             return real(word, table)
 
         monkeypatch.setattr(rewrite._kernels, "closure", counting)
-        cong.partitions(3, 5)
+        list(cong.classes(3, 5))
         assert calls == [] and cong.memo == {}
 
     def test_partition_equals_breadth_first_classes_custom(self):
@@ -309,7 +309,7 @@ class TestCongruence:
         )
         for degree in range(1, 6):
             bfs = {closure_bytes(rels, w) for w in self._words(3, degree)}
-            classes = rels.congruence.partitions(3, degree)[-1]
+            classes = tuple(rels.congruence.classes(3, degree))
             assert {frozenset(cls) for cls in classes} == bfs
             assert all(list(cls) == sorted(cls) for cls in classes)
 
@@ -319,7 +319,7 @@ class TestCongruence:
     def test_keyed_partition_equals_closure_partition(self, rels, n, top):
         cong = Congruence(rels)
         for degree in range(top + 1):
-            assert cong.partitions(n, degree)[-1] == cong.closure_partition(n, degree)
+            assert tuple(cong.classes(n, degree)) == cong.closure_partition(n, degree)
 
     def test_route_follows_the_relation_set(self, monkeypatch):
         calls = []
@@ -330,16 +330,16 @@ class TestCongruence:
             return real(word, table)
 
         monkeypatch.setattr(rewrite._kernels, "closure", counting)
-        Congruence(KNUTH).partitions(3, 4)
-        Congruence(SHIFTED_KNUTH).partitions(3, 4)
+        list(Congruence(KNUTH).classes(3, 4))
+        list(Congruence(SHIFTED_KNUTH).classes(3, 4))
         assert calls == []
         # the Knuth relations under another name are a custom set: it keys a
         # class by its least member and closes each class of degree 0..4 once
         custom = RelationSet.custom(KNUTH.relations)
         cong = Congruence(custom)
-        assert (cong.key, cong.step, cong.count) == (cong.canonical, cong._least_step, None)
-        levels = cong.partitions(3, 4)
-        assert levels[-1] == Congruence(KNUTH).partitions(3, 4)[-1]
+        assert (cong.key, cong.count) == (cong.canonical, None)
+        levels = [tuple(cong.classes(3, d)) for d in range(5)]
+        assert levels[-1] == tuple(Congruence(KNUTH).classes(3, 4))
         assert len(calls) == sum(len(classes) for classes in levels)
 
     def test_one_congruence_per_relation_set(self):
@@ -358,9 +358,9 @@ class TestCongruence:
     @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
     def test_walk_equals_closure_partitions(self, rels, n, top):
         cong = Congruence(rels)
-        levels = cong.partitions(n, top)
-        assert levels == tuple(cong.closure_partition(n, d) for d in range(top + 1))
-        assert cong.partitions(n, top)[-1] == levels[-1]
+        levels = [tuple(cong.classes(n, d)) for d in range(top + 1)]
+        assert levels == [cong.closure_partition(n, d) for d in range(top + 1)]
+        assert tuple(cong.classes(n, top)) == levels[-1]
 
     def test_custom_partitions_close_each_degree(self, monkeypatch):
         calls = []
@@ -373,36 +373,47 @@ class TestCongruence:
         monkeypatch.setattr(rewrite._kernels, "closure", counting)
         rels = RelationSet.custom(KNUTH.relations)
         cong = Congruence(rels)
-        levels = cong.partitions(3, 5)
-        assert levels == Congruence(KNUTH).partitions(3, 5)
+        levels = [tuple(cong.classes(3, d)) for d in range(6)]
+        assert levels == [tuple(Congruence(KNUTH).classes(3, d)) for d in range(6)]
         # one closure per class of each degree 0..5, the empty word's included
         assert sorted(calls) == [d for d, classes in enumerate(levels) for _ in classes]
-        assert len(cong.memo) == sum(3**d for d in range(6))
+
+    def test_custom_classes_record_nothing_in_the_memo(self):
+        """A scan closes the classes of a custom set but records none of
+        them: only `canonical` fills the memo."""
+        cong = Congruence(RelationSet.custom(KNUTH.relations))
+        for degree in range(6):
+            list(cong.classes(3, degree))
+        assert cong.memo == {}
 
     @pytest.mark.parametrize(
         "rels",
         [KNUTH, SHIFTED_KNUTH, RelationSet.custom(SHIFTED_KNUTH.relations)],
         ids=["knuth", "shifted-knuth", "custom"],
     )
-    def test_walk_inserts_once_per_tableau_and_letter(self, rels):
-        """One step per (class, letter) pair: per tableau for the shipped
-        sets, per least member for a custom set."""
+    def test_scan_lists_each_class_once(self, monkeypatch, rels):
+        """One listing per class: one closure per least member for a custom
+        set, one fiber per tableau for the shipped sets."""
         n, top = 3, 7
         cong = Congruence(rels)
         calls = []
-        real = cong.step
-
-        def counting(rows, a):
-            calls.append((rows, a))
-            return real(rows, a)
-
-        cong.step = counting
-        levels = cong.partitions(n, top)
-        assert len(calls) == n * sum(len(classes) for classes in levels[:top])
+        if cong.fiber is None:
+            real = rewrite._kernels.closure
+            monkeypatch.setattr(
+                rewrite._kernels, "closure", lambda w, table: calls.append(w) or real(w, table)
+            )
+        else:
+            fiber = cong.fiber
+            cong.fiber = lambda rows: calls.append(rows) or fiber(rows)
+        classes = [cls for d in range(top + 1) for cls in cong.classes(n, d)]
         assert len(set(calls)) == len(calls)
-        calls.clear()
-        cong.partitions(n, top)
-        assert len(calls) <= n * sum(len(classes) for classes in levels[:top])
+        if cong.fiber is None:
+            assert calls == [cls[0] for cls in classes]
+        else:
+            # a weakly increasing word is its class, listed without its tableau
+            alone = [cls for cls in classes if cls[0] == bytes(sorted(cls[0]))]
+            assert alone and all(len(cls) == 1 for cls in alone)
+            assert calls == [cong.key(cls[0]) for cls in classes if cls not in alone]
 
 
 @st.composite
@@ -426,11 +437,12 @@ def _custom_relation_sets(draw):
 @settings(deadline=None)
 @given(rels=_custom_relation_sets(), n=st.integers(1, 4), degree=st.integers(0, 5))
 def test_custom_walk_equals_closure_partitions(rels, n, degree):
-    """The walk keyed by least members gives, level for level, the classes
-    that breadth-first closure of each word gives."""
-    levels = Congruence(rels).partitions(n, degree)
+    """The scan of a custom set gives, level for level, the classes that
+    breadth-first closure of each word gives."""
+    cong = Congruence(rels)
     reference = Congruence(rels)
-    assert levels == tuple(reference.closure_partition(n, k) for k in range(degree + 1))
+    for k in range(degree + 1):
+        assert tuple(cong.classes(n, k)) == reference.closure_partition(n, k)
 
 
 @given(st.data())

@@ -36,13 +36,11 @@ from placto.tableaux import (
     mixed_insert,
     mixed_insert_word,
     mixed_insertion_rows,
-    mixed_step,
     p_tableau,
     partitions,
     reading_word,
     schensted_fiber,
     schensted_rows,
-    schensted_step,
     shifted_ssyt_count,
     shifted_standard_count,
     ssyt_count,
@@ -110,13 +108,13 @@ def _longest_hook_by_splits(seq):
 
 class TestSchensted:
     def test_first_insertion(self):
-        assert Tableau(schensted_step((), 3)) == Tableau(((3,),))
+        assert Tableau(schensted_rows((3,))) == Tableau(((3,),))
 
     def test_bump(self):
-        assert Tableau(schensted_step(((3,),), 1)) == Tableau(((1,), (3,)))
+        assert Tableau(schensted_rows((3, 1))) == Tableau(((1,), (3,)))
 
     def test_append(self):
-        assert Tableau(schensted_step(((1,), (3,)), 2)) == Tableau(((1, 2), (3,)))
+        assert Tableau(schensted_rows((3, 1, 2))) == Tableau(((1, 2), (3,)))
 
     def test_p_tableau(self):
         assert p_tableau(W("312")) == Tableau(((1, 2), (3,)))
@@ -183,7 +181,7 @@ class TestMixedInsertion:
 
     def test_rows_that_are_no_shifted_tableau_can_break_the_shape(self):
         with pytest.raises(ValueError, match="broke the shifted shape"):
-            mixed_step(((5, 3, 2), (5, 3), (5,)), 1)
+            _mixed_insert_encoded([[5, 3, 2], [5, 3], [5]], 1)
 
     @pytest.mark.parametrize("n, top", [(2, 10), (3, 7), (4, 6), (5, 5)])
     def test_equals_the_oracle_on_every_word(self, n, top):
@@ -390,8 +388,9 @@ class TestHookWordByReverseInsertion:
     def test_equals_the_closure_scan_on_every_class(self, n, top):
         # the oracle returns None unless the class holds exactly one hook
         # word, so equality also checks that it does
-        for level in Congruence(SHIFTED_KNUTH).partitions(n, top):
-            for cls in level:
+        cong = Congruence(SHIFTED_KNUTH)
+        for degree in range(top + 1):
+            for cls in cong.classes(n, degree):
                 assert hook_word(mixed_insertion_rows(cls[0])) == hook_word_by_closure(cls[0])
 
     @settings(max_examples=150, deadline=None)

@@ -19,7 +19,7 @@ from oracles import (
     restrict,
     restriction_surprise_by_grouping,
 )
-from placto import cli, rewrite, verify
+from placto import cli, verify
 from placto.algebra import commutator_in_quotient, free_schur, nc_mul, shifted_free_schur
 from placto.cli import main
 from placto.rewrite import (
@@ -337,7 +337,7 @@ def test_random_sets_are_morphism_stable(rels, scale):
     report it passing with the same instance count."""
     n, degree = scale
     cong = rels.congruence
-    classes = [cls for level in cong.partitions(n, degree)[1:] for cls in level]
+    classes = [cls for d in range(1, degree + 1) for cls in cong.classes(n, d)]
     checked, violations = _morphism_violations(classes, cong.canonical, n)
     assert violations == []
     for target in ("plactic", "shifted-plactic"):
@@ -406,7 +406,7 @@ class TestAxiomViolations:
         # each word holding a 3 is its own class key and canonical form:
         # classes with a 3 split, and so do their images under morphisms and
         # restrictions.  The verifier reads the key, the reference the
-        # canonical form, and both walk the true classes.  Axiom 3 is
+        # canonical form, and both list the true classes.  Axiom 3 is
         # decided by the lemma, which rests on the relations and not on the
         # key, so the broken key fails the run at axioms 2 and 4
         rels = RelationSet.custom(_COMMUTATIVE.relations, name="unstable")
@@ -418,7 +418,6 @@ class TestAxiomViolations:
             return word if 3 in word else least
 
         monkeypatch.setattr(cong, "key", unstable)
-        monkeypatch.setattr(cong, "step", lambda least, a: real(cong, least + bytes((a,))))
         monkeypatch.setattr(
             Congruence, "canonical", lambda self, w: unstable(w) if self is cong else real(self, w)
         )
@@ -791,10 +790,10 @@ def test_counted_members_are_the_walked_members(n):
     """Per support, the count of the words of degree 1..d with exactly its
     letters is the walk's sum of class sizes, at every accepted degree."""
     degrees = _accepted_degrees(n)
-    levels = Congruence(KNUTH).partitions(n, degrees[-1])
+    cong = Congruence(KNUTH)
     walked = {}
     for degree in degrees:
-        for cls in levels[degree]:
+        for cls in cong.classes(n, degree):
             support = verify._support(cls[0])
             walked[support] = walked.get(support, 0) + len(cls)
         assert _members_by_support(n, degree) == walked
@@ -808,17 +807,17 @@ def _fresh_congruences(monkeypatch):
 
 
 def _count_walks(monkeypatch):
-    """Record (step, n, degree) per `rewrite._insertion_walk` call, on fresh
-    congruences."""
+    """Record (congruence, n, degree) per `Congruence.classes` call, on
+    fresh congruences."""
     _fresh_congruences(monkeypatch)
     walks = []
-    real = rewrite._insertion_walk
+    real = Congruence.classes
 
-    def counted(step, start, n, degree):
-        walks.append((step, n, degree))
-        return real(step, start, n, degree)
+    def counted(self, n, degree):
+        walks.append((self, n, degree))
+        return real(self, n, degree)
 
-    monkeypatch.setattr(rewrite, "_insertion_walk", counted)
+    monkeypatch.setattr(Congruence, "classes", counted)
     return walks
 
 
@@ -884,10 +883,30 @@ def test_failing_axioms_walk_only_to_their_last_listed_degree(
     reports = verify_axioms(target, n, degree, relations=_CHINESE)
     failing = [r for r in reports if not r["pass"] and r["axiom"][-1] in "14"]
     assert [len(r["violations"][-1]["class_of"]) for r in failing] == reached
-    chinese = _CHINESE.congruence._least_step
+    chinese = _CHINESE.congruence
     listed = [(n, d) for top in reached for d in range(1, top + 1)]
-    assert [(m, d) for step, m, d in walks if step == chinese] == listed
-    assert [(m, d) for step, m, d in walks if step != chinese] == []
+    assert [(m, d) for cong, m, d in walks if cong is chinese] == listed
+    assert [(m, d) for cong, m, d in walks if cong is not chinese] == []
+
+
+def test_failing_axiom_reads_only_the_classes_it_lists(monkeypatch):
+    """The Chinese set fails only Plac.4 at (66, 3), the largest degree-3
+    sweep: the scan of each degree stops at the class of the last listed
+    violation, so the axiom reads under 10 000 of the 291 918 words."""
+    _fresh_congruences(monkeypatch)
+    members = []
+    real = Congruence.classes
+
+    def counted(self, n, degree):
+        for cls in real(self, n, degree):
+            members.append(len(cls))
+            yield cls
+
+    monkeypatch.setattr(Congruence, "classes", counted)
+    reports = verify_axioms("plactic", 66, 3, relations=_CHINESE)
+    assert [r["pass"] for r in reports] == [True, False, True, False]
+    assert len(reports[3]["violations"]) == 20
+    assert 0 < sum(members) < 10_000
 
 
 @pytest.mark.parametrize("target, degree", [("shifted-plactic", 3), ("plactic", 2)])
@@ -1393,7 +1412,7 @@ def test_class_counts_in_closed_form_match_the_walk(monkeypatch, n):
     _fresh_congruences(monkeypatch)
     for rels, degree in ((KNUTH, 3), (SHIFTED_KNUTH, 4)):
         assert verify._class_count(rels, n, degree) == len(
-            verify._partition_degree(rels, n, degree)
+            tuple(verify._partition_degree(rels, n, degree))
         )
     with pytest.raises(ValueError, match="no closed class count"):
         verify._class_count(RelationSet.custom(KNUTH.relations), n, 3)
