@@ -7,28 +7,25 @@ variables the patterns use.  The Knuth relations and the eight
 degree-4 shifted Knuth relations are shipped as ready-made relation sets;
 arbitrary homogeneous relation sets can be loaded from JSON.
 
-The class of a single word is computed by breadth-first closure over
-one-step rewrites (both directions, every window); `class_dump` lists the
-class of a word under a shipped set from its insertion tableau instead, by
-reverse insertion (`tableaux.insertion_fiber`), and the tests keep the
-closure as its reference.  Everything computed for one relation set lives
-on its `Congruence`, which the set owns (`RelationSet.congruence`) and which
-lives as long as the set: the shipped sets for the whole process, a custom
-set until it is dropped.  It holds the kernel rule table, the canonical memo
-that maps a byte word to the lexicographically least member of its class, a
-class key and, where known, the class count.  For `KNUTH` the classes are
-exactly the fibers of Schensted insertion and for `SHIFTED_KNUTH` those of
-mixed insertion, so their key is the insertion tableau; every other
-relation set keys a class by its least member.  `Congruence.classes` lists
-the classes of one degree by one lexicographic scan of its words: each word
-not seen yet is the least member of a new class, listed as the fiber of its
-tableau for the two shipped sets and by closure for every other set.
-`closure_partition` closes each class of one degree breadth-first, and the
-tests keep it as the reference for the scan.  Only `canonical` fills the
-memo: a scan records nothing, and the verifier decides its checks by class
-keys.  On a memo miss, `KNUTH` reads the least word off the Schensted
-tableau by reverse column insertion (`tableaux.least_plactic_word`); every
-other relation set closes the class.
+Everything computed for one relation set lives on its `Congruence`, which
+the set owns (`RelationSet.congruence`) and which lives as long as the set:
+the shipped sets for the whole process, a custom set until it is dropped.
+It holds the kernel rule table, a class key and, where known, the class
+count.  For `KNUTH` the classes are exactly the fibers of Schensted
+insertion and for `SHIFTED_KNUTH` those of mixed insertion, so their key is
+the insertion tableau; every other relation set keys a class by its least
+member, and only such a set memoizes, mapping a byte word to the least
+member of its class.
+
+`Congruence.members` is the one route that lists a class: the two shipped
+sets list the fiber of the word's tableau by reverse insertion
+(`tableaux.insertion_fiber`), every other set closes the class breadth-first
+over one-step rewrites (both directions, every window).  `classes` lists the
+classes of one degree by one lexicographic scan of its words, `class_dump`
+formats one class, and `canonical` takes the least member: `KNUTH` reads it
+off the Schensted tableau by reverse column insertion
+(`tableaux.least_plactic_word`), `SHIFTED_KNUTH` lists the class, and every
+other set looks it up in its memo, closing the class on a miss.
 """
 
 from __future__ import annotations
@@ -216,7 +213,7 @@ def _expand(rels: RelationSet):
 
 
 class Congruence:
-    """The congruence one relation set generates, with its memo.
+    """The congruence one relation set generates.
 
     Words are byte strings, one letter per byte.  Obtain instances through
     `rels.congruence`, so that every caller shares the set's one memo.
@@ -224,14 +221,15 @@ class Congruence:
     exactly when their keys are equal.  The two shipped relation sets key a
     class by its insertion tableau (rows), and their `count` gives the size
     of a class from the shape of its key.  Every other set keys a class by
-    its least member (`canonical`) and has no `count` (None).  `least` maps
-    a word to the least member of its class without closing it, for
-    `KNUTH`, and is None for every other set.  `fiber` lists the class of a
-    key (its members, unsorted) without closing it, for the two shipped
-    sets, and is None for every other set.
+    its least member (`canonical`), records it in `memo`, and has no
+    `count` (None); the shipped sets leave `memo` empty.  `least` maps a
+    word to the least member of its class without closing it, for `KNUTH`,
+    and is None for every other set.  `fiber` lists the class of a key (its
+    members, unsorted) without closing it, for the two shipped sets, and is
+    None for every other set.
     """
 
-    __slots__ = ("table", "memo", "key", "count", "least", "fiber")
+    __slots__ = ("table", "memo", "key", "count", "least", "fiber", "_name")
 
     def __init__(self, rels: RelationSet) -> None:
         self.table = _kernels.RuleTable(_expand(rels))
@@ -240,21 +238,53 @@ class Congruence:
             (row[1:] for row in _INSERTION if row[0] == rels),
             (self.canonical, None, None, None),
         )
+        self._name = rels.name
+
+    def members(self, word: bytes, cap: int | None = None) -> list[bytes]:
+        """The class of `word`, sorted; with a `cap`, ValueError on a class
+        of more members.
+
+        The two shipped sets know the size of the class from the shape of
+        the word's tableau, so they refuse before listing any member, and
+        list it from the tableau by reverse insertion (`fiber`).  A class of
+        one member is the word, at any length; a longer class is refused
+        for a word of more than 255 letters, as the kernel refuses it, since
+        reverse insertion recurses once per letter.  Every other set closes
+        the class (`_kernels.closure`), and the closure stops once a layer
+        of its search leaves more than `cap` members."""
+        if self.fiber is None:
+            return sorted(_kernels.closure(word, self.table, cap))
+        rows = self.key(word)
+        size = self.count(tuple(map(len, rows)))
+        if cap is not None and size > cap:
+            raise ValueError(
+                f"the {self._name} class of this word has {size} members, "
+                f"more than the {cap} that are listed"
+            )
+        # a class of one member is the word itself; listing it would still
+        # uninsert every letter, along bumping paths as long as a row or a
+        # column: about 25 ms for 255,...,1 under KNUTH and 100 ms under
+        # SHIFTED_KNUTH, where its closure takes under 1 ms
+        if size == 1:
+            return [word]
+        if len(word) > _kernels._MAX_WORD:
+            raise ValueError(f"word longer than {_kernels._MAX_WORD} letters")
+        return sorted(self.fiber(rows))
 
     def canonical(self, word: bytes) -> bytes:
-        """Least member of the class of `word`.  On a memo miss `KNUTH`
-        computes it from the word's tableau (`least`) and records only
-        `word`; every other set closes the class and records every member."""
+        """Least member of the class of `word`.  `KNUTH` computes it from
+        the word's tableau (`least`) and `SHIFTED_KNUTH` lists the class, so
+        neither records anything; every other set closes the class on a
+        memo miss and records every member."""
+        if self.least is not None:
+            return self.least(word)
+        if self.fiber is not None:
+            return self.members(word)[0]
         got = self.memo.get(word)
         if got is None:
-            memo = self.memo
-            if self.least is not None:
-                got = memo[word] = self.least(word)
-            else:
-                members = _kernels.closure(word, self.table)
-                got = min(members)
-                for m in members:
-                    memo[m] = got
+            members = self.members(word)
+            got = members[0]
+            self.memo.update(dict.fromkeys(members, got))
         return got
 
     def classes(self, n: int, degree: int) -> Iterator[tuple[bytes, ...]]:
@@ -262,45 +292,17 @@ class Congruence:
         tuple, in the order of their least members, as they are found.
 
         One scan reads the words in lexicographic order: each word that no
-        class listed so far holds is the least member of a new class.  The
-        shipped sets list it as the fiber of its tableau, except that a
-        weakly increasing word (one row, one member) is listed as itself,
-        since its fiber would recurse once per letter; every other set
-        closes it.  The memo records nothing, and the scan reads no word
+        class listed so far holds is the least member of a new class, listed
+        by `members`.  The memo records nothing, and the scan reads no word
         past the class its caller stops at.
         """
-        fiber, key, table = self.fiber, self.key, self.table
         seen: set[bytes] = set()
         for letters in itertools.product(range(1, n + 1), repeat=degree):
             w = bytes(letters)
-            if w in seen:
-                continue
-            if fiber is None:
-                members = sorted(_kernels.closure(w, table))
-            else:
-                members = [w] if w == bytes(sorted(w)) else sorted(fiber(key(w)))
-            seen.update(members)
-            yield tuple(members)
-
-    def closure_partition(self, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
-        """The classes of the degree-d words, as in `classes`, by
-        breadth-first closure of each class; not recorded in the memo.
-
-        Words are skipped through this call's own `seen` set, never through
-        the memo: the memo may already hold some words of this degree, and
-        skipping those would drop their classes from the partition.
-        """
-        found = []
-        seen: set[bytes] = set()
-        table = self.table
-        for letters in itertools.product(range(1, n + 1), repeat=degree):
-            w = bytes(letters)
-            if w in seen:
-                continue
-            members = sorted(_kernels.closure(w, table))
-            seen.update(members)
-            found.append(tuple(members))
-        return tuple(found)
+            if w not in seen:
+                members = self.members(w)
+                seen.update(members)
+                yield tuple(members)
 
 
 def closure_bytes(rels: RelationSet, word: bytes, cap: int | None = None) -> frozenset[bytes]:
@@ -377,33 +379,11 @@ def _members_text(members: list[bytes], n: int) -> list[str]:
 
 def class_dump(word: Word, rels: RelationSet, cap: int | None = None) -> dict:
     """JSON-ready class listing: sorted members plus the class size; with a
-    `cap`, ValueError on a class of more members.
+    `cap`, ValueError on a class of more members (`Congruence.members`).
 
-    The two shipped sets know the size of the class from the shape of the
-    word's insertion tableau, so they refuse before listing any member, and
-    list it from the tableau by reverse insertion (`Congruence.fiber`; a
-    class of one member is the word).  Every other set closes the class
-    (`closure_bytes`), and the closure stops once a layer of its search
-    leaves more than `cap` members.  Members stay byte words up to their
-    text: below ten letters one translation of the comma-joined members,
-    above it `word_text` of each."""
-    wb = word.to_bytes()
-    cong = rels.congruence
-    if cong.fiber is None:
-        members = sorted(closure_bytes(rels, wb, cap))
-    else:
-        rows = cong.key(wb)
-        size = cong.count(tuple(map(len, rows)))
-        if cap is not None and size > cap:
-            raise ValueError(
-                f"the {rels.name} class of this word has {size} members, "
-                f"more than the {cap} that are listed"
-            )
-        # a class of one member is the word itself; listing it would still
-        # uninsert every letter, along bumping paths as long as a row or a
-        # column: about 25 ms for 255,...,1 under KNUTH and 100 ms under
-        # SHIFTED_KNUTH, where its closure takes under 1 ms
-        members = [wb] if size == 1 else sorted(cong.fiber(rows))
+    Members stay byte words up to their text: below ten letters one
+    translation of the comma-joined members, above it `word_text` of each."""
+    members = rels.congruence.members(word.to_bytes(), cap)
     return {
         "word": str(word),
         "relation_set": rels.name,

@@ -3,17 +3,18 @@ each filters every word of one degree by a condition read off the
 definition, with no generation shared with `placto`, lists every map of a
 family that the library decides without listing, or applies a relation or
 a restriction letter by letter, sharing no code with the byte kernels.
-The restriction-surprise search is kept as it grouped every word over
-{1..n} into classes by closure.  Mixed insertion and the shifted hook
-length formula are written out from their definitions, with no `placto`
-code."""
+`kernel_classes` lists classes by the kernel's closure alone, the reference
+for the insertion fibers of the shipped sets.  The restriction-surprise
+search is kept as it grouped every word over {1..n} into classes by
+closure.  Mixed insertion and the shifted hook length formula are written
+out from their definitions, with no `placto` code."""
 
 import itertools
 import math
 from typing import Iterator
 
 from placto.algebra import NcPoly
-from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, Relation, closure_bytes
+from placto.rewrite import KNUTH, SHIFTED_KNUTH, Relation, RelationSet, closure_bytes
 from placto.tableaux import hook_factorization_check, is_partition, mixed_insertion_rows
 from placto.words import Interval, OrderedMorphism, Word, all_intervals
 
@@ -177,6 +178,59 @@ def instantiate(rel: Relation, window: Word) -> Word | None:
     return Word(tuple(vals[v] for v in right), window.n)
 
 
+def rewrites_by_instantiate(word: bytes, n: int, rels: RelationSet) -> set[bytes]:
+    """One-step rewrites by `instantiate`, relation by relation, in both
+    directions, at every window of the word: the reference for
+    `_kernels.neighbors`."""
+    out = set()
+    for rel in rels.relations:
+        reverse = Relation(rel.name, rel.right, rel.left, rel.constraints)
+        plen = len(rel.left)
+        for pos in range(len(word) - plen + 1):
+            window = Word.from_bytes(word[pos : pos + plen], n)
+            for direction in (rel, reverse):
+                image = instantiate(direction, window)
+                if image is not None:
+                    out.add(word[:pos] + image.to_bytes() + word[pos + plen :])
+    return out
+
+
+def closure_by_instantiate(word: bytes, n: int, rels: RelationSet) -> set[bytes]:
+    """Breadth-first closure over `rewrites_by_instantiate`: the reference
+    for `_kernels.closure`."""
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        frontier = [
+            w for v in frontier for w in rewrites_by_instantiate(v, n, rels) if w not in seen
+        ]
+        seen.update(frontier)
+    return seen
+
+
+def classes_by_instantiate(rels: RelationSet, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
+    """The classes of the degree-d words over {1..n}, each sorted, in the
+    order of their least members, each closed by `closure_by_instantiate`:
+    the reference for `Congruence.classes` of a custom set, sharing no code
+    with `_kernels`."""
+    found = []
+    seen: set[bytes] = set()
+    for letters in itertools.product(range(1, n + 1), repeat=degree):
+        w = bytes(letters)
+        if w not in seen:
+            members = closure_by_instantiate(w, n, rels)
+            seen.update(members)
+            found.append(tuple(sorted(members)))
+    return tuple(found)
+
+
+def kernel_classes(rels: RelationSet, n: int, degree: int) -> tuple[tuple[bytes, ...], ...]:
+    """The classes of the degree-d words over {1..n}, as `Congruence.classes`
+    lists them, each closed by the rewrite kernel: a renamed copy of the
+    relations is a custom set, which knows nothing of insertion tableaux."""
+    return tuple(RelationSet.custom(rels.relations).congruence.classes(n, degree))
+
+
 def restrict(w: Word, interval: Interval) -> Word:
     """Delete all letters outside the interval, preserving order: the
     reference for `words.outside_letters`."""
@@ -188,11 +242,12 @@ def restriction_surprise_by_grouping(n: int, degree_bound: int) -> dict:
     classes of each degree from 4, the length of every shifted Knuth
     relation, closed breadth-first and taken in order of their least
     member, and the first member whose restriction to an interval, in
-    `all_intervals` order, leaves the class of the least member's.  Keys
-    come from congruences of its own, so no shipped memo grows."""
-    shifted, knuth = Congruence(SHIFTED_KNUTH), Congruence(KNUTH)
+    `all_intervals` order, leaves the class of the least member's.  Classes
+    are compared by least member, through custom copies of both sets, so
+    every class is closed by the rewrite kernel."""
+    shifted, knuth = (RelationSet.custom(r.relations).congruence for r in (SHIFTED_KNUTH, KNUTH))
     for degree in range(4, degree_bound + 1):
-        for base, *others in shifted.closure_partition(n, degree):
+        for base, *others in kernel_classes(SHIFTED_KNUTH, n, degree):
             for other in others:
                 for iv in all_intervals(n):
                     ru, rv = (restrict(Word.from_bytes(w, n), iv) for w in (base, other))

@@ -38,6 +38,8 @@ from placto.verify import (
 )
 from placto.words import Word, all_words
 
+from oracles import kernel_classes
+
 
 def _report(number: int, label: str, elapsed: float, budget: float) -> None:
     print(f"criterion {number:2d} {label}: PASS ({elapsed * 1000:.1f} ms < {budget * 1000:.0f} ms)")
@@ -108,12 +110,13 @@ def _fiber_partition(insert, n, degree):
 def test_criterion_05_plactic_fibers():
     """Knuth classes coincide with Schensted insertion fibers, n=3, deg 1..6.
 
-    The classes come from breadth-first closure, not from `partition`, which
-    itself groups words by insertion tableau for the shipped relation sets.
+    The classes come from the kernel's breadth-first closure
+    (`oracles.kernel_classes`), not from the shipped set's own `classes`,
+    which lists them as insertion fibers.
     """
     t0 = time.perf_counter()
     for degree in range(1, 7):
-        classes = {frozenset(c) for c in KNUTH.congruence.closure_partition(3, degree)}
+        classes = {frozenset(c) for c in kernel_classes(KNUTH, 3, degree)}
         assert classes == _fiber_partition(p_tableau, 3, degree)
     elapsed = time.perf_counter() - t0
     _report(5, "plactic fiber equality", elapsed, 30.0)
@@ -124,9 +127,7 @@ def test_criterion_06_shifted_fibers():
     with the classes from breadth-first closure as in criterion 05."""
     t0 = time.perf_counter()
     for degree in range(1, 7):
-        classes = {
-            frozenset(c) for c in SHIFTED_KNUTH.congruence.closure_partition(3, degree)
-        }
+        classes = {frozenset(c) for c in kernel_classes(SHIFTED_KNUTH, 3, degree)}
         assert classes == _fiber_partition(mixed_insert_word, 3, degree)
     elapsed = time.perf_counter() - t0
     _report(6, "shifted fiber equality", elapsed, 60.0)

@@ -15,9 +15,8 @@ from placto.rewrite import (
     RelationSet,
     _expand,
 )
-from placto.words import Word
 
-from oracles import instantiate
+from oracles import closure_by_instantiate, rewrites_by_instantiate
 
 
 def test_pure_closure_of_empty_word():
@@ -64,22 +63,6 @@ def test_rule_table_groups_rules_by_pattern_length():
     assert [(plen, len(rules)) for plen, rules in groups] == [(3, 4), (4, 4)]
 
 
-def _reference_neighbors(word: bytes, n: int, rels: RelationSet) -> set[bytes]:
-    """One-step rewrites by `oracles.instantiate`, relation by relation, in
-    both directions, at every window of the word."""
-    out = set()
-    for rel in rels.relations:
-        reverse = Relation(rel.name, rel.right, rel.left, rel.constraints)
-        plen = len(rel.left)
-        for pos in range(len(word) - plen + 1):
-            window = Word.from_bytes(word[pos : pos + plen], n)
-            for direction in (rel, reverse):
-                image = instantiate(direction, window)
-                if image is not None:
-                    out.add(word[:pos] + image.to_bytes() + word[pos + plen :])
-    return out
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_neighbors_match_independent_matcher(data):
@@ -88,19 +71,7 @@ def test_neighbors_match_independent_matcher(data):
     letters = data.draw(st.lists(st.integers(min_value=1, max_value=n), max_size=9))
     word = bytes(letters)
     got = _kernels.neighbors(word, rels.congruence.table)
-    assert got == _reference_neighbors(word, n, rels)
-
-
-def _reference_closure(word: bytes, n: int, rels: RelationSet) -> set[bytes]:
-    """Breadth-first closure over `_reference_neighbors`."""
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        frontier = [
-            w for v in frontier for w in _reference_neighbors(v, n, rels) if w not in seen
-        ]
-        seen.update(frontier)
-    return seen
+    assert got == rewrites_by_instantiate(word, n, rels)
 
 
 SPARSE_LETTERS = (1, 2, 7, 100, 200, 255)
@@ -115,11 +86,11 @@ def test_sparse_letters_match_independent_matcher(data):
     letters = data.draw(st.lists(st.sampled_from(SPARSE_LETTERS), max_size=10))
     word = bytes(letters)
     table = rels.congruence.table
-    assert _kernels.neighbors(word, table) == _reference_neighbors(word, 255, rels)
+    assert _kernels.neighbors(word, table) == rewrites_by_instantiate(word, 255, rels)
     # closed on at most 6 letters: the mixed-lengths classes grow fast (1 344
     # words for 8 distinct letters) and the reference is slow
     head = word[:6]
-    assert _kernels.closure(head, table) == _reference_closure(head, 255, rels)
+    assert _kernels.closure(head, table) == closure_by_instantiate(head, 255, rels)
 
 
 # `most` counts the weak orders (ordered set partitions) of each pattern

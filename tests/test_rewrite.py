@@ -7,8 +7,16 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_ordered_morphisms, apply_morphism, instantiate, restrict
+from oracles import (
+    all_ordered_morphisms,
+    apply_morphism,
+    classes_by_instantiate,
+    instantiate,
+    kernel_classes,
+    restrict,
+)
 from placto import _kernels, rewrite
+from placto.algebra import NcPoly, project_quotient
 from placto.rewrite import (
     KNUTH,
     SHIFTED_KNUTH,
@@ -117,6 +125,25 @@ class TestNeighborsAndClasses:
         assert class_dump(W("1243"), SHIFTED_KNUTH, cap=2)["size"] == 2
         with pytest.raises(ValueError, match="shifted-knuth class of this word has 2 members"):
             class_dump(W("1243"), SHIFTED_KNUTH, cap=1)
+
+    @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
+    def test_class_of_more_than_255_letters(self, rels):
+        """A one-member class is the word at any length.  A larger class of a
+        word of more than 255 letters is refused, as the kernel refuses the
+        word, before reverse insertion would recurse once per letter; a cap
+        it exceeds is still reported first."""
+        cong = rels.congruence
+        row = bytes([1] * 1100 + [2])
+        assert cong.members(row) == [row] and cong.canonical(row) == row
+        # 1...121 of k + 2 letters has a class of k or k + 1 members
+        listed = cong.members(bytes([1] * 253 + [2, 1]))
+        assert len(set(listed)) >= 253
+        for k in (254, 297, 1098):
+            word = Word.from_bytes(bytes([1] * k + [2, 1]), 2)
+            with pytest.raises(ValueError, match="^word longer than 255 letters$"):
+                class_dump(word, rels)
+            with pytest.raises(ValueError, match=f"^the {rels.name} class of this word has"):
+                class_dump(word, rels, cap=10)
 
 
 class TestFactorization:
@@ -316,18 +343,18 @@ class TestCongruence:
     # the scales the benchmark runs: axioms n=3 d=9, n=5 d=6, section5 n=7 d=4
     @pytest.mark.parametrize("n, top", [(3, 9), (5, 6), (7, 4)])
     @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
-    def test_keyed_partition_equals_closure_partition(self, rels, n, top):
+    def test_keyed_partition_equals_kernel_classes(self, rels, n, top):
         cong = Congruence(rels)
         for degree in range(top + 1):
-            assert tuple(cong.classes(n, degree)) == cong.closure_partition(n, degree)
+            assert tuple(cong.classes(n, degree)) == kernel_classes(rels, n, degree)
 
     def test_route_follows_the_relation_set(self, monkeypatch):
         calls = []
         real = rewrite._kernels.closure
 
-        def counting(word, table):
+        def counting(word, *args):
             calls.append(word)
-            return real(word, table)
+            return real(word, *args)
 
         monkeypatch.setattr(rewrite._kernels, "closure", counting)
         list(Congruence(KNUTH).classes(3, 4))
@@ -356,19 +383,19 @@ class TestCongruence:
     # the scales the benchmark runs: axioms n=3 d=9, n=5 d=6, section5 n=7 d=4
     @pytest.mark.parametrize("n, top", [(3, 9), (5, 6), (7, 4)])
     @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
-    def test_walk_equals_closure_partitions(self, rels, n, top):
+    def test_walk_equals_kernel_classes(self, rels, n, top):
         cong = Congruence(rels)
         levels = [tuple(cong.classes(n, d)) for d in range(top + 1)]
-        assert levels == [cong.closure_partition(n, d) for d in range(top + 1)]
+        assert levels == [kernel_classes(rels, n, d) for d in range(top + 1)]
         assert tuple(cong.classes(n, top)) == levels[-1]
 
     def test_custom_partitions_close_each_degree(self, monkeypatch):
         calls = []
         real = rewrite._kernels.closure
 
-        def counting(word, table):
+        def counting(word, *args):
             calls.append(len(word))
-            return real(word, table)
+            return real(word, *args)
 
         monkeypatch.setattr(rewrite._kernels, "closure", counting)
         rels = RelationSet.custom(KNUTH.relations)
@@ -393,14 +420,15 @@ class TestCongruence:
     )
     def test_scan_lists_each_class_once(self, monkeypatch, rels):
         """One listing per class: one closure per least member for a custom
-        set, one fiber per tableau for the shipped sets."""
+        set, one fiber per tableau of a class of more than one member for
+        the shipped sets."""
         n, top = 3, 7
         cong = Congruence(rels)
         calls = []
         if cong.fiber is None:
             real = rewrite._kernels.closure
             monkeypatch.setattr(
-                rewrite._kernels, "closure", lambda w, table: calls.append(w) or real(w, table)
+                rewrite._kernels, "closure", lambda w, *args: calls.append(w) or real(w, *args)
             )
         else:
             fiber = cong.fiber
@@ -410,10 +438,10 @@ class TestCongruence:
         if cong.fiber is None:
             assert calls == [cls[0] for cls in classes]
         else:
-            # a weakly increasing word is its class, listed without its tableau
-            alone = [cls for cls in classes if cls[0] == bytes(sorted(cls[0]))]
-            assert alone and all(len(cls) == 1 for cls in alone)
-            assert calls == [cong.key(cls[0]) for cls in classes if cls not in alone]
+            # a class of one member is the word, listed without its fiber:
+            # a weakly increasing word, or 321, a column under KNUTH
+            assert (b"\x03\x02\x01",) in classes
+            assert calls == [cong.key(cls[0]) for cls in classes if len(cls) > 1]
 
 
 @st.composite
@@ -436,13 +464,13 @@ def _custom_relation_sets(draw):
 
 @settings(deadline=None)
 @given(rels=_custom_relation_sets(), n=st.integers(1, 4), degree=st.integers(0, 5))
-def test_custom_walk_equals_closure_partitions(rels, n, degree):
+def test_custom_walk_equals_classes_by_instantiate(rels, n, degree):
     """The scan of a custom set gives, level for level, the classes that
-    breadth-first closure of each word gives."""
+    breadth-first closure of each word by `oracles.instantiate` gives,
+    which shares no code with the kernel."""
     cong = Congruence(rels)
-    reference = Congruence(rels)
     for k in range(degree + 1):
-        assert tuple(cong.classes(n, k)) == reference.closure_partition(n, k)
+        assert tuple(cong.classes(n, k)) == classes_by_instantiate(rels, n, k)
 
 
 @given(st.data())
@@ -504,20 +532,30 @@ def test_closure_is_insertion_fiber(rels, count, data):
 
 
 # ---------------------------------------------------------------------------
-# least Knuth class members from the tableau, against breadth-first closure
+# least class members of the shipped sets, against breadth-first closure
 
 
-def _closure_least(w):
-    return min(rewrite._kernels.closure(w, KNUTH.congruence.table))
+def _closure_least(w, rels=KNUTH):
+    return min(rewrite._kernels.closure(w, rels.congruence.table))
 
 
 def test_knuth_canonical_equals_closure_minimum_exhaustive():
     """Every word over {1..4} of length at most 6 (which covers n <= 4)."""
-    cong = Congruence(KNUTH)  # an empty memo, so every lookup is a miss
+    cong = Congruence(KNUTH)
     for degree in range(7):
         for letters in itertools.product(range(1, 5), repeat=degree):
             w = bytes(letters)
             assert cong.canonical(w) == _closure_least(w), w
+
+
+def test_shifted_canonical_equals_closure_minimum_exhaustive():
+    """Every word over {1..3} of length at most 6: the least member of the
+    listed fiber is the least member of the closure."""
+    cong = Congruence(SHIFTED_KNUTH)
+    for degree in range(7):
+        for letters in itertools.product(range(1, 4), repeat=degree):
+            w = bytes(letters)
+            assert cong.canonical(w) == _closure_least(w, SHIFTED_KNUTH), w
 
 
 @settings(deadline=None)
@@ -535,28 +573,53 @@ def test_knuth_canonical_of_permutation_equals_closure_minimum(perm):
     assert Congruence(KNUTH).canonical(w) == _closure_least(w)
 
 
-def test_only_knuth_canonical_skips_the_kernel(monkeypatch):
+def test_only_custom_canonical_closes_and_memoizes(monkeypatch):
+    """`KNUTH` reads the least member off the tableau and `SHIFTED_KNUTH`
+    lists the fiber: neither closes a class or records a word.  A custom set
+    closes each class it misses and records every member."""
     calls = []
     real = rewrite._kernels.closure
 
-    def counting(word, table):
+    def counting(word, *args):
         calls.append(word)
-        return real(word, table)
+        return real(word, *args)
 
     monkeypatch.setattr(rewrite._kernels, "closure", counting)
     words = [bytes(ls) for ls in itertools.product(range(1, 4), repeat=4)]
-    cong = Congruence(KNUTH)
-    for w in words:
-        cong.canonical(w)
-    assert calls == []
-    assert len(cong.memo) == len(words)  # each miss records only its word
-    for rels in (SHIFTED_KNUTH, RelationSet.custom(KNUTH.relations)):
+    for rels in (KNUTH, SHIFTED_KNUTH):
         cong = Congruence(rels)
-        assert cong.least is None
         for w in words:
             cong.canonical(w)
-        assert calls
-        calls.clear()
+        assert calls == [] and cong.memo == {}
+    cong = Congruence(RelationSet.custom(KNUTH.relations))
+    assert cong.least is None and cong.fiber is None
+    for w in words:
+        cong.canonical(w)
+    assert sorted(cong.memo) == words
+    assert len(calls) == len(set(cong.memo.values()))  # one closure per class
+
+
+@pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=lambda r: r.name)
+def test_shipped_lookups_record_nothing(monkeypatch, rels):
+    """`canonical_word`, `QuotientPoly.coefficient` and a projection with a
+    class whose terms do not cancel leave the shipped memo empty and close
+    no class."""
+    calls = []
+    real = rewrite._kernels.closure
+    monkeypatch.setattr(
+        rewrite._kernels, "closure", lambda w, *args: calls.append(w) or real(w, *args)
+    )
+    cong = rels.congruence
+    assert cong.memo == {}
+    words = [bytes(ls) for ls in itertools.product(range(1, 5), repeat=5)][::37]
+    for w in words:
+        least = canonical_word(Word.from_bytes(w, 4), rels).to_bytes()
+        assert least == min(real(w, cong.table))
+    p = NcPoly(4, 5, {w: 1 for w in words})
+    q = project_quotient(p, rels)
+    assert q.terms and sum(q.terms.values()) == len(words)
+    assert all(q.coefficient(w) >= 1 for w in words)
+    assert calls == [] and cong.memo == {}
 
 
 @pytest.mark.parametrize("rels", [KNUTH, SHIFTED_KNUTH], ids=["knuth", "shifted-knuth"])
