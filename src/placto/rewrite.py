@@ -129,7 +129,10 @@ class RelationSet(Frozen):
     @classmethod
     def from_json(cls, text: str, name: str = "custom") -> "RelationSet":
         """Parse a JSON list of {left, right, constraints[, name]} objects."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("custom relation set is nested too deeply to parse") from None
         if not isinstance(data, list):
             raise ValueError("custom relation set must be a JSON list")
         relations = []

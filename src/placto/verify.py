@@ -225,11 +225,12 @@ def _forced_matching(U: set[bytes], V: set[bytes], class_key):
     return match, True, ""
 
 
-def _forced_matchings(single: NcPoly, big: NcPoly, n: int, class_key):
+def _forced_matchings(single: NcPoly, big: NcPoly, n: int, class_key, weight=None):
     """Forced matchings of single*big against big*single, content by content,
     keying each word by `class_key`, its Schensted tableau
     (`KNUTH.congruence.key` or a cache of it): one insertion per word left
-    after cancellation, and no class walked.
+    after cancellation, and no class walked.  Given a `weight`, a function
+    of the content, each content of weight 0 is skipped.
 
     Returns {content: (right monomials, match, ok, note)} in content order,
     with (match, ok, note) from `_forced_matching`.
@@ -244,6 +245,7 @@ def _forced_matchings(single: NcPoly, big: NcPoly, n: int, class_key):
     return {
         vec: (V, *_forced_matching(U, V, class_key))
         for vec, (U, V) in sorted(groups.items())
+        if weight is None or weight(vec)
     }
 
 
@@ -683,24 +685,6 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
 # replacement propositions
 
 
-def _joins(pairs) -> int:
-    """How many of the pairs join two parts of a union-find over their words."""
-    root: dict[bytes, bytes] = {}
-
-    def find(x: bytes) -> bytes:
-        while root.setdefault(x, x) != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    joins = 0
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        joins += ru != rv
-        root[ru] = rv
-    return joins
-
-
 def _class_count(rels: RelationSet, n: int, degree: int) -> int:
     """The number of classes of the degree-d words over {1..n} under a
     shipped relation set, in closed form: one per insertion tableau, so the
@@ -745,56 +729,37 @@ def _packed_weight(n: int, vec: tuple[int, ...]) -> int:
 def _section5_matchings(schur, shapes, rels, m: int, weight):
     """Match both shapes of a replacement comparison over {1..m}.
 
-    The four products single*big and big*single of each shape are grouped
-    by content in one pass, each word held once with a bit per product that
-    holds it, and both shapes are matched content by content, in content
-    order, skipping each content of weight 0: a forced pair never leaves its
-    content, so each shape's joins are a sum over the contents, here each
-    content's joins times `weight(content)`.  Each word is keyed once per
-    congruence, in one cache per congruence that is cleared at each
-    content, so it holds one content's keys.
+    Each shape's products single*big and big*single are matched content by
+    content by `_forced_matchings`, skipping each content of weight 0, and
+    every word is keyed once per congruence, in one cache per congruence
+    for the whole call.  A forced pair never leaves its content, so each
+    shape's joins are a sum over the contents, here each content's joins
+    times `weight(content)`.  A matching succeeds only when every key block
+    holds one word of each product, so its pairs are disjoint edges and a
+    content's joins are its number of pairs.
 
     Returns (failures, joins, congruent): each shape's list of failed
     contents with `_forced_matching`'s note, each shape's weighted joins,
-    and whether every forced pair lies in one `rels` class.  After the first
-    failure no pair is joined or checked.
+    and whether every forced pair lies in one `rels` class.  From the first
+    shape with a failure on, no pair is joined or checked.
     """
     degree = sum(shapes[0]) + 1
     single = schur((1,), m, degree)
-    # content -> word -> bitmask: bit 2s (single*big) and 2s+1 (big*single) of shape s
-    groups: dict[tuple[int, ...], dict[bytes, int]] = {}
-    for s, shape in enumerate(shapes):
-        big = schur(shape, m, degree)
-        for side, prod in enumerate((nc_mul(single, big), nc_mul(big, single))):
-            if any(c != 1 for c in prod.terms.values()):
-                raise ValueError("product expansions must be multiplicity-free")
-            bit = 1 << (2 * s + side)
-            for w in prod.terms:
-                words = groups.setdefault(content(w, m), {})
-                words[w] = words.get(w, 0) | bit
-    failures: list[list[dict]] = [[] for _ in shapes]
-    joins = [0] * len(shapes)
-    congruent = True
     knuth = functools.cache(KNUTH.congruence.key)
     keys = knuth if rels == KNUTH else functools.cache(rels.congruence.key)
-    for vec, words in sorted(groups.items()):
-        times = weight(vec)
-        if not times:
+    failures: list[list[dict]] = []
+    joins = [0] * len(shapes)
+    congruent = True
+    for s, shape in enumerate(shapes):
+        matchings = _forced_matchings(single, schur(shape, m, degree), m, knuth, weight)
+        notes = {vec: note for vec, (_, _, ok, note) in matchings.items() if not ok}
+        failures.append([{"content": list(vec), "note": note} for vec, note in notes.items()])
+        if any(failures):
             continue
-        knuth.cache_clear()
-        keys.cache_clear()
-        for s in range(len(shapes)):
-            U = {w for w, bits in words.items() if bits >> 2 * s & 1}
-            V = {w for w, bits in words.items() if bits >> 2 * s & 2}
-            if not U and not V:
-                continue
-            match, ok, note = _forced_matching(U, V, knuth)
-            if not ok:
-                failures[s].append({"content": list(vec), "note": note})
-            elif not any(failures):
-                pairs = [(u, v) for u, v in match.items() if u != v]
-                congruent = congruent and all(keys(u) == keys(v) for u, v in pairs)
-                joins[s] += times * _joins(pairs)
+        for vec, (_, match, _, _) in matchings.items():
+            pairs = [(u, v) for u, v in match.items() if u != v]
+            congruent = congruent and all(keys(u) == keys(v) for u, v in pairs)
+            joins[s] += weight(vec) * len(pairs)
     return failures, joins, congruent
 
 
@@ -804,7 +769,8 @@ def _section5_comparison(part: str, description: str, schur, other, rels, n: int
     and with `schur(other)` forces identifications that generate the same
     partition of the degree-d words, the partition into `rels` classes.
     Congruent pairs generate a finer partition, the same one exactly when
-    their joins leave as many parts as there are classes (`_class_count`).
+    their joins, one per pair, leave as many parts as there are classes
+    (`_class_count`).
     Pairs are compared by class key, so no class is walked.
 
     Order types.  Relabelling the letters of {1..n} by an order-preserving

@@ -6,8 +6,9 @@ a restriction letter by letter, sharing no code with the byte kernels.
 `kernel_classes` lists classes by the kernel's closure alone, the reference
 for the insertion fibers of the shipped sets.  The restriction-surprise
 search is kept as it grouped every word over {1..n} into classes by
-closure.  Mixed insertion and the shifted hook length formula are written
-out from their definitions, with no `placto` code."""
+closure.  `union_find_joins` counts the parts that forced pairs join by
+a union-find.  Mixed insertion and the shifted hook length formula are
+written out from their definitions, with no `placto` code."""
 
 import itertools
 import math
@@ -229,6 +230,26 @@ def kernel_classes(rels: RelationSet, n: int, degree: int) -> tuple[tuple[bytes,
     lists them, each closed by the rewrite kernel: a renamed copy of the
     relations is a custom set, which knows nothing of insertion tableaux."""
     return tuple(RelationSet.custom(rels.relations).congruence.classes(n, degree))
+
+
+def union_find_joins(pairs) -> int:
+    """How many of the pairs join two parts of a union-find over their
+    words: the reference for the joins of a forced matching, which
+    `verify` counts as its number of pairs."""
+    root: dict[bytes, bytes] = {}
+
+    def find(x: bytes) -> bytes:
+        while root.setdefault(x, x) != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    joins = 0
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        joins += ru != rv
+        root[ru] = rv
+    return joins
 
 
 def restrict(w: Word, interval: Interval) -> Word:

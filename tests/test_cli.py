@@ -522,6 +522,22 @@ class TestUsageErrors:
         assert code == 2
         assert captured.err == f"placto: error: custom relation {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "axioms", "--relations", "{custom}"], ["class", "--relations", "{custom}", "12"]],
+        ids=["axioms", "class"],
+    )
+    def test_deeply_nested_custom_relations(self, capsys, tmp_path, argv):
+        """A file nested past the recursion limit is a usage error, not a
+        RecursionError traceback."""
+        depth = max(1000, sys.getrecursionlimit())
+        path = tmp_path / "nested.json"
+        path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+        code = main([arg.format(custom=f"custom:{path}") for arg in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "placto: error: custom relation set is nested too deeply to parse\n"
+
 
 # a chain variable that neither pattern uses: c after the used ones, then a
 # before them

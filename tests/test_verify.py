@@ -19,6 +19,7 @@ from oracles import (
     kernel_classes,
     restrict,
     restriction_surprise_by_grouping,
+    union_find_joins,
 )
 from placto import cli, verify
 from placto.algebra import commutator_in_quotient, free_schur, nc_mul, shifted_free_schur
@@ -1042,19 +1043,24 @@ class TestSection5:
         products' `_forced_matchings`; the pairs joined are those of the
         packed contents."""
         joined = []
-        real = verify._joins
+        real = verify._forced_matching
 
-        def recorded(pairs):
-            joined.append((list(pairs), real(pairs)))
-            return joined[-1][1]
+        def recorded(U, V, class_key):
+            match, ok, note = real(U, V, class_key)
+            pairs = [(u, v) for u, v in match.items() if u != v]
+            joined.append((pairs, union_find_joins(pairs)))
+            return match, ok, note
 
-        monkeypatch.setattr(verify, "_joins", recorded)
         for comparison, schur, shapes in (
             (section5_degree3_comparison, free_schur, ((2,), (1, 1))),
             (section5_degree4_comparison, shifted_free_schur, ((3,), (2, 1))),
         ):
             joined.clear()
-            assert comparison(n)["pass"]
+            # patched for the comparison only: the reference matchings below
+            # call `_forced_matching` too
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_forced_matching", recorded)
+                assert comparison(n)["pass"]
             degree = sum(shapes[0]) + 1
             packed = []
             total = 0
@@ -1064,7 +1070,7 @@ class TestSection5:
                 matches = [m for _, m, _, _ in matchings.values()]
                 pairs = [(u, v) for m in matches for u, v in m.items() if u != v]
                 packed += [(u, v) for u, v in pairs if set(u) == set(range(1, len(set(u)) + 1))]
-                total += real(pairs)
+                total += union_find_joins(pairs)
             weighted = sum(math.comb(n, len(set(pairs[0][0]))) * j for pairs, j in joined if pairs)
             assert weighted == total
             assert sorted(p for pairs, _ in joined for p in pairs) == sorted(packed)
@@ -1142,7 +1148,7 @@ class TestSection5:
                 matchings = _forced_matchings(single, big, n, KNUTH.congruence.key)
                 matches = [m for _, m, _, _ in matchings.values()]
                 pairs = [(u, v) for m in matches for u, v in m.items() if u != v]
-                joins.append(verify._joins(pairs))
+                joins.append(union_find_joins(pairs))
             assert decided == ([[], []], joins, True)
 
     @pytest.mark.parametrize("n", [5, 7])
@@ -1218,6 +1224,28 @@ def test_forced_matchings_match_those_by_schensted_rows():
         assert matchings == reference
         forced += sum(u != v for _, match, _, _ in matchings.values() for u, v in match.items())
     assert forced > 0  # pairs that only the restriction keys match
+
+
+def test_forced_pairs_are_disjoint_and_each_joins_two_parts():
+    """No word lies in two pairs of a forced matching, so its pairs join as
+    many parts as a union-find over them does, one per pair."""
+    for single, big, n in _forced_matching_products():
+        for _, match, _, _ in _forced_matchings(single, big, n, KNUTH.congruence.key).values():
+            pairs = [(u, v) for u, v in match.items() if u != v]
+            words = [w for pair in pairs for w in pair]
+            assert len(set(words)) == len(words)
+            assert len(pairs) == union_find_joins(pairs)
+
+
+def test_weighted_matchings_are_the_unweighted_ones_of_nonzero_weight():
+    skipped = 0
+    for single, big, n in _forced_matching_products():
+        weight = functools.partial(verify._packed_weight, n)
+        unweighted = _forced_matchings(single, big, n, KNUTH.congruence.key)
+        weighted = _forced_matchings(single, big, n, KNUTH.congruence.key, weight)
+        assert weighted == {vec: m for vec, m in unweighted.items() if weight(vec)}
+        skipped += len(unweighted) - len(weighted)
+    assert skipped > 0
 
 
 def _restriction_rows(w, n):
