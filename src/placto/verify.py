@@ -740,23 +740,24 @@ def _section5_matchings(schur, shapes, rels, m: int, weight):
 
     Returns (failures, joins, congruent): each shape's list of failed
     contents with `_forced_matching`'s note, each shape's weighted joins,
-    and whether every forced pair lies in one `rels` class.  From the first
-    shape with a failure on, no pair is joined or checked.
+    and whether every forced pair lies in one `rels` class.  If any
+    matching fails, no pair is joined or checked.
     """
     degree = sum(shapes[0]) + 1
     single = schur((1,), m, degree)
     knuth = functools.cache(KNUTH.congruence.key)
-    keys = knuth if rels == KNUTH else functools.cache(rels.congruence.key)
-    failures: list[list[dict]] = []
+    matchings = [_forced_matchings(single, schur(p, m, degree), m, knuth, weight) for p in shapes]
+    failures = [
+        [{"content": list(vec), "note": note} for vec, (_, _, ok, note) in found.items() if not ok]
+        for found in matchings
+    ]
     joins = [0] * len(shapes)
     congruent = True
-    for s, shape in enumerate(shapes):
-        matchings = _forced_matchings(single, schur(shape, m, degree), m, knuth, weight)
-        notes = {vec: note for vec, (_, _, ok, note) in matchings.items() if not ok}
-        failures.append([{"content": list(vec), "note": note} for vec, note in notes.items()])
-        if any(failures):
-            continue
-        for vec, (_, match, _, _) in matchings.items():
+    if any(failures):
+        return failures, joins, congruent
+    keys = knuth if rels == KNUTH else functools.cache(rels.congruence.key)
+    for s, found in enumerate(matchings):
+        for vec, (_, match, _, _) in found.items():
             pairs = [(u, v) for u, v in match.items() if u != v]
             congruent = congruent and all(keys(u) == keys(v) for u, v in pairs)
             joins[s] += weight(vec) * len(pairs)
