@@ -10,12 +10,12 @@ arbitrary homogeneous relation sets can be loaded from JSON.
 Everything computed for one relation set lives on its `Congruence`, which
 the set owns (`RelationSet.congruence`) and which lives as long as the set:
 the shipped sets for the whole process, a custom set until it is dropped.
-It holds the kernel rule table, a class key and, where known, the class
-count.  For `KNUTH` the classes are exactly the fibers of Schensted
-insertion and for `SHIFTED_KNUTH` those of mixed insertion, so their key is
-the insertion tableau; every other relation set keys a class by its least
-member, and only such a set memoizes, mapping a byte word to the least
-member of its class.
+It holds a class key, where known the class count, and the kernel rule
+table, built on the first closure.  For `KNUTH` the classes are exactly
+the fibers of Schensted insertion and for `SHIFTED_KNUTH` those of mixed
+insertion, so their key is the insertion tableau; every other relation
+set keys a class by its least member, and only such a set memoizes,
+mapping a byte word to the least member of its class.
 
 `Congruence.members` is the one route that lists a class: the two shipped
 sets list the fiber of the word's tableau by reverse insertion
@@ -201,11 +201,11 @@ def relation_set_by_name(name: str) -> RelationSet:
     raise ValueError(f"unknown relation set {name!r}")
 
 
-def _expand(rels: RelationSet):
+def _expand(relations: tuple[Relation, ...]):
     """Direction-expanded (match, replace, strict) triples for the kernels."""
     out = []
     seen = set()
-    for rel in rels.relations:
+    for rel in relations:
         left, right, strict = rel.compiled()
         for a, b in ((left, right), (right, left)):
             key = (a, b, strict)
@@ -229,19 +229,31 @@ class Congruence:
     word to the least member of its class without closing it, for `KNUTH`,
     and is None for every other set.  `fiber` lists the class of a key (its
     members, unsorted) without closing it, for the two shipped sets, and is
-    None for every other set.
+    None for every other set.  `table`, the kernel's rule table, is built
+    on first use: only a closure reads it, and the shipped sets list their
+    classes by reverse insertion, so they close one only through
+    `closure_bytes`.  The congruence keeps the set's relations, not the
+    set, so that a custom set is freed with its congruence.
     """
 
-    __slots__ = ("table", "memo", "key", "count", "least", "fiber", "_name")
+    __slots__ = ("memo", "key", "count", "least", "fiber", "_name", "_relations", "_table")
 
     def __init__(self, rels: RelationSet) -> None:
-        self.table = _kernels.RuleTable(_expand(rels))
         self.memo: dict[bytes, bytes] = {}  # byte word -> least member of its class
         self.key, self.count, self.least, self.fiber = next(
             (row[1:] for row in _INSERTION if row[0] == rels),
             (self.canonical, None, None, None),
         )
         self._name = rels.name
+        self._relations = rels.relations
+        self._table = None
+
+    @property
+    def table(self) -> _kernels.RuleTable:
+        """The kernel's rule table for the relations, built on first use."""
+        if self._table is None:
+            self._table = _kernels.RuleTable(_expand(self._relations))
+        return self._table
 
     def members(self, word: bytes, cap: int | None = None) -> list[bytes]:
         """The class of `word`, sorted; with a `cap`, ValueError on a class

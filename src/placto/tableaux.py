@@ -261,7 +261,11 @@ def _hook_product(shape: tuple[int, ...]) -> int:
 
 def standard_count(shape: tuple[int, ...]) -> int:
     """Standard Young tableaux of a shape, by the hook length formula: the
-    size of each Knuth class whose Schensted tableau has this shape."""
+    size of each Knuth class whose Schensted tableau has this shape.  A
+    shape of one row or one column has one, whose count skips the product
+    of as many hooks as it has cells."""
+    if len(shape) <= 1 or shape[0] == 1:
+        return 1
     return math.factorial(sum(shape)) // _hook_product(shape)
 
 

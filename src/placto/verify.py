@@ -29,6 +29,7 @@ from .algebra import (
     commutator_in_quotient,
     free_schur,
     nc_mul,
+    project_quotient,
     shifted_free_schur,
 )
 from .rewrite import (
@@ -36,7 +37,6 @@ from .rewrite import (
     SHIFTED_KNUTH,
     Relation,
     RelationSet,
-    relation_instances,
 )
 from .tableaux import partitions, shifted_ssyt_count, ssyt_count, strict_partitions
 from .words import (
@@ -299,12 +299,16 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     interval whose restriction separates it from the left side in the Knuth
     quotient, or, in the left side's class, with its match: a word of both
     products cancels and is matched to itself.
+
+    Each pattern's left side is packed, its letters exactly {1..k} for its
+    k letters, so only the packed contents are matched (`_packed_weight`
+    skips every other).
     """
     rels, n, single, big = _case_products(relations)
     # one cache serves the matchings and the witnesses, which key the same
     # words again and restrictions that repeat across patterns
     knuth_key = functools.cache(KNUTH.congruence.key)
-    matchings = _forced_matchings(single, big, n, knuth_key)
+    matchings = _forced_matchings(single, big, n, knuth_key, functools.partial(_packed_weight, n))
     intervals = _intervals(n)
     reports = []
     for rel in rels.relations:
@@ -401,11 +405,16 @@ def verify_axioms(
     its sorted letters, and each content's free and hook sums to its
     image's.  So each check depends only on the order type of an instance
     or a product word, which fits in m letters, m the larger of axiom 2's
-    degree and the variables of a relation within the bound: a pass is
-    decided over {1..min(n, m)}, and reported with the counts over {1..n}.
-    A nonzero commutator is built again over {1..n}, to list its terms, and
-    a failing axiom scans the classes over {1..n}, degree by degree, until
-    it has listed its violations.
+    degree and the variables of a relation within the bound, and each
+    order type has one packed representative, over {1..k} for its k
+    letters.  A pass is decided once per order type, over {1..min(n, m)}:
+    axioms 1 and 4 on the packed instance of each relation pattern
+    (`_order_type_instances`, which adds its image on the top letters),
+    and axiom 2 on the packed terms of the commutator (`_packed_terms`).
+    It is reported with the counts over {1..n}.  A commutator whose packed
+    terms do not project to zero is built again over {1..n}, to list its
+    terms, and a failing axiom scans the classes over {1..n}, degree by
+    degree, until it has listed its violations.
     """
     if target == "plactic":
         system = "Plac"
@@ -434,7 +443,7 @@ def verify_axioms(
     fitting = [rel for rel in rels.relations if len(rel.left) <= degree_bound]
     # the letters that every order type of an instance or a product word fits in
     m = min(n, max([least + 1] + [len(rel.variables()) for rel in fitting]))
-    instances = [pair for rel in fitting for pair in relation_instances(rel, m)]
+    instances = [pair for rel in fitting for pair in _order_type_instances(rel, m)]
 
     def classes():
         # one that fails lists its violations over the classes, degree by degree
@@ -447,14 +456,11 @@ def verify_axioms(
     if least < degree_bound:
         schur, big = (free_schur, (1, 1)) if system == "Plac" else (shifted_free_schur, (2, 1))
 
-        def commutator(k: int):
-            pa, pb = schur((1,), k, degree_bound), schur(big, k, degree_bound)
-            return commutator_in_quotient(pa, pb, rels)
-
-        com = commutator(m)
-        if com and m < n:
-            com = commutator(n)
-        nonzero = sorted(word_text(w, n) for w in com.terms)[:10]
+        pa, pb = schur((1,), m, degree_bound), schur(big, m, degree_bound)
+        if project_quotient(_packed_terms(nc_mul(pa, pb) - nc_mul(pb, pa)), rels):
+            pa, pb = schur((1,), n, degree_bound), schur(big, n, degree_bound)
+            com = commutator_in_quotient(pa, pb, rels)
+            nonzero = sorted(word_text(w, n) for w in com.terms)[:10]
     commutes = _axiom_report(
         f"{system}.2", n, degree_bound, 1, [{"nonzero_terms": nonzero}] if nonzero else []
     )
@@ -502,6 +508,39 @@ def _support(word: bytes) -> bytes:
     return bytes(sorted(set(word)))
 
 
+def _is_packed(word: bytes) -> bool:
+    """Whether the letters of a nonempty word are exactly {1..k}, k their
+    number: the word of its order type over the least letters."""
+    return max(word) == len(set(word))
+
+
+def _order_type_instances(rel: Relation, m: int) -> Iterator[tuple[bytes, bytes]]:
+    """The instances of a relation that decide axioms 1 and 4 over {1..m}
+    (the order-type lemma of `verify_axioms`): the packed instance of each
+    `_degeneracies` pattern of k <= m letters, over {1..k}, and, when
+    k < m, its image on the top letters {m - k + 1..m}.
+
+    For a class key the packed instance alone stands for every instance of
+    its pattern.  The top image costs a few keys, and it holds the letter m
+    that the packed instances of fewer letters miss: a key that depended on
+    the letters themselves, not only on their order, would go unchecked on
+    them."""
+    for _, left, right in _degeneracies(rel):
+        k = max(left)
+        if k <= m:
+            yield left, right
+            if k < m:
+                yield bytes(a + m - k for a in left), bytes(a + m - k for a in right)
+
+
+def _packed_terms(poly: NcPoly) -> NcPoly:
+    """The terms of `poly` whose words are packed (`_is_packed`): one
+    content per order type, which decides whether axiom 2's commutator
+    over {1..m} projects to zero."""
+    terms = {w: c for w, c in poly.terms.items() if _is_packed(w)}
+    return NcPoly(poly.n, poly.degree_bound, terms)
+
+
 # A family of maps takes a class's support to (actions, labels): one
 # (table, delete) action for `bytes.translate` per distinct nonempty image of
 # the support, and a callable that lists (label, index into actions) per map
@@ -544,8 +583,8 @@ def _stable_under(classes, instances, checks, n: int) -> list[list[dict]]:
 
     `classes()` yields the classes of degree 1..d over {1..n}, in order,
     from `Congruence.classes`, `instances` the (left, right) byte words
-    of every relation instance of degree at most d over {1..n}, or over
-    {1..m} for m at least every instance's number of letters (the
+    of every relation instance of degree at most d over {1..n}, or at
+    least one of each order type (`_order_type_instances`, by the
     order-type lemma of `verify_axioms`), and `checks` lists (family,
     target class key) per axiom, a family as described above.  A violation
     is a class, in order, with the label of a map whose action sends the
@@ -636,10 +675,13 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
     The witness is the first pair (base, other) of one class, in the order
     of the least members and then of the members, whose restrictions to an
     interval have different shifted keys.  Moving a class onto its packed
-    support keeps a witness a witness (the order-type lemma of
-    `verify_axioms`) and makes each member lexicographically no larger, so
-    the first witness lies over {1..min(n, d)}.  The search scans those
-    words in lexicographic order and lists the class of each new key
+    support, {1..k} for its k letters, keeps a witness a witness (the
+    order-type lemma of `verify_axioms`) and makes each member
+    lexicographically smaller unless the class is packed already, so the
+    first witness lies in a packed class, over {1..min(n, d)}.  Relations
+    keep content, so the members of a packed class are packed words.  The
+    search scans the packed words over {1..min(n, d)} in lexicographic
+    order, skipping every other word, and lists the class of each new key
     (`Congruence.fiber`), whose least member is the word that found it.
     Below the degree of the shortest relation every class is a single
     word, so the scan starts there, and a lower bound looks nothing up.
@@ -658,6 +700,8 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
     for degree in range(shortest, degree_bound + 1):
         seen = set()
         for w in map(bytes, itertools.product(range(1, k + 1), repeat=degree)):
+            if not _is_packed(w):
+                continue
             rows = key(w)
             if rows in seen:
                 continue

@@ -118,6 +118,19 @@ def mixed_insertion_by_cells(letters) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(entry for _, entry in row) for _, row in by_row)
 
 
+def standard_count_by_hooks(shape: tuple[int, ...]) -> int:
+    """Standard Young tableaux of a partition by the hook length formula,
+    the reference for `tableaux.standard_count`.  The hook of cell (i, c)
+    is the rest of row i from c and the cells below it in column c, which
+    the conjugate partition counts."""
+    columns = [sum(1 for length in shape if length > c) for c in range(shape[0] if shape else 0)]
+    hooks = 1
+    for i, length in enumerate(shape):
+        for c in range(length):
+            hooks *= (length - c) + (columns[c] - i - 1)
+    return math.factorial(sum(shape)) // hooks
+
+
 def shifted_standard_count_by_hooks(shape: tuple[int, ...]) -> int:
     """Standard shifted tableaux of a strict shape by the shifted hook length
     formula, the reference for `tableaux.shifted_standard_count`.  Row i

@@ -44,6 +44,7 @@ from placto.tableaux import (
     shifted_ssyt_count,
     shifted_standard_count,
     ssyt_count,
+    standard_count,
     strict_partitions,
 )
 from placto.words import Word, all_words
@@ -55,6 +56,7 @@ from oracles import (
     longest_weakly_increasing_subword,
     mixed_insertion_by_cells,
     shifted_standard_count_by_hooks,
+    standard_count_by_hooks,
 )
 
 
@@ -583,6 +585,14 @@ class TestEnumerations:
         assert shifted_ssyt_count((4, 3, 2, 1), 3) == 0
         assert shifted_ssyt_count(tuple(range(22, 0, -1)), 21) == 0
         assert shifted_ssyt_count((), 3) == 1
+
+    def test_standard_count_is_the_hook_formula(self):
+        """On every partition of at most 10 cells, one-row and one-column
+        shapes included, which are counted without their hooks."""
+        for size in range(11):
+            for shape in partitions(size):
+                assert standard_count(shape) == standard_count_by_hooks(shape), shape
+        assert standard_count((255,)) == standard_count((1,) * 255) == 1
 
     def test_schurs_product_is_the_shifted_hook_formula(self):
         for size in range(31):

@@ -21,7 +21,7 @@ from oracles import (
     restriction_surprise_by_grouping,
     union_find_joins,
 )
-from placto import cli, verify
+from placto import _kernels, cli, verify
 from placto.algebra import commutator_in_quotient, free_schur, nc_mul, shifted_free_schur
 from placto.cli import main
 from placto.rewrite import (
@@ -31,6 +31,7 @@ from placto.rewrite import (
     Relation,
     RelationSet,
     closure_bytes,
+    relation_instances,
 )
 from placto.tableaux import schensted_rows
 from placto.verify import (
@@ -495,12 +496,16 @@ def _per_member_oracle():
 
 @contextlib.contextmanager
 def _over_every_letter(n):
-    """`verify_axioms` with its relation instances and axiom 2's sums over
-    all of {1..n}, whatever alphabet it asks for: the oracle for the
-    order-type lemma, by which it asks only for the letters that every
-    order type fits in."""
+    """`verify_axioms` with every relation instance over {1..n} in place of
+    one per order type, and axiom 2's sums over all of {1..n} with every
+    term of the commutator kept, whatever alphabet it asks for: the oracle
+    for the order-type lemma, by which it asks only for the letters that
+    every order type fits in and keys one instance and one term per order
+    type."""
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("relation_instances", "free_schur", "shifted_free_schur"):
+        mp.setattr(verify, "_order_type_instances", lambda rel, m: relation_instances(rel, n))
+        mp.setattr(verify, "_packed_terms", lambda poly: poly)
+        for name in ("free_schur", "shifted_free_schur"):
             real = getattr(verify, name)
             mp.setattr(verify, name, lambda first, m, *rest, real=real: real(first, n, *rest))
         yield
@@ -660,12 +665,14 @@ def test_axioms_look_up_one_word_per_block(capsys, monkeypatch):
     for a restriction that empties the support, two per instance and
     action of axioms 1 and 4 made 460, besides the lookups that grouped
     the classes of `restriction_surprise`.  Keying each word once per
-    run, and `restriction_surprise` only the words of degree 4, computes
-    199 keys in all."""
+    run, and `restriction_surprise` only the words of degree 4, computed
+    199 keys in all; one instance of each relation pattern with its top
+    image, one commutator term per order type, and only the packed words
+    of `restriction_surprise` compute 159."""
     calls, per_sweep = _count_lookups(monkeypatch)
     assert main("verify axioms --n 3 --degree 9".split()) == 0
     capsys.readouterr()
-    assert len(calls) == 199 < 460
+    assert len(calls) == 159 < 199 < 460
     assert len(per_sweep) == 2
 
 
@@ -680,13 +687,14 @@ def test_axioms_look_up_one_word_per_joined_group(
     and action of axioms 1, 3 and 4 matched.  Two per instance and action
     of axioms 1 and 4 made fewer, besides the lookups that grouped the
     classes of `restriction_surprise`.  Deciding over the letters that hold
-    every order type, 3 for Plac and 4 for SPlac, computes the same 480
-    keys at both scales, `restriction_surprise`'s included."""
+    every order type, 3 for Plac and 4 for SPlac, computed the same 480
+    keys at both scales, `restriction_surprise`'s included; deciding once
+    per order type computes 238."""
     calls_per_instance = {(5, 6): 4_156, (4, 7): 1_602}[n, degree]
     calls, per_sweep = _count_lookups(monkeypatch)
     assert main(f"verify axioms --n {n} --degree {degree}".split()) == 0
     capsys.readouterr()
-    assert len(calls) == 480 < calls_per_instance < calls_per_group < calls_per_block / 20
+    assert len(calls) == 238 < 480 < calls_per_instance < calls_per_group < calls_per_block / 20
     assert len(per_sweep) == 2
 
 
@@ -1342,7 +1350,8 @@ def test_restriction_keys_partition_words_as_the_knuth_class_does(n, degree):
 @pytest.mark.parametrize(
     "command, keyed",
     [
-        ("verify cases", 176),
+        # 176 when every content was matched; only the packed ones are
+        ("verify cases", 56),
         ("verify section5 --n 5", 112),
         ("verify section5 --n 7", 112),
         ("verify section5 --n 20", 112),
@@ -1431,6 +1440,32 @@ def test_every_memo_holds_only_walked_words(capsys, monkeypatch, tmp_path, comma
         ((_, cong),) = made
         assert cong.memo
         assert all(len(w) <= 3 and max(w) <= 3 for w in cong.memo)
+
+
+@pytest.mark.parametrize(
+    "command, tables",
+    [
+        ("verify axioms --n 5 --degree 6", 0),
+        ("verify axioms --n 3 --degree 9", 0),
+        ("verify cases", 0),
+        ("class --relations knuth 10,1,7,4,5,9,2,8,3,6", 0),
+        ("class --relations shifted-knuth 7762845173753216", 0),
+        ("class --relations custom:{custom} 3142", 1),
+    ],
+)
+def test_only_a_closure_builds_the_rule_table(capsys, monkeypatch, tmp_path, command, tables):
+    """The kernel's rule table is built on a congruence's first closure:
+    a passing run under the shipped sets, which close no class, builds
+    none, and a custom set builds its one when it lists a class."""
+    _fresh_congruences(monkeypatch)
+    built = []
+    real = _kernels.RuleTable
+    monkeypatch.setattr(_kernels, "RuleTable", lambda rules: built.append(rules) or real(rules))
+    path = tmp_path / "commutative.json"
+    path.write_text(json.dumps([{"left": "ab", "right": "ba", "constraints": "a<b"}]))
+    assert main(command.format(custom=path).split()) == 0
+    capsys.readouterr()
+    assert len(built) == tables
 
 
 @pytest.mark.parametrize("n", range(1, 8))
