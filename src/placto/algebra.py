@@ -17,13 +17,18 @@ terms already checked, by `_Poly._of`, which checks nothing again.
 
 `lr_expand` expands a product of two plactic Schur sums without building
 it: the image of S_lambda holds each tableau of shape lambda once, so each
-coefficient is the one multiplicity shared by all `ssyt_count(lambda, n)`
-tableaux of the shape among the insertion tableaux of the product words.
+coefficient is the one multiplicity shared by all tableaux of the shape
+among the insertion tableaux of the product words.  It lists the smaller
+of two sets of product words, counted in closed form by `lr_route`: the
+standard ones, each letter of {1..|nu| + |mu|} once, whose tableaux of a
+shape number `standard_count`, or the semistandard ones over
+min(n, l(nu) + l(mu)) letters, whose tableaux number `ssyt_count`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 from .rewrite import KNUTH, RelationSet
@@ -31,9 +36,11 @@ from .tableaux import (
     _hook_words,
     _shssyt_rows,
     _ssyt_rows,
+    _standard_rows,
     base_letter,
     is_partition,
     ssyt_count,
+    standard_count,
 )
 from .words import Frozen, Word, content, word_text
 
@@ -258,6 +265,11 @@ def abelianize(p: NcPoly) -> CPoly:
 # Schur-type sums
 
 
+def _reading_word(rows: tuple[tuple[int, ...], ...]) -> bytes:
+    """The reading word of a tableau's rows: bottom to top, each left to right."""
+    return bytes(itertools.chain.from_iterable(reversed(rows)))
+
+
 def free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> NcPoly:
     """Sum of the reading words of all semistandard tableaux of shape nu."""
     if not (nu == () or is_partition(nu)):
@@ -267,10 +279,8 @@ def free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> 
     if size > bound:
         raise ValueError(f"|{nu}| exceeds degree bound {bound}")
     _check_context(n, bound)
-    # reading words: rows bottom to top, each left to right, over {1..n} and
-    # of length |nu| <= bound, so not checked again
-    words = (bytes(itertools.chain.from_iterable(reversed(rows))) for rows in _ssyt_rows(nu, n))
-    return NcPoly._of(Counter(words), n, bound)
+    # reading words over {1..n} of length |nu| <= bound, so not checked again
+    return NcPoly._of(Counter(map(_reading_word, _ssyt_rows(nu, n))), n, bound)
 
 
 def shifted_free_schur(nu: tuple[int, ...], n: int, degree_bound: int | None = None) -> NcPoly:
@@ -307,6 +317,39 @@ def commutator_in_quotient(pa: NcPoly, pb: NcPoly, rels: RelationSet) -> Quotien
     return project_quotient(nc_mul(pa, pb) - nc_mul(pb, pa), rels)
 
 
+def lr_route(nu: tuple[int, ...], mu: tuple[int, ...], n: int) -> tuple[int, int | None]:
+    """The product words that `lr_expand` lists, counted in closed form, and
+    the alphabet of its listing: (words, m) for the semistandard products
+    over {1..m}, m = min(n, l(nu) + l(mu)), and (words, None) for the
+    standard products, whichever are fewer (the semistandard ones on a tie).
+    Neither depends on n beyond l(nu) + l(mu).  The shapes are checked
+    first by `ssyt_count`, which refuses one that is no partition."""
+    m = min(n, len(nu) + len(mu)) or 1  # one letter for two empty shapes
+    semistandard = ssyt_count(nu, m) * ssyt_count(mu, m)
+    size = sum(nu)
+    standard = math.comb(size + sum(mu), size) * standard_count(nu) * standard_count(mu)
+    return (standard, None) if standard < semistandard else (semistandard, m)
+
+
+def _standard_products(nu: tuple[int, ...], mu: tuple[int, ...]):
+    """The standard product words u + v over {1..N}, N = |nu| + |mu|: for
+    each |nu|-subset S of {1..N}, u is the reading word of a standard
+    tableau of nu relabelled by S in order, and v one of mu relabelled by
+    the rest."""
+    size, total = sum(nu), sum(nu) + sum(mu)
+    lefts = [_reading_word(rows) for rows in _standard_rows(nu)]
+    rights = [_reading_word(rows) for rows in _standard_rows(mu)]
+    letters = bytes(range(1, total + 1))
+    for chosen in itertools.combinations(letters, size):
+        rest = bytes(a for a in letters if a not in chosen)
+        to_left = bytes.maketrans(letters[:size], bytes(chosen))
+        to_right = bytes.maketrans(letters[: total - size], rest)
+        right = [v.translate(to_right) for v in rights]
+        for u in lefts:
+            u = u.translate(to_left)
+            yield from (u + v for v in right)
+
+
 def lr_expand(nu: tuple[int, ...], mu: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
     """Expand the quotient image of S_nu * S_mu in the plactic Schur basis.
 
@@ -314,25 +357,47 @@ def lr_expand(nu: tuple[int, ...], mu: tuple[int, ...], n: int) -> dict[tuple[in
     the product words u + v by their insertion tableaux
     (`KNUTH.congruence.key`).  The image of S_lambda holds each tableau of
     shape lambda once and no other, so the image is the sum of c_lambda
-    S_lambda exactly when, for each shape lambda, all `ssyt_count(lambda, n)`
-    of its tableaux occur, each c_lambda times (Lascoux and Schützenberger
-    1981).  The coefficients are read off those counts; a shape that misses
-    a tableau or counts two of them differently raises ValueError.
+    S_lambda exactly when, for each shape lambda, all its tableaux occur,
+    each c_lambda times (Lascoux and Schützenberger 1981).
+
+    The words come from the smaller of two listings (`lr_route`), and the
+    tableaux of a shape are counted for that listing:
+
+    - the semistandard products over {1..m}, m = min(n, l(nu) + l(mu)),
+      with `ssyt_count(lambda, m)` tableaux of shape lambda.  A c_lambda is
+      nonzero only for lambda of at most l(nu) + l(mu) rows, and does not
+      depend on the alphabet, so m letters give every shape of at most n
+      rows;
+    - the standard products: those over {1..N}, N = |nu| + |mu|, that hold
+      each letter once, with `standard_count(lambda)` tableaux of shape
+      lambda.  Insertion keeps the letters of a word, so their tableaux
+      are the standard ones, each c_lambda times, and P(std w) = std P(w)
+      carries the counts to every alphabet.  The listing is the same at
+      every n.
+
+    The coefficients are read off those counts, for the shapes of at most
+    n rows.  Every listed shape is checked: one that misses a tableau or
+    counts two of them differently raises ValueError.
     """
     key = KNUTH.congruence.key
-    right = free_schur(mu, n).terms
-    tableaux = Counter(key(u + v) for u in free_schur(nu, n).terms for v in right)
+    _, m = lr_route(nu, mu, n)
+    if m is None:
+        tableaux = Counter(map(key, _standard_products(nu, mu)))
+    else:
+        right = free_schur(mu, m).terms
+        tableaux = Counter(key(u + v) for u in free_schur(nu, m).terms for v in right)
     # shape -> {multiplicity: tableaux of the shape that occur that often}
     by_shape: dict[tuple[int, ...], Counter] = {}
     for rows, count in tableaux.items():
         by_shape.setdefault(tuple(map(len, rows)), Counter())[count] += 1
     out: dict[tuple[int, ...], int] = {}
     for shape, multiplicities in sorted(by_shape.items(), reverse=True):
-        expected = ssyt_count(shape, n)
+        expected = standard_count(shape) if m is None else ssyt_count(shape, m)
         if len(multiplicities) != 1 or sum(multiplicities.values()) != expected:
             raise ValueError(
                 f"shape {shape} is not a multiple of its Schur sum: tableaux by "
                 f"multiplicity {dict(multiplicities)}, of {expected} tableaux of the shape"
             )
-        (out[shape],) = multiplicities
+        if len(shape) <= n:
+            (out[shape],) = multiplicities
     return out

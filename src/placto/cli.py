@@ -43,7 +43,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, NoReturn
 
 from . import verify as verify_mod
-from .algebra import free_schur, lr_expand, shifted_free_schur
+from .algebra import free_schur, lr_expand, lr_route, shifted_free_schur
 from .rewrite import RelationSet, class_dump, relation_set_by_name
 from .tableaux import (
     ShiftedTableau,
@@ -147,16 +147,18 @@ _MAX_CLASS = 10_000
 # (the words of degree 1 to d for axioms, of degree 3 and 4 for section5),
 # and that one `schur` or `lr` run lists (one word per tableau of the shape,
 # counted in closed form by `tableaux.ssyt_count` or `shifted_ssyt_count`,
-# or the products of the reading words of the two shapes; `lr --nu 3,2 --mu
-# 2,1 --n 8`, 282 240 words, takes 1.5-2.3 s and 87 MB).  Peak RSS of the
-# whole process is about 16 MB at start.  A passing axioms or section5 run
-# reads none of these words: each decides its checks on one word or
-# content per order type, over at most 4 letters, so it costs the same at
-# every n (`verify axioms --n 66 --degree 3` and `--n 23 --degree 4`, the
-# largest degree-3 and degree-4 sweeps accepted, and `verify section5
-# --n 23`: 0.1-0.2 s and 16 MB each).  The bound guards a failing run, which
-# lists its failures over all n letters: a section5 run with a failed
-# matching matches the products over {1..n}, and an axioms run with a
+# or the product words of the smaller of two listings, counted by
+# `algebra.lr_route`: `lr --nu 3,2,1 --mu 3,2,1 --n 6`, 236 544 standard
+# words, takes 2.7 s and 60 MB, and `lr --nu 3,2 --mu 2,1 --n 8` lists 560
+# standard words in place of 282 240 semistandard ones, in 0.1 s).  Peak
+# RSS of the whole process is about 16 MB at start.  A passing axioms or
+# section5 run reads none of these words: each decides its checks on one
+# word or content per order type, over at most 4 letters, so it costs the
+# same at every n (`verify axioms --n 66 --degree 3` and `--n 23 --degree
+# 4`, the largest degree-3 and degree-4 sweeps accepted, and `verify
+# section5 --n 23`: 0.1-0.2 s and 16 MB each).  The bound guards a failing
+# run, which lists its failures over all n letters: a section5 run with a
+# failed matching matches the products over {1..n}, and an axioms run with a
 # failing axiom scans the classes degree by degree, only until it has
 # listed its violations.  The Chinese set `cba~bca, cba~cab` fails `--n 3
 # --degree 11`, `--n 5 --degree 7` and `--n 6 --degree 6` from the classes
@@ -334,9 +336,11 @@ def _cmd_lr(args: SimpleNamespace) -> int:
     cells = sum(nu) + sum(mu)
     _check_cells(cells, "--nu plus --mu")
     command = f"lr --nu {_shape_text(nu)} --mu {_shape_text(mu)} --n {n}"
-    # the expansion inserts one product word of |nu| + |mu| letters per
-    # pair of tableaux, and lists no other word
-    words = ssyt_count(nu, n) * ssyt_count(mu, n)
+    # the expansion inserts one product word of |nu| + |mu| letters per pair
+    # of tableaux, of the listing that `lr_route` picks: the standard words
+    # or the semistandard ones over min(n, l(nu) + l(mu)) letters, whichever
+    # are fewer; it lists no other word
+    words, _ = lr_route(nu, mu, n)
     _check_size(command, words, words * cells)
     coeffs = lr_expand(nu, mu, n)
     payload = {

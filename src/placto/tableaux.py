@@ -22,7 +22,8 @@ The insertion and hook functions take any letter sequence: a byte word (the
 internal word type), a tuple or a `Word`.  The tableaux of a shape are
 counted in closed form (`ssyt_count`, `shifted_ssyt_count`) and listed as
 row tuples by one cell-by-cell filler (`_fillings`, under `_ssyt_rows` and
-`_shssyt_rows`), and hook words as byte words (`_hook_words`, the hook word
+`_shssyt_rows`), the standard tableaux letter by letter (`_standard_rows`),
+and hook words as byte words (`_hook_words`, the hook word
 of each shifted tableau of the shape); the public `enumerate_ssyt` and
 `enumerate_hook` wrap them in validated `Tableau` and `Word` objects.
 """
@@ -392,6 +393,28 @@ def _fill(cells: list[tuple[int, int]], k: int, grid: list[list[int]], entries, 
     for x in entries(grid, i, j):
         grid[i][j] = x
         _fill(cells, k + 1, grid, entries, out)
+
+
+def _standard_rows(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of every standard tableau of a partition, as tuples: the
+    letters 1..|shape| placed in turn, each at the end of a row that is
+    shorter than its part and than the row above (`_place`)."""
+    out: list[tuple[tuple[int, ...], ...]] = []
+    _place(shape, [[] for _ in shape], 1, out)
+    return out
+
+
+def _place(shape: tuple[int, ...], rows: list[list[int]], k: int, out: list) -> None:
+    """Place the letters from k on into `rows` (`_standard_rows`).  Not a
+    closure that refers to itself, as `_fill` is not."""
+    if k > sum(shape):
+        out.append(tuple(map(tuple, rows)))
+        return
+    for i, row in enumerate(rows):
+        if len(row) < shape[i] and (i == 0 or len(row) < len(rows[i - 1])):
+            row.append(k)
+            _place(shape, rows, k + 1, out)
+            row.pop()
 
 
 # ---------------------------------------------------------------------------

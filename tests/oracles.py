@@ -8,15 +8,25 @@ for the insertion fibers of the shipped sets.  The restriction-surprise
 search is kept as it grouped every word over {1..n} into classes by
 closure.  `union_find_joins` counts the parts that forced pairs join by
 a union-find.  Mixed insertion and the shifted hook length formula are
-written out from their definitions, with no `placto` code."""
+written out from their definitions, with no `placto` code.
+`lr_by_ssyt_words` is the Littlewood-Richardson expansion by the products
+of the semistandard words over all n letters, the one listing `lr_expand`
+had before it chose the smaller of two; standardization of words and of
+tableaux is written out from its definition."""
 
 import itertools
 import math
+from collections import Counter
 from typing import Iterator
 
-from placto.algebra import NcPoly
+from placto.algebra import NcPoly, free_schur
 from placto.rewrite import KNUTH, SHIFTED_KNUTH, Relation, RelationSet, closure_bytes
-from placto.tableaux import hook_factorization_check, is_partition, mixed_insertion_rows
+from placto.tableaux import (
+    hook_factorization_check,
+    is_partition,
+    mixed_insertion_rows,
+    ssyt_count,
+)
 from placto.words import Interval, OrderedMorphism, Word, all_intervals
 
 
@@ -129,6 +139,51 @@ def standard_count_by_hooks(shape: tuple[int, ...]) -> int:
         for c in range(length):
             hooks *= (length - c) + (columns[c] - i - 1)
     return math.factorial(sum(shape)) // hooks
+
+
+def lr_by_ssyt_words(nu: tuple[int, ...], mu: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
+    """The reference for `algebra.lr_expand`: the products of the reading
+    words of the semistandard tableaux of nu and mu over all n letters,
+    counted by Schensted tableau, each shape checked against all
+    `ssyt_count(shape, n)` of its tableaux occurring equally often."""
+    key = KNUTH.congruence.key
+    right = free_schur(mu, n).terms
+    tableaux = Counter(key(u + v) for u in free_schur(nu, n).terms for v in right)
+    # shape -> {multiplicity: tableaux of the shape that occur that often}
+    by_shape: dict[tuple[int, ...], Counter] = {}
+    for rows, count in tableaux.items():
+        by_shape.setdefault(tuple(map(len, rows)), Counter())[count] += 1
+    out: dict[tuple[int, ...], int] = {}
+    for shape, multiplicities in sorted(by_shape.items(), reverse=True):
+        expected = ssyt_count(shape, n)
+        if len(multiplicities) != 1 or sum(multiplicities.values()) != expected:
+            raise ValueError(
+                f"shape {shape} is not a multiple of its Schur sum: tableaux by "
+                f"multiplicity {dict(multiplicities)}, of {expected} tableaux of the shape"
+            )
+        (out[shape],) = multiplicities
+    return out
+
+
+def standardized_word(letters) -> bytes:
+    """std(w): the letters of w renumbered 1..|w|, the smaller letters
+    first and equal letters from left to right."""
+    order = sorted(range(len(letters)), key=lambda i: (letters[i], i))
+    out = [0] * len(letters)
+    for rank, i in enumerate(order, 1):
+        out[i] = rank
+    return bytes(out)
+
+
+def standardized_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """std(T): the entries of a semistandard tableau renumbered 1..|T|, the
+    smaller entries first and equal entries, which lie in distinct columns,
+    from left to right."""
+    cells = sorted((entry, j, i) for i, row in enumerate(rows) for j, entry in enumerate(row))
+    out = [list(row) for row in rows]
+    for rank, (_, j, i) in enumerate(cells, 1):
+        out[i][j] = rank
+    return tuple(map(tuple, out))
 
 
 def shifted_standard_count_by_hooks(shape: tuple[int, ...]) -> int:

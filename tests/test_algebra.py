@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +23,10 @@ from placto.algebra import (
     shifted_free_schur,
 )
 from placto.rewrite import KNUTH, SHIFTED_KNUTH, RelationSet, canonical_word, equivalent
-from placto.tableaux import Tableau, partitions, reading_word, strict_partitions
+from placto.tableaux import Tableau, partitions, reading_word, schensted_rows, strict_partitions
 from placto.words import Word, content
 
-from oracles import free_schur_by_filter
+from oracles import free_schur_by_filter, lr_by_ssyt_words, standardized_rows, standardized_word
 
 
 def W(text, n=None):
@@ -474,3 +475,72 @@ def test_equal_polynomials_hash_equal_and_quotients_are_unhashable():
     assert hash(c) == hash((2, frozenset(c.terms.items())))
     with pytest.raises(TypeError):
         hash(QuotientPoly(3, 3, KNUTH))
+
+
+def _shape_pairs(most: int):
+    """Every (nu, mu) with |nu| + |mu| <= most, empty shapes too."""
+    for size in range(most + 1):
+        for left in range(size + 1):
+            for nu in partitions(left):
+                yield from ((nu, mu) for mu in partitions(size - left))
+
+
+@pytest.mark.parametrize("route", ["standard", "semistandard"])
+def test_each_lr_route_matches_the_ssyt_oracle(monkeypatch, route):
+    """`lr_expand` on each listing in turn, forced by replacing the choice
+    of `lr_route`, against the products of the semistandard words over all
+    n letters (`oracles.lr_by_ssyt_words`), for every (nu, mu) with
+    |nu| + |mu| <= 7 and n <= 5."""
+    if route == "standard":
+        monkeypatch.setattr(algebra, "lr_route", lambda nu, mu, n: (0, None))
+    else:
+        monkeypatch.setattr(
+            algebra, "lr_route", lambda nu, mu, n: (0, min(n, len(nu) + len(mu)) or 1)
+        )
+    cases = 0
+    for nu, mu in _shape_pairs(7):
+        for n in range(1, 6):
+            assert lr_expand(nu, mu, n) == lr_by_ssyt_words(nu, mu, n), (nu, mu, n)
+            cases += 1
+    assert cases == 1245
+
+
+def test_lr_route_counts_the_smaller_listing():
+    """`lr_route` counts the words of the listing that `lr_expand` makes,
+    and picks the standard one only when it is the smaller."""
+    routes = set()
+    for nu, mu in _shape_pairs(7):
+        for n in range(1, 6):
+            words, m = algebra.lr_route(nu, mu, n)
+            standard = sum(1 for _ in algebra._standard_products(nu, mu))
+            letters = min(n, len(nu) + len(mu)) or 1
+            semistandard = len(free_schur(nu, letters).terms) * len(free_schur(mu, letters).terms)
+            assert (words, m) == (
+                (standard, None) if standard < semistandard else (semistandard, letters)
+            ), (nu, mu, n)
+            routes.add(m is None)
+    assert routes == {True, False}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=9))
+def test_standardization_commutes_with_insertion(letters):
+    """P(std w) = std P(w), for words over {1..5} of degree <= 9: the
+    standard products of `lr_expand` stand for the products over any
+    alphabet."""
+    word = bytes(letters)
+    assert schensted_rows(standardized_word(word)) == standardized_rows(schensted_rows(word))
+
+
+def test_lr_checks_the_shapes_it_does_not_print(monkeypatch):
+    """The standard products of (1, 1) and (1, 1) show the shape (1, 1, 1, 1)
+    even over three letters, where `lr_expand` prints no shape of four
+    rows; its tableaux are still checked."""
+    assert algebra.lr_route((1, 1), (1, 1), 3) == (6, None)
+    assert lr_expand((1, 1), (1, 1), 3) == {(2, 2): 1, (2, 1, 1): 1}
+    count = algebra.standard_count
+    monkeypatch.setattr(
+        algebra, "standard_count", lambda shape: count(shape) + (shape == (1, 1, 1, 1))
+    )
+    with pytest.raises(ValueError, match=re.escape("shape (1, 1, 1, 1) ")):
+        lr_expand((1, 1), (1, 1), 3)

@@ -823,11 +823,14 @@ def test_sweeps_over_two_letters_within_the_word_limit_are_within_the_letter_lim
 @pytest.mark.parametrize(
     "argv, count",
     [
-        # C(258, 4) one-row tableaux of each factor
-        (["lr", "--nu", "4", "--mu", "4", "--n", "255"], 180352320 * 180352320),
+        # C(16, 10) subsets of the letters times 768 x 16 standard tableaux,
+        # fewer than the 101 154 816 semistandard products over 7 letters
+        (["lr", "--nu", "4,3,2,1", "--mu", "3,2,1", "--n", "255"], 8008 * 768 * 16),
         # n(n^2 - 1)/3 tableaux of shape (2, 1)
         (["schur", "--shape", "2,1", "--n", "255"], 5527040),
-        (["lr", "--nu", "3,2", "--mu", "2,1", "--n", "9"], 2970 * 240),
+        # 1 470 x 896 semistandard products over 6 letters, fewer than the
+        # C(14, 8) x 42 x 16 = 2 018 016 standard ones
+        (["lr", "--nu", "3,3,2", "--mu", "3,2,1", "--n", "9"], 1470 * 896),
     ],
     ids=["lr-n255", "schur-n255", "lr-n9"],
 )
@@ -847,7 +850,8 @@ def test_products_above_the_limit_rejected(capsys, argv, count):
 
 
 def test_lr_at_the_stretch_scale_accepted(capsys, monkeypatch):
-    # 1 680 x 168 = 282 240 words; the expansion itself takes seconds, so stub it
+    # 560 standard words, fewer than the 1 680 x 168 = 282 240 semistandard
+    # ones over 8 letters; the expansion is stubbed
     monkeypatch.setattr(cli, "lr_expand", lambda nu, mu, n: {(5, 3): 1})
     assert main(["lr", "--nu", "3,2", "--mu", "2,1", "--n", "8"]) == 0
     capsys.readouterr()
@@ -856,7 +860,8 @@ def test_lr_at_the_stretch_scale_accepted(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, words",
     [
-        (["lr", "--nu", "2,1", "--mu", "1", "--n", "3"], 8 * 3),
+        # C(4, 3) x 2 x 1 standard words, fewer than the 8 x 3 semistandard ones
+        (["lr", "--nu", "2,1", "--mu", "1", "--n", "3"], 8),
         (["schur", "--shape", "2,1", "--n", "3"], 8),
     ],
     ids=["lr", "schur"],
@@ -946,8 +951,8 @@ def test_shifted_schur_at_the_limit_accepted(capsys, monkeypatch):
         (["schur", "--shape", "2,1", "--n", "3"], 8 * 3),
         # 24 shifted tableaux of shape (3, 1) over {1, 2, 3}, 4 letters each
         (["schur", "--shape", "3,1", "--shifted", "--n", "3"], 24 * 4),
-        # 8 x 3 products of 4 letters
-        (["lr", "--nu", "2,1", "--mu", "1", "--n", "3"], 8 * 3 * 4),
+        # 8 standard products of 4 letters
+        (["lr", "--nu", "2,1", "--mu", "1", "--n", "3"], 8 * 4),
     ],
     ids=["schur", "shifted", "lr"],
 )
@@ -978,17 +983,43 @@ def test_lr_of_many_cells_is_bounded_by_letters(capsys):
     assert elapsed < 1.0
 
 
-def test_lr_refuses_a_shape_whose_tableaux_are_not_counted_alike(capsys, monkeypatch):
-    """With `ssyt_count` one too high for (2, 2), the product of (2, 1) and
-    (1) over four letters misses a tableau of that shape: `lr_expand` names
-    the shape, and `lr` exits 2 with nothing on stdout."""
-    count = algebra.ssyt_count
+def test_lr_of_one_row_shapes_over_many_letters_accepted(capsys, monkeypatch):
+    """(200) and (55) have one row each, so `lr` lists the 201 x 56
+    semistandard products over 2 letters at any n, where over all 255 it
+    would list C(454, 200) x C(309, 55)."""
+    argv = ["lr", "--nu", "200", "--mu", "55", "--n", "255"]
+    assert main(argv) == 0
+    coefficients = json.loads(capsys.readouterr().out)["coefficients"]
+    assert coefficients == {f"{255 - k},{k}" if k else "255": 1 for k in range(56)}
+    monkeypatch.setattr(cli, "_MAX_SWEEP", 201 * 56 - 1)
+    assert main(argv) == 2
+    assert f"would enumerate {201 * 56} words" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "count_name, n",
+    [
+        # 8 standard products, fewer than the 8 x 3 semistandard ones over 3 letters
+        ("standard_count", 4),
+        # 2 x 2 semistandard products over 2 letters, fewer than the 8 standard ones
+        ("ssyt_count", 2),
+    ],
+    ids=["standard", "semistandard"],
+)
+def test_lr_refuses_a_shape_whose_tableaux_are_not_counted_alike(
+    capsys, monkeypatch, count_name, n
+):
+    """With the tableaux of (2, 2) counted one too many, by the count of the
+    listing that `lr` takes, the product of (2, 1) and (1) misses a tableau
+    of that shape: `lr_expand` names the shape, and `lr` exits 2 with
+    nothing on stdout."""
+    count = getattr(algebra, count_name)
     monkeypatch.setattr(
-        algebra, "ssyt_count", lambda shape, n: count(shape, n) + (shape == (2, 2))
+        algebra, count_name, lambda shape, *rest: count(shape, *rest) + (shape == (2, 2))
     )
     with pytest.raises(ValueError, match=re.escape("shape (2, 2) ")):
-        algebra.lr_expand((2, 1), (1,), 4)
-    assert main(["lr", "--nu", "2,1", "--mu", "1", "--n", "4"]) == 2
+        algebra.lr_expand((2, 1), (1,), n)
+    assert main(["lr", "--nu", "2,1", "--mu", "1", "--n", str(n)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("placto: error: shape (2, 2) ")
