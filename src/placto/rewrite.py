@@ -52,8 +52,12 @@ _CHAIN_RE = re.compile(r"^\s*([a-z])\s*((?:(?:<=|<)\s*[a-z]\s*)+)$")
 _STEP_RE = re.compile(r"(<=|<)\s*([a-z])\s*")
 
 
+@functools.lru_cache(maxsize=256)
 def _parse_chain(chain: str) -> tuple[tuple[str, ...], tuple[bool, ...]]:
-    """Split a constraint chain like 'a<=b<c' into variables and strict flags."""
+    """Split a constraint chain like 'a<=b<c' into variables and strict flags.
+
+    Cached by chain text, so the `Relation` methods that read a chain do
+    not parse it again; a chain that fails to parse raises on every call."""
     m = _CHAIN_RE.match(chain)
     if not m:
         raise ValueError(f"cannot parse constraint chain {chain!r}")

@@ -743,6 +743,12 @@ def hook_factorization_check(letters, nu: tuple[int, ...]) -> bool:
         raise ValueError(f"{nu} is not a strict partition")
     if len(letters) != sum(nu):
         raise ValueError(f"word degree {len(letters)} != |{nu}|")
+    return _is_hook_factorization(letters, nu)
+
+
+def _is_hook_factorization(letters, nu: tuple[int, ...]) -> bool:
+    """`hook_factorization_check` of a word of |nu| letters at a strict
+    partition nu, neither checked again."""
     prev = None
     pos = 0
     for length in reversed(nu):  # segments are read off smallest part first
@@ -823,10 +829,12 @@ def _hook_words(nu: tuple[int, ...], n: int) -> list[bytes]:
     the hook word of each shifted tableau of the shape (`hook_word`), one
     per shifted class (Serrano 2010), as `free_schur` takes the reading
     word of each tableau.  Each word is checked at nu, and ValueError is
-    raised if one fails."""
+    raised if one fails.  `_shssyt_rows` checks nu once for the listing,
+    and each word has one letter per cell of the shape, so each word is
+    checked by `_is_hook_factorization` alone."""
     cells = _hook_recording_rows(nu)  # the same for every tableau of the shape
     words = sorted(_uninsert_along(rows, cells) for rows in _shssyt_rows(nu, n))
     for w in words:
-        if not hook_factorization_check(w, nu):
+        if not _is_hook_factorization(w, nu):
             raise ValueError(f"word {list(w)} read off a tableau of shape {nu} is no hook word")
     return words

@@ -849,12 +849,17 @@ def test_products_above_the_limit_rejected(capsys, argv, count):
     assert elapsed < 1.0
 
 
-def test_lr_at_the_stretch_scale_accepted(capsys, monkeypatch):
+def test_lr_at_the_stretch_scale_accepted(capsys):
     # 560 standard words, fewer than the 1 680 x 168 = 282 240 semistandard
-    # ones over 8 letters; the expansion is stubbed
-    monkeypatch.setattr(cli, "lr_expand", lambda nu, mu, n: {(5, 3): 1})
-    assert main(["lr", "--nu", "3,2", "--mu", "2,1", "--n", "8"]) == 0
-    capsys.readouterr()
+    # ones over 8 letters; every shape of the product has at most 4 rows, so
+    # 8 letters give the coefficients of 4
+    coefficients = {}
+    for n in (8, 4):
+        code, out = run_cli(capsys, "lr", "--nu", "3,2", "--mu", "2,1", "--n", str(n))
+        assert code == 0
+        coefficients[n] = json.loads(out)["coefficients"]
+    assert coefficients[8] == coefficients[4]
+    assert coefficients[4]
 
 
 @pytest.mark.parametrize(

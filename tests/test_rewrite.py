@@ -1,6 +1,7 @@
 """Pattern relations, class closure, and the congruence invariants."""
 
 import itertools
+import pickle
 import random
 import time
 
@@ -295,6 +296,44 @@ class TestCustomRelations:
         # unused, a < b was dropped and 12 ~ 21 held with no instance b = 1
         with pytest.raises(ValueError, match=f"^bad: chain variable '{variable}' is in neither"):
             Relation("bad", left, right, "a<b<c")
+
+    @pytest.mark.parametrize(
+        "chain, message",
+        [("a<<b", "cannot parse constraint chain"), ("a<b<a", "repeated variable in chain")],
+    )
+    def test_a_malformed_chain_is_refused_on_every_call(self, chain, message):
+        # parsed chains are cached by their text, and a failed parse is not
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                Relation("bad", "ab", "ba", chain)
+
+    def test_each_chain_text_is_parsed_once(self, monkeypatch):
+        parsed = []
+        real = rewrite._CHAIN_RE
+
+        class Counted:
+            def match(self, chain):
+                parsed.append(chain)
+                return real.match(chain)
+
+        monkeypatch.setattr(rewrite, "_CHAIN_RE", Counted())
+        rewrite._parse_chain.cache_clear()
+        rels = [Relation("K.1", "acb", "cab", "a<=b<c") for _ in range(2)]
+        for rel in rels:
+            assert rel.variables() == ("a", "b", "c")
+            assert rel.strict_flags() == (False, True)
+            assert rel.compiled() == ((0, 2, 1), (2, 0, 1), (False, True))
+        assert parsed == ["a<=b<c"]
+
+    def test_relations_compare_hash_and_pickle_by_their_fields(self):
+        one, other = (Relation("K.1", "acb", "cab", "a<=b<c") for _ in range(2))
+        assert one == other == KNUTH.relations[0]
+        assert hash(one) == hash(other) == hash(KNUTH.relations[0])
+        clone = pickle.loads(pickle.dumps(one))
+        assert clone == one and hash(clone) == hash(one) and clone.compiled() == one.compiled()
+        # the same variables and flags, spelt otherwise: another relation
+        spaced = Relation("K.1", "acb", "cab", "a <= b < c")
+        assert spaced != one and spaced.compiled() == one.compiled()
 
 
 class TestCongruence:

@@ -26,6 +26,7 @@ from placto.tableaux import (
     _row_uninsert,
     _shssyt_rows,
     _ssyt_rows,
+    _uninsert_along,
     enumerate_hook,
     enumerate_ssyt,
     hook_factorization_check,
@@ -314,6 +315,19 @@ class TestHookFactorization:
     def test_non_strict_shape_rejected(self):
         with pytest.raises(ValueError):
             hook_factorization_check(W("1212"), (2, 2))
+        with pytest.raises(ValueError, match="is not a strict partition"):
+            _hook_words((2, 2), 3)
+
+    def test_hook_words_refuse_a_word_that_is_no_hook_word(self, monkeypatch):
+        # each word read off a tableau is checked at the shape: read off
+        # reversed, 132 becomes 231, whose segments 2 and 31 are no hook
+        # factorization
+        monkeypatch.setattr(
+            "placto.tableaux._uninsert_along",
+            lambda rows, cells: _uninsert_along(rows, cells)[::-1],
+        )
+        with pytest.raises(ValueError, match=r"shape \(2, 1\) is no hook word"):
+            _hook_words((2, 1), 3)
 
     def test_enumerate_hook_small(self):
         assert enumerate_hook((2, 1), 2) == {W("121"), W("221")}

@@ -22,7 +22,13 @@ from oracles import (
     union_find_joins,
 )
 from placto import _kernels, cli, verify
-from placto.algebra import commutator_in_quotient, free_schur, nc_mul, shifted_free_schur
+from placto.algebra import (
+    NcPoly,
+    commutator_in_quotient,
+    free_schur,
+    nc_mul,
+    shifted_free_schur,
+)
 from placto.cli import main
 from placto.rewrite import (
     KNUTH,
@@ -466,8 +472,9 @@ def _per_member_oracle():
     the first 20 violations of all the classes; yields, per call, one flag
     per axiom (1 and 4), set when the axiom failed and its violations were
     listed.  An axiom that holds must have made two lookups per relation
-    instance and action on its support, and no lookup per class; the
-    classes are read once per failing axiom, and never when none fails."""
+    instance and action on its support whose images differ, none where
+    they are equal, and no lookup per class; the classes are read once per
+    failing axiom, and never when none fails."""
     reached = []
     real = verify._stable_under
 
@@ -484,8 +491,12 @@ def _per_member_oracle():
         assert len(reads) == sum(map(bool, got))
         for (family, _), seen, violations in zip(checks, lookups, got):
             if not violations:
-                actions = sum(len(family(verify._support(left))[0]) for left, _ in instances)
-                assert len(seen) == 2 * actions
+                differ = sum(
+                    left.translate(*action) != right.translate(*action)
+                    for left, right in instances
+                    for action in family(verify._support(left))[0]
+                )
+                assert len(seen) == 2 * differ
         reached.append(tuple(bool(violations) for violations in got))
         return got
 
@@ -504,7 +515,7 @@ def _over_every_letter(n):
     type."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_order_type_instances", lambda rel, m: relation_instances(rel, n))
-        mp.setattr(verify, "_packed_terms", lambda poly: poly)
+        mp.setattr(verify, "_packed_commutator", lambda p, q: nc_mul(p, q) - nc_mul(q, p))
         for name in ("free_schur", "shifted_free_schur"):
             real = getattr(verify, name)
             mp.setattr(verify, name, lambda first, m, *rest, real=real: real(first, n, *rest))
@@ -668,11 +679,13 @@ def test_axioms_look_up_one_word_per_block(capsys, monkeypatch):
     run, and `restriction_surprise` only the words of degree 4, computed
     199 keys in all; one instance of each relation pattern with its top
     image, one commutator term per order type, and only the packed words
-    of `restriction_surprise` compute 159."""
+    of `restriction_surprise` compute 159; keying only the images of an
+    instance, and the restrictions of a witness pair, that differ as words
+    computes 116."""
     calls, per_sweep = _count_lookups(monkeypatch)
     assert main("verify axioms --n 3 --degree 9".split()) == 0
     capsys.readouterr()
-    assert len(calls) == 159 < 199 < 460
+    assert len(calls) == 116 < 159 < 199 < 460
     assert len(per_sweep) == 2
 
 
@@ -689,12 +702,14 @@ def test_axioms_look_up_one_word_per_joined_group(
     classes of `restriction_surprise`.  Deciding over the letters that hold
     every order type, 3 for Plac and 4 for SPlac, computed the same 480
     keys at both scales, `restriction_surprise`'s included; deciding once
-    per order type computes 238."""
+    per order type computes 238, and keying only images that differ as
+    words 180."""
     calls_per_instance = {(5, 6): 4_156, (4, 7): 1_602}[n, degree]
     calls, per_sweep = _count_lookups(monkeypatch)
     assert main(f"verify axioms --n {n} --degree {degree}".split()) == 0
     capsys.readouterr()
-    assert len(calls) == 238 < 480 < calls_per_instance < calls_per_group < calls_per_block / 20
+    assert len(calls) == 180 < 238 < 480 < calls_per_instance < calls_per_group
+    assert calls_per_group < calls_per_block / 20
     assert len(per_sweep) == 2
 
 
@@ -937,6 +952,45 @@ def test_axioms_at_the_least_bound_walk_and_multiply_nothing(monkeypatch, target
     reports = verify_axioms(target, 5, degree)
     assert [r["pass"] for r in reports] == [True] * 4
     assert walks == [] and sums == []
+
+
+def _packed_terms(poly):
+    """The terms of `poly` whose words are packed: the reference for
+    `verify._packed_commutator`, which builds no other term."""
+    terms = {w: c for w, c in poly.terms.items() if verify._is_packed(w)}
+    return NcPoly(poly.n, poly.degree_bound, terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "schur, big", [(free_schur, (1, 1)), (shifted_free_schur, (2, 1))], ids=["plac", "splac"]
+)
+def test_packed_commutator_keeps_the_packed_terms_of_the_commutator(schur, big, m):
+    """Axiom 2's sums over m letters, at the least bound, where both
+    products lie above it, and above it."""
+    least = sum(big)
+    nonzero = 0
+    for bound in (least, least + 1, least + 3):
+        p, q = schur((1,), m, bound), schur(big, m, bound)
+        expected = _packed_terms(nc_mul(p, q) - nc_mul(q, p))
+        assert verify._packed_commutator(p, q) == expected
+        assert verify._packed_commutator(q, p) == -expected
+        nonzero += len(expected.terms)
+    assert (nonzero > 0) == (m > 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), bound=st.integers(1, 6))
+def test_packed_commutator_of_polynomials_of_nonempty_words(data, n, bound):
+    words = st.lists(st.integers(1, n), min_size=1, max_size=bound).map(bytes)
+    terms = st.dictionaries(words, st.integers(-3, 3), max_size=6)
+    p, q = (NcPoly(n, bound, data.draw(terms)) for _ in range(2))
+    assert verify._packed_commutator(p, q) == _packed_terms(nc_mul(p, q) - nc_mul(q, p))
+
+
+def test_packed_commutator_refuses_a_context_mismatch():
+    with pytest.raises(ValueError, match="context mismatch"):
+        verify._packed_commutator(free_schur((1,), 3, 4), free_schur((1, 1), 3, 3))
 
 
 class TestReportOnlyChecks:
