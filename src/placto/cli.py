@@ -245,10 +245,6 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         degree = _size_option(args.degree, 5, "degree")
         _check_sweep(f"verify axioms --n {n} --degree {degree}", n, range(1, degree + 1))
         rel_spec = args.relations
-        if rel_spec is None and degree == 2:
-            # the Plac half accepts the degree that the SPlac half refuses:
-            # refuse it before the Plac half runs
-            raise ValueError("degree bound must be at least 3 for the SPlac axioms, got 2")
         reports = []
         if rel_spec in (None, "knuth"):
             reports.extend(verify_mod.verify_axioms("plactic", n, degree))

@@ -42,7 +42,6 @@ from .tableaux import partitions, shifted_ssyt_count, ssyt_count, strict_partiti
 from .words import (
     all_intervals,
     content,
-    outside_letters,
     word_text,
 )
 
@@ -177,21 +176,30 @@ def verify_tables(family: str | None = None, pattern: str | None = None) -> list
 # forced matching between two product expansions
 
 
-def _intervals(n: int) -> list[tuple[int, int, bytes]]:
-    """(lo, hi, letters outside [lo, hi]) for every interval of {1..n}, in
-    order of lo, then hi; `w.translate(None, outside)` restricts w."""
-    return [(iv.lo, iv.hi, outside_letters(iv, n)) for iv in all_intervals(n)]
+def _runs(support: bytes) -> list[tuple[int, int, bytes]]:
+    """(lo, hi, deleted) for each run s[i:j] of the sorted support s, in
+    order of i, then j: [lo, hi] = [s[i - 1] + 1 or 1, s[j - 1]] is the
+    first interval that keeps the run, and `w.translate(None, deleted)`
+    restricts a word over s to it.  These come in `all_intervals` order, so
+    the first interval over any alphabet that separates two words of one
+    support is their first separating run's."""
+    k = len(support)
+    return [
+        (support[i - 1] + 1 if i else 1, support[j - 1], support[:i] + support[j:])
+        for i in range(k)
+        for j in range(i + 1, k + 1)
+    ]
 
 
-def _interval_witness(u: bytes, v: bytes, class_key, intervals):
-    """First interval whose restrictions of u and v have different class
-    keys under `class_key`, as (lo, hi, outside) from `_intervals`.  Equal
-    restrictions have equal keys, so only restrictions that differ as
-    words are keyed."""
-    for lo, hi, outside in intervals:
-        ru, rv = u.translate(None, outside), v.translate(None, outside)
+def _interval_witness(u: bytes, v: bytes, class_key, runs):
+    """First interval whose restrictions of u and v, two words of one
+    support, have different class keys under `class_key`, as (lo, hi,
+    deleted) from the `_runs` of that support.  Equal restrictions have
+    equal keys, so only restrictions that differ as words are keyed."""
+    for lo, hi, deleted in runs:
+        ru, rv = u.translate(None, deleted), v.translate(None, deleted)
         if ru != rv and class_key(ru) != class_key(rv):
-            return lo, hi, outside
+            return lo, hi, deleted
     return None
 
 
@@ -300,8 +308,9 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     side with the one candidate in its Knuth class, which must be the
     relation's right side.  Each other candidate is reported with the first
     interval whose restriction separates it from the left side in the Knuth
-    quotient, or, in the left side's class, with its match: a word of both
-    products cancels and is matched to itself.
+    quotient, read off the runs of their support (`_runs`), or, in the left
+    side's class, with its match: a word of both products cancels and is
+    matched to itself.  A restriction that deletes no letter is trivial.
 
     Each pattern's left side is packed, its letters exactly {1..k} for its
     k letters, so only the packed contents are matched (`_packed_weight`
@@ -312,20 +321,21 @@ def verify_case_analysis(relations: str = "shifted-knuth") -> list[dict]:
     # words again and restrictions that repeat across patterns
     knuth_key = functools.cache(KNUTH.congruence.key)
     matchings = _forced_matchings(single, big, n, knuth_key, functools.partial(_packed_weight, n))
-    intervals = _intervals(n)
+    runs = functools.cache(_runs)
     reports = []
     for rel in rels.relations:
         for pattern, left, expected in _degeneracies(rel):
             V, match, ok, note = matchings[content(left, n)]
             survivor = match.get(left) if ok else None
+            left_runs = runs(_support(left))
             eliminated = []
             for v in sorted(V):
                 if v == survivor:
                     continue
-                witness = _interval_witness(left, v, knuth_key, intervals)
+                witness = _interval_witness(left, v, knuth_key, left_runs)
                 if witness is not None:
-                    lo, hi, _ = witness
-                    if set(left + v) <= set(range(lo, hi + 1)):
+                    lo, hi, deleted = witness
+                    if not deleted:
                         reason = f"plactic inequality (restriction to [{lo},{hi}] is trivial)"
                     else:
                         reason = f"restriction to [{lo},{hi}]"
@@ -576,20 +586,19 @@ def _identity(support: bytes):
 def _restrictions(n: int):
     """The family of the interval restrictions of {1..n}, labelled
     {"interval": [lo, hi]} in `all_intervals` order.  A restriction keeps a
-    contiguous run of the sorted support, so a support of k letters has
-    k(k + 1)/2 actions."""
+    run s[i:j] of the sorted support s, so the actions are the deletions of
+    `_runs(s)`, k(k + 1)/2 for k letters, and an interval's index among them
+    is i·k - i(i - 1)/2 + j - i - 1, i and j found by bisection."""
 
     def family(support: bytes):
-        k = len(support)
-        runs = [(i, j) for i in range(k) for j in range(i + 1, k + 1)]
-        actions = [(None, support[:i] + support[j:]) for i, j in runs]
+        actions = [(None, deleted) for _, _, deleted in _runs(support)]
 
         def labels():
-            index = {run: a for a, run in enumerate(runs)}
+            k = len(support)
             for iv in all_intervals(n):
-                run = (bisect.bisect_left(support, iv.lo), bisect.bisect_right(support, iv.hi))
-                if run in index:
-                    yield {"interval": [iv.lo, iv.hi]}, index[run]
+                i, j = bisect.bisect_left(support, iv.lo), bisect.bisect_right(support, iv.hi)
+                if i < j:
+                    yield {"interval": [iv.lo, iv.hi]}, i * k - i * (i - 1) // 2 + j - i - 1
 
         return actions, labels
 
@@ -696,17 +705,18 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
 
     The witness is the first pair (base, other) of one class, in the order
     of the least members and then of the members, whose restrictions to an
-    interval have different shifted keys.  Moving a class onto its packed
-    support, {1..k} for its k letters, keeps a witness a witness (the
-    order-type lemma of `verify_axioms`) and makes each member
-    lexicographically smaller unless the class is packed already, so the
-    first witness lies in a packed class, over {1..min(n, d)}.  Relations
-    keep content, so the members of a packed class are packed words.  The
-    search scans the packed words over {1..min(n, d)} in lexicographic
-    order, skipping every other word, and lists the class of each new key
-    (`Congruence.fiber`), whose least member is the word that found it.
-    Below the degree of the shortest relation every class is a single
-    word, so the scan starts there, and a lower bound looks nothing up.
+    interval have different shifted keys, the first in `all_intervals`
+    order (`_runs`, whatever n is).  Moving a class onto its packed support,
+    {1..k} for its k letters, keeps a witness a witness (the order-type
+    lemma of `verify_axioms`) and makes each member lexicographically
+    smaller unless the class is packed already, so the first witness lies
+    in a packed class, over {1..min(n, d)}.  Relations keep content, so the
+    members of a packed class are packed words.  The search scans the
+    packed words over {1..min(n, d)} in lexicographic order, skipping every
+    other word, and lists the class of each new key (`Congruence.fiber`),
+    whose least member is the word that found it.  Below the degree of the
+    shortest relation every class is a single word, so the scan starts
+    there, and a lower bound looks nothing up.
     """
     absent = {"check": "restriction-surprise", "witness_found": False, "pass": True}
     shortest = min(len(rel.left) for rel in SHIFTED_KNUTH.relations)
@@ -716,9 +726,6 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
     key = functools.cache(shifted.key)
     knuth_key = KNUTH.congruence.key
     k = min(n, degree_bound)
-    # the first interval over {1..n} that separates two words over {1..k}
-    # ends at k at the latest, since [lo, hi] and [lo, k] restrict them alike
-    intervals = _intervals(k)
     for degree in range(shortest, degree_bound + 1):
         seen = set()
         for w in map(bytes, itertools.product(range(1, k + 1), repeat=degree)):
@@ -729,11 +736,14 @@ def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:
                 continue
             seen.add(rows)
             base, *others = sorted(shifted.fiber(rows))
+            if not others:
+                continue
+            runs = _runs(_support(base))
             for other in others:
-                witness = _interval_witness(base, other, key, intervals)
+                witness = _interval_witness(base, other, key, runs)
                 if witness is not None:
-                    lo, hi, outside = witness
-                    ru, rv = base.translate(None, outside), other.translate(None, outside)
+                    lo, hi, deleted = witness
+                    ru, rv = base.translate(None, deleted), other.translate(None, deleted)
                     return {
                         "check": "restriction-surprise",
                         "witness_found": True,

@@ -6,9 +6,9 @@ per byte (so n <= 255), with n kept by its context: the rewrite kernel, the
 congruences, the polynomials of `algebra` and the verifier all work on byte
 words.  `Word` is the validated word of the public API, built where text is
 parsed or printed; `word_text` gives a byte word the text of `str(Word)`.
-The maps provided here (concatenation, content, interval restriction) and
-the ordered morphisms are the pieces the rewrite engine and the
-verification harness quantify over.
+The maps provided here (concatenation, content), the intervals and the
+ordered morphisms are the pieces the rewrite engine and the verification
+harness quantify over.
 
 The value classes of the package (`Word`, `Interval`, `OrderedMorphism`
 here, the tableaux and the relations) are plain classes on the `Frozen`
@@ -225,17 +225,6 @@ def word_text(letters, n: int) -> str:
     if n <= 9:
         return bytes(letters).translate(_DIGITS).decode("ascii")
     return ",".join(map(str, letters))
-
-
-def outside_letters(interval: Interval, n: int) -> bytes:
-    """The letters of {1..n} outside the interval, as a byte string.
-
-    `w.translate(None, outside_letters(iv, n))` restricts a byte-encoded
-    word over {1..n} to the interval.
-    """
-    below = bytes(range(1, min(interval.lo, n + 1)))
-    above = bytes(range(max(interval.hi + 1, 1), n + 1))
-    return below + above
 
 
 def all_words(n: int, degree: int) -> Iterator[Word]:

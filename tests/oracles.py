@@ -322,8 +322,18 @@ def union_find_joins(pairs) -> int:
 
 def restrict(w: Word, interval: Interval) -> Word:
     """Delete all letters outside the interval, preserving order: the
-    reference for `words.outside_letters`."""
+    reference for a restriction by `bytes.translate`."""
     return Word(tuple(a for a in w.letters if a in interval), w.n)
+
+
+def intervals(n: int) -> list[tuple[int, int, bytes]]:
+    """(lo, hi, the letters of {1..n} outside [lo, hi]) for every interval
+    of {1..n}, in `all_intervals` order: `w.translate(None, outside)`
+    restricts a byte word over {1..n}, the reference for `verify._runs`."""
+    return [
+        (iv.lo, iv.hi, bytes(a for a in range(1, n + 1) if a not in iv))
+        for iv in all_intervals(n)
+    ]
 
 
 def restriction_surprise_by_grouping(n: int, degree_bound: int) -> dict:

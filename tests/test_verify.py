@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     all_ordered_morphisms,
     apply_morphism,
+    intervals,
     kernel_classes,
     restrict,
     restriction_surprise_by_grouping,
@@ -45,7 +46,6 @@ from placto.verify import (
     _case_products,
     _forced_matching,
     _forced_matchings,
-    _intervals,
     restriction_surprise,
     section5_degree3_comparison,
     section5_degree4_comparison,
@@ -241,7 +241,7 @@ def test_axioms_3_and_4_beyond_exhaustive_scale(rels, data):
     key = cong.key
     assert len({key(m.translate(table)) for m in members}) == 1
     knuth_key = KNUTH.congruence.key
-    for _, _, outside in _intervals(n):
+    for _, _, outside in intervals(n):
         assert len({knuth_key(m.translate(None, outside)) for m in members}) == 1
 
 
@@ -732,21 +732,76 @@ def test_ordered_injections_are_the_morphisms_that_apply(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_restriction_family_is_the_intervals_that_apply(n):
-    """Per support, the restriction family labels, in `_intervals` order,
-    exactly the intervals that keep a letter of the support, each with the
-    image it gives there, and has one action per distinct image."""
+    """Per support, the restriction family labels, in `oracles.intervals`
+    order, exactly the intervals that keep a letter of the support, each
+    with the image it gives there, and has one action per distinct image:
+    the deletions of `_runs(support)`, in order."""
     family = verify._restrictions(n)
     for k in range(1, n + 1):
         for support in map(bytes, itertools.combinations(range(1, n + 1), k)):
             actions, labels = family(support)
+            assert actions == [(None, deleted) for _, _, deleted in verify._runs(support)]
             images = [support.translate(table, delete) for table, delete in actions]
             expected = [
                 ({"interval": [lo, hi]}, support.translate(None, outside))
-                for lo, hi, outside in _intervals(n)
+                for lo, hi, outside in intervals(n)
                 if support.translate(None, outside)
             ]
             assert [(label, images[i]) for label, i in labels()] == expected
             assert sorted(images) == sorted({image for _, image in expected})
+
+
+def _first_separating_interval(u, v, class_key, n):
+    """(lo, hi, restrictions of u and v) for the first interval of
+    `oracles.intervals(n)` whose restrictions have different keys, or None."""
+    for lo, hi, outside in intervals(n):
+        ru, rv = u.translate(None, outside), v.translate(None, outside)
+        if class_key(ru) != class_key(rv):
+            return lo, hi, [ru, rv]
+    return None
+
+
+def _witness_over_runs(u, v, class_key):
+    """`_interval_witness` over the runs of the support of u, in the form
+    of `_first_separating_interval`."""
+    witness = verify._interval_witness(u, v, class_key, verify._runs(bytes(sorted(set(u)))))
+    if witness is None:
+        return None
+    lo, hi, deleted = witness
+    return lo, hi, [u.translate(None, deleted), v.translate(None, deleted)]
+
+
+_SHIPPED_KEYS = pytest.mark.parametrize(
+    "class_key", [KNUTH.congruence.key, SHIFTED_KNUTH.congruence.key], ids=["knuth", "shifted"]
+)
+
+
+@_SHIPPED_KEYS
+def test_interval_witness_over_runs_is_the_first_separating_interval(class_key):
+    """On every pair of distinct words of one content over {1..4}, of degree
+    at most 4, the witness read off the runs of their support is the first
+    interval of {1..4} that separates them, with the same restrictions."""
+    for degree in range(1, 5):
+        by_content = collections.defaultdict(list)
+        for w in map(bytes, itertools.product(range(1, 5), repeat=degree)):
+            by_content[bytes(sorted(w))].append(w)
+        for words in by_content.values():
+            for u, v in itertools.combinations(words, 2):
+                expected = _first_separating_interval(u, v, class_key, 4)
+                assert _witness_over_runs(u, v, class_key) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@_SHIPPED_KEYS
+@given(data=st.data())
+def test_interval_witness_over_runs_on_random_supports(class_key, data):
+    """The same on random pairs of one content over {1..n}, n <= 12, whose
+    supports need not be packed: the witness does not depend on n."""
+    n = data.draw(st.integers(1, 12))
+    u = bytes(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=8)))
+    v = bytes(data.draw(st.permutations(u)))
+    expected = _first_separating_interval(u, v, class_key, n)
+    assert _witness_over_runs(u, v, class_key) == expected
 
 
 def test_failing_axioms_stop_listing_at_20(monkeypatch):
@@ -1312,7 +1367,7 @@ def test_weighted_matchings_are_the_unweighted_ones_of_nonzero_weight():
 
 def _restriction_rows(w, n):
     """The Schensted rows of the restriction of w to each interval of {1..n}."""
-    return tuple(schensted_rows(w.translate(None, outside)) for _, _, outside in _intervals(n))
+    return tuple(schensted_rows(w.translate(None, outside)) for _, _, outside in intervals(n))
 
 
 def _perfect_matchings(U, V, n):
