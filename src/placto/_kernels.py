@@ -16,9 +16,8 @@ the position permutations of the rules that match it, computed once by the
 matcher (`_matching_permutations`) and kept for the life of the table.  It
 holds at most one entry per weak order of each pattern length: 13 for
 `KNUTH` (length 3), 75 for `SHIFTED_KNUTH` (length 4), whatever the letters.
-`closure` and `neighbors` also cache window -> replacements, each in a dict
-of their own that they drop when they return, so that cache never outgrows
-the class being closed.  There is one kernel, in pure Python;
+`closure` also caches window -> replacements, in a dict of its own that it
+drops when it returns, so that cache never outgrows the class being closed.  There is one kernel, in pure Python;
 `backend_name` is always "pure" (exported as `placto.kernel_backend`).
 """
 
@@ -134,13 +133,6 @@ def _grow(frontier: list, table: RuleTable, cache: dict, seen: set) -> list:
                             seen.add(rewritten)
                             found.append(rewritten)
     return found
-
-
-def neighbors(word: bytes, table: RuleTable) -> set:
-    """Words reachable from `word` by one rule application at one position."""
-    out: set[bytes] = set()
-    _grow([word], table, {}, out)
-    return out
 
 
 def closure(word: bytes, table: RuleTable, cap: int | None = None) -> set:

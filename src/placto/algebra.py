@@ -129,10 +129,6 @@ class NcPoly(_Poly):
     def unit(cls, n: int, degree_bound: int) -> "NcPoly":
         return cls(n, degree_bound, {b"": 1})
 
-    @classmethod
-    def from_words(cls, words, n: int, degree_bound: int) -> "NcPoly":
-        return cls(n, degree_bound, Counter(words))
-
     def _require_context(self, other: "NcPoly") -> None:
         if (self.n, self.degree_bound) != (other.n, other.degree_bound):
             raise ValueError(

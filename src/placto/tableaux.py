@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Iterator
 
 from .words import Frozen, Word
@@ -628,6 +629,19 @@ def _shssyt_rows(shape: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], 
 # insertion fibers
 
 
+# The sub-tableau -> words memos of `insertion_fiber`, one per reverse
+# insertion, kept for the life of the process: the classes that one process
+# lists share most of their sub-tableaux.  Each entry is charged its words'
+# bytes plus _FIBER_ENTRY_BYTES for its key, its dict slot and the header of
+# its byte string (tracemalloc measured about 230 per entry over a stream of
+# classes), and once the charge over all memos passes _FIBER_BUDGET after a
+# call, every memo is cleared in place.
+_FIBER_BUDGET = 4 << 20
+_FIBER_ENTRY_BYTES = 240
+_fiber_memos: dict = {}  # reverse insertion -> {sub-tableau rows: its words}
+_fiber_charged = 0
+
+
 def insertion_fiber(rows, uninsert, gap: int) -> list[bytes]:
     """Every word whose insertion tableau has these rows, unsorted, for an
     insertion that is one step of a bijection onto (tableau, standard
@@ -644,30 +658,51 @@ def insertion_fiber(rows, uninsert, gap: int) -> list[bytes]:
 
     with words(empty) = {empty word}.  Each recording tableau gives exactly
     one word, so the union is disjoint.  The rule is memoized on the
-    sub-tableau, for this call only: the words of a class share most of
-    their prefixes' tableaux.  A sub-tableau's words are held as one byte
-    string, each word followed by a 0 byte, which no letter (1..255) is; so
-    appending y_c to every word of P - c is one `replace` of 0 by y_c 0,
-    and joining the corners' strings is the union.
+    sub-tableau (`_fiber_words`), in one memo per `uninsert` that lives as
+    long as the process, within a budget of `_FIBER_BUDGET` bytes over all
+    memos: the words of a class share most of their prefixes' tableaux, and
+    the classes of one process share many of them.  A sub-tableau's words
+    are held as one byte string, each word followed by a 0 byte, which no
+    letter (1..255) is; so appending y_c to every word of P - c is one
+    `replace` of 0 by y_c 0, and joining the corners' strings is the union.
     """
-    memo: dict[tuple, bytes] = {(): b"\0"}
-
-    def words(rows: tuple[tuple[int, ...], ...]) -> bytes:
-        got = memo.get(rows)
-        if got is None:
-            parts = []
-            last = len(rows) - 1
-            for r in range(last + 1):
-                if r == last or len(rows[r + 1]) + gap < len(rows[r]):
-                    out = list(rows)
-                    y = uninsert(out, r)
-                    parts.append(words(tuple(out)).replace(b"\0", bytes((y, 0))))
-            got = memo[rows] = b"".join(parts)
-        return got
-
-    fiber = words(tuple(map(tuple, rows)))[:-1].split(b"\0")
-    memo.clear()  # `words` refers to itself, so the memo would live until a collection
+    global _fiber_charged
+    memo = _fiber_memos.setdefault(uninsert, {(): b"\0"})
+    before = len(memo)
+    fiber = _fiber_words(tuple(map(tuple, rows)), uninsert, gap, memo)[:-1].split(b"\0")
+    added = len(memo) - before  # the new entries are the last ones in the dict
+    _fiber_charged += added * _FIBER_ENTRY_BYTES
+    _fiber_charged += sum(map(len, islice(reversed(memo.values()), added)))
+    if _fiber_charged > _FIBER_BUDGET:
+        _clear_fiber_memos()
     return fiber
+
+
+def _fiber_words(rows: tuple[tuple[int, ...], ...], uninsert, gap: int, memo: dict) -> bytes:
+    """The words of the sub-tableau `rows`, each followed by a 0 byte, read
+    from `memo` or computed into it (`insertion_fiber`)."""
+    got = memo.get(rows)
+    if got is None:
+        parts = []
+        last = len(rows) - 1
+        for r in range(last + 1):
+            if r == last or len(rows[r + 1]) + gap < len(rows[r]):
+                out = list(rows)
+                y = uninsert(out, r)
+                below = _fiber_words(tuple(out), uninsert, gap, memo)
+                parts.append(below.replace(b"\0", bytes((y, 0))))
+        got = memo[rows] = b"".join(parts)
+    return got
+
+
+def _clear_fiber_memos() -> None:
+    """Empty every memo of `insertion_fiber` in place, but for the empty
+    tableau's words, and reset their charge."""
+    global _fiber_charged
+    for memo in _fiber_memos.values():
+        memo.clear()
+        memo[()] = b"\0"
+    _fiber_charged = 0
 
 
 def schensted_fiber(rows: tuple[tuple[int, ...], ...]) -> list[bytes]:

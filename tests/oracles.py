@@ -68,7 +68,7 @@ def free_schur_by_filter(nu: tuple[int, ...], n: int, degree_bound: int | None =
             segments.append(seg)
         if ok:
             words.append(bytes(letters))
-    return NcPoly.from_words(words, n, bound)
+    return NcPoly(n, bound, Counter(words))
 
 
 def enumerate_hook_by_filter(nu: tuple[int, ...], n: int) -> set[Word]:
@@ -225,8 +225,8 @@ def all_ordered_morphisms(source_n: int, target_n: int) -> Iterator[OrderedMorph
 
 def instantiate(rel: Relation, window: Word) -> Word | None:
     """Rewrite of `window` by `rel` read left-to-right, or None when no match:
-    the matcher `_kernels.neighbors` is checked against, one window and one
-    relation at a time."""
+    the matcher that the kernel's one-step rewrites (`_kernels._grow`) are
+    checked against, one window and one relation at a time."""
     left, right, strict = rel.compiled()
     if len(window) != len(left):
         return None
@@ -249,8 +249,8 @@ def instantiate(rel: Relation, window: Word) -> Word | None:
 
 def rewrites_by_instantiate(word: bytes, n: int, rels: RelationSet) -> set[bytes]:
     """One-step rewrites by `instantiate`, relation by relation, in both
-    directions, at every window of the word: the reference for
-    `_kernels.neighbors`."""
+    directions, at every window of the word: the reference for the
+    kernel's one-step rewrites (`_kernels._grow`)."""
     out = set()
     for rel in rels.relations:
         reverse = Relation(rel.name, rel.right, rel.left, rel.constraints)

@@ -427,7 +427,7 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"placto: error: degree bound must be {message}\n"
 
-    def test_shifted_degree_refused_before_the_plactic_half(self, capsys):
+    def test_shifted_degree_refused_with_nothing_printed(self, capsys):
         """At `--n 255 --degree 2` the Plac half keys and multiplies nothing,
         in well under a millisecond, and prints nothing before the SPlac
         half refuses its least degree with the message that `verify_axioms`

@@ -84,7 +84,7 @@ class TestInstantiate:
 
 def neighbors(word: Word, rels: RelationSet) -> frozenset[Word]:
     """The words one relation application away, by the byte kernel."""
-    out = _kernels.neighbors(word.to_bytes(), rels.congruence.table)
+    out = _kernels._grow([word.to_bytes()], rels.congruence.table, {}, set())
     return frozenset(Word.from_bytes(b, word.n) for b in out)
 
 

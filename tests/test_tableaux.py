@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from placto import _kernels
+from placto import _kernels, tableaux
 from placto.algebra import free_schur, p_schur_poly
 from placto.rewrite import KNUTH, SHIFTED_KNUTH, Congruence, equiv_class, equivalent
 from placto.tableaux import (
@@ -525,6 +525,52 @@ class TestInsertionFiber:
     def test_the_empty_tableau_holds_the_empty_word(self, fiber):
         assert fiber(()) == [b""]
 
+    @staticmethod
+    def _stream(seed: int) -> list[bytes]:
+        rng = random.Random(seed)
+        return [bytes(rng.choices(range(1, 6), k=rng.randint(0, 10))) for _ in range(40)]
+
+    @pytest.mark.parametrize("rels, rows, fiber", _FIBERS, ids=["knuth", "shifted-knuth"])
+    def test_memo_kept_across_calls_lists_what_a_cold_memo_lists(self, rels, rows, fiber):
+        """The memos live as long as the process: a seeded stream of words
+        over {1..5} of degree at most 10, listed twice in shuffled order and
+        once more after the memos are cleared, lists each class as the
+        closure does and word for word as a cold memo does."""
+        stream = self._stream(1)
+        table = Congruence(rels).table
+        cold = {}
+        for word in stream:
+            tableaux._clear_fiber_memos()
+            cold[word] = fiber(rows(word))
+            assert set(cold[word]) == _kernels.closure(word, table), word
+        rng = random.Random(2)
+        for clear in (False, False, True):
+            if clear:
+                tableaux._clear_fiber_memos()
+            for word in rng.sample(stream, len(stream)):
+                assert fiber(rows(word)) == cold[word], word
+
+    @pytest.mark.parametrize("rels, rows, fiber", _FIBERS, ids=["knuth", "shifted-knuth"])
+    def test_memos_stay_within_the_budget(self, rels, rows, fiber, monkeypatch):
+        """Under a budget of a few KB the memos are cleared in place, not
+        replaced, and after every call their charge is within the budget:
+        each entry but the empty tableau's, its words' bytes and
+        `_FIBER_ENTRY_BYTES`."""
+        stream = self._stream(3)
+        expected = [fiber(rows(word)) for word in stream]
+        monkeypatch.setattr(tableaux, "_FIBER_BUDGET", 4096)
+        tableaux._clear_fiber_memos()
+        memos = dict(tableaux._fiber_memos)
+        charges = []
+        for word, listed in zip(stream, expected):
+            assert fiber(rows(word)) == listed, word
+            charges.append(tableaux._fiber_charged)
+            assert charges[-1] <= 4096
+            entries = [words for memo in memos.values() for key, words in memo.items() if key]
+            assert charges[-1] == sum(map(len, entries)) + len(entries) * tableaux._FIBER_ENTRY_BYTES
+            assert all(tableaux._fiber_memos[u] is memo for u, memo in memos.items())
+        assert any(b < a for a, b in zip(charges, charges[1:]))  # the memos were cleared
+
     @pytest.mark.parametrize("rels, rows, fiber", _FIBERS, ids=["knuth", "shifted-knuth"])
     def test_letters_1_and_255_at_n_255(self, rels, rows, fiber):
         # each word of a sub-tableau is held followed by a 0 byte, which no
@@ -625,8 +671,10 @@ class TestEnumerations:
             (_shssyt_rows, ((3, 1), 3)),
             (_hook_words, ((3, 1), 3)),
             (free_schur, ((2, 1), 3)),
+            (schensted_fiber, (schensted_rows(bytes((3, 1, 4, 1, 5, 2))),)),
+            (mixed_fiber, (mixed_insertion_rows(bytes((3, 1, 4, 1, 5, 2))),)),
         ],
-        ids=["ssyt", "shssyt", "hook", "free_schur"],
+        ids=["ssyt", "shssyt", "hook", "free_schur", "schensted_fiber", "mixed_fiber"],
     )
     def test_listings_leave_no_reference_cycles(self, listing, args):
         """A listing is freed as soon as its caller drops it, with no wait
