@@ -13,7 +13,10 @@ the reports their text.  Every family compares class keys
 (`Congruence.key`: the insertion tableaux for the shipped sets) and lists
 no class to pass.  `verify axioms` and `verify section5` decide a pass
 over the few letters that hold every order type their checks depend on;
-only a failing axiom scans the classes, to list its violations.
+only a failing axiom scans the classes, to list its violations.  Plac.1
+and axiom 3 hold for every relation set, by lemmas on the relation
+format, so `verify axioms` reports them without a check and counts the
+instances of every axiom over words, in closed form.
 """
 
 from __future__ import annotations
@@ -402,11 +405,12 @@ def verify_axioms(
     restriction) sends every class into one class of a target congruence.
     That holds on every class of degree at most the bound exactly when it
     holds on every relation instance (l, r) of that degree, so
-    `_stable_under`, whose docstring gives the argument, decides each axiom
-    from the instances alone, comparing class keys.  Axiom 3 says the same
-    of the ordered morphisms, in the congruence itself, and holds for every
-    relation set by the lemma that docstring states: its report counts the
-    instances and lists no violation.
+    `_stable_under`, whose docstring gives the argument, decides SPlac.1
+    and axiom 4 from the instances alone, comparing class keys.  Plac.1,
+    whose target is content, and axiom 3, the same of the ordered
+    morphisms in the congruence itself, hold for every relation set by the
+    lemmas that docstring states: their reports count the instances
+    (`_instance_counts`) and list no violation.
 
     Order types.  An order-preserving injection f of {1..m} into {1..n}
     keeps `<=` and `<`, so it sends instances of a relation to instances,
@@ -421,7 +425,7 @@ def verify_axioms(
     degree and the variables of a relation within the bound, and each
     order type has one packed representative, over {1..k} for its k
     letters.  A pass is decided once per order type, over {1..min(n, m)}:
-    axioms 1 and 4 on the packed instance of each relation pattern
+    SPlac.1 and axiom 4 on the packed instance of each relation pattern
     (`_order_type_instances`, which adds its image on the top letters),
     keying only the images that differ as words, and axiom 2 on the
     packed terms of the commutator, the only ones built
@@ -445,14 +449,10 @@ def verify_axioms(
             f"degree bound must be at least {least} for the {system} axioms, got {degree_bound}"
         )
 
-    # the targets of axioms 1 and 4, by class key: content and the
-    # congruence itself for the plactic system, ordinary Knuth for both in
-    # the shifted system
-    if system == "Plac":
-        reference = _sorted_letters
-        target_key = functools.cache(rels.congruence.key)
-    else:
-        reference = target_key = functools.cache(KNUTH.congruence.key)
+    # the target of axiom 4, by class key: the congruence itself for the
+    # plactic system, ordinary Knuth for the shifted one, which is also
+    # SPlac.1's target
+    target_key = functools.cache((rels if system == "Plac" else KNUTH).congruence.key)
 
     fitting = [rel for rel in rels.relations if len(rel.left) <= degree_bound]
     # the letters that every order type of an instance or a product word fits in
@@ -466,7 +466,7 @@ def verify_axioms(
 
     # axiom 2: the two designated sums commute in the quotient; at the least
     # bound their products lie wholly above it, so they are not built
-    nonzero = []
+    found = {}
     if least < degree_bound:
         schur, big = (free_schur, (1, 1)) if system == "Plac" else (shifted_free_schur, (2, 1))
 
@@ -474,47 +474,38 @@ def verify_axioms(
         if project_quotient(_packed_commutator(pa, pb), rels):
             pa, pb = schur((1,), n, degree_bound), schur(big, n, degree_bound)
             com = commutator_in_quotient(pa, pb, rels)
-            nonzero = sorted(word_text(w, n) for w in com.terms)[:10]
-    commutes = _axiom_report(
-        f"{system}.2", n, degree_bound, 1, [{"nonzero_terms": nonzero}] if nonzero else []
-    )
+            found[2] = [{"nonzero_terms": sorted(word_text(w, n) for w in com.terms)[:10]}]
 
-    # Axioms 1 and 4 are checked once per distinct action on a support, the
-    # letters of a relation instance or of a class.  Relations keep content,
-    # so every member of a class has the support of its first member; two
-    # maps that act alike on it give byte-identical images.  An action is
-    # the (table, delete) pair that `bytes.translate` applies, and a map's
-    # label holds the fields that name it in a violation.
-    checks = [
-        # axiom 1: classes lie in one class of the reference map's target
-        (_identity, reference),
-        # axiom 4: interval restrictions agree in the target congruence
-        (_restrictions(n), target_key),
+    # SPlac.1 and axiom 4 are checked once per distinct action on a support,
+    # the letters of a relation instance or of a class: relations keep
+    # content, and two maps that act alike on it give byte-identical images.
+    # An action is the (table, delete) pair that `bytes.translate` applies.
+    checks = {4: (_restrictions(n), target_key)}
+    if system == "SPlac":
+        checks = {1: (_identity, target_key), **checks}
+    found.update(zip(checks, _stable_under(classes, instances, list(checks.values()), n)))
+    # Plac.1 and axiom 3 hold by the lemmas that `_stable_under` states
+    checked = {2: 1, **_instance_counts(n, degree_bound)}
+    return [
+        _axiom_report(f"{system}.{axiom}", n, degree_bound, checked[axiom], found.get(axiom, []))
+        for axiom in (1, 2, 3, 4)
     ]
-    # Each map counts one instance per member of a class its source holds.
-    # Relations keep content, so the members of the classes with a given
-    # support are the words with exactly its letters, counted, not walked.
-    sizes = _members_by_size(n, degree_bound)
-    words = sum(sizes.values())
-    checked = {
-        1: words,
-        # the ordered morphisms of {1..n} whose source holds a support of k
-        # letters: sum over j of C(n - k, j - k) C(n, j) = C(2n - k, n)
-        3: sum(count * math.comb(2 * n - k, n) for k, count in sizes.items()),
-        4: words * n * (n + 1) // 2,
-    }
-    one, four = (
-        _axiom_report(f"{system}.{axiom}", n, degree_bound, checked[axiom], violations)
-        for axiom, violations in zip((1, 4), _stable_under(classes, instances, checks, n))
-    )
-    # axiom 3 holds by the lemma that `_stable_under` states
-    three = _axiom_report(f"{system}.3", n, degree_bound, checked[3], [])
-    return [one, commutes, three, four]
 
 
-def _sorted_letters(word: bytes) -> bytes:
-    """The letters of a word in increasing order: a key of its content."""
-    return bytes(sorted(word))
+def _instance_counts(n: int, degree: int) -> dict[int, int]:
+    """axiom -> the instances that axioms 1, 3 and 4 count over {1..n} up
+    to degree d, one per word and map that applies to it.  With
+    g(j) = j + j^2 + ... + j^d words of degree 1..d over j letters, these
+    are the g(n) words, n(n + 1)/2 intervals for each, and the g(j) words
+    over the source of each of the C(n, j)^2 ordered morphisms between
+    subsets of j letters."""
+
+    def words(j: int) -> int:
+        return degree if j == 1 else (j ** (degree + 1) - j) // (j - 1)
+
+    total = words(n)
+    morphisms = sum(math.comb(n, j) ** 2 * words(j) for j in range(1, n + 1))
+    return {1: total, 3: morphisms, 4: total * n * (n + 1) // 2}
 
 
 def _support(word: bytes) -> bytes:
@@ -529,10 +520,10 @@ def _is_packed(word: bytes) -> bool:
 
 
 def _order_type_instances(rel: Relation, m: int) -> Iterator[tuple[bytes, bytes]]:
-    """The instances of a relation that decide axioms 1 and 4 over {1..m}
-    (the order-type lemma of `verify_axioms`): the packed instance of each
-    `_degeneracies` pattern of k <= m letters, over {1..k}, and, when
-    k < m, its image on the top letters {m - k + 1..m}.
+    """The instances of a relation that decide SPlac.1 and axiom 4 over
+    {1..m} (the order-type lemma of `verify_axioms`): the packed instance
+    of each `_degeneracies` pattern of k <= m letters, over {1..k}, and,
+    when k < m, its image on the top letters {m - k + 1..m}.
 
     For a class key the packed instance alone stands for every instance of
     its pattern.  The top image costs a few keys, and it holds the letter m
@@ -639,14 +630,17 @@ def _stable_under(classes, instances, checks, n: int) -> list[list[dict]]:
     that gives the last: each degree is one lexicographic scan of its
     words, which stops there.
 
-    Axiom 3, stability under ordered morphisms in the congruence itself, is
-    not checked: it holds for every relation set.  A relation is a pair of
-    patterns over the variables of one chain of `<=` and `<`, every chain
-    variable occurs in them, and its instances over {1..n} are the
-    assignments of letters that obey the chain.  An order-preserving
-    injection of {1..n} keeps `<=` and `<`, so it sends an instance (l, r)
-    to an instance of the same relation, whose sides are congruent; by
-    Enough, it sends every class into one class.
+    Two axioms hold for every relation set, so they are not checked.  A
+    relation is a pair of patterns with one variable multiset, over the
+    variables of one chain of `<=` and `<`, every chain variable occurs in
+    them, and its instances over {1..n} are the assignments of letters
+    that obey the chain.  So the sides of an instance (l, r) have one
+    content, and by Enough every class has one content: Plac.1.  An
+    order-preserving injection of {1..n} keeps `<=` and `<`, so it sends
+    (l, r) to an instance of the same relation, whose sides are congruent;
+    by Enough, it sends every class into one class: axiom 3.  So `checks`
+    holds the restriction family, and under SPlac, whose target of Knuth
+    classes is not structural, the identity family too.
     """
     results = []
     for family, target in checks:
@@ -670,30 +664,6 @@ def _stable_under(classes, instances, checks, n: int) -> list[list[dict]]:
                         break
         results.append(violations)
     return results
-
-
-def _members_by_size(n: int, degree: int) -> dict[int, int]:
-    """k -> the number of words of degree 1..d over {1..n} with exactly k
-    distinct letters: relations keep content, so these are the members of
-    the classes whose support has k letters.
-
-    Each of the C(n, k) supports of k letters has sum over j = k..d of
-    k! S(j, k) of them.  By inclusion-exclusion k! S(j, k), the words of
-    degree j onto k letters, is the sum over i of (-1)^i C(k, i) (k - i)^j,
-    and the sum over j of each power is geometric.
-    """
-
-    def powers(m: int, k: int) -> int:
-        """m^k + m^(k+1) + ... + m^d."""
-        if m < 2:
-            return m * (degree - k + 1)
-        return (m ** (degree + 1) - m**k) // (m - 1)
-
-    return {
-        k: math.comb(n, k)
-        * sum((-1) ** i * math.comb(k, i) * powers(k - i, k) for i in range(k + 1))
-        for k in range(1, min(n, degree) + 1)
-    }
 
 
 def restriction_surprise(n: int = 4, degree_bound: int = 4) -> dict:

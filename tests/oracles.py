@@ -7,8 +7,10 @@ a restriction letter by letter, sharing no code with the byte kernels.
 for the insertion fibers of the shipped sets.  The restriction-surprise
 search is kept as it grouped every word over {1..n} into classes by
 closure.  `union_find_joins` counts the parts that forced pairs join by
-a union-find.  Mixed insertion and the shifted hook length formula are
-written out from their definitions, with no `placto` code.
+a union-find, and `members_by_size` the words per support size by
+inclusion-exclusion over surjections.  Mixed insertion and the shifted
+hook length formula are written out from their definitions, with no
+`placto` code.
 `lr_by_ssyt_words` is the Littlewood-Richardson expansion by the products
 of the semistandard words over all n letters, the one listing `lr_expand`
 had before it chose the smaller of two; standardization of words and of
@@ -318,6 +320,31 @@ def union_find_joins(pairs) -> int:
         joins += ru != rv
         root[ru] = rv
     return joins
+
+
+def members_by_size(n: int, degree: int) -> dict[int, int]:
+    """k -> the number of words of degree 1..d over {1..n} with exactly k
+    distinct letters: relations keep content, so these are the members of
+    the classes whose support has k letters.  The reference for the
+    instance counts of `verify axioms`, which sums over words instead.
+
+    Each of the C(n, k) supports of k letters has sum over j = k..d of
+    k! S(j, k) of them.  By inclusion-exclusion k! S(j, k), the words of
+    degree j onto k letters, is the sum over i of (-1)^i C(k, i) (k - i)^j,
+    and the sum over j of each power is geometric.
+    """
+
+    def powers(m: int, k: int) -> int:
+        """m^k + m^(k+1) + ... + m^d."""
+        if m < 2:
+            return m * (degree - k + 1)
+        return (m ** (degree + 1) - m**k) // (m - 1)
+
+    return {
+        k: math.comb(n, k)
+        * sum((-1) ** i * math.comb(k, i) * powers(k - i, k) for i in range(k + 1))
+        for k in range(1, min(n, degree) + 1)
+    }
 
 
 def restrict(w: Word, interval: Interval) -> Word:

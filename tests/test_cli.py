@@ -1151,14 +1151,30 @@ def test_failing_custom_axioms_digest(capsys, tmp_path, name):
 # to the bound was walked first
 CHINESE_3_11_DIGEST = "74d598ebc699ebbebb695d71e8837426eedd3685a468954aca081d8fa229ef2f"
 
+# the same at --n 12 --degree 3, which exits 1: its words above 9 letters
+# carry commas, and axiom 2 lists its nonzero terms in text order
+# ("1,10,2" before "1,2,...")
+CHINESE_12_3_DIGEST = "35e9d13ca5f346a2a3a462f240141d03c25db87226d21b2a362bd8d7d12c3c06"
 
-def test_failing_custom_axioms_digest_at_the_largest_degree(capsys, tmp_path):
+
+def _chinese_axioms(capsys, tmp_path, n, degree):
+    """(exit code, stdout) of `verify axioms` on the Chinese set."""
     path = tmp_path / "chinese.json"
     path.write_text(json.dumps(_FAILING_SETS["chinese"]), encoding="utf-8")
-    argv = "verify axioms --n 3 --degree 11 --relations".split() + [f"custom:{path}"]
-    code, out = run_cli(capsys, *argv)
+    argv = f"verify axioms --n {n} --degree {degree} --relations".split() + [f"custom:{path}"]
+    return run_cli(capsys, *argv)
+
+
+def test_failing_custom_axioms_digest_at_the_largest_degree(capsys, tmp_path):
+    code, out = _chinese_axioms(capsys, tmp_path, 3, 11)
     assert code == 1
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHINESE_3_11_DIGEST
+
+
+def test_failing_custom_axioms_digest_over_ten_letters(capsys, tmp_path):
+    code, out = _chinese_axioms(capsys, tmp_path, 12, 3)
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHINESE_12_3_DIGEST
 
 
 # relations of lengths 3 and 4 in one custom set, written to a file per test

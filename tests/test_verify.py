@@ -18,6 +18,7 @@ from oracles import (
     apply_morphism,
     intervals,
     kernel_classes,
+    members_by_size,
     restrict,
     restriction_surprise_by_grouping,
     union_find_joins,
@@ -341,17 +342,23 @@ def _relation_sets(draw):
 @settings(max_examples=40, deadline=None)
 @given(rels=_relation_sets(), scale=st.sampled_from([(2, 6), (3, 4), (3, 5), (4, 4)]))
 def test_random_sets_are_morphism_stable(rels, scale):
-    """Axiom 3 is decided by a lemma on the relation format: random sets
-    pass it member by member and morphism by morphism, and both systems
-    report it passing with the same instance count."""
+    """Axiom 3 and Plac.1 are decided by lemmas on the relation format:
+    random sets pass axiom 3 member by member and morphism by morphism,
+    and both systems report it passing with the same instance count; every
+    class they walk has one content, and Plac.1 reports a pass with one
+    instance per walked member."""
     n, degree = scale
     cong = rels.congruence
     classes = [cls for d in range(1, degree + 1) for cls in cong.classes(n, d)]
     checked, violations = _morphism_violations(classes, cong.canonical, n)
     assert violations == []
+    assert all(len({bytes(sorted(w)) for w in cls}) == 1 for cls in classes)
+    walked = sum(map(len, classes))
     for target in ("plactic", "shifted-plactic"):
-        three = verify_axioms(target, n, degree, relations=rels)[2]
+        one, _, three, _ = verify_axioms(target, n, degree, relations=rels)
         assert (three["instances_checked"], three["pass"]) == (checked, True)
+        if target == "plactic":
+            assert (one["instances_checked"], one["violations"], one["pass"]) == (walked, [], True)
 
 
 _COMMUTATIVE = RelationSet.custom((Relation("comm", "ab", "ba", "a<b"),))
@@ -470,11 +477,11 @@ def _per_member_stable_under(classes, instances, checks, n):
 def _per_member_oracle():
     """Compare every `_stable_under` call with the per-member reference, on
     the first 20 violations of all the classes; yields, per call, one flag
-    per axiom (1 and 4), set when the axiom failed and its violations were
-    listed.  An axiom that holds must have made two lookups per relation
-    instance and action on its support whose images differ, none where
-    they are equal, and no lookup per class; the classes are read once per
-    failing axiom, and never when none fails."""
+    per axiom checked (4 for Plac, 1 and 4 for SPlac), set when the axiom
+    failed and its violations were listed.  An axiom that holds must have
+    made two lookups per relation instance and action on its support whose
+    images differ, none where they are equal, and no lookup per class; the
+    classes are read once per failing axiom, and never when none fails."""
     reached = []
     real = verify._stable_under
 
@@ -600,7 +607,7 @@ class TestOrderTypes:
 
 
 class TestOneWordPerBlock:
-    """Axioms 1 and 4 decided from the relation instances, against one
+    """SPlac.1 and axiom 4 decided from the relation instances, against one
     lookup per member; the flags say which axioms failed and had their
     violations listed."""
 
@@ -618,7 +625,7 @@ class TestOneWordPerBlock:
         with _per_member_oracle() as reached:
             reports = verify_axioms("plactic", n, degree, relations=rels)
         assert not reports[3]["pass"]
-        assert reached == [(False, True)]
+        assert reached == [(True,)]
 
     @pytest.mark.parametrize(
         "rels, passes",
@@ -854,10 +861,10 @@ def _accepted_degrees(n):
 
 def _members_by_support(n, degree):
     """support -> the words of degree 1..d over {1..n} with exactly its
-    letters, as `_members_by_size` counts them: the same number for each of
-    the C(n, k) supports of k letters."""
+    letters, as `oracles.members_by_size` counts them: the same number for
+    each of the C(n, k) supports of k letters."""
     members = {}
-    for k, count in verify._members_by_size(n, degree).items():
+    for k, count in members_by_size(n, degree).items():
         per_support, rest = divmod(count, math.comb(n, k))
         assert rest == 0
         supports = map(bytes, itertools.combinations(range(1, n + 1), k))
@@ -877,6 +884,32 @@ def test_counted_members_are_the_walked_members(n):
             support = verify._support(cls[0])
             walked[support] = walked.get(support, 0) + len(cls)
         assert _members_by_support(n, degree) == walked
+
+
+def _counts_by_size(n, degree):
+    """axiom -> the instances that `verify axioms` reports for axioms 1, 3
+    and 4, from the words per support size of `oracles.members_by_size`:
+    the members, C(2n - k, n) ordered morphisms per member of a support of
+    k letters, and n(n + 1)/2 intervals per member."""
+    sizes = members_by_size(n, degree)
+    words = sum(sizes.values())
+    morphisms = sum(count * math.comb(2 * n - k, n) for k, count in sizes.items())
+    return {1: words, 3: morphisms, 4: words * n * (n + 1) // 2}
+
+
+def test_instance_counts_are_the_counts_by_support_size():
+    """The instance counts summed over words equal those summed per support
+    size, at every (n, d) that the sweep limit admits for n <= 255, and
+    both systems report them, at the largest degrees of a few n and, for
+    the plactic half only, at n = 255."""
+    for n in range(1, 256):
+        for degree in _accepted_degrees(n):
+            assert verify._instance_counts(n, degree) == _counts_by_size(n, degree), (n, degree)
+    for n, degree in [(1, 3000), (2, 17), (5, 6), (23, 4), (66, 3), (255, 2)]:
+        expected = {**_counts_by_size(n, degree), 2: 1}
+        for target in ("plactic", "shifted-plactic")[: 1 if n == 255 else 2]:
+            reports = verify_axioms(target, n, degree)
+            assert {int(r["axiom"][-1]): r["instances_checked"] for r in reports} == expected
 
 
 def _fresh_congruences(monkeypatch):
